@@ -159,6 +159,14 @@ def read_images_n(n: int, columns: list[str] | None = None):
     return _read_images_path(ensure_images_table_n(n), columns)
 
 
+# CPU request of the file-reading map_batches stages. It must differ from
+# the default (1) so Ray never fuses the read with a downstream map_batches:
+# fused, the downstream batch_size would apply to the PATHS input and a
+# single task would read hundreds of files (measured 46 s vs 8 s). It must
+# not exceed 1, or a 1-CPU node can never schedule the read.
+READ_NUM_CPUS = 0.99
+
+
 def _read_images_path(path: str, columns: list[str] | None):
     import glob
 
@@ -182,10 +190,8 @@ def _read_images_path(path: str, columns: list[str] | None):
     return (
         ray.data.from_arrow(pa.table({"path": files}))
         .repartition(len(files))
-        # num_cpus=1.01 blocks operator fusion with downstream map_batches:
-        # fused, the downstream batch_size would apply to the PATHS input and
-        # a single task would read hundreds of files (measured 46s vs 8s)
-        .map_batches(readf, batch_format="pyarrow", batch_size=1, num_cpus=1.01)
+        .map_batches(readf, batch_format="pyarrow", batch_size=1,
+                     num_cpus=READ_NUM_CPUS)
     )
 
 

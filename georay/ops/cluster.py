@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay.runtime import adaptive_partitions, group_agg
+
 
 def connected_components(
     nodes_ds,
@@ -49,10 +51,6 @@ def connected_components(
     append per distributed round (test hook for the log-round bound).
     ``num_partitions=None`` → ``runtime.adaptive_partitions()`` (≈ cluster
     CPUs, VERDICT r4 #4)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
@@ -66,9 +64,9 @@ def connected_components(
         # is_node marks real members of nodes_ds: labels gained through
         # edge propagation for endpoints OUTSIDE nodes_ds are dropped at
         # the end, so both physical plans return the same row set.
-        # int64 (not int8): Min/Max aggregates emit int64, and a column
-        # whose dtype flips between rounds defeats Ray's block-schema dedup
-        # (schema-stable-partials invariant — ADVICE r2 #3)
+        # int64 (not int8): the max aggregate keeps its input type, and
+        # int64 matches the zero rows unioned in below — a column whose
+        # dtype flips between rounds defeats Ray's block-schema dedup
         return pa.table(
             {"node": pa.array(ids), "label": pa.array(ids),
              "is_node": pa.array(np.ones(ids.size, dtype=np.int64))}
@@ -93,7 +91,7 @@ def connected_components(
     edges = edge_pairs.map_batches(sym, batch_format="pyarrow").materialize()
 
     def label_sum(ds) -> int:
-        return ds.aggregate(Sum("label", alias_name="s"))["s"] or 0
+        return ds.sum("label") or 0
 
     prev = label_sum(labels)
     for _ in range(max_rounds):
@@ -118,19 +116,10 @@ def connected_components(
                 batch_format="pyarrow",
             )
         )
-        labels = (
-            labels.union(offered)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"),
-                       Max("is_node", alias_name="is_node"))
-            # sort-aggregate emits SCHEMA-LESS blocks for group-free
-            # partitions and the next round's hash join rejects them ("no
-            # match for key field src"); merging blocks absorbs the empty
-            # ones into schema-carrying neighbors (map UDFs are skipped on
-            # empty blocks, so a schema-fixing map_batches can't do it)
-            .repartition(num_partitions)
-            .materialize()
-        )
+        labels = group_agg(
+            labels.union(offered), "node",
+            {"label": ("min", "label"), "is_node": ("max", "is_node")},
+        ).materialize()
         # pointer jump (shortcutting): label ← label(label). Every label
         # value is itself a labeled row after round 1 (edges are
         # symmetrized, so every endpoint appears as a dst), and

@@ -24,9 +24,8 @@ Scale shape — everything is the repo's existing machinery:
    filter; the ring provably covers ``eps``). Pairs are materialized once
    (bounded by the true neighbor-pair count, avg_degree × n) and reused by
    the three downstream consumers instead of re-running the exchange.
-2. Degree counts and label mins are TWO-PHASE: per-batch partials
-   (np.unique / sorted-run min) shuffle one row per (point, batch), not
-   one per pair.
+2. Degree counts and label mins are ``runtime.group_agg`` calls: the
+   combine sees one row per (point, batch), not one per pair.
 3. Core-component labels come from ops.cluster.connected_components
    (driver union-find under the broadcast cap, distributed min-label
    propagation above it).
@@ -42,26 +41,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from georay.ops import knn as knn_ops
-from georay.ops.buckets import segment_starts
 from georay.ops.cluster import connected_components
-
-
-def _partial_count(t: pa.Table) -> pa.Table:
-    """(pid) pair rows → one (pid, n) partial per distinct pid per batch."""
-    pid = t["pid"].to_numpy(zero_copy_only=False)
-    u, c = np.unique(pid, return_counts=True)
-    return pa.table({"pid": pa.array(u), "n": pa.array(c.astype(np.int64))})
-
-
-def _partial_min(t: pa.Table) -> pa.Table:
-    """(pid, component) rows → one (pid, lbl) min-partial per batch."""
-    pid = t["pid"].to_numpy(zero_copy_only=False)
-    comp = t["component"].to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(pid, kind="quicksort")  # quicksort-only (BASELINE.md)
-    pid_s, comp_s = pid[order], comp[order]
-    starts = segment_starts(pid_s)
-    lbl = np.minimum.reduceat(comp_s, starts) if starts.size else comp_s[:0]
-    return pa.table({"pid": pa.array(pid_s[starts]), "lbl": pa.array(lbl)})
+from georay.runtime import adaptive_partitions, group_agg
 
 
 def grid_dbscan(
@@ -80,10 +61,6 @@ def grid_dbscan(
     ``num_partitions=None`` → ``runtime.adaptive_partitions()`` (≈ cluster
     CPUs) for the pair join + label exchanges (VERDICT r4 #4).
     """
-    from ray.data.aggregate import Min, Sum
-
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
@@ -114,19 +91,10 @@ def grid_dbscan(
         .materialize()
     )
 
-    # 2. degree → core flag (two-phase count; every point has its
-    # self-pair, so deg covers the whole point set — it doubles as the
-    # full-id spine for the final left join)
-    deg = (
-        pairs.map_batches(_partial_count, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("pid")
-        .aggregate(Sum("n", alias_name="cnt"))
-        # merge sort-aggregate's schema-less empty blocks before the joins
-        # below (CLAUDE.md invariant: Acero rejects schema-less blocks)
-        .repartition(num_partitions)
-        .materialize()
-    )
+    # 2. degree → core flag (every point has its self-pair, so deg covers
+    # the whole point set — it doubles as the full-id spine for the final
+    # left join)
+    deg = group_agg(pairs, "pid", {"cnt": ("count", None)}).materialize()
 
     core = deg.map_batches(
         lambda t: pa.table(
@@ -151,10 +119,6 @@ def grid_dbscan(
 
         return deg.map_batches(all_noise, batch_format="pyarrow")
 
-    # merge the filter's empty outputs into schema-carrying blocks before
-    # the joins (the join hash-shuffles to num_partitions itself, so a low
-    # block count here costs nothing)
-    core = core.repartition(2)
     core_n = core.map_batches(
         lambda t: pa.table({"nid": t["pid"]}), batch_format="pyarrow"
     )
@@ -180,14 +144,10 @@ def grid_dbscan(
 
     # 4. every point's label = MIN adjacent core component (one rule for
     # core AND border: a core point is adjacent to itself)
-    lab = (
+    lab = group_agg(
         pairs.join(comps, join_type="inner", num_partitions=num_partitions,
-                   on=("nid",))
-        .map_batches(_partial_min, batch_format="pyarrow")
-        .repartition(num_partitions)
-        .groupby("pid")
-        .aggregate(Min("lbl", alias_name="lbl"))
-        .repartition(num_partitions)
+                   on=("nid",)),
+        "pid", {"lbl": ("min", "component")},
     )
 
     out = deg.join(

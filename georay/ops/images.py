@@ -26,6 +26,7 @@ import pyarrow as pa
 
 from georay import codec, images
 from georay.fixtures import PIXEL_PERIOD, pixel_index, row_coords
+from georay.runtime import group_agg
 
 PSNR_MIN = 40.0
 
@@ -428,8 +429,7 @@ def perceptual_hashes(ds, out_col: str = "ahash"):
 
 def dedup_by_phash(ds):
     """Exact first-wins dedup on the content hash: only (phash, image_idx)
-    pairs shuffle, never the binary payloads (SURVEY.md N8)."""
-    from ray.data.aggregate import Count, Min
+    pairs reach the combine, never the binary payloads (SURVEY.md N8)."""
 
     def project(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -438,10 +438,7 @@ def dedup_by_phash(ds):
         idx = pc.cast(pc.utf8_slice_codeunits(t["image_id"], 3, 15), pa.int64())
         return pa.table({"phash": t["phash"], "idx": idx})
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(16)  # coalesce before the shuffle (block-count-bound)
-        .groupby("phash")
-        .aggregate(Min("idx", alias_name="first_id"), Count(alias_name="n_copies"))
-        .select_columns(["first_id", "n_copies"])
-    )
+    return group_agg(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        "phash", {"first_id": ("min", "idx"), "n_copies": ("count", None)},
+    ).select_columns(["first_id", "n_copies"])

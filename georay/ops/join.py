@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import check_saltable
+from georay.runtime import check_saltable, group_agg
 
 
 class _SortedLookup:
@@ -393,21 +393,12 @@ def bloom_semi_join(ds, keys_ds, on: str, right_on: str | None = None,
             )
         return candidates
 
-    # exact verify band: hash-join candidates against the deduped key set.
-    # Per-batch unique first so the dedupe groupby shuffles one row per
-    # distinct key per batch, not one per occurrence.
-    from ray.data.aggregate import Max
-
-    def key_rows(t: pa.Table) -> pa.Table:
-        k = np.unique(t[right_on].to_numpy(zero_copy_only=False))
-        return pa.table({on: pa.array(k),
-                         "__hit": pa.array(np.ones(k.size, dtype=np.int64))})
-
-    marker = (
-        keys_ds.map_batches(key_rows, batch_format="pyarrow")
-        .groupby(on)
-        .aggregate(Max("__hit", alias_name="__hit"))
-        .repartition(num_partitions)
+    # exact verify band: hash-join candidates against the deduped key set
+    # (``__hit`` is non-null on every key row: the left join's match flag)
+    marker = group_agg(
+        keys_ds.map_batches(lambda t: pa.table({on: t[right_on]}),
+                            batch_format="pyarrow"),
+        on, {"__hit": ("count", None)},
     )
     joined = candidates.join(
         marker, join_type="left_outer", num_partitions=num_partitions,
@@ -555,8 +546,7 @@ def box_overlap_join(
 
 
 def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
-                      cell_shift: int = 3, num_partitions: int | None = None,
-                      combine_partitions: int = 8):
+                      cell_shift: int = 3, num_partitions: int | None = None):
     """Segment-intersection join on INTEGER endpoint coordinates: all
     unordered pairs of segments that PROPERLY cross (strict orientation
     sign tests — touching endpoints and collinear overlaps excluded), the
@@ -567,7 +557,7 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
     both segments' bboxes, so every crossing pair shares ≥1 cover cell —
     completeness by construction), the refine is four int64 cross-product
     signs (no floats, no epsilon), and duplicate reports from multi-cell
-    overlaps collapse in a pair-key groupby that shuffles only the
+    overlaps collapse in a pair-key ``group_agg`` that sees only the
     surviving (a, b) int pairs — never O(n²) and never the geometry.
 
     Ids must fit 31 bits (pair key packs a*2³¹+b).
@@ -576,8 +566,6 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
 
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Count
 
     def scatter(t: pa.Table) -> pa.Table:
         sid = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -641,14 +629,11 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
         d3 = orient(q1x, q1y, q2x, q2y, p1x, p1y)
         d4 = orient(q1x, q1y, q2x, q2y, p2x, p2y)
         hit = (d1 * d2 < 0) & (d3 * d4 < 0)
-        pk = a[m][hit] * (np.int64(1) << 31) + b[m][hit]
-        return pa.table({"pk": np.unique(pk)})
+        return pa.table({"pk": a[m][hit] * (np.int64(1) << 31) + b[m][hit]})
 
-    pairs = (
-        cand.map_batches(refine, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("pk")
-        .aggregate(Count(alias_name="n_cells"))
+    pairs = group_agg(
+        cand.map_batches(refine, batch_format="pyarrow", zero_copy_batch=True),
+        "pk",
     )
 
     def unpack(t: pa.Table) -> pa.Table:

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells, codec
+from georay.runtime import group_agg
 
 
 def codec_split_nx(bits: int) -> int:
@@ -1090,16 +1091,16 @@ def nearest_segment(points_ds, seg_table: pa.Table, point_id: str,
 def accessibility_2sfca(demand_ds, supply_table: pa.Table, bits: int,
                         radius: float, demand_id: str, pop_col: str,
                         supply_id: str, cap_col: str,
-                        scale: int = 1_000_000, combine_partitions: int = 8):
+                        scale: int = 1_000_000):
     """Two-step floating catchment area (2SFCA) — the standard GIS
     accessibility score (Luo & Wang 2003 shape): each supply site j serves
     the demand population inside its catchment, each demand point i sums
     the supply-to-demand ratios of every site within reach.
 
     Step 1: (demand, supply) pairs within ``radius`` via the zero-shuffle
-    broadcast ring join (:func:`dwithin_ring`), two-phase per-supply demand
-    totals ``den_j = SUM(pop_i)`` collected to the driver — O(|supply|)
-    rows, bounded because the supply side is the designated SMALL side
+    broadcast ring join (:func:`dwithin_ring`), per-supply demand totals
+    ``den_j = SUM(pop_i)`` (``group_agg``) collected to the driver —
+    O(|supply|) rows, bounded because the supply side is the designated SMALL side
     (same bound as the hot-key collection in runtime).
 
     Step 2: per-supply ratio ``term_j = (scale * cap_j) // den_j`` is a
@@ -1113,29 +1114,22 @@ def accessibility_2sfca(demand_ds, supply_table: pa.Table, bits: int,
     ``access_scaled`` by ``scale`` for the float score).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     pairs = dwithin_ring(
         demand_ds, supply_table, bits, radius,
         query_cols=[demand_id, pop_col], ref_id=supply_id,
     )
 
-    def den_partial(t: pa.Table) -> pa.Table:
+    def den_rows(t: pa.Table) -> pa.Table:
         sid = t[supply_id].to_numpy(zero_copy_only=False).astype(np.int64)
         pop = t[pop_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys, inv = np.unique(sid, return_inverse=True)
-        acc = np.zeros(keys.size, np.int64)
-        np.add.at(acc, inv, pop)
-        return pa.table({supply_id: keys, "p_den": acc})
+        return pa.table({supply_id: sid, "pop": pop})
 
-    den_df = (
-        pairs.map_batches(den_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(supply_id)
-        .aggregate(Sum("p_den", alias_name="den"))
-        .to_pandas()  # O(|supply|) rows — the small side by construction
-    )
+    den_df = group_agg(
+        pairs.map_batches(den_rows, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        supply_id, {"den": ("sum", "pop")},
+    ).to_pandas()  # O(|supply|) rows — the small side by construction
 
     cap_keys = supply_table[supply_id].to_numpy(zero_copy_only=False).astype(np.int64)
     caps = supply_table[cap_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1152,34 +1146,24 @@ def accessibility_2sfca(demand_ds, supply_table: pa.Table, bits: int,
     key = bundle.hex() + "-2sfca"
     from georay.runtime import per_process  # driver-side: closure captures it
 
-    def score_partial(t: pa.Table) -> pa.Table:
+    def score_rows(t: pa.Table) -> pa.Table:
         b = per_process(key, lambda: ray.get(bundle))
         did = t[demand_id].to_numpy(zero_copy_only=False).astype(np.int64)
         sid = t[supply_id].to_numpy(zero_copy_only=False).astype(np.int64)
         term = b["terms"][np.searchsorted(b["keys"], sid)]
-        keys, inv = np.unique(did, return_inverse=True)
-        acc = np.zeros(keys.size, np.int64)
-        np.add.at(acc, inv, term)
-        return pa.table({
-            demand_id: keys,
-            "p_acc": acc,
-            "p_n": np.bincount(inv).astype(np.int64),
-        })
+        return pa.table({demand_id: did, "term": term})
 
-    return (
-        pairs.map_batches(score_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(demand_id)
-        .aggregate(Sum("p_acc", alias_name="access_scaled"),
-                   Sum("p_n", alias_name="n_fac"))
+    return group_agg(
+        pairs.map_batches(score_rows, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        demand_id, {"access_scaled": ("sum", "term"), "n_fac": ("count", None)},
     )
 
 
 def huff_shares(demand_ds, supply_table: pa.Table, bits: int, radius: float,
                 demand_id: str, supply_id: str, cap_col: str,
                 scale: int = 1_000_000, share_scale: int = 1_000_000,
-                combine_partitions: int = 8, num_partitions: int | None = None):
+                num_partitions: int | None = None):
     """Huff gravity-model market shares: each demand point splits its
     patronage over the supply sites within ``radius`` proportionally to
     ``w_j = ⌊scale·cap_j / (1 + d²)⌋`` (capacity over squared distance;
@@ -1202,8 +1186,6 @@ def huff_shares(demand_ds, supply_table: pa.Table, bits: int, radius: float,
 
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     pairs = dwithin_ring(
         demand_ds, supply_table, bits, radius,
@@ -1228,22 +1210,7 @@ def huff_shares(demand_ds, supply_table: pa.Table, bits: int, radius: float,
     weighted = pairs.map_batches(weigh, batch_format="pyarrow",
                                  zero_copy_batch=True)
 
-    def den_partial(t: pa.Table) -> pa.Table:
-        did = t[demand_id].to_numpy(zero_copy_only=False).astype(np.int64)
-        w = t["w"].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(did, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, w)
-        return pa.table({demand_id: u, "p_den": acc})
-
-    den = (
-        weighted.map_batches(den_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(demand_id)
-        .aggregate(Sum("p_den", alias_name="den"))
-        .repartition(num_partitions)  # schema-less empty-block guard
-    )
+    den = group_agg(weighted, demand_id, {"den": ("sum", "w")})
 
     # second pass over the recomputed pair stream, big-side hash join
     joined = weighted.repartition(num_partitions).join(

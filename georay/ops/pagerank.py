@@ -10,10 +10,10 @@ unrolls the same iterations, and deterministic across any partitioning.
 
 Plan per iteration (everything distributed; only two scalars reach the
 driver): a hash join ships each src rank to its edges (contribution
-``r // out``), a groupby(dst) sums in-flows, and a union-with-zeros +
-groupby rebuilds the full node table (no outer join — the union idiom keeps
-block schemas closed under Acero). The dangling mass is ONE Sum aggregate
-over out-degree-0 rows per iteration, like the k-means per-iteration pull.
+``r // out``), and one ``group_agg`` over the in-flows unioned with a zero
+row per node rebuilds the full node table (no outer join). The dangling
+mass is ONE Sum aggregate over out-degree-0 rows per iteration, like the
+k-means per-iteration pull.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from georay.runtime import adaptive_partitions, group_agg
+
 SCALE = 10**12
 D_NUM, D_DEN = 85, 100  # damping 0.85 as an exact rational
 
 
-def _distinct_edges(ds, src_col: str, dst_col: str, combine_partitions: int):
+def _distinct_edges(ds, src_col: str, dst_col: str, num_partitions: int):
     """DISTINCT (src, dst): batch-local pair dedup first — repeated pairs
     never leave their block — then the pair-hash bucket distinct
     (ops.pairs.distinct_pairs; the old groupby(src,dst) sort-aggregate was
@@ -43,13 +45,12 @@ def _distinct_edges(ds, src_col: str, dst_col: str, combine_partitions: int):
                            zero_copy_batch=True),
             a_col="src", b_col="dst",
         )
-        .repartition(combine_partitions)
+        .repartition(num_partitions)
         .materialize()  # reused every iteration
     )
 
 
 def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
-             combine_partitions: int = 8,
              num_partitions: int | None = None,
              driver_max_edges: int = 5_000_000):
     """Integer PageRank over the DISTINCT (src, dst) edges of ``ds``.
@@ -62,21 +63,17 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
     edge count is at most ``driver_max_edges`` the iterations run as a
     driver-side numpy loop (np.add.at bincount — bit-identical integers,
     since every update is an order-independent int64 sum). The
-    distributed per-iteration plan (2 joins + union-groupby, below) pays
+    distributed per-iteration plan (2 joins + union-group_agg, below) pays
     ~6 JoinOperator exchanges per call in fixed overhead — 23–43 s at
     sf0.1 for a 21k-node graph whose whole iteration loop is 10 ms of
     numpy — and remains the >driver_max_edges path.
 
     ``num_partitions=None`` → ``runtime.adaptive_partitions()`` for the
-    distributed plan's per-iteration joins (VERDICT r4 #4)."""
-    from ray.data.aggregate import Sum
-
-    from georay.runtime import adaptive_partitions
-
+    edge table's blocks and the distributed plan's per-iteration joins."""
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
-    edges = _distinct_edges(ds, src_col, dst_col, combine_partitions)
+    edges = _distinct_edges(ds, src_col, dst_col, num_partitions)
 
     if edges.count() <= driver_max_edges:
         import ray
@@ -101,27 +98,21 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
             pa.table({"node": node, "outd": outd, "r": r})
         )
 
-    # node table with out-degrees: src nodes carry their degree, dst nodes
-    # union in with degree 0, one groupby-max collapses duplicates.
-    def srcs(t: pa.Table) -> pa.Table:
-        s, c = np.unique(t["src"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"node": s, "outd_p": c.astype(np.int64)})
+    # node table with out-degrees: every edge counts 1 for its src and 0
+    # for its dst (so sink nodes appear too), one group_agg sums them.
+    def endpoint(col: str, out: int):
+        def fn(t: pa.Table) -> pa.Table:
+            return pa.table({"node": t[col],
+                             "o": np.full(t.num_rows, out, np.int64)})
+        return fn
 
-    def dsts(t: pa.Table) -> pa.Table:
-        d = np.unique(t["dst"].to_numpy(zero_copy_only=False))
-        return pa.table({"node": d, "outd_p": np.zeros(d.size, np.int64)})
-
-    nodes = (
-        edges.map_batches(srcs, batch_format="pyarrow", zero_copy_batch=True)
-        .union(edges.map_batches(dsts, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-        .repartition(combine_partitions)
-        .groupby("node")
-        .aggregate(Sum("outd_p", alias_name="outd"))
-        .repartition(num_partitions)
-        .materialize()
-    )
+    nodes = group_agg(
+        edges.map_batches(endpoint("src", 1), batch_format="pyarrow",
+                          zero_copy_batch=True)
+        .union(edges.map_batches(endpoint("dst", 0), batch_format="pyarrow",
+                                 zero_copy_batch=True)),
+        "node", {"outd": ("sum", "o")},
+    ).materialize()
     n_nodes = int(nodes.count())
     r0 = SCALE // n_nodes
     base = (15 * (SCALE // n_nodes)) // D_DEN  # (1-d)·SCALE/N in exact ints
@@ -164,13 +155,10 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
             return pa.table({"node": t["node"],
                              "in_p": np.zeros(t.num_rows, np.int64)})
 
-        in_full = (
+        in_full = group_agg(
             in_sums.union(ranks.map_batches(
-                zero_rows, batch_format="pyarrow", zero_copy_batch=True))
-            .repartition(combine_partitions)
-            .groupby("node")
-            .aggregate(Sum("in_p", alias_name="ins"))
-            .repartition(num_partitions)
+                zero_rows, batch_format="pyarrow", zero_copy_batch=True)),
+            "node", {"ins": ("sum", "in_p")},
         )
 
         joined = in_full.join(

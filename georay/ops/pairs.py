@@ -223,13 +223,12 @@ def distinct_pairs(ds, a_col: str = "id_a", b_col: str = "id_b",
 
 
 def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
-                   num_buckets: int = 32, combine_partitions: int = 8,
-                   max_basket: int | None = 4096):
+                   num_buckets: int = 32, max_basket: int | None = 4096):
     """A-priori frequent item PAIRS (market-basket mining): every
     unordered item pair co-occurring in at least ``min_support`` baskets.
 
-    The A-priori pruning step is real: item supports are a two-phase
-    count, items below ``min_support`` are dropped BEFORE any pair
+    The A-priori pruning step is real: item supports are a
+    ``group_agg`` count, items below ``min_support`` are dropped BEFORE any pair
     expands (a pair's support never exceeds its items'), and the
     frequent-item set broadcasts via ray.put (item vocabularies are
     bounded; the candidate-pair exchange carries pair COUNTS, never
@@ -244,36 +243,16 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
     import pandas as pd
     import pyarrow as pa
     import ray
-    from ray.data.aggregate import Count, Sum
 
     from georay.ops.sketch import splitmix64
-    from georay.runtime import per_process, table_from_pandas
+    from georay.runtime import group_agg, per_process
 
-    distinct = (
-        ds.select_columns([basket_col, item_col])
-        .map_batches(
-            lambda t: t.group_by([basket_col, item_col]).aggregate([]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([basket_col, item_col])
-        .aggregate(Count(alias_name="_d"))
-        .select_columns([basket_col, item_col])
-        .repartition(combine_partitions)
-    )
-
-    def item_partial(t: pa.Table) -> pa.Table:
-        it = t[item_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, n = np.unique(it, return_counts=True)
-        return pa.table({"it": u, "p_n": n.astype(np.int64)})
-
-    freq = (
-        distinct.map_batches(item_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("it")
-        .aggregate(Sum("p_n", alias_name="n"))
+    distinct = group_agg(ds, [basket_col, item_col])
+    freq = group_agg(
+        distinct, item_col, {"n": ("count", None)}
     ).to_pandas()  # bounded: item vocabulary
     keep_items = np.sort(
-        freq["it"].to_numpy()[freq["n"].to_numpy() >= min_support]
+        freq[item_col].to_numpy()[freq["n"].to_numpy() >= min_support]
     ).astype(np.int64)
     items_ref = ray.put(keep_items)
     items_key = items_ref.hex() + "-apriori"
@@ -291,10 +270,9 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
                   % np.uint64(num_buckets)).astype(np.int64)
         return pa.table({"b": b, "it": it[hit], "_bucket": bucket})
 
-    empty = pa.table({"pk": pa.array([], pa.int64()),
-                      "p_n": pa.array([], pa.int64())})
+    empty = pa.table({"pk": pa.array([], pa.int64())})
 
-    def pair_partial(g: pd.DataFrame) -> pa.Table:
+    def pair_keys(g: pd.DataFrame) -> pa.Table:
         b = g["b"].to_numpy(np.int64)
         it = g["it"].to_numpy(np.int64)
         order = np.lexsort((it, b))
@@ -312,18 +290,14 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
         )
         if ia.size == 0:
             return empty
-        pk = it_s[ia] * (np.int64(1) << 32) + it_s[ib]
-        u, n = np.unique(pk, return_counts=True)
-        return pa.table({"pk": u, "p_n": n.astype(np.int64)})
+        return pa.table({"pk": it_s[ia] * (np.int64(1) << 32) + it_s[ib]})
 
-    counts = (
+    counts = group_agg(
         distinct.map_batches(prune_bucket, batch_format="pyarrow",
                              zero_copy_batch=True)
         .groupby("_bucket")
-        .map_groups(pair_partial, batch_format="pandas")
-        .repartition(combine_partitions)
-        .groupby("pk")
-        .aggregate(Sum("p_n", alias_name="support"))
+        .map_groups(pair_keys, batch_format="pandas"),
+        "pk", {"support": ("count", None)},
     )
 
     def finalize(t: pa.Table) -> pa.Table:

@@ -1,57 +1,40 @@
 """Pivot / crosstab: long (row_key, category) stream → wide per-key count
 columns, one per pivot value (plus an overflow bucket).
 
-The scale trick: the partial aggregate is ALREADY WIDE — each batch emits at
-most one row per distinct row key with a fixed column per pivot value
-(pd.crosstab, C-vectorized), so the single shuffle is a plain per-column Sum
-groupby over pre-aggregated rows. No long (row, col, n) intermediate, no
+The scale trick: rows are ALREADY WIDE — each row becomes one 0/1 column
+per pivot value, so the single combine is a plain per-column sum over a
+``group_agg`` keyed by the row key. No long (row, col, n) intermediate, no
 second co-location shuffle to reassemble rows, and the output schema is
 static (pivot values are declared up front — the standard pivot contract;
-unlisted categories fold into ``n_other``).
+unlisted categories fold into ``n_other``). Rows with a null row key or
+category are not counted.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from georay.runtime import table_from_pandas
+from georay.runtime import group_agg
 
 
-def pivot_counts(ds, row_col: str, col_col: str, values: list,
-                 combine_partitions: int = 8):
+def pivot_counts(ds, row_col: str, col_col: str, values: list):
     """Wide count table: one row per ``row_col`` key, columns ``n_<value>``
     for each pivot value plus ``n_other`` for everything else."""
-    from ray.data.aggregate import Sum
-
     out_cols = [f"n_{v}" for v in values] + ["n_other"]
-    schema = pa.schema(
-        [(row_col, pa.int64())] + [(c, pa.int64()) for c in out_cols]
-    )
 
-    def partial(t: pa.Table) -> pa.Table:
-        r = t[row_col].to_pandas()
-        c = t[col_col].to_pandas()
-        wide = pd.crosstab(r, c)
-        out = pd.DataFrame({row_col: wide.index.to_numpy()})
-        listed = [v for v in values if v in wide.columns]
-        for v in values:
-            out[f"n_{v}"] = (
-                wide[v].to_numpy(np.int64) if v in wide.columns
-                else np.zeros(len(wide), dtype=np.int64)
-            )
-        rest = wide.drop(columns=listed)
-        out["n_other"] = (
-            rest.sum(axis=1).to_numpy(np.int64) if len(rest.columns)
-            else np.zeros(len(wide), dtype=np.int64)
-        )
-        return table_from_pandas(out, schema=schema)
+    def one_hot(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.is_valid(t[row_col]), pc.is_valid(t[col_col])))
+        c = t[col_col].to_numpy(zero_copy_only=False)
+        hits = [c == v for v in values]
+        other = ~np.logical_or.reduce(hits + [np.zeros(c.size, bool)])
+        cols = {row_col: t[row_col].cast(pa.int64())}
+        for name, hit in zip(out_cols, hits + [other]):
+            cols[name] = hit.astype(np.int64)
+        return pa.table(cols)
 
-    return (
-        ds.select_columns([row_col, col_col])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(row_col)
-        .aggregate(*[Sum(c, alias_name=c) for c in out_cols])
+    return group_agg(
+        ds.map_batches(one_hot, batch_format="pyarrow", zero_copy_batch=True),
+        row_col, {c: ("sum", c) for c in out_cols},
     )

@@ -153,7 +153,7 @@ class _SetLookup:
 
 def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
                 text_col: str = "text", num_partitions: int | None = None,
-                combine_partitions: int = 8, max_bucket: int | None = 4096,
+                max_bucket: int | None = 4096,
                 broadcast_vocab_max: int = 2_000_000,
                 broadcast_docs_max: int = 1_000_000):
     """All pairs with token-set Jaccard ≥ num/den (0 < num ≤ den).
@@ -192,10 +192,7 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
 
     toks = sets.map_batches(unpack, batch_format="pyarrow")
 
-    dfc = count_by(
-        toks.select_columns(["th"]), "th", out_col="df",
-        combine_partitions=combine_partitions,
-    ).materialize()
+    dfc = count_by(toks.select_columns(["th"]), "th", out_col="df").materialize()
 
     if dfc.count() <= broadcast_vocab_max:
         batches = list(dfc.iter_batches(batch_format="pyarrow"))
@@ -214,9 +211,7 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
         joined = toks.map_batches(attach_df, batch_format="pyarrow")
     else:
         joined = toks.join(
-            dfc.repartition(num_partitions),  # merge aggregate blocks:
-            # Acero rejects schema-less empties (CLAUDE.md invariant)
-            join_type="inner", num_partitions=num_partitions, on=("th",),
+            dfc, join_type="inner", num_partitions=num_partitions, on=("th",),
         )
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -405,7 +400,6 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
 def containment_join(ds, num: int, den: int, min_tokens: int = 30,
                      id_col: str = "doc_id", text_col: str = "text",
                      num_partitions: int | None = None,
-                     combine_partitions: int = 8,
                      max_pairs_per_token: int | None = 1 << 22,
                      broadcast_vocab_max: int = 2_000_000,
                      broadcast_docs_max: int = 1_000_000):
@@ -459,10 +453,7 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
 
     toks = sets.map_batches(unpack, batch_format="pyarrow")
 
-    dfc = count_by(
-        toks.select_columns(["th"]), "th", out_col="df",
-        combine_partitions=combine_partitions,
-    ).materialize()
+    dfc = count_by(toks.select_columns(["th"]), "th", out_col="df").materialize()
 
     if dfc.count() <= broadcast_vocab_max:
         dft = pa.concat_tables(list(dfc.iter_batches(batch_format="pyarrow")))
@@ -480,8 +471,7 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
         joined = toks.map_batches(attach_df, batch_format="pyarrow")
     else:
         joined = toks.join(
-            dfc.repartition(num_partitions), join_type="inner",
-            num_partitions=num_partitions, on=("th",),
+            dfc, join_type="inner", num_partitions=num_partitions, on=("th",),
         )
 
     def add_bucket(t: pa.Table) -> pa.Table:

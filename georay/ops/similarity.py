@@ -20,6 +20,7 @@ import pyarrow as pa
 # CLAUDE.md invariant; by-value cloudpickle only covers captured objects)
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.sketch import splitmix64
+from georay.runtime import group_agg
 
 
 def emb_matrix(col) -> np.ndarray:
@@ -201,8 +202,7 @@ def ivf_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
 def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
                  n_centroids: int = 16, n_probe: int = 4,
                  id_col: str = "vec_id", emb_col: str = "embedding",
-                 sample_mat: np.ndarray | None = None,
-                 combine_partitions: int = 4):
+                 sample_mat: np.ndarray | None = None):
     """IVF pruning COMPOSED with SQ8 integer scoring — the 100 TB ANN
     pipeline: pruning turns O(N·Q) into O(N·Q·n_probe/n_centroids) and the
     scored payload is 4×-compressed uint8 codes (the FAISS ``IVF,SQ8``
@@ -226,14 +226,7 @@ def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
     from georay.runtime import per_process
 
     # --- SQ8 codebook: distributed per-dim (min, max), tiny result
-    ranges_t = pa.concat_tables(
-        list(dim_ranges(ds, emb_col, combine_partitions).iter_batches(
-            batch_format="pyarrow"
-        ))
-    )
-    order = np.argsort(ranges_t["dim"].to_numpy(zero_copy_only=False))
-    mn = ranges_t["mn"].to_numpy(zero_copy_only=False)[order]
-    mx = ranges_t["mx"].to_numpy(zero_copy_only=False)[order]
+    mn, mx = dim_bounds(ds, emb_col)
 
     # --- queries: one streamed filter pass, bounded by the mask
     def pick_queries(t: pa.Table) -> pa.Table:
@@ -502,7 +495,7 @@ def fixed_matrix(col) -> np.ndarray:
 
 def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
                  emb_col: str = "embedding", scale: int = 1 << 20,
-                 combine_partitions: int = 2, with_centroids: bool = False):
+                 with_centroids: bool = False):
     """Distributed Lloyd's k-means over an embedding column, DETERMINISTIC
     regardless of batch order / partitioning:
 
@@ -511,7 +504,7 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
       int table is consumed ``iters + 1`` times);
     - per-iteration partials are INTEGER (cluster, dim) → (Σxᵢ, count)
       rows — k·d rows per batch regardless of batch size, summed exactly by
-      an order-independent groupby, so the centroid ``s/c`` is the same
+      an order-independent ``group_agg``, so the centroid ``s/c`` is the same
       float64 on every run;
     - assignment = argmin of squared-L2 in the scaled domain, ties broken
       by lowest cluster id (np.argmin ⟷ ``ORDER BY dist, cluster``).
@@ -524,7 +517,6 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
     previous centroid on both sides.
     """
     import ray
-    from ray.data.aggregate import Sum
 
     def to_int(t: pa.Table) -> pa.Table:
         mat = emb_matrix(t[emb_col]).astype(np.float64)
@@ -587,14 +579,11 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
                 }
             )
 
-        agg = (
+        agg = group_agg(
             ints.map_batches(partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-            .repartition(combine_partitions)
-            .groupby(["cluster", "d"])
-            .aggregate(Sum("s", alias_name="s_sum"), Sum("c", alias_name="c_sum"))
-            .to_pandas()
-        )
+                             zero_copy_batch=True),
+            ["cluster", "d"], {"s_sum": ("sum", "s"), "c_sum": ("sum", "c")},
+        ).to_pandas()
         s_mat = np.zeros((k, dim))
         c_mat = np.zeros((k, dim))
         s_mat[agg["cluster"].to_numpy(), agg["d"].to_numpy()] = agg["s_sum"]
@@ -699,12 +688,12 @@ def semantic_dedup(ds, k: int = 8, iters: int = 3, threshold: float = 0.45,
     )
 
 
-def dim_ranges(ds, emb_col: str = "embedding", combine_partitions: int = 4):
+def dim_ranges(ds, emb_col: str = "embedding"):
     """Per-dimension global (min, max) over the embedding column — the SQ8
-    quantization codebook. Two-phase: each batch collapses to ONE row per
-    dimension (elementwise min/max over the batch matrix), then a tiny
-    Min/Max groupby merges; the exchange is O(dims × batches) rows."""
-    from ray.data.aggregate import Max, Min
+    quantization codebook. Each batch collapses to ONE row per dimension
+    (elementwise min/max over the batch matrix), then ``group_agg``
+    merges; the combine sees O(dims × batches) rows. Output: ``dim, mn,
+    mx`` in dim order."""
 
     def partial(t: pa.Table) -> pa.Table:
         m = emb_matrix(t[emb_col])
@@ -716,12 +705,20 @@ def dim_ranges(ds, emb_col: str = "embedding", combine_partitions: int = 4):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("dim")
-        .aggregate(Min("p_min", alias_name="mn"), Max("p_max", alias_name="mx"))
+    return group_agg(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "dim", {"mn": ("min", "p_min"), "mx": ("max", "p_max")},
     )
+
+
+def dim_bounds(ds, emb_col: str = "embedding"):
+    """:func:`dim_ranges` collected to the driver: ``(mn, mx)`` float32
+    arrays indexed by dimension (O(dims), tiny)."""
+    t = pa.concat_tables(list(
+        dim_ranges(ds, emb_col).iter_batches(batch_format="pyarrow")
+    ))
+    return (t["mn"].to_numpy(zero_copy_only=False),
+            t["mx"].to_numpy(zero_copy_only=False))
 
 
 def sq8_quantize(m: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
@@ -739,8 +736,7 @@ def sq8_quantize(m: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
 
 
 def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
-             id_col: str = "vec_id", emb_col: str = "embedding",
-             combine_partitions: int = 4):
+             id_col: str = "vec_id", emb_col: str = "embedding"):
     """ANN top-k over SCALAR-QUANTIZED (SQ8) codes — the 4×-memory-
     reduction scale path for brute-force scoring: each float32 dimension
     compresses to one byte using the distributed per-dim (min, max) from
@@ -758,14 +754,7 @@ def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
 
     from georay.runtime import per_process
 
-    ranges_t = pa.concat_tables(
-        list(dim_ranges(ds, emb_col, combine_partitions).iter_batches(
-            batch_format="pyarrow"
-        ))
-    )
-    order = np.argsort(ranges_t["dim"].to_numpy(zero_copy_only=False))
-    mn = ranges_t["mn"].to_numpy(zero_copy_only=False)[order]
-    mx = ranges_t["mx"].to_numpy(zero_copy_only=False)[order]
+    mn, mx = dim_bounds(ds, emb_col)
 
     # queries: one streamed filter pass, collected (bounded by the mask)
     def pick_queries(t: pa.Table) -> pa.Table:
@@ -830,8 +819,7 @@ def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
 
 def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
             query_mask_mod: int = 10, k: int = 5,
-            id_col: str = "vec_id", emb_col: str = "embedding",
-            combine_partitions: int = 4):
+            id_col: str = "vec_id", emb_col: str = "embedding"):
     """ANN top-k via PRODUCT QUANTIZATION with asymmetric-distance (ADC)
     scoring (Jegou et al. 2011) - the memory scale path beyond SQ8: each
     vector stores only ``m_subspaces`` one-byte codeword ids (64x smaller
@@ -858,14 +846,7 @@ def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
 
     from georay.runtime import per_process
 
-    ranges_t = pa.concat_tables(
-        list(dim_ranges(ds, emb_col, combine_partitions).iter_batches(
-            batch_format="pyarrow"
-        ))
-    )
-    order = np.argsort(ranges_t["dim"].to_numpy(zero_copy_only=False))
-    mn = ranges_t["mn"].to_numpy(zero_copy_only=False)[order]
-    mx = ranges_t["mx"].to_numpy(zero_copy_only=False)[order]
+    mn, mx = dim_bounds(ds, emb_col)
 
     def pick(pred):
         def fn(t: pa.Table) -> pa.Table:
@@ -957,8 +938,7 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
                 query_mask_mod: int = 10, k: int = 5,
                 n_centroids: int = 16, n_probe: int = 4,
                 id_col: str = "vec_id", emb_col: str = "embedding",
-                sample_mat: np.ndarray | None = None,
-                combine_partitions: int = 4):
+                sample_mat: np.ndarray | None = None):
     """IVF pruning COMPOSED with PQ-ADC scoring - the FAISS ``IVF,PQ``
     shape and the furthest point on this repo's ANN memory/compute
     frontier: pruning scores only ``n_probe/n_centroids`` of the data,
@@ -977,14 +957,7 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
 
     from georay.runtime import per_process
 
-    ranges_t = pa.concat_tables(
-        list(dim_ranges(ds, emb_col, combine_partitions).iter_batches(
-            batch_format="pyarrow"
-        ))
-    )
-    order = np.argsort(ranges_t["dim"].to_numpy(zero_copy_only=False))
-    mn = ranges_t["mn"].to_numpy(zero_copy_only=False)[order]
-    mx = ranges_t["mx"].to_numpy(zero_copy_only=False)[order]
+    mn, mx = dim_bounds(ds, emb_col)
 
     def pick(pred):
         def fn(t: pa.Table) -> pa.Table:
@@ -1180,7 +1153,7 @@ def rrf_fuse(rankings, k: int = 10, c: int = 60,
     term int64, so the fused sum is exact under any combine order and the
     final ranking bit-matches SQL. Inputs: Datasets with ``query_id,
     neighbor_id, rank`` (rank 1-based). Plan: per-ranker term map → union
-    → one (query, neighbor) Sum groupby → bucketized per-query top-k
+    → one (query, neighbor) ``group_agg`` sum → bucketized per-query top-k
     (ops.rank.grouped_topk — no per-query Python call).
 
     Output: ``query_id, neighbor_id, rrf_score, fused_rank`` (1..k,
@@ -1190,8 +1163,6 @@ def rrf_fuse(rankings, k: int = 10, c: int = 60,
 
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     from georay.ops.rank import grouped_topk
 
@@ -1208,12 +1179,8 @@ def rrf_fuse(rankings, k: int = 10, c: int = 60,
     u = terms[0]
     for t in terms[1:]:
         u = u.union(t)
-    fused = (
-        u.repartition(num_partitions)
-        .groupby(["query_id", "neighbor_id"])
-        .aggregate(Sum("t", alias_name="rrf_score"))
-        .repartition(num_partitions)  # merge schema-less empty blocks
-    )
+    fused = group_agg(u, ["query_id", "neighbor_id"],
+                      {"rrf_score": ("sum", "t")})
     return grouped_topk(fused, ["query_id"],
                         ["rrf_score", "neighbor_id"], [False, True],
-                        k=k, rank_col="fused_rank")
+                        k=k, num_buckets=num_partitions, rank_col="fused_rank")

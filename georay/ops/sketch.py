@@ -21,6 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from georay.ops.pairs import popcount64
+from georay.runtime import group_agg
+
 _U = np.uint64
 _M64 = "18446744073709551616"  # 2^64 (HUGEINT modulus in the SQL twin)
 
@@ -170,7 +173,18 @@ def _unsigned_sort_key(s):
     return s
 
 
-def hll_registers(ds, col: str, p: int = 8, combine_partitions: int = 2):
+def _hll_rank(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(register, rank) of splitmix64 hashes: register = top ``p`` bits,
+    rank = 1 + trailing zeros of the remaining ``64-p`` bits."""
+    w = h & np.uint64((1 << (64 - p)) - 1)
+    with np.errstate(over="ignore"):
+        rank = np.where(
+            w == 0, np.int64(64 - p + 1), popcount64(w ^ (w - _U(1)))
+        ).astype(np.int64)
+    return (h >> np.uint64(64 - p)).astype(np.int64), rank
+
+
+def hll_registers(ds, col: str, p: int = 8):
     """Distributed HyperLogLog sketch of ``col``'s distinct count
     (Flajolet et al. 2007), with the REGISTER CONTENTS (not the float
     estimate) as the oracle-comparable output.
@@ -181,35 +195,20 @@ def hll_registers(ds, col: str, p: int = 8, combine_partitions: int = 2):
     ``bit_count(xor(w, w-1))``, no float log2 anywhere). Per-batch
     partials are (register, max rank) rows — at most ``2^p`` per batch,
     idempotent under max, so duplicate keys across batches are free and
-    the exchange is O(2^p × batches) regardless of row count. Output:
-    ``register, max_rank`` for OBSERVED registers (absent register ⇒ 0).
+    the combine sees O(2^p × batches) rows regardless of row count.
+    Output: ``register, max_rank`` for OBSERVED registers (absent
+    register ⇒ 0).
     """
-    from ray.data.aggregate import Max
 
-    from georay.ops.pairs import popcount64
+    def rows(t: pa.Table) -> pa.Table:
+        h = splitmix64(t[col].to_numpy(zero_copy_only=False)
+                       .astype(np.int64).view(np.uint64))
+        reg, rank = _hll_rank(h, p)
+        return pa.table({"register": reg, "rank": rank})
 
-    wbits = np.uint64(64 - p)
-    wmask = np.uint64((1 << (64 - p)) - 1)
-
-    def partial(t: pa.Table) -> pa.Table:
-        keys = np.unique(t[col].to_numpy(zero_copy_only=False))
-        h = splitmix64(keys.astype(np.int64).view(np.uint64))
-        reg = (h >> wbits).astype(np.int64)
-        w = h & wmask
-        with np.errstate(over="ignore"):
-            rank = np.where(
-                w == 0, np.int64(64 - p + 1), popcount64(w ^ (w - _U(1)))
-            ).astype(np.int64)
-        u, inv = np.unique(reg, return_inverse=True)
-        mx = np.zeros(u.size, dtype=np.int64)
-        np.maximum.at(mx, inv, rank)
-        return pa.table({"register": u, "p_rank": mx})
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("register")
-        .aggregate(Max("p_rank", alias_name="max_rank"))
+    return group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        "register", {"max_rank": ("max", "rank")},
     )
 
 
@@ -245,13 +244,13 @@ def _mg_prune(keys: np.ndarray, counts: np.ndarray, k: int):
 _MG_TOTAL_KEY = np.int64(-(2**62) - 11)
 
 
-def mg_candidates(ds, col: str, sketch_k: int, combine_partitions: int = 8):
+def mg_candidates(ds, col: str, sketch_k: int):
     """Misra–Gries frequent-item candidates over ``col``: per-batch exact
-    counts pruned to ``sketch_k`` entries, hierarchically merged (sum by
-    key, prune again — Agarwal et al., "Mergeable summaries", PODS 2012),
-    so the exchange after the first stage is O(sketch_k × blocks), never
-    O(distinct keys). GUARANTEE: total undercount ≤ n/(sketch_k+1), so
-    every key with true count > n/(sketch_k+1) survives to the output.
+    counts pruned to ``sketch_k`` entries, merged in one task (sum by key,
+    prune again — Agarwal et al., "Mergeable summaries", PODS 2012), so
+    the merge sees O(sketch_k × blocks) rows, never O(distinct keys).
+    GUARANTEE: total undercount ≤ n/(sketch_k+1), so every key with true
+    count > n/(sketch_k+1) survives to the output.
 
     Output: one row per surviving key (``col``, ``mg_count`` lower-bound
     count) plus the exact row total under the reserved sentinel key.
@@ -282,54 +281,42 @@ def mg_candidates(ds, col: str, sketch_k: int, combine_partitions: int = 8):
 
     return (
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
         .repartition(1)
         .map_batches(merge, batch_format="pyarrow", batch_size=None)
     )
 
 
 def heavy_hitters(ds, col: str, num: int, den: int,
-                  sketch_k: int | None = None, combine_partitions: int = 8):
+                  sketch_k: int | None = None):
     """EXACT heavy hitters: keys whose count × den > total × num, found
     with a sketch-pruned two-pass plan — pass 1 builds the MG candidate
     set (tiny, ≤ sketch_k keys; guaranteed to contain every true heavy
     hitter since sketch_k+1 > den/num ⇒ n·num/den > n/(sketch_k+1)),
-    pass 2 broadcasts it and exact-counts ONLY candidate rows (two-phase
-    partials), so no O(distinct-keys) state ever assembles anywhere.
+    pass 2 broadcasts it and exact-counts ONLY candidate rows
+    (``group_agg``), so no O(distinct-keys) state ever assembles anywhere.
     Output: ``col, n`` for the exact heavy keys. ``ds`` is consumed twice
     — pass a re-readable (lazy) dataset, not a stream.
     """
     import ray
-
-    from ray.data.aggregate import Sum
 
     if sketch_k is None:
         sketch_k = max(2 * den // num, 16)
     if sketch_k + 1 <= den // num:
         raise ValueError("sketch_k too small for the threshold guarantee")
 
-    cand = mg_candidates(ds, col, sketch_k, combine_partitions).to_pandas()
+    cand = mg_candidates(ds, col, sketch_k).to_pandas()
     keys = cand[col].to_numpy().astype(np.int64)
     total = int(cand.loc[keys == _MG_TOTAL_KEY, "mg_count"].iloc[0])
     cand_keys = np.sort(keys[keys != _MG_TOTAL_KEY])
     keys_ref = ray.put(cand_keys)
 
-    def partial(t: pa.Table) -> pa.Table:
-        ck = ray.get(keys_ref)
+    def candidates(t: pa.Table) -> pa.Table:
         arr = t[col].to_numpy(zero_copy_only=False).astype(np.int64)
-        arr = arr[np.isin(arr, ck)]
-        u, c = np.unique(arr, return_counts=True)
-        return pa.table({col: u, "partial_n": c.astype(np.int64)})
+        return pa.table({col: arr[np.isin(arr, ray.get(keys_ref))]})
 
-    # 1 combine partition: candidates are <= sketch_k keys, and more
-    # combine partitions than groups makes Ray's sort-aggregate emit
-    # SCHEMA-LESS empty blocks (crashes Acero if a caller joins the result)
-    exact = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(1)
-        .groupby(col)
-        .aggregate(Sum("partial_n", alias_name="n"))
+    exact = group_agg(
+        ds.map_batches(candidates, batch_format="pyarrow", zero_copy_batch=True),
+        col, {"n": ("count", None)},
     )
 
     def threshold(t: pa.Table) -> pa.Table:
@@ -340,12 +327,11 @@ def heavy_hitters(ds, col: str, num: int, den: int,
 
 
 def grouped_quantiles(ds, group_col: str, value_col: str,
-                      qs: tuple[float, ...] = (0.25, 0.5, 0.9, 0.99),
-                      combine_partitions: int = 2):
+                      qs: tuple[float, ...] = (0.25, 0.5, 0.9, 0.99)):
     """EXACT per-group discrete quantiles of an INTEGER-valued column via
-    distributed histograms (no sort, no full-column collection): each batch
-    collapses to (group, value, count) rows — O(groups × distinct values)
-    per batch — a groupby-sum merges the histograms, and a per-group final
+    distributed histograms (no sort, no full-column collection): a
+    (group, value) ``group_agg`` count — O(groups × distinct values)
+    partial rows per batch — and a per-group final
     (tiny: histogram rows, not data rows) takes the value at index
     ``max(0, ceil(q·n) − 1)`` of the expanded sorted multiset — the
     DuckDB ``quantile_disc`` rule, validated empirically for n=1..79 ×
@@ -357,8 +343,6 @@ def grouped_quantiles(ds, group_col: str, value_col: str,
     """
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     from georay.runtime import table_from_pandas
 
     names = [f"p{int(round(q * 100)):02d}" for q in qs]
@@ -366,26 +350,13 @@ def grouped_quantiles(ds, group_col: str, value_col: str,
         [(group_col, pa.string())] + [(nm, pa.int64()) for nm in names]
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = t[group_col].to_numpy(zero_copy_only=False)
+    def rows(t: pa.Table) -> pa.Table:
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({group_col: g, "v": v})
-        out = df.groupby([group_col, "v"], as_index=False).size()
-        return pa.table(
-            {
-                group_col: pa.array(out[group_col].to_numpy(), pa.string()),
-                "v": pa.array(out["v"].to_numpy().astype(np.int64)),
-                "partial_n": pa.array(out["size"].to_numpy().astype(np.int64)),
-            }
-        )
+        return pa.table({group_col: t[group_col].cast(pa.string()), "v": v})
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([group_col, "v"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .repartition(1)  # merge aggregate blocks before the second groupby
-        # (schema-less empty partials — CLAUDE.md invariant)
+    hist = group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, "v"], {"n": ("count", None)},
     )
 
     def finalize(gdf: pd.DataFrame) -> pa.Table:
@@ -425,7 +396,6 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
                              qs: tuple[float, ...] = (0.25, 0.5, 0.9, 0.99),
                              n_bins: int = 512,
                              refine_limit: int = 20_000,
-                             combine_partitions: int = 2,
                              _debug: dict | None = None):
     """EXACT per-group discrete quantiles for HIGH-CARDINALITY value
     columns — the bounded-exchange variant of :func:`grouped_quantiles`
@@ -464,7 +434,6 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
     ``n_levels`` for the bounded-exchange tests."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Max, Min, Sum
 
     from georay.runtime import table_from_pandas
 
@@ -484,8 +453,7 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
         return g, key
 
     # ---- pass 0: global key range (one row per batch to the driver).
-    # Keys travel sign-flipped as int64 (order-preserving) — uint64 columns
-    # trip Ray's aggregate into a pickled-python fallback.
+    # Keys travel sign-flipped as int64 (order-preserving).
     def krange(t: pa.Table) -> pa.Table:
         _, key = keyed(t)
         if key.size == 0:
@@ -495,12 +463,11 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
         return pa.table({"p_min": pa.array([sk.min()]),
                          "p_max": pa.array([sk.max()])})
 
-    rng_row = (
-        ds.map_batches(krange, batch_format="pyarrow", zero_copy_batch=True)
-        .aggregate(Min("p_min"), Max("p_max"))
-    )
-    kmin = int(rng_row["min(p_min)"]) + (1 << 63)
-    kmax = int(rng_row["max(p_max)"]) + (1 << 63)
+    rng = ds.map_batches(
+        krange, batch_format="pyarrow", zero_copy_batch=True
+    ).to_pandas()
+    kmin = int(rng["p_min"].min()) + (1 << 63)
+    kmax = int(rng["p_max"].max()) + (1 << 63)
 
     def width_of(lo: int, hi: int) -> int:  # ceil-div, Python ints (no wrap)
         return max(1, -((lo - hi) // n_bins))
@@ -508,27 +475,18 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
     # ---- pass 1: per (group, bin) histogram over the global range
     w0 = width_of(kmin, kmax + 1)
 
-    def partial1(t: pa.Table) -> pa.Table:
-        g, key = keyed(t)
-        b = ((key - np.uint64(kmin)) // np.uint64(w0)).astype(np.int64)
-        out = pd.DataFrame({group_col: g, "bin": b}).groupby(
-            [group_col, "bin"], as_index=False
-        ).size()
-        return pa.table(
-            {
-                group_col: pa.array(out[group_col].to_numpy(), pa.string()),
-                "bin": pa.array(out["bin"].to_numpy().astype(np.int64)),
-                "partial_n": pa.array(out["size"].to_numpy().astype(np.int64)),
-            }
-        )
+    def count_rows(fn, keys):
+        return group_agg(
+            ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+            keys, {"n": ("count", None)},
+        ).to_pandas()
 
-    hist1 = (
-        ds.map_batches(partial1, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([group_col, "bin"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .to_pandas()
-    )
+    def rows1(t: pa.Table) -> pa.Table:
+        _, key = keyed(t)
+        b = ((key - np.uint64(kmin)) // np.uint64(w0)).astype(np.int64)
+        return pa.table({group_col: t[group_col].cast(pa.string()), "bin": b})
+
+    hist1 = count_rows(rows1, [group_col, "bin"])
     max_hist_rows = len(hist1)
 
     # candidates: one per (group, q) — (lo, hi) key range, remaining rank,
@@ -563,40 +521,20 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
                  width_of(c["lo"], c["hi"])) for c in open_c]
         spec_ref = ray.put(spec)
 
-        def partial_r(t: pa.Table) -> pa.Table:
+        def rows_r(t: pa.Table) -> pa.Table:
             g, key = keyed(t)
-            cid_o, bin_o, n_o = [], [], []
+            cid_o, bin_o = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
             for cid, grp, lo, hi, w in ray.get(spec_ref):
                 m = (g == grp) & (key >= np.uint64(lo)) & (key < np.uint64(hi))
-                if not m.any():
-                    continue
                 b = ((key[m] - np.uint64(lo)) // np.uint64(w)).astype(np.int64)
-                ub, uc = np.unique(b, return_counts=True)
-                cid_o.append(np.full(ub.size, cid, dtype=np.int64))
-                bin_o.append(ub)
-                n_o.append(uc.astype(np.int64))
-            if not cid_o:
-                return pa.table(
-                    {"cand": pa.array([], pa.int64()),
-                     "bin": pa.array([], pa.int64()),
-                     "partial_n": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {"cand": pa.array(np.concatenate(cid_o)),
-                 "bin": pa.array(np.concatenate(bin_o)),
-                 "partial_n": pa.array(np.concatenate(n_o))}
-            )
+                cid_o.append(np.full(b.size, cid, dtype=np.int64))
+                bin_o.append(b)
+            return pa.table({"cand": np.concatenate(cid_o),
+                             "bin": np.concatenate(bin_o)})
 
-        hist = (
-            ds.map_batches(partial_r, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(combine_partitions)
-            .groupby(["cand", "bin"])
-            .aggregate(Sum("partial_n", alias_name="n"))
-            .to_pandas()
-        )
-        max_hist_rows = max(max_hist_rows, len(hist))
-        by_cand = dict(tuple(hist.groupby("cand")))
+        hist_r = count_rows(rows_r, ["cand", "bin"])
+        max_hist_rows = max(max_hist_rows, len(hist_r))
+        by_cand = dict(tuple(hist_r.groupby("cand")))
         for c in open_c:
             gdf = by_cand[c["cand"]].sort_values("bin")
             cnt = gdf["n"].to_numpy()
@@ -613,39 +551,20 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
     spec = [(c["cand"], c["group"], c["lo"], c["hi"]) for c in cands]
     spec_ref = ray.put(spec)
 
-    def partial_x(t: pa.Table) -> pa.Table:
+    v_type = np.float64 if is_float else np.int64
+
+    def rows_x(t: pa.Table) -> pa.Table:
         g, key = keyed(t)
-        v = t[value_col].to_numpy(zero_copy_only=False)
-        cid_o, v_o, n_o = [], [], []
+        v = t[value_col].to_numpy(zero_copy_only=False).astype(v_type)
+        cid_o, v_o = [np.empty(0, np.int64)], [np.empty(0, v_type)]
         for cid, grp, lo, hi in ray.get(spec_ref):
             m = (g == grp) & (key >= np.uint64(lo)) & (key < np.uint64(hi))
-            if not m.any():
-                continue
-            uv, uc = np.unique(v[m], return_counts=True)
-            cid_o.append(np.full(uv.size, cid, dtype=np.int64))
-            v_o.append(uv)
-            n_o.append(uc.astype(np.int64))
-        if not cid_o:
-            return pa.table(
-                {"cand": pa.array([], pa.int64()),
-                 "v": pa.array([], out_type),
-                 "partial_n": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {"cand": pa.array(np.concatenate(cid_o)),
-             "v": pa.array(np.concatenate(v_o).astype(
-                 np.float64 if is_float else np.int64)),
-             "partial_n": pa.array(np.concatenate(n_o))}
-        )
+            cid_o.append(np.full(int(m.sum()), cid, dtype=np.int64))
+            v_o.append(v[m])
+        return pa.table({"cand": np.concatenate(cid_o),
+                         "v": np.concatenate(v_o)})
 
-    exact = (
-        ds.map_batches(partial_x, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(["cand", "v"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .to_pandas()
-    )
+    exact = count_rows(rows_x, ["cand", "v"])
     if _debug is not None:
         _debug["bin_hist_rows"] = max_hist_rows
         _debug["refine_rows"] = len(exact)
@@ -712,17 +631,16 @@ def weighted_sample(ds, key_col: str, weight_col: str, k: int):
     return top.repartition(1).map_batches(add_rank, batch_format="pandas")
 
 
-def grouped_median2(ds, group_col: str, value_col: str,
-                    combine_partitions: int = 2):
+def grouped_median2(ds, group_col: str, value_col: str):
     """EXACT per-group INTERPOLATED median (the percentile_cont rule) of
     an integer column, emitted as ``median2 = lo + hi`` — the sum of the
     two middle order statistics (twice the middle one when n is odd) — so
     the result stays int64-exact and no float division ever executes;
     callers divide by 2 for the conventional value.
 
-    Same distributed-histogram plan as :func:`grouped_quantiles` (batch
-    collapses to (group, value, count), one groupby-sum, per-group
-    finalize over histogram rows); same bounded-distinct contract — for
+    Same distributed-histogram plan as :func:`grouped_quantiles` (one
+    (group, value) ``group_agg`` count, per-group finalize over histogram
+    rows); same bounded-distinct contract — for
     high-cardinality/continuous domains use the
     :func:`grouped_quantiles_binned` refinement shape instead.
 
@@ -730,31 +648,20 @@ def grouped_median2(ds, group_col: str, value_col: str,
     """
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     from georay.runtime import table_from_pandas
 
     out_schema = pa.schema([(group_col, pa.int64()),
                             ("n_rows", pa.int64()),
                             ("median2", pa.int64())])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         g = t[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({group_col: g, "v": v})
-        out = df.groupby([group_col, "v"], as_index=False).size()
-        return pa.table({
-            group_col: out[group_col].to_numpy().astype(np.int64),
-            "v": out["v"].to_numpy().astype(np.int64),
-            "partial_n": out["size"].to_numpy().astype(np.int64),
-        })
+        return pa.table({group_col: g, "v": v})
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([group_col, "v"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .repartition(1)  # merge blocks before the per-group finalize
+    hist = group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, "v"], {"n": ("count", None)},
     )
 
     def finalize(gdf: pd.DataFrame) -> pa.Table:
@@ -773,8 +680,7 @@ def grouped_median2(ds, group_col: str, value_col: str,
     return hist.groupby(group_col).map_groups(finalize, batch_format="pandas")
 
 
-def ks2_statistic(ds, value_col: str, flag_col: str,
-                  combine_partitions: int = 2):
+def ks2_statistic(ds, value_col: str, flag_col: str):
     """Two-sample Kolmogorov–Smirnov distance between the value
     distributions of flag 1 vs flag 2 rows — INTEGER-EXACT: the statistic
     D = max_v |F₁(v) − F₂(v)| is cross-multiplied to
@@ -782,7 +688,7 @@ def ks2_statistic(ds, value_col: str, flag_col: str,
     float CDF ever compares; callers divide by ``ks_den = n₁·n₂``. The
     drift / shard-skew detector for curation pipelines.
 
-    Plan: one two-phase (value, flag) histogram — bounded-distinct
+    Plan: one (value, flag) ``group_agg`` histogram — bounded-distinct
     contract as :func:`grouped_quantiles` (pre-bin continuous values) —
     then a driver-side cumulative pass over the ≤|distinct| histogram
     rows. Input: ``value_col`` int64, ``flag_col`` ∈ {1, 2}.
@@ -790,21 +696,15 @@ def ks2_statistic(ds, value_col: str, flag_col: str,
     Output (one row): ``n1, n2, ks_num, ks_den, arg_value, ks``.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         f = t[flag_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        pack = v * 2 + (f - 1)
-        u, n = np.unique(pack, return_counts=True)
-        return pa.table({"val": u >> 1, "flag": u % 2,
-                         "p_n": n.astype(np.int64)})
+        return pa.table({"val": v, "flag": f - 1})
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(["val", "flag"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    hist = group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["val", "flag"], {"n": ("count", None)},
     ).to_pandas()  # bounded by distinct binned values
 
     val = hist["val"].to_numpy()
@@ -831,85 +731,52 @@ def ks2_statistic(ds, value_col: str, flag_col: str,
     })
 
 
-def hll_registers_by(ds, group_col: str, col: str, p: int = 8,
-                     combine_partitions: int = 4):
+def hll_registers_by(ds, group_col: str, col: str, p: int = 8):
     """Per-GROUP HyperLogLog sketches — :func:`hll_registers` partitioned
     by a key column (tile, shard, tenant): one (group, register, max rank)
     row per observed pair; max-merge is idempotent so duplicate keys cost
-    nothing and the exchange is O(groups × 2^p × batches) regardless of
-    row count. Group ids must fit 2^(63-p) (packed with the register for
-    the batch-local combine). Register CONTENTS are the output — the same
+    nothing and the combine sees O(groups × 2^p × batches) rows
+    regardless of row count. Register CONTENTS are the output — the same
     oracle-comparable contract as the global sketch.
 
     Output: ``group_col, register, max_rank``.
     """
-    from ray.data.aggregate import Max
 
-    from georay.ops.pairs import popcount64
-
-    wbits = np.uint64(64 - p)
-    wmask = np.uint64((1 << (64 - p)) - 1)
-    m = np.int64(1 << p)
-
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         g = t[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         h = splitmix64(t[col].to_numpy(
             zero_copy_only=False).astype(np.int64).view(np.uint64))
-        reg = (h >> wbits).astype(np.int64)
-        w = h & wmask
-        with np.errstate(over="ignore"):
-            rank = np.where(
-                w == 0, np.int64(64 - p + 1), popcount64(w ^ (w - _U(1)))
-            ).astype(np.int64)
-        pack = g * m + reg
-        u, inv = np.unique(pack, return_inverse=True)
-        mx = np.zeros(u.size, dtype=np.int64)
-        np.maximum.at(mx, inv, rank)
-        return pa.table({group_col: u // m, "register": u % m,
-                         "p_rank": mx})
+        reg, rank = _hll_rank(h, p)
+        return pa.table({group_col: g, "register": reg, "rank": rank})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([group_col, "register"])
-        .aggregate(Max("p_rank", alias_name="max_rank"))
+    return group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, "register"], {"max_rank": ("max", "rank")},
     )
 
 
-def ks2_by_group(ds, group_col: str, value_col: str, flag_col: str,
-                 combine_partitions: int = 2):
+def ks2_by_group(ds, group_col: str, value_col: str, flag_col: str):
     """Per-GROUP two-sample KS distance (:func:`ks2_statistic` segmented
     by a key column — the drift-per-shard / drift-per-class report):
     integer cross-multiplied CDF deviation per group, smallest-value
     tiebreak, groups missing either sample dropped (ks undefined).
 
-    One two-phase (group, value, flag) histogram (bounded-distinct
+    One (group, value, flag) ``group_agg`` histogram (bounded-distinct
     contract), then a segmented driver-side pass: one sort, per-group
     boundary-reset cumsums, reduceat argmax — no per-group Python loop.
 
     Output: ``group_col, n1, n2, ks_num, ks_den, arg_value, ks``.
     """
     import pandas as pd
-    from ray.data.aggregate import Sum
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = t[group_col].to_numpy(zero_copy_only=False)
+    def rows(t: pa.Table) -> pa.Table:
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         f = t[flag_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({"g": g, "v": v, "f": f})
-        out = df.groupby(["g", "v", "f"], as_index=False).size()
-        return pa.table({
-            "g": pa.array(out["g"].to_numpy()),
-            "v": out["v"].to_numpy().astype(np.int64),
-            "f": out["f"].to_numpy().astype(np.int64),
-            "p_n": out["size"].to_numpy().astype(np.int64),
-        })
+        return pa.table({"g": t[group_col], "v": v, "f": f})
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(["g", "v", "f"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    hist = group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["g", "v", "f"], {"n": ("count", None)},
     ).to_pandas()  # bounded: groups × distinct binned values × 2
 
     if not len(hist):  # empty/fully-filtered input: new[0] below would IndexError

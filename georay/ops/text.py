@@ -13,6 +13,7 @@ import pyarrow as pa
 
 from georay.ops.sketch import splitmix64  # module level: worker-executed
 # code must not import georay lazily (foreign-cwd drivers, CLAUDE.md)
+from georay.runtime import group_agg
 
 # Tiny per-language stopword profiles (top function words). Enough signal to
 # separate the 5 corpus languages; a real deployment would plug a fastText
@@ -203,21 +204,11 @@ def add_fingerprint(ds, text_col: str = "text", prefix: int | None = None,
 
 def dedup_by_fingerprint(ds, id_col: str = "doc_id", text_col: str = "text",
                          prefix: int | None = None):
-    """Exact dedup via hashing: add fingerprint, shuffle only (fp, id)."""
-    from ray.data.aggregate import Count, Min
-
+    """Exact dedup via hashing: add fingerprint, combine only (fp, id)."""
     with_fp = add_fingerprint(ds, text_col=text_col, prefix=prefix)
-
-    def project(t: pa.Table) -> pa.Table:
-        return t.select([id_col, "fp"])
-
-    return (
-        with_fp.map_batches(project, batch_format="pyarrow")
-        .repartition(8)
-        .groupby("fp")
-        .aggregate(Min(id_col, alias_name="doc_id_first"), Count(alias_name="n_copies"))
-        .select_columns(["doc_id_first", "n_copies"])
-    )
+    return group_agg(with_fp, "fp", {
+        "doc_id_first": ("min", id_col), "n_copies": ("count", None),
+    }).select_columns(["doc_id_first", "n_copies"])
 
 
 def make_gram_hash_rows(k: int, id_col: str, text_col: str):
@@ -264,8 +255,7 @@ def make_gram_hash_rows(k: int, id_col: str, text_col: str):
 
 
 def decontaminate(train, bench, k: int = 8, id_col: str = "doc_id",
-                  text_col: str = "text", num_partitions: int | None = None,
-                  combine_partitions: int = 8):
+                  text_col: str = "text", num_partitions: int | None = None):
     """Benchmark decontamination (the GPT-3 appendix-C / Brown et al. 2020
     shape, at token-k-gram granularity): flag every training document that
     shares ANY k-token span with a held-out benchmark corpus, reporting per
@@ -277,13 +267,13 @@ def decontaminate(train, bench, k: int = 8, id_col: str = "doc_id",
 
     1. Both corpora tokenize to (gram_hash, id) rows via
        :func:`make_gram_hash_rows`.
-    2. The benchmark grams dedup with a two-phase count (count_by) — its
-       output is the distinct contaminated-gram key set.
-    3. Train gram totals come straight off the gram rows (per-batch
-       partials); contaminated counts come from an inner hash join of the
-       train gram rows against the distinct benchmark grams. Both partial
-       streams UNION into one Sum groupby, so clean documents (zero
-       contaminated spans) still appear — no outer join needed.
+    2. The benchmark grams dedup with a count (count_by) — its output is
+       the distinct contaminated-gram key set.
+    3. Train gram totals come straight off the gram rows; contaminated
+       counts come from an inner hash join of the train gram rows against
+       the distinct benchmark grams. Both row streams UNION into one
+       ``group_agg``, so clean documents (zero contaminated spans) still
+       appear — no outer join needed.
 
     Output: ``id_col, n_grams, n_contam`` for train docs with ≥ k tokens.
     """
@@ -291,8 +281,6 @@ def decontaminate(train, bench, k: int = 8, id_col: str = "doc_id",
 
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     from georay.ops.tiles import count_by
 
@@ -306,47 +294,32 @@ def decontaminate(train, bench, k: int = 8, id_col: str = "doc_id",
         bench.select_columns([id_col, text_col])
         .map_batches(gram_rows, batch_format="pandas")
         .select_columns(["g"]),
-        "g", out_col="_n_bench", combine_partitions=combine_partitions,
-    ).repartition(num_partitions)  # merge blocks: Acero rejects
-    # schema-less empties (CLAUDE.md invariant)
+        "g", out_col="_n_bench")
 
-    def totals(t: pa.Table) -> pa.Table:
-        doc = t[id_col].to_numpy(zero_copy_only=False)
-        u, cnt = np.unique(doc, return_counts=True)
-        z = np.zeros(u.size, np.int64)
-        return pa.table({id_col: u, "p_grams": cnt.astype(np.int64),
-                         "p_contam": z})
-
-    total_partials = train_grams.map_batches(
-        totals, batch_format="pyarrow", zero_copy_batch=True)
+    def flagged(gram: int):
+        def fn(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            return pa.table({
+                id_col: t[id_col],
+                "gram": np.full(n, gram, np.int64),
+                "contam": np.full(n, 1 - gram, np.int64),
+            })
+        return fn
 
     hits = train_grams.join(
         bench_keys, join_type="inner", num_partitions=num_partitions,
         on=("g",), right_suffix="_r",
     )
-
-    def contam(t: pa.Table) -> pa.Table:
-        doc = t[id_col].to_numpy(zero_copy_only=False)
-        u, cnt = np.unique(doc, return_counts=True)
-        z = np.zeros(u.size, np.int64)
-        return pa.table({id_col: u, "p_grams": z,
-                         "p_contam": cnt.astype(np.int64)})
-
-    contam_partials = hits.map_batches(
-        contam, batch_format="pyarrow", zero_copy_batch=True)
-
-    return (
-        total_partials.union(contam_partials)
-        .repartition(combine_partitions)
-        .groupby(id_col)
-        .aggregate(Sum("p_grams", alias_name="n_grams"),
-                   Sum("p_contam", alias_name="n_contam"))
-    )
+    rows = train_grams.map_batches(
+        flagged(1), batch_format="pyarrow", zero_copy_batch=True
+    ).union(hits.map_batches(
+        flagged(0), batch_format="pyarrow", zero_copy_batch=True))
+    return group_agg(rows, id_col, {"n_grams": ("sum", "gram"),
+                                    "n_contam": ("sum", "contam")})
 
 
 def ngram_span_stats(ds, k: int = 8, id_col: str = "doc_id",
-                     text_col: str = "text", num_partitions: int | None = None,
-                     combine_partitions: int = 8):
+                     text_col: str = "text", num_partitions: int | None = None):
     """Substring-level duplicate-span detection (the Lee et al. 2022
     "Deduplicating Training Data Makes Language Models Better" exact-
     substring shape, at token-k-gram granularity): for every k-token
@@ -372,8 +345,8 @@ def ngram_span_stats(ds, k: int = 8, id_col: str = "doc_id",
     2. The gram rows MATERIALIZE (consumed twice — occurrence counting
        and the join back; re-tokenizing 100 TB twice costs more than
        spilling the hash rows).
-    3. Two-phase count by gram hash, hash join back on the gram hash,
-       then a two-phase per-doc rollup.
+    3. Count by gram hash, hash join back on the gram hash, then a
+       per-doc ``group_agg`` rollup.
 
     Output: ``id_col, n_spans, n_dup_spans`` for docs with ≥ k tokens.
     """
@@ -381,8 +354,6 @@ def ngram_span_stats(ds, k: int = 8, id_col: str = "doc_id",
 
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     from georay.ops.tiles import count_by
 
@@ -392,39 +363,26 @@ def ngram_span_stats(ds, k: int = 8, id_col: str = "doc_id",
         gram_rows, batch_format="pandas"
     ).materialize()
 
-    counts = count_by(
-        grams.select_columns(["g"]), "g", out_col="n_occ",
-        combine_partitions=combine_partitions,
-    ).repartition(num_partitions)  # merge aggregate blocks: Acero rejects
-    # schema-less empties (CLAUDE.md invariant)
+    counts = count_by(grams.select_columns(["g"]), "g", out_col="n_occ")
 
     joined = grams.join(
         counts, join_type="inner", num_partitions=num_partitions,
         on=("g",), right_suffix="_r",
     )
 
-    def doc_partial(t: pa.Table) -> pa.Table:
-        doc = t[id_col].to_numpy(zero_copy_only=False)
+    def doc_rows(t: pa.Table) -> pa.Table:
         dup = (t["n_occ"].to_numpy(zero_copy_only=False) >= 2).astype(np.int64)
-        u, inv, cnt = np.unique(doc, return_inverse=True, return_counts=True)
-        d = np.zeros(u.size, dtype=np.int64)
-        np.add.at(d, inv, dup)
-        return pa.table(
-            {id_col: u, "p_spans": cnt.astype(np.int64), "p_dup": d}
-        )
+        return pa.table({id_col: t[id_col], "dup": dup})
 
-    return (
-        joined.map_batches(doc_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(id_col)
-        .aggregate(Sum("p_spans", alias_name="n_spans"),
-                   Sum("p_dup", alias_name="n_dup_spans"))
+    return group_agg(
+        joined.map_batches(doc_rows, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        id_col, {"n_spans": ("count", None), "n_dup_spans": ("sum", "dup")},
     )
 
 
 def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
-               num_partitions: int | None = None, combine_partitions: int = 8):
+               num_partitions: int | None = None):
     """Top-k distinctive terms per document, ranked by ``(tf DESC, df ASC,
     term ASC)`` — a deterministic INTEGER-EXACT tf-idf ordering (idf =
     ln(N/df) is strictly decreasing in df, so for equal tf the idf order IS
@@ -435,7 +393,7 @@ def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
     explode, no per-row loop) and MATERIALIZE the (doc, term, tf) rows —
     they are consumed twice (document frequency + the join) and re-running
     tokenization over 100 TB of text twice costs more than spilling the
-    much smaller term rows. df is a two-phase count over terms, joined back
+    much smaller term rows. df is a count over terms, joined back
     with a hash join on the term, then ONE doc-hash-bucketed shuffle takes
     the per-doc top-k — O(num_partitions) pandas groups, each ranking many
     docs in one vectorized sort + cumcount (the knn.py:334 merge idiom, not
@@ -479,11 +437,7 @@ def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
         tf_rows, batch_format="pandas"
     ).materialize()
 
-    df_counts = count_by(
-        tf.select_columns(["w"]), "w", out_col="df",
-        combine_partitions=combine_partitions,
-    ).repartition(num_partitions)  # merge aggregate blocks: Acero rejects
-    # schema-less empties (CLAUDE.md invariant)
+    df_counts = count_by(tf.select_columns(["w"]), "w", out_col="df")
 
     joined = tf.join(
         df_counts, join_type="inner", num_partitions=num_partitions,
@@ -513,7 +467,7 @@ def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
 
 
 def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text",
-                 combine_partitions: int = 8, num_partitions: int | None = None,
+                 num_partitions: int | None = None,
                  broadcast_vocab_max: int = 2_000_000):
     """Top-k co-occurring token pairs by LIFT = P(a,b)/(P(a)·P(b)) =
     n_ab·N / (n_a·n_b) — the pointwise-mutual-information ranking without
@@ -523,10 +477,10 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
 
     Plan: per batch, each doc's distinct lowered ``[\\w']+`` tokens expand
     to unordered within-doc pairs (offsets idiom over the per-doc triangle
-    — no per-doc Python loop) and collapse to batch-local partial counts;
-    ONE Sum groupby merges pair counts; per-token document frequency is the
-    same two-phase count; the two frequency attachments use the Zipf-
-    broadcast (sorted-array searchsorted) under ``broadcast_vocab_max``,
+    — no per-doc Python loop); ONE ``group_agg`` counts pairs; per-token
+    document frequency is the same count; the two frequency attachments
+    use the Zipf-broadcast (sorted-array searchsorted) under
+    ``broadcast_vocab_max``,
     falling back to hash joins. A distributed sort + limit takes the top-k
     with (w_a, w_b) tie-break. Pair keys are the token STRINGS (the oracle
     joins on them); pair count rows are Zipf-bounded like the vocabulary.
@@ -542,16 +496,13 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
 
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.ops.pairs import grouped_pair_indices
     from georay.ops.tiles import count_by
     from georay.runtime import table_from_pandas
 
     word_re = re.compile(r"[\w']+", re.UNICODE)
-    pair_schema = pa.schema(
-        [("w_a", pa.string()), ("w_b", pa.string()), ("p_n", pa.int64())]
-    )
+    pair_schema = pa.schema([("w_a", pa.string()), ("w_b", pa.string())])
     n_docs = ds.count()
 
     def pair_rows(df: pd.DataFrame) -> pa.Table:
@@ -568,23 +519,13 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
         ia, ib = grouped_pair_indices(
             counts, None, "(cooccur)", log_prefix="georay.cooccur"
         )
-        if ia.size == 0:
-            return table_from_pandas(
-                pd.DataFrame({"w_a": [], "w_b": [], "p_n": []}),
-                schema=pair_schema,
-            )
-        out = pd.DataFrame({"w_a": w[ia], "w_b": w[ib]})
-        g = out.groupby(["w_a", "w_b"], as_index=False).size()
-        return table_from_pandas(
-            g.rename(columns={"size": "p_n"}), schema=pair_schema
-        )
+        return pa.table([pa.array(w[ia], pa.string()),
+                         pa.array(w[ib], pa.string())], schema=pair_schema)
 
     toks_ds = ds.select_columns([id_col, text_col])
-    pair_counts = (
-        toks_ds.map_batches(pair_rows, batch_format="pandas")
-        .repartition(combine_partitions)
-        .groupby(["w_a", "w_b"])
-        .aggregate(Sum("p_n", alias_name="n_ab"))
+    pair_counts = group_agg(
+        toks_ds.map_batches(pair_rows, batch_format="pandas"),
+        ["w_a", "w_b"], {"n_ab": ("count", None)},
     )
 
     def doc_tokens(df: pd.DataFrame) -> pa.Table:
@@ -600,7 +541,7 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
 
     dfc = count_by(
         toks_ds.map_batches(doc_tokens, batch_format="pandas"), "w",
-        out_col="df", combine_partitions=combine_partitions,
+        out_col="df",
     ).materialize()
 
     if dfc.count() <= broadcast_vocab_max:
@@ -622,12 +563,11 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
 
         enriched = pair_counts.map_batches(attach, batch_format="pyarrow")
     else:
-        d = dfc.repartition(num_partitions)
-        a_side = d.map_batches(
+        a_side = dfc.map_batches(
             lambda t: pa.table({"w_a": t["w"], "n_a": t["df"]}),
             batch_format="pyarrow",
         )
-        b_side = d.map_batches(
+        b_side = dfc.map_batches(
             lambda t: pa.table({"w_b": t["w"], "n_b": t["df"]}),
             batch_format="pyarrow",
         )
@@ -809,8 +749,7 @@ def chunk_stats(ds, window: int, stride: int, id_col: str = "doc_id",
 
 
 def rarity_scores(ds, n_docs: int, id_col: str = "doc_id",
-                  text_col: str = "text", num_partitions: int | None = None,
-                  combine_partitions: int = 8):
+                  text_col: str = "text", num_partitions: int | None = None):
     """Per-document RARITY score — the integer surprisal proxy
     Σ_occurrences (N − df(term)): rare terms (low document frequency)
     contribute more, exactly, with no log/float crossing the oracle
@@ -819,8 +758,8 @@ def rarity_scores(ds, n_docs: int, id_col: str = "doc_id",
     ops.text.quality's shape features.
 
     Same plan skeleton as tfidf_topk: tokenize once (materialized tf
-    rows), two-phase df, hash join on the term, then a per-doc two-phase
-    Sum — only (doc, term, tf) rows shuffle, never text.
+    rows), df count, hash join on the term, then a per-doc ``group_agg``
+    — only (doc, term, tf) rows shuffle, never text.
 
     Output: ``id_col, n_tokens, rarity``.
     """
@@ -832,8 +771,6 @@ def rarity_scores(ds, n_docs: int, id_col: str = "doc_id",
     import re
 
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     from georay.ops.tiles import count_by
     from georay.runtime import table_from_pandas
@@ -858,30 +795,18 @@ def rarity_scores(ds, n_docs: int, id_col: str = "doc_id",
         tf_rows, batch_format="pandas"
     ).materialize()
 
-    df_counts = count_by(
-        tf.select_columns(["w"]), "w", out_col="df",
-        combine_partitions=combine_partitions,
-    ).repartition(num_partitions)
+    df_counts = count_by(tf.select_columns(["w"]), "w", out_col="df")
 
     joined = tf.join(df_counts, join_type="inner",
                      num_partitions=num_partitions, on=("w",))
 
-    def partial(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False)
+    def rows(t: pa.Table) -> pa.Table:
         tf_v = t["tf"].to_numpy(zero_copy_only=False)
         df_v = t["df"].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(ids, return_inverse=True)
-        nt = np.zeros(u.size, dtype=np.int64)
-        np.add.at(nt, inv, tf_v)
-        ra = np.zeros(u.size, dtype=np.int64)
-        np.add.at(ra, inv, tf_v * (n_docs - df_v))
-        return pa.table({id_col: u, "p_nt": nt, "p_ra": ra})
+        return pa.table({id_col: t[id_col], "tf": tf_v,
+                         "ra": tf_v * (n_docs - df_v)})
 
-    return (
-        joined.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(id_col)
-        .aggregate(Sum("p_nt", alias_name="n_tokens"),
-                   Sum("p_ra", alias_name="rarity"))
+    return group_agg(
+        joined.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        id_col, {"n_tokens": ("sum", "tf"), "rarity": ("sum", "ra")},
     )

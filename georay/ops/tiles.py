@@ -1,10 +1,9 @@
 """Raster-tile ↔ vector assignment (SURVEY.md §2.5 N6, X9).
 
-A tile is a coarse cell prefix of the canonical Morton code. Aggregation is
-two-phase to keep the all-to-all exchange small at scale: per-batch partial
-counts inside ``map_batches`` (one row per distinct tile per batch), then a
-tiny ``groupby(tile).sum`` over the partials — the shuffle moves O(tiles ×
-batches) rows, never O(input rows).
+A tile is a coarse cell prefix of the canonical Morton code. Every
+aggregate here is a row-level ``map_batches`` that emits key and value
+columns, followed by ``runtime.group_agg``: per-batch partials, then one
+combine task over O(tiles × batches) partial rows, never O(input rows).
 """
 
 from __future__ import annotations
@@ -13,34 +12,33 @@ import numpy as np
 import pyarrow as pa
 
 from georay import codec
+from georay.runtime import adaptive_partitions, group_agg
 
 
-def tile_counts(ds, bits: int, cell_col: str = "cell", cell_bits: int | None = None,
-                combine_partitions: int = 16):
+def _map(ds, fn):
+    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _level_tiles(cell: np.ndarray, levels: int):
+    """(level, tile) for every row at every pyramid level: level L is the
+    cell's Morton prefix with 2·L bits dropped."""
+    lvl = np.repeat(np.arange(levels, dtype=np.int64), cell.size)
+    tile = np.concatenate([cell >> np.uint64(2 * b) for b in range(levels)])
+    return pa.table({"level": lvl, "tile": tile.astype(np.int64)})
+
+
+def tile_counts(ds, bits: int, cell_col: str = "cell", cell_bits: int | None = None):
     """Per-tile row counts. ``cell_bits`` set → cells are re-prefixed from a
     finer precision (tile = cell >> (cell_bits - bits)); else cells are
     already at tile precision. Output: ``tile_x, tile_y, n`` (SQL-comparable
     grid coords, bijective with the tile Morton code)."""
-    from ray.data.aggregate import Sum
+    shift = np.uint64(0 if cell_bits is None else cell_bits - bits)
 
-    shift = 0 if cell_bits is None else cell_bits - bits
-
-    def partial(t: pa.Table) -> pa.Table:
+    def tile(t: pa.Table) -> pa.Table:
         cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        if shift:
-            cell = cell >> np.uint64(shift)
-        tiles, counts = np.unique(cell, return_counts=True)
-        return pa.table(
-            {"tile": tiles.astype(np.int64), "partial_n": counts.astype(np.int64)}
-        )
+        return pa.table({"tile": (cell >> shift).astype(np.int64)})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)  # coalesce tiny partial blocks:
-        # the sort-based shuffle cost scales with block count, not rows
-        .groupby("tile")
-        .aggregate(Sum("partial_n", alias_name="n"))
-    )
+    agg = group_agg(_map(ds, tile), "tile", {"n": ("count", None)})
 
     def finalize(t: pa.Table) -> pa.Table:
         tile = t["tile"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -50,51 +48,23 @@ def tile_counts(ds, bits: int, cell_col: str = "cell", cell_bits: int | None = N
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def count_by(ds, col: str, out_col: str = "n", combine_partitions: int = 16):
-    """Generic two-phase count-by-key (works for string keys like tile_id):
-    per-batch partial counts, then a tiny groupby-sum over partials."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        arr = t[col].to_numpy(zero_copy_only=False)
-        keys, counts = np.unique(arr, return_counts=True)
-        return pa.table({col: keys, "partial_n": counts.astype(np.int64)})
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(col)
-        .aggregate(Sum("partial_n", alias_name=out_col))
-    )
+def count_by(ds, col: str, out_col: str = "n"):
+    """Generic count-by-key (works for string keys like tile_id)."""
+    return group_agg(ds, col, {out_col: ("count", None)})
 
 
-def tile_aggregate(ds, bits: int, value_col: str, cell_col: str = "cell",
-                   combine_partitions: int = 16):
-    """Per-tile (count, int-sum) aggregate with the same partial/combine
-    shape. ``value_col`` must be integer-valued (callers pre-scale floats to
-    ints for order-independent exactness)."""
-    from ray.data.aggregate import Sum
+def tile_aggregate(ds, bits: int, value_col: str, cell_col: str = "cell"):
+    """Per-tile (count, int-sum) aggregate. ``value_col`` must be
+    integer-valued (callers pre-scale floats to ints for order-independent
+    exactness)."""
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         val = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        tiles, inverse, counts = np.unique(cell, return_inverse=True, return_counts=True)
-        sums = np.zeros(tiles.size, dtype=np.int64)
-        np.add.at(sums, inverse, val)
-        return pa.table(
-            {
-                "tile": tiles.astype(np.int64),
-                "partial_n": counts.astype(np.int64),
-                "partial_sum": sums,
-            }
-        )
+        return pa.table({"tile": cell.astype(np.int64), "v": val})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("tile")
-        .aggregate(Sum("partial_n", alias_name="n"), Sum("partial_sum", alias_name="sum_val"))
-    )
+    return group_agg(_map(ds, rows), "tile",
+                     {"n": ("count", None), "sum_val": ("sum", "v")})
 
 
 def assemble_raster(ds, bits: int, value_col: str = "n", tile_bits: int = 6):
@@ -140,52 +110,21 @@ def assemble_raster(ds, bits: int, value_col: str = "n", tile_bits: int = 6):
 
 
 def pyramid_counts(ds, bits: int, levels: int, cell_col: str = "cell",
-                   cell_bits: int | None = None, combine_partitions: int = 16):
+                   cell_bits: int | None = None):
     """Zoom-pyramid tile counts in ONE pass (web-map tile pyramid: level 0
     is the base ``bits`` precision, each next level halves both axes — the
-    2-bit Morton parent). Per batch the base partial counts are computed
-    once with ``np.unique``, then every coarser level's partials derive
-    from the previous level's UNIQUE tiles (work per extra level is
-    O(distinct tiles), not O(rows)); a single ``groupby((level, tile))``
-    over all partials finishes the pyramid — one shuffle for all levels,
-    not one per level. Output: ``level, tile_x, tile_y, n``."""
-    from ray.data.aggregate import Sum
-
+    2-bit Morton parent). Every row emits its tile at each level and a
+    single ``group_agg((level, tile))`` finishes the pyramid — one combine
+    for all levels, not one per level. Output: ``level, tile_x, tile_y, n``."""
     if 2 * (levels - 1) >= bits:
         raise ValueError("levels exceed the cell hierarchy depth")
-    shift = 0 if cell_bits is None else cell_bits - bits
+    shift = np.uint64(0 if cell_bits is None else cell_bits - bits)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        if shift:
-            cell = cell >> np.uint64(shift)
-        tiles, counts = np.unique(cell, return_counts=True)
-        counts = counts.astype(np.int64)
-        out_lvl, out_tile, out_n = [], [], []
-        for lvl in range(levels):
-            out_lvl.append(np.full(tiles.size, lvl, dtype=np.int64))
-            out_tile.append(tiles.astype(np.int64))
-            out_n.append(counts)
-            if lvl + 1 < levels:
-                parents = tiles >> np.uint64(2)
-                up, inv = np.unique(parents, return_inverse=True)
-                sums = np.zeros(up.size, dtype=np.int64)
-                np.add.at(sums, inv, counts)
-                tiles, counts = up, sums
-        return pa.table(
-            {
-                "level": np.concatenate(out_lvl),
-                "tile": np.concatenate(out_tile),
-                "partial_n": np.concatenate(out_n),
-            }
-        )
+        return _level_tiles(cell >> shift, levels)
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(["level", "tile"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-    )
+    agg = group_agg(_map(ds, rows), ["level", "tile"], {"n": ("count", None)})
 
     def finalize(t: pa.Table) -> pa.Table:
         lvl = t["level"].to_numpy(zero_copy_only=False)
@@ -205,32 +144,26 @@ def pyramid_counts(ds, bits: int, levels: int, cell_col: str = "cell",
 
 
 def focal_sum(raster_ds, bits: int, cell_col: str = "cell",
-              value_col: str = "n", combine_partitions: int = 8,
-              num_partitions: int | None = None):
+              value_col: str = "n", num_partitions: int | None = None):
     """3×3 k-ring focal (neighborhood) sum over an aggregated raster.
 
     Scatter-gather formulation: every occupied cell SCATTERS its value to
     itself + its 8 neighbors (codec.neighbors semantics — longitude wraps
     at the antimeridian, latitude clamps at the poles, off-grid neighbors
-    dropped), contributions partial-combine per batch, one small
-    ``groupby(cell).sum`` gathers them, and an inner hash join back to the
-    occupied set restricts output to occupied cells (windows centred on
-    empty cells are not emitted). Because the 3×3 ring is symmetric,
-    scattering equals gathering — no second neighbor pass.
+    dropped), one ``group_agg(cell)`` sums them, and an inner hash join
+    back to the occupied set restricts output to occupied cells (windows
+    centred on empty cells are not emitted). Because the 3×3 ring is
+    symmetric, scattering equals gathering — no second neighbor pass.
 
-    The exchange is O(occupied cells × 9) rows pre-combined down to
-    O(distinct touched cells × batches) — never O(input points); run this
-    AFTER a tile/count aggregate, not on raw points.
+    The combine sees O(distinct touched cells × batches) partial rows —
+    never O(input points); run this AFTER a tile/count aggregate, not on
+    raw points.
 
     Output: ``cell_col, value_col, focal_sum, n_nb`` (n_nb counts the
     occupied cells in the window, for a mean = focal_sum / n_nb).
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     def scatter(t: pa.Table) -> pa.Table:
         cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -242,28 +175,11 @@ def focal_sum(raster_ds, bits: int, cell_col: str = "cell",
             ok = valid[:, j]
             parts_c.append(nbr[ok, j])
             parts_v.append(val[ok])
-        tgt = np.concatenate(parts_c)
-        contrib = np.concatenate(parts_v)
-        u, inv = np.unique(tgt, return_inverse=True)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, contrib)
-        c = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table(
-            {cell_col: u.astype(np.int64), "p_sum": s, "p_cnt": c}
-        )
+        return pa.table({cell_col: np.concatenate(parts_c).astype(np.int64),
+                         "v": np.concatenate(parts_v)})
 
-    gathered = (
-        raster_ds.map_batches(scatter, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(cell_col)
-        .aggregate(Sum("p_sum", alias_name="focal_sum"),
-                   Sum("p_cnt", alias_name="n_nb"))
-        # merge aggregate output blocks: combine partitions exceeding the
-        # group count emit SCHEMA-LESS empty blocks that Acero (the join
-        # below) rejects (CLAUDE.md invariant)
-        .repartition(num_partitions)
-    )
+    gathered = group_agg(_map(raster_ds, scatter), cell_col,
+                         {"focal_sum": ("sum", "v"), "n_nb": ("count", None)})
 
     return raster_ds.join(
         gathered,
@@ -274,65 +190,25 @@ def focal_sum(raster_ds, bits: int, cell_col: str = "cell",
     )
 
 
-def zonal_stats(ds, zone_col: str, value_col: str, combine_partitions: int = 4):
+def zonal_stats(ds, zone_col: str, value_col: str):
     """Per-zone (count, sum, min, max) of an INTEGER value column — zonal
     statistics over any zone key (polygon id from ``ops.pip.pip_assign``,
-    tile prefix, admin code). Two-phase: each batch collapses to one row
-    per distinct zone (np.unique + bincount/add.at/minimum.at), so only
-    O(zones × batches) partial rows reach the exchange; integer sums make
-    the result order-independent (callers pre-scale floats, as everywhere
-    in this repo). Output: zone_col, n, sum_v, min_v, max_v."""
-    from ray.data.aggregate import Max, Min, Sum
+    tile prefix, admin code). Integer sums make the result
+    order-independent (callers pre-scale floats, as everywhere in this
+    repo). Output: zone_col, n, sum_v, min_v, max_v."""
 
-    s = ds.schema()  # Ray Data Schema: parallel .names / .types (pa types)
-    zone_type = dict(zip(s.names, s.types))[zone_col]
-
-    partial_schema = pa.schema(
-        [
-            (zone_col, zone_type),
-            ("partial_n", pa.int64()),
-            ("partial_sum", pa.int64()),
-            ("partial_min", pa.int64()),
-            ("partial_max", pa.int64()),
-        ]
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        zones = t[zone_col].to_numpy(zero_copy_only=False)
+    def rows(t: pa.Table) -> pa.Table:
         vals = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        uz, inv, counts = np.unique(zones, return_inverse=True, return_counts=True)
-        sums = np.zeros(uz.size, dtype=np.int64)
-        np.add.at(sums, inv, vals)
-        mins = np.full(uz.size, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(mins, inv, vals)
-        maxs = np.full(uz.size, np.iinfo(np.int64).min, dtype=np.int64)
-        np.maximum.at(maxs, inv, vals)
-        return pa.table(
-            {
-                zone_col: pa.array(uz, zone_type),
-                "partial_n": pa.array(counts.astype(np.int64)),
-                "partial_sum": pa.array(sums),
-                "partial_min": pa.array(mins),
-                "partial_max": pa.array(maxs),
-            },
-            schema=partial_schema,
-        )
+        return pa.table({zone_col: t[zone_col], "v": vals})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(zone_col)
-        .aggregate(
-            Sum("partial_n", alias_name="n"),
-            Sum("partial_sum", alias_name="sum_v"),
-            Min("partial_min", alias_name="min_v"),
-            Max("partial_max", alias_name="max_v"),
-        )
-    )
+    return group_agg(_map(ds, rows), zone_col, {
+        "n": ("count", None), "sum_v": ("sum", "v"),
+        "min_v": ("min", "v"), "max_v": ("max", "v"),
+    })
 
 
 def hotspot_gi(ds, bits: int, cell_col: str = "cell",
-               combine_partitions: int = 8, num_partitions: int | None = None):
+               num_partitions: int | None = None):
     """Getis-Ord Gi* hot-spot z-score per OCCUPIED cell over a 3×3 queen
     neighborhood (the cell-grid form of the classic spatial hot-spot
     statistic, computed over the set of occupied cells).
@@ -348,40 +224,26 @@ def hotspot_gi(ds, bits: int, cell_col: str = "cell",
     INTEGERS (no float cancellation → no NaN from √(negative)); degenerate
     branches (W = K, or zero variance) emit 0.0 via an integer-exact CASE.
 
-    Plan: two-phase per-cell counts (only (cell, partial) rows shuffle) →
-    9-way neighbor explode of the COUNTS table (O(occupied·9) rows, not
-    O(points)) → Sum groupby → inner join back to the counts (drops
+    Plan: per-cell counts (``group_agg``) → 9-way neighbor explode of the
+    COUNTS table (O(occupied·9) rows, not O(points)) → ``group_agg`` →
+    inner join back to the counts (drops
     never-occupied targets) → one vectorized map with the three global
     scalars closed over (bounded driver pull: one partial row per counts
     block). Output: ``tile_x, tile_y, n, gi_z``.
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
-
-    from georay import codec
 
     half = bits // 2
     size = np.int64(1 << half)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cells(t: pa.Table) -> pa.Table:
         cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cells, counts = np.unique(cell, return_counts=True)
-        return pa.table({"cell": cells.astype(np.int64),
-                         "partial_n": counts.astype(np.int64)})
+        return pa.table({"cell": cell.astype(np.int64)})
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("cell")
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .repartition(num_partitions)  # merge blocks: Acero join below
-        # rejects schema-less empties (CLAUDE.md invariant)
-        .materialize()  # consumed 3×: scalars, explode, join-back
-    )
+    counts = group_agg(
+        _map(ds, cells), "cell", {"n": ("count", None)}
+    ).materialize()  # consumed 3×: scalars, explode, join-back
 
     def sc_partial(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False)
@@ -415,20 +277,11 @@ def hotspot_gi(ds, bits: int, cell_col: str = "cell",
                 tgt = codec.interleave(
                     tx[ok].astype(np.uint64), ty[ok].astype(np.uint64), bits
                 ).astype(np.int64)
-                outs.append(pa.table({
-                    "cell": tgt,
-                    "w_part": np.ones(tgt.size, np.int64),
-                    "s_part": n[ok],
-                }))
+                outs.append(pa.table({"cell": tgt, "s_part": n[ok]}))
         return pa.concat_tables(outs)
 
-    nb = (
-        counts.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("cell")
-        .aggregate(Sum("w_part", alias_name="w"), Sum("s_part", alias_name="s"))
-        .repartition(num_partitions)
-    )
+    nb = group_agg(_map(counts, explode), "cell",
+                   {"w": ("count", None), "s": ("sum", "s_part")})
 
     joined = nb.join(counts, join_type="inner",
                      num_partitions=num_partitions, on=("cell",))
@@ -457,8 +310,7 @@ def hotspot_gi(ds, bits: int, cell_col: str = "cell",
 
 
 def adaptive_cells(ds, bits: int, levels: int, threshold: int,
-                   cell_col: str = "cell", combine_partitions: int = 16,
-                   num_partitions: int | None = None):
+                   cell_col: str = "cell", num_partitions: int | None = None):
     """Skew-adaptive quadtree leaves: split every cell holding more than
     ``threshold`` points into its 4 Morton children, down to at most
     ``bits`` precision — the partitioning primitive that turns dense urban
@@ -471,54 +323,26 @@ def adaptive_cells(ds, bits: int, levels: int, threshold: int,
     at middle levels iff ``n <= threshold AND parent_n > threshold``; at
     the finest level iff ``parent_n > threshold`` (forced leaf).
 
-    Plan: the one-pass pyramid partial (per-batch ``np.unique`` then
-    O(distinct) parent roll-ups) → ONE groupby over all levels → a single
-    self-join child→parent → filters. No driver-side hot-key collection:
+    Plan: the one-pass pyramid rows (as in ``pyramid_counts``) → ONE
+    ``group_agg`` over all levels → a single self-join child→parent →
+    filters. No driver-side hot-key collection:
     the leaf decision is distributed. Output: ``cell_bits, tile_x, tile_y,
     n`` (leaf precision in bits, grid coords at that precision).
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
-
-    from georay import codec
 
     if 2 * (levels - 1) >= bits:
         raise ValueError("levels exceed the cell hierarchy depth")
     coarsest = levels - 1
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        tiles_u, counts = np.unique(cell, return_counts=True)
-        counts = counts.astype(np.int64)
-        out_lvl, out_tile, out_n = [], [], []
-        for lvl in range(levels):
-            out_lvl.append(np.full(tiles_u.size, lvl, dtype=np.int64))
-            out_tile.append(tiles_u.astype(np.int64))
-            out_n.append(counts)
-            if lvl + 1 < levels:
-                parents = tiles_u >> np.uint64(2)
-                up, inv = np.unique(parents, return_inverse=True)
-                sums = np.zeros(up.size, dtype=np.int64)
-                np.add.at(sums, inv, counts)
-                tiles_u, counts = up, sums
-        return pa.table({
-            "level": np.concatenate(out_lvl),
-            "tile": np.concatenate(out_tile),
-            "partial_n": np.concatenate(out_n),
-        })
+        return _level_tiles(cell, levels)
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(["level", "tile"])
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .repartition(num_partitions)  # merge blocks before the Acero join
-        .materialize()  # consumed twice: child side + parent side
-    )
+    counts = group_agg(
+        _map(ds, rows), ["level", "tile"], {"n": ("count", None)}
+    ).materialize()  # consumed twice: child side + parent side
 
     def child_side(t: pa.Table) -> pa.Table:
         lvl = t["level"].to_numpy(zero_copy_only=False)
@@ -585,12 +409,10 @@ def adaptive_cells(ds, bits: int, levels: int, threshold: int,
                               zero_copy_batch=True)
 
 
-def tile_trend(ds, cell_col: str = "cell", x_col: str = "x", y_col: str = "y",
-               combine_partitions: int = 16):
+def tile_trend(ds, cell_col: str = "cell", x_col: str = "x", y_col: str = "y"):
     """Per-tile OLS trend (least-squares slope of integer ``y`` against
-    integer ``x``), with EXACT integer moments: per-batch partials
-    accumulate (n, Σx, Σy, Σxy, Σx²) as int64 via one ``np.add.at`` pass,
-    a single Sum groupby merges them (order-independent), and the closed
+    integer ``x``), with EXACT integer moments: one ``group_agg`` sums
+    (n, Σx, Σy, Σxy, Σx²) as int64 (order-independent), and the closed
     form ``slope = (nΣxy − ΣxΣy) / (nΣx² − (Σx)²)`` is evaluated on the
     small per-tile result in arbitrary-precision Python ints before ONE
     float division — bit-identical to an SQL twin using HUGEINT products.
@@ -599,30 +421,16 @@ def tile_trend(ds, cell_col: str = "cell", x_col: str = "x", y_col: str = "y",
     Caller contract: x and y pre-scaled so per-batch Σ|x·y| fits int64
     (e.g. hours × milli-units). Output: ``cell, n, slope``.
     """
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        cell = t[cell_col].to_numpy(zero_copy_only=False)
+    def rows(t: pa.Table) -> pa.Table:
         x = t[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
         y = t[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cells, inv, counts = np.unique(cell, return_inverse=True,
-                                       return_counts=True)
-        sums = np.zeros((cells.size, 4), dtype=np.int64)
-        np.add.at(sums, inv, np.stack([x, y, x * y, x * x], axis=1))
-        return pa.table({
-            "cell": cells, "p_n": counts.astype(np.int64),
-            "p_sx": sums[:, 0], "p_sy": sums[:, 1],
-            "p_sxy": sums[:, 2], "p_sxx": sums[:, 3],
-        })
+        return pa.table({"cell": t[cell_col], "x": x, "y": y,
+                         "xy": x * y, "xx": x * x})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_sx", alias_name="sx"),
-                   Sum("p_sy", alias_name="sy"), Sum("p_sxy", alias_name="sxy"),
-                   Sum("p_sxx", alias_name="sxx"))
-    )
+    agg = group_agg(_map(ds, rows), "cell", {
+        "n": ("count", None), "sx": ("sum", "x"), "sy": ("sum", "y"),
+        "sxy": ("sum", "xy"), "sxx": ("sum", "xx"),
+    })
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).tolist()
@@ -642,8 +450,7 @@ def tile_trend(ds, cell_col: str = "cell", x_col: str = "x", y_col: str = "y",
 
 
 def variogram(raster_ds, bits: int, max_lag: int, cell_col: str = "cell",
-              value_col: str = "n", combine_partitions: int = 8,
-              num_partitions: int | None = None,
+              value_col: str = "n", num_partitions: int | None = None,
               vector_bins: bool = False, stat: str = "sq_diff"):
     """Empirical semivariogram of an aggregated raster: every unordered
     pair of OCCUPIED cells within Chebyshev distance ``max_lag`` is binned
@@ -655,18 +462,14 @@ def variogram(raster_ds, bits: int, max_lag: int, cell_col: str = "cell",
     Plan (never O(cells²)): each cell SCATTERS its value to the half ring
     of lag offsets (dx > 0, or dx = 0 ∧ dy > 0 — each unordered pair has
     exactly one reporter, so no dedup shuffle exists), a hash join back to
-    the raster lands contributions on occupied partners only, and the
-    (d2, n, sq_sum) partials combine per batch before one tiny groupby.
-    Exchange is O(occupied × ring/2) scatter rows + O(lags × batches)
-    partial rows. Plain grid geometry — no longitude wrap: a variogram is
-    a distance statistic, not a topology query.
+    the raster lands contributions on occupied partners only, and one
+    ``group_agg(d2)`` sums them. Exchange is O(occupied × ring/2) scatter
+    rows; the combine sees O(lags × batches) partial rows. Plain grid
+    geometry — no longitude wrap: a variogram is a distance statistic, not
+    a topology query.
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     nx_bits, ny_bits = codec.split_bits(bits)
     nx, ny = 1 << nx_bits, 1 << ny_bits
@@ -706,29 +509,18 @@ def variogram(raster_ds, bits: int, max_lag: int, cell_col: str = "cell",
         join_type="inner", num_partitions=num_partitions, on=(cell_col,),
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        d2 = t["d2"].to_numpy(zero_copy_only=False)
+    def rows(t: pa.Table) -> pa.Table:
         a = t["src_v"].to_numpy(zero_copy_only=False)
         b = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         # stat="sq_diff": Σ(vᵢ−vⱼ)² (semivariogram); "product": Σvᵢ·vⱼ
         # (the covariogram numerator — spatial autocovariance per lag)
         contrib = a * b if stat == "product" else (a - b) * (a - b)
-        u, inv = np.unique(d2, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, contrib)
-        return pa.table({"d2": u, "p_n": n, "p_sq": s})
+        return pa.table({"d2": t["d2"], "c": contrib})
 
-    agg = (
-        landed.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(min(combine_partitions, 4))
-        .groupby("d2")
-        .aggregate(Sum("p_n", alias_name="n_pairs"),
-                   Sum("p_sq", alias_name=(
-                       "prod_sum" if stat == "product" else "sq_sum")))
-        .repartition(1)  # few-group final: merge schema-less empty blocks
-    )
+    agg = group_agg(_map(landed, rows), "d2", {
+        "n_pairs": ("count", None),
+        ("prod_sum" if stat == "product" else "sq_sum"): ("sum", "c"),
+    })
     if not vector_bins:
         return agg
 
@@ -748,13 +540,12 @@ def variogram(raster_ds, bits: int, max_lag: int, cell_col: str = "cell",
 
 
 def grid_bfs(raster_ds, bits: int, max_hops: int,
-             cell_col: str = "cell", src_col: str = "n_src",
-             num_partitions: int | None = None):
+             cell_col: str = "cell", src_col: str = "n_src"):
     """Multi-source BFS hop distance over OCCUPIED raster cells: sources
     are cells with ``src_col`` > 0 (hop 0); each round scatters the
     frontier to its queen 8-neighborhood (codec.neighbors — lon wrap, lat
     clamp) and keeps occupied targets only; after ``max_hops`` rounds one
-    small groupby takes MIN(hop) per reached cell — bit-equal to
+    ``group_agg`` takes MIN(hop) per reached cell — bit-equal to
     first-reach semantics. The grid cost-distance primitive (raster
     proximity / catchment analysis).
 
@@ -765,13 +556,7 @@ def grid_bfs(raster_ds, bits: int, max_hops: int,
     deduped and materialized per round (bounded), keeping the lazy plan
     one round deep.
     """
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
     import ray
-    from ray.data.aggregate import Min
 
     # bounded driver collect: ≤ 2^bits cells by construction (to_pandas,
     # not to_arrow_refs — the latter intermittently trips the Ray core
@@ -815,33 +600,23 @@ def grid_bfs(raster_ds, bits: int, max_hops: int,
     all_reaches = reaches[0]
     for r in reaches[1:]:
         all_reaches = all_reaches.union(r)
-    return (
-        all_reaches.repartition(num_partitions)
-        .groupby(cell_col)
-        .aggregate(Min("hop", alias_name="hops"))
-        .repartition(1)
-    )
+    return group_agg(all_reaches, cell_col, {"hops": ("min", "hop")})
 
 
 def kernel_convolve(raster_ds, bits: int, kernel, cell_col: str = "cell",
-                    value_col: str = "n", combine_partitions: int = 8,
-                    num_partitions: int | None = None):
+                    value_col: str = "n", num_partitions: int | None = None):
     """Arbitrary integer-kernel raster convolution (focal_sum generalized):
     every occupied cell scatters ``value × weight`` to cell+(dx, dy) for
-    each kernel tap, contributions partial-combine per batch, one small
-    groupby gathers, and an inner join back to the occupied set restricts
+    each kernel tap, one ``group_agg`` sums the contributions, and an
+    inner join back to the occupied set restricts
     output (plain-grid clamp — out-of-range taps drop; no lon wrap, unlike
     focal_sum's neighbor semantics). ``kernel``: iterable of (dx, dy, w)
-    integer taps. Exchange is O(occupied × taps) pre-combined rows.
+    integer taps. The combine sees O(touched cells × batches) rows.
 
     Output: ``cell_col, value_col, conv``.
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
-
-    from ray.data.aggregate import Sum
 
     taps = [(int(dx), int(dy), int(w)) for dx, dy, w in kernel]
     nx_bits, ny_bits = codec.split_bits(bits)
@@ -860,21 +635,11 @@ def kernel_convolve(raster_ds, bits: int, kernel, cell_col: str = "cell",
             parts_c.append(codec.interleave(
                 tx[ok].astype(np.uint64), ty[ok].astype(np.uint64), bits))
             parts_v.append(val[ok] * w)
-        tgt = np.concatenate(parts_c).astype(np.int64)
-        contrib = np.concatenate(parts_v)
-        u, inv = np.unique(tgt, return_inverse=True)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, contrib)
-        return pa.table({cell_col: u, "p_conv": s})
+        return pa.table({cell_col: np.concatenate(parts_c).astype(np.int64),
+                         "v": np.concatenate(parts_v)})
 
-    gathered = (
-        raster_ds.map_batches(scatter, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(cell_col)
-        .aggregate(Sum("p_conv", alias_name="conv"))
-        .repartition(num_partitions)  # merge empty blocks pre-join
-    )
+    gathered = group_agg(_map(raster_ds, scatter), cell_col,
+                         {"conv": ("sum", "v")})
     return raster_ds.select_columns([cell_col, value_col]).repartition(
         num_partitions).join(
         gathered, join_type="inner", num_partitions=num_partitions,
@@ -882,8 +647,7 @@ def kernel_convolve(raster_ds, bits: int, kernel, cell_col: str = "cell",
 
 
 def flow_direction(raster_ds, bits: int, cell_col: str = "cell",
-                   value_col: str = "n", combine_partitions: int = 8,
-                   num_partitions: int | None = None):
+                   value_col: str = "n", num_partitions: int | None = None):
     """D8 flow direction over an aggregated integer raster: every occupied
     cell drains to its LOWEST-value occupied 8-neighbor, provided that
     neighbor is strictly lower; ties break to the smallest compass index
@@ -894,22 +658,19 @@ def flow_direction(raster_ds, bits: int, cell_col: str = "cell",
 
     Plan (scatter-argmin): each occupied cell scatters ``elev·8 +
     opp(dir)`` to its valid neighbors — the receiver sees the sender's
-    direction — one ``Min`` groupby computes the packed argmin (value
+    direction — one ``group_agg`` MIN computes the packed argmin (value
     first, compass index as tiebreak, ties impossible since the index is
     unique per pair), and a LEFT join back to the occupied set keeps
-    isolated cells as pits. Exchange is O(occupied × 9) pre-combined rows,
-    never O(points): run on an aggregated raster.
+    isolated cells as pits. The combine sees O(touched cells × batches)
+    rows, never O(points): run on an aggregated raster.
 
     Output: ``cell_col, value_col, dir, nb_min`` (nb_min = lowest occupied
     neighbor value, −1 when there is none).
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Min
 
     sentinel = np.int64(1) << 62
 
@@ -922,21 +683,11 @@ def flow_direction(raster_ds, bits: int, cell_col: str = "cell",
             ok = valid[:, j]
             parts_c.append(nbr[ok, j])
             parts_p.append(val[ok] * 8 + ((j + 4) % 8))
-        tgt = np.concatenate(parts_c)
-        pack = np.concatenate(parts_p)
-        u, inv = np.unique(tgt, return_inverse=True)
-        m = np.full(u.size, sentinel, dtype=np.int64)
-        np.minimum.at(m, inv, pack)
-        return pa.table({cell_col: u.astype(np.int64), "p_min": m})
+        return pa.table({cell_col: np.concatenate(parts_c).astype(np.int64),
+                         "pack": np.concatenate(parts_p)})
 
-    gathered = (
-        raster_ds.map_batches(scatter, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby(cell_col)
-        .aggregate(Min("p_min", alias_name="minpack"))
-        .repartition(num_partitions)  # schema-less empty-block guard
-    )
+    gathered = group_agg(_map(raster_ds, scatter), cell_col,
+                         {"minpack": ("min", "pack")})
 
     joined = raster_ds.join(
         gathered, join_type="left_outer", num_partitions=num_partitions,

@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from georay.runtime import group_agg
+
 
 def trajectory_stats(ds, key_col: str, ts_col: str, order_col: str,
                      x_col: str, y_col: str, cell_col: str | None = None,
@@ -107,36 +109,20 @@ def trajectory_stats(ds, key_col: str, ts_col: str, order_col: str,
 
 
 def od_matrix(ds, key_col: str, ts_col: str, order_col: str, cell_col: str,
-              num_partitions: int | None = None, num_buckets: int = 32):
+              num_buckets: int = 32):
     """Origin→destination transition matrix over trajectory legs: how many
     legs go from cell A to cell B, across all keys.
 
     One ``groupby(hash-bucket)`` shuffle (``num_buckets`` pandas groups
     TOTAL — the ops.buckets idiom) co-locates many keys per group; inside
     a bucket one lexsort by ``(key, ts, order)`` puts each key's points in
-    a run, within-run consecutive-cell transitions collapse to distinct
-    ``(o_cell, d_cell, part_n)`` rows across the WHOLE bucket (one more
-    lexsort run-length — partials merge across keys, so even fewer rows
-    shuffle), then ONE small Sum groupby merges the partials. The wide
-    exchange carries at most one row per distinct pair per bucket, never
-    one row per leg. Self-loop legs (consecutive points in the same cell)
-    are counted. Output: ``(o_cell, d_cell, n)``.
+    a run, and within-run consecutive-cell transitions are the legs;
+    ``group_agg`` counts them per ``(o_cell, d_cell)`` (its per-batch
+    partial collapses each bucket's legs to distinct pairs first).
+    Self-loop legs (consecutive points in the same cell) are counted.
+    Output: ``(o_cell, d_cell, n)``.
     """
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
     from georay.ops import buckets as bk
-    from georay.runtime import table_from_pandas
-
-    out_schema = pa.schema(
-        [("o_cell", pa.int64()), ("d_cell", pa.int64()),
-         ("part_n", pa.int64())]
-    )
 
     def add_bucket(t: pa.Table) -> pa.Table:
         return bk.append_bucket(t, key_col, num_buckets)
@@ -150,37 +136,16 @@ def od_matrix(ds, key_col: str, ts_col: str, order_col: str, cell_col: str,
         c = codes[order]
         cell = g[cell_col].to_numpy(dtype=np.int64)[order]
         within = c[1:] == c[:-1]  # legs never straddle two keys
-        o, d = cell[:-1][within], cell[1:][within]
-        if o.size == 0:
-            return table_from_pandas(
-                pd.DataFrame({"o_cell": [], "d_cell": [], "part_n": []}),
-                schema=out_schema,
-            )
-        lo = np.lexsort((d, o))
-        o_s, d_s = o[lo], d[lo]
-        new = np.empty(o_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = (o_s[1:] != o_s[:-1]) | (d_s[1:] != d_s[:-1])
-        idx = np.flatnonzero(new)
-        counts = np.diff(np.append(idx, o_s.size)).astype(np.int64)
-        return table_from_pandas(
-            pd.DataFrame(
-                {"o_cell": o_s[idx], "d_cell": d_s[idx], "part_n": counts}
-            ),
-            schema=out_schema,
-        )
+        return pa.table({"o_cell": cell[:-1][within],
+                         "d_cell": cell[1:][within]})
 
-    partials = (
+    legs = (
         ds.select_columns([key_col, ts_col, order_col, cell_col])
         .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("_bucket")
         .map_groups(per_bucket, batch_format="pandas")
     )
-    return (
-        partials.repartition(num_partitions)
-        .groupby(["o_cell", "d_cell"])
-        .aggregate(Sum("part_n", alias_name="n"))
-    )
+    return group_agg(legs, ["o_cell", "d_cell"], {"n": ("count", None)})
 
 
 def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
@@ -325,19 +290,13 @@ def octant_codes(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def leg_octants(ds, key_col: str, ts_col: str, order_col: str,
-                x_col: str, y_col: str, num_buckets: int = 32,
-                combine_partitions: int = 4):
+                x_col: str, y_col: str, num_buckets: int = 32):
     """Movement-direction histogram over trajectory legs: every
     consecutive-point leg classified into one of 8 compass octants (plus
     8 = zero-move), counted globally. Same one-shuffle bucketed-cogroup
-    shape as :func:`od_matrix`; partials are ≤10 rows per bucket, so the
-    final exchange is negligible."""
-    from ray.data.aggregate import Sum
-
+    shape as :func:`od_matrix`; partials are ≤9 rows per batch, so the
+    combine is negligible."""
     from georay.ops import buckets as bk
-    from georay.runtime import table_from_pandas
-
-    out_schema = pa.schema([("octant", pa.int64()), ("part_n", pa.int64())])
 
     def add_bucket(t: pa.Table) -> pa.Table:
         return bk.append_bucket(t, key_col, num_buckets)
@@ -352,27 +311,15 @@ def leg_octants(ds, key_col: str, ts_col: str, order_col: str,
         within = c[1:] == c[:-1]
         dx = (x[1:] - x[:-1])[within]
         dy = (y[1:] - y[:-1])[within]
-        if dx.size == 0:
-            return table_from_pandas(
-                pd.DataFrame({"octant": [], "part_n": []}), schema=out_schema)
-        oc = octant_codes(dx, dy)
-        u, n = np.unique(oc, return_counts=True)
-        return table_from_pandas(
-            pd.DataFrame({"octant": u, "part_n": n.astype(np.int64)}),
-            schema=out_schema)
+        return pa.table({"octant": octant_codes(dx, dy).astype(np.int64)})
 
-    partials = (
+    legs = (
         ds.select_columns([key_col, ts_col, order_col, x_col, y_col])
         .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("_bucket")
         .map_groups(per_bucket, batch_format="pandas")
     )
-    return (
-        partials.repartition(combine_partitions)
-        .groupby("octant")
-        .aggregate(Sum("part_n", alias_name="n"))
-        .repartition(1)  # few-group final: merge schema-less empty blocks
-    )
+    return group_agg(legs, "octant", {"n": ("count", None)})
 
 
 def stay_points(ds, key_col: str, ts_col: str, order_col: str,

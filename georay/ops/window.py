@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import table_from_pandas
+from georay.runtime import adaptive_partitions, group_agg, table_from_pandas
 
 US_PER_DAY = 86_400 * 1_000_000
 
@@ -55,49 +55,41 @@ def _assert_ts_scale(dtype, ts_scale_us: int, where: str) -> None:
         )
 
 
-def tumbling(ds, key_col: str, ts_col: str, value_col: str,
-             width_us: int = US_PER_DAY, combine_partitions: int = 8):
-    """(key, window) → n, int-exact value sum. Two-phase partial agg."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
+_WINDOW_AGGS = {"n": ("count", None), "sum_val_milli": ("sum", "milli")}
 
-    def partial(t: pa.Table) -> pa.Table:
+
+def _milli(t: pa.Table, value_col: str) -> np.ndarray:
+    v = t[value_col].to_numpy(zero_copy_only=False)
+    return np.floor(v * 1000).astype(np.int64)
+
+
+def tumbling(ds, key_col: str, ts_col: str, value_col: str,
+             width_us: int = US_PER_DAY):
+    """(key, window) → n, int-exact value sum."""
+
+    def rows(t: pa.Table) -> pa.Table:
         _assert_ts_scale(t[ts_col].type, 1, "tumbling")  # requires us ticks
         us = t[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        win = us // width_us
-        milli = np.floor(t[value_col].to_numpy(zero_copy_only=False) * 1000).astype(np.int64)
-        df = pd.DataFrame({key_col: t[key_col].to_pandas(), "win": win, "milli": milli})
-        g = df.groupby([key_col, "win"], as_index=False).agg(
-            p_n=("milli", "size"), p_sum=("milli", "sum")
-        )
-        return table_from_pandas(g)
+        return pa.table({key_col: t[key_col], "win": us // width_us,
+                         "milli": _milli(t, value_col)})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([key_col, "win"])
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_sum", alias_name="sum_val_milli"))
-    )
+    rows_ds = ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True)
+    return group_agg(rows_ds, [key_col, "win"], _WINDOW_AGGS)
 
 
 def sliding(ds, key_col: str, ts_col: str, value_col: str,
-            width_us: int, slide_us: int, combine_partitions: int = 8,
-            ts_scale_us: int = 1):
+            width_us: int, slide_us: int, ts_scale_us: int = 1):
     """Sliding windows: each event replicated into the ``width/slide``
     windows covering it (vectorized np.repeat explode — 1 row → w/s rows),
-    then the same two-phase aggregate keyed by window start."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
+    then the same aggregate keyed by window start."""
     if width_us % slide_us:
         raise ValueError("width must be a multiple of slide")
     n_covers = width_us // slide_us
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         _assert_ts_scale(t[ts_col].type, ts_scale_us, "sliding")
         us = t[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False) // ts_scale_us
-        milli = np.floor(t[value_col].to_numpy(zero_copy_only=False) * 1000).astype(np.int64)
-        keys = t[key_col].to_pandas().to_numpy()
+        milli = _milli(t, value_col)
         # windows with start w*slide contain ts iff start <= ts < start+width
         last_start = (us // slide_us) * slide_us
         offs = (np.arange(n_covers) * slide_us)[None, :]
@@ -105,21 +97,11 @@ def sliding(ds, key_col: str, ts_col: str, value_col: str,
         valid = starts >= 0
         rep = np.repeat(np.arange(us.size), n_covers).reshape(-1)[valid.reshape(-1)]
         win = starts.reshape(-1)[valid.reshape(-1)]
-        df = pd.DataFrame(
-            {key_col: keys[rep], "win_start": win,
-             "milli": milli[rep]}
-        )
-        g = df.groupby([key_col, "win_start"], as_index=False).agg(
-            p_n=("milli", "size"), p_sum=("milli", "sum")
-        )
-        return table_from_pandas(g)
+        return pa.table({key_col: t[key_col].take(rep), "win_start": win,
+                         "milli": milli[rep]})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([key_col, "win_start"])
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_sum", alias_name="sum_val_milli"))
-    )
+    rows_ds = ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True)
+    return group_agg(rows_ds, [key_col, "win_start"], _WINDOW_AGGS)
 
 
 def max_concurrency(ds, key_col: str, start_col: str, end_col: str,
@@ -377,8 +359,7 @@ def session(ds, key_col: str, ts_col: str, gap_us: int, ts_scale_us: int = 1,
 
 
 def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
-                num_buckets: int = 32, combine_partitions: int = 8,
-                num_partitions: int = 4):
+                num_buckets: int = 32, num_partitions: int = 4):
     """First-order Markov transition matrix over per-key event sequences:
     count every (prev type → type) bigram with rows ordered by ``(ts,
     order)`` inside each key, then attach per-source totals and the
@@ -388,16 +369,13 @@ def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
     bucket a single lexsort makes every key a contiguous run; bigrams are
     the (shifted, unshifted) code pairs with run starts masked out, and the
     bucket collapses to per-(from, to) partial counts before anything else
-    shuffles. A tiny Sum groupby merges buckets; per-source totals are a
-    second groupby over the (few) matrix rows joined back by source type.
+    shuffles. A ``group_agg`` merges buckets; per-source totals are a
+    second one over the (few) matrix rows joined back by source type.
     Output: ``from_type, to_type, n, from_total, prob``.
     """
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     from georay.ops import buckets as bk
-    from georay.runtime import table_from_pandas
 
     def add_bucket(t: pa.Table) -> pa.Table:
         return bk.append_bucket(t, key_col, num_buckets)
@@ -421,22 +399,16 @@ def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
             "p_n": cnt.astype(np.int64),
         }))
 
-    counts = (
+    partials = (
         ds.select_columns([key_col, ts_col, order_col, type_col])
         .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("_bucket")
         .map_groups(per_bucket, batch_format="pandas")
-        .repartition(combine_partitions)
-        .groupby(["from_type", "to_type"])
-        .aggregate(Sum("p_n", alias_name="n"))
-        .repartition(num_partitions)
-        .materialize()  # consumed twice: totals + join
     )
-
-    totals = (
-        counts.groupby("from_type").aggregate(Sum("n", alias_name="from_total"))
-        .repartition(num_partitions)
-    )
+    counts = group_agg(
+        partials, ["from_type", "to_type"], {"n": ("sum", "p_n")}
+    ).materialize()  # consumed twice: totals + join
+    totals = group_agg(counts, "from_type", {"from_total": ("sum", "n")})
     joined = counts.join(totals, join_type="inner",
                          num_partitions=num_partitions, on=("from_type",))
 
@@ -451,7 +423,7 @@ def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
 
 def resample_gapfill(ds, key_col: str, ts_col: str, value_col: str,
                      bucket_us: int, ts_scale_us: int = 1,
-                     num_partitions: int | None = None, combine_partitions: int = 8):
+                     num_partitions: int | None = None):
     """Fixed-interval time-series resample WITH gap fill: per (key, bucket)
     count + integer value sum, then every missing bucket between each
     key's first and last observation emitted as an explicit zero row —
@@ -460,29 +432,24 @@ def resample_gapfill(ds, key_col: str, ts_col: str, value_col: str,
     ``value_col`` must already be integer-valued (pre-scale floats to
     cents upstream so sums are exact under any execution order).
 
-    Bit contract: partials pack ``key * 2^24 + bucket``, so every bucket
-    index ``(ts // ts_scale_us) // bucket_us`` must satisfy
-    ``0 <= bucket < 2^24`` and ``|key| < 2^39`` — epoch-microsecond
-    timestamps need ``bucket_us >= ~1.7e11/2^24`` (hour buckets from a
-    1970 epoch overflow; rebase ts or widen bucket_us). Validated per
-    batch with a ValueError — out-of-range buckets silently corrupted
-    keys before this guard.
+    Bit contract: every bucket index ``(ts // ts_scale_us) // bucket_us``
+    must satisfy ``0 <= bucket < 2^24`` — epoch-microsecond timestamps
+    need ``bucket_us >= ~1.7e11/2^24`` (hour buckets from a 1970 epoch
+    overflow; rebase ts or widen bucket_us). Validated per batch with a
+    ValueError.
 
-    Plan: per-batch (key, bucket) partials → one groupby; per-key
-    (min, max) span partials → a second tiny groupby; the dense grid is a
+    Plan: a (key, bucket) ``group_agg``; per-key (min, max) spans → a
+    second ``group_agg`` over its rows; the dense grid is a
     segmented-arange flat-map of the span rows (O(span) rows per key, no
     driver loop), left-joined back to the aggregate with nulls → 0. The
     exchanges carry only aggregate and span rows — never raw events.
     """
-    from georay.runtime import adaptive_partitions
-
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
 
-    def partial(t: pa.Table) -> pa.Table:
+    def rows(t: pa.Table) -> pa.Table:
         _assert_ts_scale(t[ts_col].type, ts_scale_us, "resample_gapfill")
         key = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         us = t[ts_col].cast(pa.int64()).to_numpy(
@@ -496,28 +463,14 @@ def resample_gapfill(ds, key_col: str, ts_col: str, value_col: str,
                 % (int(b.min()), int(b.max()))
             )
         val = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        pack = key * (np.int64(1) << 24) + b  # buckets fit 24 bits here
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, val)
-        return pa.table({key_col: u >> 24, "bucket": u & ((1 << 24) - 1),
-                         "p_n": n, "p_v": s})
+        return pa.table({key_col: key, "bucket": b, "val": val})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(combine_partitions)
-        .groupby([key_col, "bucket"])
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_v", alias_name="v"))
-        .repartition(num_partitions)  # merge schema-less empty blocks pre-join
+    agg = group_agg(
+        ds.map_batches(rows, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col, "bucket"], {"n": ("count", None), "v": ("sum", "val")},
     )
-
-    spans = (
-        agg.groupby(key_col)
-        .aggregate(Min("bucket", alias_name="b0"),
-                   Max("bucket", alias_name="b1"))
-        .repartition(min(num_partitions, 4))
-    )
+    spans = group_agg(agg, key_col, {"b0": ("min", "bucket"),
+                                     "b1": ("max", "bucket")})
 
     def explode(t: pa.Table) -> pa.Table:
         key = t[key_col].to_numpy(zero_copy_only=False)

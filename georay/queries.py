@@ -3458,8 +3458,7 @@ def q_images_pip(sf_dir: str):
     pairs = pip_ops.pip_assign(
         ds, ids, rings, bits=10, keep_cols=["image_id"], poly_id_col="tile_id"
     )
-    return tiles.count_by(pairs, "tile_id", out_col="n_points",
-                          combine_partitions=1)
+    return tiles.count_by(pairs, "tile_id", out_col="n_points")
 
 
 def _sql_tile_rects() -> str:
@@ -3557,7 +3556,7 @@ def q_zonal_stats(sf_dir: str):
     pairs = pip_ops.pip_assign(
         ds, ids, rings, bits=10, keep_cols=["w"], poly_id_col="tile_id"
     )
-    return tiles.zonal_stats(pairs, "tile_id", "w", combine_partitions=1)
+    return tiles.zonal_stats(pairs, "tile_id", "w")
 
 
 def sql_zonal_stats(n: int) -> str:
@@ -4025,7 +4024,6 @@ def q_langid(sf_dir: str):
     return tiles.count_by(
         joined.map_batches(pair, batch_format="pyarrow"),
         "pair",
-        combine_partitions=1,  # ~10 confusion pairs: see q1 combine note
     )
 
 
@@ -4744,7 +4742,7 @@ def q_compact(sf_dir: str):
     comp = cells.compact_dataset(
         pts.select_columns(["cell"]), "cell", bits=12, step=2, anchor_bits=6
     )
-    out = tiles.count_by(comp, "cell_bits", combine_partitions=1)
+    out = tiles.count_by(comp, "cell_bits")
 
     def widen(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -6220,7 +6218,8 @@ def flagship_resumable(sf_dir: str, out_dir: str, n_images: int | None = None,
     ds = (
         ray.data.from_arrow(pa.table({"path": todo}))
         .repartition(len(todo))
-        .map_batches(readf, batch_format="pyarrow", batch_size=1, num_cpus=1.01)
+        .map_batches(readf, batch_format="pyarrow", batch_size=1,
+                     num_cpus=fixtures.READ_NUM_CPUS)
     )
     checked = img_ops.decode_invariant(ds)
 

@@ -1,8 +1,10 @@
 """Partitioning, skew handling, and resumable checkpointed output
 (SURVEY.md §4, §7.7 — the explicit-design scale concerns).
 
-- Heavy-hitter detection: a cheap two-phase count pre-pass (per-batch
-  partials → tiny groupby) finds keys whose row count exceeds a threshold.
+- Grouped aggregates: ``group_agg`` is the one count/sum/min/max/distinct
+  aggregate — per-batch pyarrow partials, one combine task.
+- Heavy-hitter detection: a ``group_agg`` count pre-pass finds keys whose
+  row count exceeds a threshold.
 - Salting: hot keys split into ``key*S + salt`` sub-keys so one dense urban
   cell no longer serializes into a single reducer; callers unsalt
   (``key // S``) after the per-group work so output row counts stay exact.
@@ -87,39 +89,95 @@ def adaptive_partitions(cap: int | None = None, floor: int = 4) -> int:
     return max(floor, cpus if cap is None else min(cap, cpus))
 
 
-def detect_heavy_keys(ds, col: str, threshold: int) -> np.ndarray:
-    """Keys with more than ``threshold`` rows, via partial counts (the
-    shuffle moves one row per distinct key per batch, never the data).
+# partial op -> the op that merges its per-batch results
+_COMBINE_OP = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
 
-    The ``n > threshold`` filter runs DISTRIBUTED, inside the aggregate
-    pipeline, so the driver only ever collects the hot keys themselves —
-    O(hot), not O(distinct). Fine-precision cell keys or string keys with
-    10⁶+ distinct values would otherwise materialize the whole distinct-key
-    table driver-side (VERDICT r2 #4)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+def _check_sums(schema: pa.Schema, aggs: dict) -> None:
+    for op, col in aggs.values():
+        if op == "sum" and col in schema.names and not pa.types.is_integer(
+            schema.field(col).type
+        ):
+            raise TypeError(
+                f"group_agg: sum over {col!r} of type {schema.field(col).type};"
+                " only integer sums are exact — pre-scale the column to int64"
+            )
+
+
+def group_agg(ds, keys, aggs: dict | None = None):
+    """Group ``ds`` by ``keys`` and aggregate — the one two-phase aggregate.
+
+    ``aggs`` maps each output column to ``(op, column)``: ``"count"`` counts
+    rows (its column is ignored, pass ``None``), ``"sum"`` takes INTEGER
+    columns only (floats raise ``TypeError``: pre-scale them, so sums are
+    exact and order-independent), ``"min"``/``"max"`` take any orderable
+    column. No ``aggs`` gives the distinct keys.
+
+    Each batch is reduced by a pyarrow hash ``group_by`` inside
+    ``map_batches`` (it fuses with the caller's row-level map), then ONE
+    task combines all partials with the same ``group_by``. One task holding
+    every partial row is what makes the combine cheap: on a 2-logical-CPU
+    node of a 1-core host, a pyarrow hash combine of 3.2M partial rows took
+    0.15 s where ``repartition(8)`` + Ray's sort-aggregate took 37 s. The
+    output is exactly one block sorted by ``keys`` (the order Ray's
+    range-partitioned sort-aggregate gives), so callers never see the
+    schema-less empty blocks that a sort-aggregate with more partitions
+    than groups emits. Empty input gives zero rows.
+
+    Output columns: ``keys`` then ``aggs`` in order. Counts are int64;
+    integer sums wrap like numpy's."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    aggs = dict(aggs or {})
+    for out, (op, _) in aggs.items():
+        if op not in _COMBINE_OP:
+            raise ValueError(f"group_agg: unknown op {op!r} for {out!r}")
+    parts = [f"_p{i}" for i in range(len(aggs))]
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is not None:  # known without executing: fail fast
+        _check_sums(pa.schema(zip(schema.names, schema.types)), aggs)
 
     def partial(t: pa.Table) -> pa.Table:
-        keys, counts = np.unique(
-            t[col].to_numpy(zero_copy_only=False), return_counts=True
+        _check_sums(t.schema, aggs)
+        spec = [([], "count_all") if op == "count" else (col, op)
+                for op, col in aggs.values()]
+        g = t.group_by(keys, use_threads=False).aggregate(spec)
+        # pyarrow emits the key columns first, then one column per spec
+        return pa.Table.from_arrays(g.columns, names=keys + parts)
+
+    def combine(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(
+            [(p, _COMBINE_OP[op]) for p, (op, _) in zip(parts, aggs.values())]
         )
-        return pa.table({col: keys, "partial_n": counts.astype(np.int64)})
+        g = pa.Table.from_arrays(g.columns, names=keys + list(aggs))
+        return g.sort_by([(k, "ascending") for k in keys])
+
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .repartition(1)
+        .map_batches(combine, batch_format="pyarrow", batch_size=None,
+                     zero_copy_batch=True)
+    )
+
+
+def detect_heavy_keys(ds, col: str, threshold: int) -> np.ndarray:
+    """Keys with more than ``threshold`` rows, via partial counts (the
+    combine sees one row per distinct key per batch, never the data).
+
+    The ``n > threshold`` filter runs inside the pipeline, so the driver
+    only ever collects the hot keys themselves — O(hot), not O(distinct).
+    Fine-precision cell keys or string keys with 10⁶+ distinct values would
+    otherwise materialize the whole distinct-key table driver-side."""
+    import pyarrow.compute as pc
 
     def keep_hot(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater(t["n"], threshold))
 
-    hot = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(col)
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .map_batches(keep_hot, batch_format="pyarrow")
+    hot = group_agg(ds, col, {"n": ("count", None)}).map_batches(
+        keep_hot, batch_format="pyarrow"
     )
     parts = [
         b[col].to_numpy(zero_copy_only=False)
         for b in hot.iter_batches(batch_format="pyarrow")
-        # sort-aggregate can emit schema-less empty blocks (map UDFs are
-        # skipped on them — CLAUDE.md); guard instead of crashing on b[col]
-        if b.num_rows and col in b.column_names
     ]
     if not parts:
         return np.empty(0, dtype=np.int64)

@@ -43,7 +43,7 @@ import pyarrow as pa
 from georay import runtime
 from georay.ops.similarity import (
     _normalize,
-    dim_ranges,
+    dim_bounds,
     emb_matrix,
     sq8_quantize,
     train_centroids,
@@ -97,7 +97,6 @@ class VecIndex:
         n_centroids: int = 16,
         id_col: str = "vec_id",
         emb_col: str = "embedding",
-        combine_partitions: int = 4,
         resume: bool = True,
     ) -> "VecIndex":
         """Train quantizers, encode every vector, write one partition per
@@ -106,19 +105,13 @@ class VecIndex:
         would use for bit-parity, or any representative sample otherwise.
 
         The SQ8 codebook (per-dim min/max) is computed DISTRIBUTED over
-        the full corpus (``dim_ranges`` two-phase); only the O(dim)
+        the full corpus (``dim_ranges``); only the O(dim)
         result and the O(n_centroids × dim) centroids live driver-side."""
         import ray
 
         os.makedirs(root, exist_ok=True)
 
-        ranges_t = pa.concat_tables(
-            list(dim_ranges(ds, emb_col, combine_partitions).iter_batches(
-                batch_format="pyarrow"))
-        )
-        order = np.argsort(ranges_t["dim"].to_numpy(zero_copy_only=False))
-        mn = ranges_t["mn"].to_numpy(zero_copy_only=False)[order]
-        mx = ranges_t["mx"].to_numpy(zero_copy_only=False)[order]
+        mn, mx = dim_bounds(ds, emb_col)
         cents = train_centroids(np.asarray(sample_mat), n_centroids)
         dim = int(mn.size)
 
@@ -163,7 +156,6 @@ class VecIndex:
         m_subspaces: int = 8,
         id_col: str = "vec_id",
         emb_col: str = "embedding",
-        combine_partitions: int = 4,
         resume: bool = True,
     ) -> "VecIndex":
         """IVF-PQ build: every vector persists as ``m_subspaces`` one-byte
@@ -179,13 +171,7 @@ class VecIndex:
 
         os.makedirs(root, exist_ok=True)
 
-        ranges_t = pa.concat_tables(
-            list(dim_ranges(ds, emb_col, combine_partitions).iter_batches(
-                batch_format="pyarrow"))
-        )
-        order = np.argsort(ranges_t["dim"].to_numpy(zero_copy_only=False))
-        mn = ranges_t["mn"].to_numpy(zero_copy_only=False)[order]
-        mx = ranges_t["mx"].to_numpy(zero_copy_only=False)[order]
+        mn, mx = dim_bounds(ds, emb_col)
         dim = int(mn.size)
         if dim % m_subspaces:
             raise ValueError(

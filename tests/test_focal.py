@@ -21,7 +21,7 @@ def _run(cells: np.ndarray, vals: np.ndarray) -> pd.DataFrame:
                   "n": pa.array(vals.astype(np.int64))})
     )
     out = focal_sum(ds, BITS, cell_col="cell", value_col="n",
-                    combine_partitions=2, num_partitions=2).to_pandas()
+                    num_partitions=2).to_pandas()
     return out.sort_values("cell").reset_index(drop=True)
 
 

@@ -194,3 +194,32 @@ def test_image_fmt_jpeg_share():
     px = images.synth_pixels(5)
     back = images.decode_image(images.encode_image(px, "jpeg"), "jpeg")
     assert images.psnr(px, back) >= 40.0
+
+
+def test_image_read_stage_is_not_fused(ray_session, tmp_path):
+    """The file-read stage asks for at most one CPU (so a 1-CPU node can
+    schedule it) and still runs as its own operator: a fused read would
+    take the downstream batch_size over the PATHS input."""
+    import re
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from georay import fixtures
+
+    for i in range(3):
+        pq.write_table(pa.table({"image_id": [f"img{i:012d}"],
+                                 "bytes": [bytes(8)]}),
+                       str(tmp_path / f"part-{i}.parquet"))
+    ds = fixtures._read_images_path(str(tmp_path), None).map_batches(
+        lambda t: t, batch_format="pyarrow", batch_size=64
+    )
+    read_ops = [op for op in ds._logical_plan.dag.post_order_iter()
+                if op.name == "MapBatches(readf)"]
+    assert len(read_ops) == 1
+    assert read_ops[0]._ray_remote_args["num_cpus"] <= 1
+    out = ds.materialize()
+    assert out.count() == 3
+    stats = out.stats()
+    assert re.search(r"Operator \d+ MapBatches\(readf\):", stats), stats
+    assert "MapBatches(readf)->" not in stats

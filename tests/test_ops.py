@@ -450,7 +450,6 @@ def test_zonal_stats_matches_pandas(ray_session):
     out = (
         tiles.zonal_stats(
             ray.data.from_arrow(t).repartition(8), "zone", "v",
-            combine_partitions=2,
         )
         .to_pandas()
         .sort_values("zone")
@@ -551,7 +550,7 @@ def test_pivot_counts_matches_crosstab(ray_session):
             ray.data.from_arrow(
                 pa.Table.from_pandas(df, preserve_index=False)
             ).repartition(5),
-            "k", "c", values=["a", "b", "zz"], combine_partitions=2,
+            "k", "c", values=["a", "b", "zz"],
         )
         .to_pandas().sort_values("k").reset_index(drop=True)
     )

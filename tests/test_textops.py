@@ -361,7 +361,7 @@ def test_tfidf_topk_known_corpus(ray_session):
     )
     ds = ray.data.from_pandas(corpus).repartition(2)
     got = (
-        text_ops.tfidf_topk(ds, k=2, num_partitions=4, combine_partitions=2)
+        text_ops.tfidf_topk(ds, k=2, num_partitions=4)
         .to_pandas()
         .sort_values(["doc_id", "rank"])
         .reset_index(drop=True)
@@ -549,7 +549,7 @@ def test_ngram_span_stats_vs_brute(ray_session):
         got = (
             ngram_span_stats(
                 ray.data.from_arrow(tab).repartition(5), k=k,
-                num_partitions=3, combine_partitions=2,
+                num_partitions=3,
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -597,7 +597,7 @@ def test_setsim_join_vs_brute(ray_session):
         got = (
             setsim_join(
                 ray.data.from_arrow(tab).repartition(4), num=num, den=den,
-                num_partitions=3, combine_partitions=2, max_bucket=None,
+                num_partitions=3, max_bucket=None,
             )
             .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
         )
@@ -637,7 +637,7 @@ def test_setsim_join_big_vocab_join_path(ray_session):
         return (
             setsim_join(
                 ray.data.from_arrow(tab).repartition(3), num=1, den=2,
-                num_partitions=2, combine_partitions=2, max_bucket=None,
+                num_partitions=2, max_bucket=None,
                 broadcast_vocab_max=bmax,
             )
             .to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -693,7 +693,7 @@ def test_cooccur_topk_vs_brute(ray_session):
     got = (
         cooccur_topk(
             ray.data.from_arrow(tab).repartition(4), k=10,
-            combine_partitions=2, num_partitions=2,
+            num_partitions=2,
         )
         .to_pandas().reset_index(drop=True)
     )
@@ -725,7 +725,7 @@ def test_cooccur_topk_join_path_parity(ray_session):
         return (
             cooccur_topk(
                 ray.data.from_arrow(tab).repartition(3), k=8,
-                combine_partitions=2, num_partitions=2,
+                num_partitions=2,
                 broadcast_vocab_max=bmax,
             ).to_pandas().reset_index(drop=True)
         )
@@ -825,8 +825,7 @@ def test_decontaminate_vs_brute(ray_session):
     train = ds.map_batches(keep(lambda i: i % 7 != 0), batch_format="pyarrow")
     bench = ds.map_batches(keep(lambda i: i % 7 == 0), batch_format="pyarrow")
     got = (
-        decontaminate(train, bench, k=k, num_partitions=3,
-                      combine_partitions=2)
+        decontaminate(train, bench, k=k, num_partitions=3)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert len(got) == len(want)
