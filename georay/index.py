@@ -10,7 +10,11 @@ reducer owns its cells exclusively; manifest commits are atomic renames).
 
 Queries prune at the partition level (only files whose prefix intersects the
 requested cells/box are opened), then refine exactly on the cell column —
-the distributed analogue of the reference's per-code KV lookups.
+the distributed analogue of the reference's per-code KV lookups. A pruned
+read of at most one block (the files' uncompressed bytes, from their
+footers, ≤ ``DataContext.target_max_block_size``) runs in the driver with
+pyarrow: on a 2-CPU node a Ray Data job cost ~100 ms per ring-1 lookup of
+one or two ~50 KB files, the pyarrow read ~3 ms.
 """
 
 from __future__ import annotations
@@ -20,11 +24,50 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray.data
+from ray.data import DataContext
+from ray.data.dataset import Dataset, MaterializedDataset
 
 from georay import cells as cells_mod
 from georay import codec, runtime
 
 _PROPS = "_index.json"
+
+
+def _add_prefix(t: pa.Table, cell_col: str, shift: int) -> pa.Table:
+    cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+    return t.append_column(
+        "_prefix", pa.array((cell >> np.uint64(shift)).astype(np.int64))
+    )
+
+
+def _keyed(ds, cell_col: str, shift: int):
+    """``ds`` plus the ``_prefix`` partition column (cell >> shift)."""
+    return ds.map_batches(_add_prefix, batch_format="pyarrow",
+                          fn_kwargs={"cell_col": cell_col, "shift": shift})
+
+
+def _drop_prefix(t: pa.Table) -> pa.Table:
+    return t.drop_columns(["_prefix"]) if "_prefix" in t.column_names else t
+
+
+def _refine(t: pa.Table, cell_col: str, wanted: np.ndarray) -> pa.Table:
+    """Rows whose cell is in ``wanted`` (sorted int64), minus ``_prefix``."""
+    got = t[cell_col].to_numpy(zero_copy_only=False)
+    return _drop_prefix(t.filter(pa.array(np.isin(got, wanted))))
+
+
+class _OneBlock(MaterializedDataset):
+    """The one-block answer of a driver-side read. Ray's ``to_pandas``
+    skips zero-row blocks and so returns no columns; this one keeps the
+    block's typed columns."""
+
+    def to_pandas(self, limit=None):
+        df = super().to_pandas(limit)
+        if len(df.columns) == 0:
+            return self.schema().base_schema.empty_table().to_pandas()
+        return df
 
 
 class CellIndex:
@@ -62,17 +105,9 @@ class CellIndex:
         """init_geohash + update parity: shuffle records by cell prefix and
         write one partition file per prefix with a committed manifest."""
         os.makedirs(root, exist_ok=True)
-        shift = bits - prefix_bits
-
-        def add_prefix(t: pa.Table) -> pa.Table:
-            cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            return t.append_column(
-                "_prefix", pa.array((cell >> np.uint64(shift)).astype(np.int64))
-            )
-
-        keyed = ds.map_batches(add_prefix, batch_format="pyarrow")
         runtime.write_partitioned(
-            keyed, root, "_prefix", resume=resume, lineage=f"build bits={bits}"
+            _keyed(ds, cell_col, bits - prefix_bits), root, "_prefix",
+            resume=resume, lineage=f"build bits={bits}",
         )
         props = {"bits": bits, "prefix_bits": prefix_bits, "cell_col": cell_col}
         tmp = os.path.join(root, _PROPS + ".tmp")
@@ -89,17 +124,8 @@ class CellIndex:
             self.root,
             f"frag-{len([d for d in os.listdir(self.root) if d.startswith('frag-')])}",
         )
-        shift = self.bits - self.prefix_bits
-        cell_col = self.cell_col
-
-        def add_prefix(t: pa.Table) -> pa.Table:
-            cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            return t.append_column(
-                "_prefix", pa.array((cell >> np.uint64(shift)).astype(np.int64))
-            )
-
         runtime.write_partitioned(
-            ds.map_batches(add_prefix, batch_format="pyarrow"),
+            _keyed(ds, self.cell_col, self.bits - self.prefix_bits),
             frag,
             "_prefix",
             resume=False,
@@ -123,21 +149,12 @@ class CellIndex:
         frags = [d for d in os.listdir(self.root) if d.startswith("frag-")]
         if not frags:
             return
-        shift = self.bits - self.prefix_bits
-        cell_col = self.cell_col
-
-        def add_prefix(t: pa.Table) -> pa.Table:
-            cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            return t.append_column(
-                "_prefix", pa.array((cell >> np.uint64(shift)).astype(np.int64))
-            )
-
         tmp = self.root.rstrip("/") + ".compact-tmp"
         old = self.root.rstrip("/") + ".compact-old"
         shutil.rmtree(tmp, ignore_errors=True)
         shutil.rmtree(old, ignore_errors=True)
         runtime.write_partitioned(
-            self.scan().map_batches(add_prefix, batch_format="pyarrow"),
+            _keyed(self.scan(), self.cell_col, self.bits - self.prefix_bits),
             tmp,
             "_prefix",
             resume=False,
@@ -153,7 +170,9 @@ class CellIndex:
 
     # -------------------------------------------------------------- querying
 
-    def _files_for_prefixes(self, prefixes: set[int]) -> list[str]:
+    def _partition_files(self) -> list[tuple[int, str]]:
+        """``(prefix, path)`` of every partition file: the base layout plus
+        each ``extend()`` fragment dir."""
         roots = [self.root] + [
             os.path.join(self.root, d)
             for d in os.listdir(self.root)
@@ -164,22 +183,21 @@ class CellIndex:
             for f in os.listdir(r):
                 if f.startswith("part-") and f.endswith(".parquet"):
                     p = int(f[len("part-") : -len(".parquet")].rsplit("-", 1)[0])
-                    if p in prefixes:
-                        out.append(os.path.join(r, f))
+                    out.append((p, os.path.join(r, f)))
         return out
-
-    def _read_pruned(self, prefixes: set[int], columns=None):
-        import ray.data
-
-        files = self._files_for_prefixes(prefixes)
-        if not files:
-            return None
-        return ray.data.read_parquet(files, columns=columns)
 
     def query_cells(self, cells: np.ndarray, columns=None,
                     expand_neighbors: bool = False, ring: int = 1):
         """X5 parity: records of exactly these cells — partition-pruned read
-        + exact cell filter (vectorized isin per batch).
+        + exact cell filter (vectorized isin). Returns a Dataset, or None
+        when no partition file matches.
+
+        A pruned read of at most one block — the files' uncompressed bytes,
+        summed from their parquet footers, ≤
+        ``DataContext.target_max_block_size`` — runs in the driver with
+        pyarrow and comes back as a materialized one-block Dataset whose
+        ``to_pandas`` keeps the typed columns when no row matches. Larger
+        reads run as a Ray Data ``read_parquet`` + refine map.
 
         ``expand_neighbors=True`` widens the request by the Chebyshev
         ``ring`` of surrounding cells first (the reference's border-
@@ -191,25 +209,30 @@ class CellIndex:
             cells = np.unique(ring_cells.reshape(-1)[valid.reshape(-1)])
         shift = self.bits - self.prefix_bits
         prefixes = set((cells >> np.uint64(shift)).astype(np.int64).tolist())
+        files = [f for p, f in self._partition_files() if p in prefixes]
+        if not files:
+            return None
         if columns is not None:
             # the refine step needs the cell column; _prefix is dropped there
             columns = list(dict.fromkeys(list(columns) + [self.cell_col]))
             columns = [c for c in columns if c != "_prefix"]
-        ds = self._read_pruned(prefixes, columns)
-        if ds is None:
-            return None
-        cell_col = self.cell_col
         wanted = np.sort(cells.astype(np.int64))
-
-        def refine(t: pa.Table) -> pa.Table:
-            got = t[cell_col].to_numpy(zero_copy_only=False)
-            keep = np.isin(got, wanted)
-            out = t.filter(pa.array(keep))
-            if "_prefix" in out.column_names:
-                out = out.drop_columns(["_prefix"])
-            return out
-
-        return ds.map_batches(refine, batch_format="pyarrow")
+        nbytes = sum(
+            md.row_group(i).total_byte_size
+            for md in map(pq.read_metadata, files)
+            for i in range(md.num_row_groups)
+        )
+        if nbytes <= DataContext.get_current().target_max_block_size:
+            t = pa.concat_tables(
+                [runtime.strip_metadata(pq.read_table(f, columns=columns))
+                 for f in files]
+            )
+            t = _refine(t, self.cell_col, wanted)
+            return Dataset.copy(ray.data.from_arrow(t), _as=_OneBlock)
+        return ray.data.read_parquet(files, columns=columns).map_batches(
+            _refine, batch_format="pyarrow",
+            fn_kwargs={"cell_col": self.cell_col, "wanted": wanted},
+        )
 
     def query_box(self, box: tuple, columns=None):
         """X6 parity: records of every cell intersecting the box cover —
@@ -217,34 +240,19 @@ class CellIndex:
         cover = codec.bounding_boxes(box, self.bits)
         return self.query_cells(cover, columns)
 
-    def _all_prefixes(self) -> set[int]:
-        roots = [self.root] + [
-            os.path.join(self.root, d)
-            for d in os.listdir(self.root)
-            if d.startswith("frag-")
-        ]
-        out = set()
-        for r in roots:
-            for f in os.listdir(r):
-                if f.startswith("part-") and f.endswith(".parquet"):
-                    out.add(int(f[len("part-") : -len(".parquet")].rsplit("-", 1)[0]))
-        return out
-
     def keys(self) -> np.ndarray:
         """X4 parity: distinct cells present (sorted numpy array —
         ``Dataset.unique`` already collects to the driver in Ray)."""
-        ds = self._read_pruned(self._all_prefixes(), [self.cell_col])
+        ds = self.scan([self.cell_col])
         if ds is None:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.asarray(ds.unique(self.cell_col), dtype=np.int64))
 
     def scan(self, columns=None):
         """X4 values()/items() parity: full index scan as a Dataset."""
-        ds = self._read_pruned(self._all_prefixes(), columns)
-        if ds is None:
+        files = [f for _, f in self._partition_files()]
+        if not files:
             return None
-
-        def drop(t: pa.Table) -> pa.Table:
-            return t.drop_columns(["_prefix"]) if "_prefix" in t.column_names else t
-
-        return ds.map_batches(drop, batch_format="pyarrow")
+        return ray.data.read_parquet(files, columns=columns).map_batches(
+            _drop_prefix, batch_format="pyarrow"
+        )

@@ -557,7 +557,6 @@ def q_spatial_join_shuffle(sf_dir: str):
         cust,
         supp,
         on="cell",
-        num_partitions=8,
         left_cols=["c_custkey", "cx", "cy"],
         right_cols=["s_suppkey"],
     )
@@ -3971,7 +3970,6 @@ def q_knn_shuffle(sf_dir: str):
         ring=1,
         query_id="c_custkey",
         ref_id="s_suppkey",
-        num_partitions=8,
         expand_side="refs",  # suppliers are 15x fewer: explode the small side
     )
     return out.select_columns(["c_custkey", "s_suppkey", "rank"])

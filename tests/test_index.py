@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from georay import codec
 from georay.index import CellIndex
@@ -24,7 +25,40 @@ def _points(n, seed=0):
     )
 
 
-def test_build_query_cells(ray_session, tmp_path):
+@pytest.fixture
+def read_paths(ray_session):
+    """``for path in read_paths():`` runs the loop body once on each side
+    of ``query_cells``' read selection: at Ray's default block size, which
+    the tests' pruned files fit (``"driver"``: a pyarrow read in the
+    driver), then at a 1-byte block size, which no file fits (``"ray"``: a
+    Ray Data job). Keep builds out of the loop: 1-byte blocks make their
+    shuffle crawl. The block size is restored afterwards."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+
+    def paths():
+        for path, size in (("driver", saved), ("ray", 1)):
+            ctx.target_max_block_size = size
+            try:
+                yield path
+            finally:
+                ctx.target_max_block_size = saved
+
+    yield paths
+    ctx.target_max_block_size = saved
+
+
+def _on_path(ds, path):
+    """``ds``, after checking that it came from the ``path`` side."""
+    from ray.data.dataset import MaterializedDataset
+
+    assert isinstance(ds, MaterializedDataset) == (path == "driver")
+    return ds
+
+
+def test_build_query_cells(ray_session, tmp_path, read_paths):
     import ray
 
     t = _points(3000)
@@ -34,13 +68,14 @@ def test_build_query_cells(ray_session, tmp_path):
     )
     # query a handful of known cells -> exactly their records
     want_cells = np.unique(t["cell"].to_numpy())[:20]
-    out = idx.query_cells(want_cells).to_pandas()
     df = t.to_pandas()
     want = df[df["cell"].isin(want_cells)]
-    assert sorted(out["rec_id"]) == sorted(want["rec_id"])
+    for path in read_paths():
+        out = _on_path(idx.query_cells(want_cells), path).to_pandas()
+        assert sorted(out["rec_id"]) == sorted(want["rec_id"])
 
 
-def test_query_box_matches_filter(ray_session, tmp_path):
+def test_query_box_matches_filter(ray_session, tmp_path, read_paths):
     import ray
 
     t = _points(3000, seed=1)
@@ -49,21 +84,22 @@ def test_query_box_matches_filter(ray_session, tmp_path):
         prefix_bits=6,
     )
     box = (-30.0, -20.0, 40.0, 35.0)
-    out = idx.query_box(box).to_pandas()
     # oracle: records whose CELL is in the box cover (cell-granular semantics,
     # reference X6 parity)
     cover = set(codec.bounding_boxes(box, 16).astype(np.int64).tolist())
     df = t.to_pandas()
     want = df[df["cell"].isin(cover)]
-    assert sorted(out["rec_id"]) == sorted(want["rec_id"])
-    # every point actually in the box is returned (cover is a superset)
     inside = df[
         (df.lon >= box[0]) & (df.lat >= box[1]) & (df.lon <= box[2]) & (df.lat <= box[3])
     ]
-    assert set(inside["rec_id"]) <= set(out["rec_id"])
+    for path in read_paths():
+        out = _on_path(idx.query_box(box), path).to_pandas()
+        assert sorted(out["rec_id"]) == sorted(want["rec_id"])
+        # every point actually in the box is returned (cover is a superset)
+        assert set(inside["rec_id"]) <= set(out["rec_id"])
 
 
-def test_extend_and_keys(ray_session, tmp_path):
+def test_extend_and_keys(ray_session, tmp_path, read_paths):
     import ray
 
     t1 = _points(1000, seed=2)
@@ -78,13 +114,14 @@ def test_extend_and_keys(ray_session, tmp_path):
     assert keys.tolist() == sorted(all_cells.tolist())
     # query_cells sees records from both the base build and the extension
     c = int(t2["cell"][0].as_py())
-    out = idx.query_cells(np.array([c])).to_pandas()
     df1, df2 = t1.to_pandas(), t2.to_pandas()
     want = list(df1[df1.cell == c]["rec_id"]) + list(df2[df2.cell == c]["rec_id"])
-    assert sorted(out["rec_id"]) == sorted(want)
+    for path in read_paths():
+        out = _on_path(idx.query_cells(np.array([c])), path).to_pandas()
+        assert sorted(out["rec_id"]) == sorted(want)
 
 
-def test_extend_compact_query_equivalence(ray_session, tmp_path):
+def test_extend_compact_query_equivalence(ray_session, tmp_path, read_paths):
     import os
 
     import ray
@@ -104,10 +141,11 @@ def test_extend_compact_query_equivalence(ray_session, tmp_path):
     assert sum(len(fs) for _, _, fs in os.walk(root)) < n_files_before
     # query parity after compaction
     c = int(t2["cell"][0].as_py())
-    out = idx.query_cells(np.array([c])).to_pandas()
     df1, df2 = t1.to_pandas(), t2.to_pandas()
     want = list(df1[df1.cell == c]["rec_id"]) + list(df2[df2.cell == c]["rec_id"])
-    assert sorted(out["rec_id"]) == sorted(want)
+    for path in read_paths():
+        out = _on_path(idx.query_cells(np.array([c])), path).to_pandas()
+        assert sorted(out["rec_id"]) == sorted(want)
     # compact with no fragments is a no-op
     idx.compact()
     assert sorted(idx.scan().to_pandas()["rec_id"]) == before
@@ -163,3 +201,47 @@ def test_query_cells_with_explicit_columns(ray_session, tmp_path):
     df = t.to_pandas()
     want = df[df["cell"].isin(some)]
     assert sorted(out["rec_id"]) == sorted(want["rec_id"])
+
+
+def test_small_query_returns_materialized_dataset(ray_session, tmp_path):
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    t = _points(500, seed=10)
+    idx = CellIndex.build(
+        ray.data.from_arrow(t), str(tmp_path / "ixm"), bits=16, prefix_bits=6
+    )
+    # a ring-1 lookup prunes to one or two small files: read in the driver
+    out = idx.query_cells(t["cell"].to_numpy()[:1], expand_neighbors=True)
+    assert isinstance(out, MaterializedDataset)
+    assert out.num_blocks() == 1
+
+
+def test_query_without_matching_rows_keeps_typed_columns(ray_session, tmp_path):
+    import ray
+
+    t = _points(500, seed=11)
+    idx = CellIndex.build(
+        ray.data.from_arrow(t), str(tmp_path / "ixe"), bits=16, prefix_bits=6
+    )
+    # a cell absent from the data whose prefix partition file exists
+    present = np.unique(t["cell"].to_numpy())
+    absent = np.setdiff1d(np.arange(present[0], present[0] + 64), present)[:1]
+    assert absent.size and absent[0] >> 10 == present[0] >> 10
+    df = idx.query_cells(absent, columns=["rec_id"]).to_pandas()
+    assert len(df) == 0
+    assert df.dtypes.to_dict() == {"rec_id": np.int64, "cell": np.int64}
+
+
+def test_query_never_returns_prefix_column(ray_session, tmp_path, read_paths):
+    import ray
+
+    t = _points(500, seed=12)
+    idx = CellIndex.build(
+        ray.data.from_arrow(t), str(tmp_path / "ixp"), bits=16, prefix_bits=6
+    )
+    some = np.unique(t["cell"].to_numpy())[:10]
+    for path in read_paths():
+        for columns in (["rec_id", "_prefix"], None):
+            out = _on_path(idx.query_cells(some, columns=columns), path).to_pandas()
+            assert len(out) > 0 and "_prefix" not in out.columns
