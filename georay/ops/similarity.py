@@ -1,8 +1,8 @@
 """Similarity search over embedding columns (list<float>).
 
 - :func:`brute_topk` — exact cosine top-k: per-batch numpy matmul against a
-  broadcast (normalized) query matrix + local top-k, then a tiny per-query
-  merge. The baseline; exact.
+  broadcast (normalized) query matrix + local top-k, then
+  ``rank.grouped_topk`` merges per hash bucket. The baseline; exact.
 - :func:`ivf_topk` — IVF scale path: k-means centroids (trained once on a
   driver-side sample), every vector assigned to its nearest centroid inside
   ``map_batches``; queries probe only the ``n_probe`` nearest buckets.
@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # module level (worker-executed code must not import georay at runtime —
 # CLAUDE.md invariant; by-value cloudpickle only covers captured objects)
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
+from georay.ops.rank import grouped_topk
 from georay.ops.sketch import splitmix64
 from georay.runtime import group_agg
 
@@ -45,7 +47,6 @@ def brute_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
     (the nearest vectors that are NOT of the query's own class). The mask
     is a batch-local boolean outer compare; no extra pass or shuffle.
     """
-    import pandas as pd
     import ray
 
     q_labels = None if query_labels is None else np.asarray(query_labels)
@@ -85,19 +86,13 @@ def brute_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
     from georay.runtime import per_process
 
     def local_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, LocalTopK)(t)
+        t = per_process(state_key, LocalTopK)(t)
+        return t.filter(pc.is_finite(t["sim"]))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[np.isfinite(g["sim"])]
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1))
-        return g[["query_id", "neighbor_id", "sim", "rank"]]
-
-    return local.repartition(8).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return grouped_topk(local, ["query_id"], ["sim", "neighbor_id"],
+                        [False, True], k)
 
 
 def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
@@ -125,7 +120,6 @@ def ivf_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
     Every batch assigns its vectors to centroids; vectors in buckets no
     query probes are dropped before any scoring — at scale this is the
     pruning that turns O(N·Q) into O(N·Q·n_probe/n_centroids)."""
-    import pandas as pd
     import ray
 
     if sample_mat is None:
@@ -184,19 +178,13 @@ def ivf_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
     from georay.runtime import per_process
 
     def local_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, BucketTopK)(t)
+        t = per_process(state_key, BucketTopK)(t)
+        return t.filter(pc.is_finite(t["sim"]))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[np.isfinite(g["sim"])]
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1))
-        return g[["query_id", "neighbor_id", "sim", "rank"]]
-
-    return local.repartition(8).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return grouped_topk(local, ["query_id"], ["sim", "neighbor_id"],
+                        [False, True], k)
 
 
 def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
@@ -220,7 +208,6 @@ def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
     the same distributed :func:`dim_ranges` codebook and broadcast once
     (``ray.put``); centroids train driver-side on ``sample_mat`` (or the
     query matrix). Output: ``query_id, neighbor_id, score, rank``."""
-    import pandas as pd
     import ray
 
     from georay.runtime import per_process
@@ -300,21 +287,13 @@ def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
             )
 
     def local_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, BucketTopK)(t)
+        t = per_process(state_key, BucketTopK)(t)
+        return t.filter(pc.greater_equal(t["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["score"] >= 0]
-        g = g.sort_values(
-            ["score", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-        return g[["query_id", "neighbor_id", "score", "rank"]]
-
-    return local.repartition(8).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return grouped_topk(local, ["query_id"], ["score", "neighbor_id"],
+                        [False, True], k)
 
 
 def cosine_pairs_brute(ds, all_table: pa.Table, threshold: float,
@@ -747,9 +726,8 @@ def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
     Queries are the rows with ``vec_id % query_mask_mod == 0`` (the
     ann_topk convention), quantized with the SAME ranges and broadcast.
     Per batch: quantize rows, int64 matmul vs the query code matrix, local
-    top-k; one small per-query merge finishes. Self-matches are excluded.
+    top-k; ``rank.grouped_topk`` merges. Self-matches are excluded.
     Output: ``query_id, neighbor_id, score, rank``."""
-    import pandas as pd
     import ray
 
     from georay.runtime import per_process
@@ -800,21 +778,13 @@ def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
             )
 
     def local_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, LocalTopK)(t)
+        t = per_process(state_key, LocalTopK)(t)
+        return t.filter(pc.greater_equal(t["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["score"] >= 0]
-        g = g.sort_values(
-            ["score", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-        return g[["query_id", "neighbor_id", "score", "rank"]]
-
-    return local.repartition(8).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return grouped_topk(local, ["query_id"], ["score", "neighbor_id"],
+                        [False, True], k)
 
 
 def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
@@ -839,9 +809,8 @@ def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
 
     Per batch: quantize -> per-subspace assignment (one (rows, cw, d_sub)
     squared-distance reduction per subspace) -> per-query LUT gather ->
-    local top-k; one small per-query merge finishes. Self-matches
+    local top-k; ``rank.grouped_topk`` merges. Self-matches
     excluded. Output: ``query_id, neighbor_id, score, rank``."""
-    import pandas as pd
     import ray
 
     from georay.runtime import per_process
@@ -917,21 +886,13 @@ def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
             )
 
     def local_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, LocalTopK)(t)
+        t = per_process(state_key, LocalTopK)(t)
+        return t.filter(pc.greater_equal(t["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["score"] >= 0]
-        g = g.sort_values(
-            ["score", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-        return g[["query_id", "neighbor_id", "score", "rank"]]
-
-    return local.repartition(8).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return grouped_topk(local, ["query_id"], ["score", "neighbor_id"],
+                        [False, True], k)
 
 
 def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
@@ -952,7 +913,6 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
     mathematically identical to :func:`pq_topk` (hard-checked against
     the relational PQ oracle); pruned mode is recall-tested on clustered
     data. Output: ``query_id, neighbor_id, score, rank``."""
-    import pandas as pd
     import ray
 
     from georay.runtime import per_process
@@ -1053,21 +1013,13 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
             )
 
     def local_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, BucketTopK)(t)
+        t = per_process(state_key, BucketTopK)(t)
+        return t.filter(pc.greater_equal(t["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g["score"] >= 0]
-        g = g.sort_values(
-            ["score", "neighbor_id"], ascending=[False, True]
-        ).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-        return g[["query_id", "neighbor_id", "score", "rank"]]
-
-    return local.repartition(8).groupby("query_id").map_groups(
-        merge, batch_format="pandas"
-    )
+    return grouped_topk(local, ["query_id"], ["score", "neighbor_id"],
+                        [False, True], k)
 
 
 def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
@@ -1079,7 +1031,7 @@ def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
     ties break to the SMALLEST label, deterministically. The evaluation
     staple over an embedding column.
 
-    Plan: :func:`brute_topk` (broadcast queries, local top-k, tiny merge)
+    Plan: :func:`brute_topk` (broadcast queries, local top-k, grouped merge)
     → hash join neighbor ids to their labels → per-(query, label) vote
     counts collapse per batch (≤ k rows a query) → bucketed argmax: one
     groupby(hash-bucket) with a vectorized sort + first-per-run inside —

@@ -140,7 +140,6 @@ def q_cover_grid(sf_dir: str):
     """Enumerate the cell cover of a box as a streamed generator dataset and
     aggregate its shape — never materialized on the driver (SURVEY.md S4)."""
     import ray.data
-    from ray.data.aggregate import Count, Max, Min
 
     _, lon_boxes, lat_boxes, x0, y0 = codec.grid_properties(COVER_BOX, BITS_COVER)
     nx, _ = codec.split_bits(BITS_COVER)
@@ -162,16 +161,11 @@ def q_cover_grid(sf_dir: str):
         )
         return pa.table({"x": x, "y": y})
 
-    agg = cover.map_batches(xy, batch_format="pyarrow").aggregate(
-        Count(alias_name="n_cells"),
-        Min("x", alias_name="x_min"),
-        Max("x", alias_name="x_max"),
-        Min("y", alias_name="y_min"),
-        Max("y", alias_name="y_max"),
+    return runtime.group_agg(
+        cover.map_batches(xy, batch_format="pyarrow"), [],
+        {"n_cells": ("count", None), "x_min": ("min", "x"),
+         "x_max": ("max", "x"), "y_min": ("min", "y"), "y_max": ("max", "y")},
     )
-    import pandas as pd
-
-    return pd.DataFrame([agg])
 
 
 SQL_COVER_GRID = f"""
@@ -251,25 +245,19 @@ def q_cover_area(sf_dir: str):
     the closed-form band area, so no float summation order ever crosses
     the distributed/SQL boundary (band boundaries are dyadic-exact
     degrees; the sin/radians parity is the cell_area contract)."""
-    from ray.data.aggregate import Sum
-
     rx, ry = poly_l_ring()
     cov = cells.polygon_cover_dataset(rx, ry, BITS_POLY)
 
-    def band_partial(t: pa.Table) -> pa.Table:
+    def band(t: pa.Table) -> pa.Table:
         _, y = codec.deinterleave(
             t["cell"].to_numpy(zero_copy_only=False).astype(np.uint64),
             BITS_POLY,
         )
-        u, n = np.unique(y.astype(np.int64), return_counts=True)
-        return pa.table({"cy": u, "p_n": n.astype(np.int64)})
+        return pa.table({"cy": y.astype(np.int64)})
 
-    agg = (
-        cov.map_batches(band_partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-        .repartition(4)
-        .groupby("cy")
-        .aggregate(Sum("p_n", alias_name="n_cells"))
+    agg = runtime.group_agg(
+        cov.map_batches(band, batch_format="pyarrow", zero_copy_batch=True),
+        "cy", {"n_cells": ("count", None)},
     )
 
     nx, ny = codec.split_bits(BITS_POLY)
@@ -314,11 +302,9 @@ def q_cover_morphology(sf_dir: str):
     buffer) and EROSION (cover cells whose whole in-grid neighborhood is
     covered — the one-cell shrink) in ONE support-count plan: each cover
     cell votes for its ≤9 in-grid ring-1 cells (x wraps the antimeridian,
-    y clamps at the poles by dropping), a Sum groupby tallies support,
+    y clamps at the poles by dropping), a group_agg count tallies support,
     and one hash join back against the cover marks membership. Output:
     (x, y, in_cover, eroded) over the dilated set."""
-    from ray.data.aggregate import Sum
-
     rx, ry = poly_l_ring()
     cov = cells.polygon_cover_dataset(rx, ry, BITS_POLY).materialize()
     nx, ny = codec.split_bits(BITS_POLY)
@@ -336,16 +322,11 @@ def q_cover_morphology(sf_dir: str):
                 ty = y + dy
                 m = (ty >= 0) & (ty < h)
                 ks.append(tx[m] * h + ty[m])
-        k = np.concatenate(ks)
-        u, n = np.unique(k, return_counts=True)
-        return pa.table({"k": u, "p_n": n.astype(np.int64)})
+        return pa.table({"k": np.concatenate(ks)})
 
-    support = (
-        cov.map_batches(votes, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4)
-        .groupby("k")
-        .aggregate(Sum("p_n", alias_name="n"))
-        .repartition(4)  # merge blocks: Acero rejects schema-less empties
+    support = runtime.group_agg(
+        cov.map_batches(votes, batch_format="pyarrow", zero_copy_batch=True),
+        "k", {"n": ("count", None)},
     )
 
     def marker(t: pa.Table) -> pa.Table:
@@ -699,26 +680,22 @@ def q_tile_render(sf_dir: str):
     emitted dec_sum comes from the DECODED pixels, so a codec defect
     breaks the match."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from georay import images
     from georay.runtime import table_from_pandas
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def fine_cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, 16).astype(np.int64)  # 256×256 fine
-        u, n = np.unique(cell, return_counts=True)
-        return pa.table({"fcell": u, "p_n": n.astype(np.int64)})
+        # 256×256 fine grid
+        return pa.table({"fcell": codec.encode(lon, lat, 16).astype(np.int64)})
 
-    counts = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("fcell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    counts = runtime.group_agg(
+        orders.map_batches(fine_cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "fcell", {"n": ("count", None)},
     )
 
     def tag_tile(t: pa.Table) -> pa.Table:
@@ -775,8 +752,6 @@ def q_ripley_pairs(sf_dir: str):
     Pairs never materialize beyond per-batch count partials — the join
     feeds an immediate reduce. Same frozen squared-degree metric as the
     dwithin family, so counts are exact."""
-    from ray.data.aggregate import Sum
-
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     cust_pts = spatial.points_with_cells(cust, "c_custkey", BITS_JOIN,
                                          xy=False)
@@ -806,12 +781,10 @@ def q_ripley_pairs(sf_dir: str):
         return pa.table({"r": pa.array(rs, pa.float64()),
                          "p_n": pa.array(ns, pa.int64())})
 
-    return (
+    return runtime.group_agg(
         pairs.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(2)
-        .groupby("r")
-        .aggregate(Sum("p_n", alias_name="n_pairs"))
+                          zero_copy_batch=True),
+        "r", {"n_pairs": ("sum", "p_n")},
     )
 
 
@@ -1006,13 +979,11 @@ FROM deg d LEFT JOIN lab l ON l.pid = d.pid
 
 def q_rolling_wau(sf_dir: str):
     """Rolling 7-day active users per day (the WAU curve): each distinct
-    (user, day) pair expands to the 7 window-end days it supports, a
-    batch-local dedup collapses the expansion, one (window, user) groupby
-    kills cross-batch duplicates, and a two-phase count finishes — the
+    (user, day) pair expands to the 7 window-end days it supports, one
+    distinct (window, user) group_agg collapses the expansion, and a
+    count per window finishes — the
     sliding-distinct shape where only distinct pairs ever shuffle. SQL
     twin: the same expansion via unnest(range(7)) + COUNT(DISTINCT)."""
-    from ray.data.aggregate import Count, Sum
-
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def expand(t: pa.Table) -> pa.Table:
@@ -1021,32 +992,16 @@ def q_rolling_wau(sf_dir: str):
                // 86_400_000_000)
         pack = np.unique(uid * (np.int64(1) << 24) + day)
         u0, d0 = pack >> 24, pack & ((1 << 24) - 1)
-        wd = (d0[:, None] + np.arange(7)[None, :]).reshape(-1)
-        uu = np.repeat(u0, 7)
-        wpack = np.unique(uu * (np.int64(1) << 24) + wd)
-        return pa.table({"wd": wpack & ((1 << 24) - 1),
-                         "user_id": wpack >> 24})
+        return pa.table({
+            "window_day": (d0[:, None] + np.arange(7)[None, :]).reshape(-1),
+            "user_id": np.repeat(u0, 7),
+        })
 
-    pairs = (
-        ev.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["wd", "user_id"])
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["wd"])
+    pairs = runtime.group_agg(
+        ev.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True),
+        ["window_day", "user_id"],
     )
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        u, n = np.unique(t["wd"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"window_day": u.astype(np.int64),
-                         "p_n": n.astype(np.int64)})
-
-    return (
-        pairs.map_batches(count_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(2)
-        .groupby("window_day")
-        .aggregate(Sum("p_n", alias_name="wau"))
-    )
+    return runtime.group_agg(pairs, "window_day", {"wau": ("count", None)})
 
 
 SQL_ROLLING_WAU = """
@@ -1125,26 +1080,20 @@ def q_week_overlap(sf_dir: str):
     per-user Python call) → tiny per-week count joins driver-side
     (weeks are single digits)."""
     import pandas as pd
-    from ray.data.aggregate import Count
 
     from georay.ops import buckets as bk
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def user_week(t: pa.Table) -> pa.Table:
         wk = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
               // 604_800_000_000)
-        pack = np.unique(uid * (np.int64(1) << 24) + wk)
-        return pa.table({"user_id": pack >> 24,
-                         "wk": pack & ((1 << 24) - 1)})
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()), "wk": wk})
 
-    duw = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "wk"])
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["user_id", "wk"])
-        .repartition(8)
+    duw = runtime.group_agg(
+        ev.map_batches(user_week, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["user_id", "wk"],
     )
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -1165,15 +1114,12 @@ def q_week_overlap(sf_dir: str):
             "p_n": np.concatenate([nw, nb]).astype(np.int64),
         })
 
-    from ray.data.aggregate import Sum
-
-    agg = (
+    agg = runtime.group_agg(
         duw.map_batches(add_bucket, batch_format="pyarrow",
                         zero_copy_batch=True)
         .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby(["wk", "kind"])
-        .aggregate(Sum("p_n", alias_name="n"))
+        .map_groups(per_bucket, batch_format="pandas"),
+        ["wk", "kind"], {"n": ("sum", "p_n")},
     ).to_pandas()  # bounded: weeks × 2
 
     wk = agg["wk"].to_numpy().astype(np.int64)
@@ -1216,53 +1162,28 @@ def q_simpson_diversity(sf_dir: str):
     one behavior dominates. Two-phase (user, type) counts → per-user
     rollup of the aggregate rows; users with a single event dropped
     (denominator zero)."""
-    from ray.data.aggregate import Count, Sum
-
     ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
+    def user_type(t: pa.Table) -> pa.Table:
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "t": t["event_type"]})
 
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        et = np.asarray(t["event_type"].to_pylist())
-        df = pd.DataFrame({"u": uid, "t": et})
-        out = df.groupby(["u", "t"], as_index=False).size()
-        return pa.table({
-            "u": out["u"].to_numpy().astype(np.int64),
-            "t": pa.array(out["t"].to_numpy(), pa.string()),
-            "p_n": out["size"].to_numpy().astype(np.int64),
-        })
-
-    per_type = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["u", "t"])
-        .aggregate(Sum("p_n", alias_name="n"))
-        .repartition(8)
+    per_type = runtime.group_agg(
+        ev.map_batches(user_type, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["user_id", "t"], {"n": ("count", None)},
     )
 
-    def rollup(t: pa.Table) -> pa.Table:
-        u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def pair_term(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-        uu, inv = np.unique(u, return_inverse=True)
-        tot = np.zeros(uu.size, np.int64)
-        num = np.zeros(uu.size, np.int64)
-        np.add.at(tot, inv, n)
-        np.add.at(num, inv, n * (n - 1))
-        return pa.table({
-            "user_id": uu,
-            "p_tot": tot, "p_num": num,
-            "p_k": np.bincount(inv).astype(np.int64),
-        })
+        return pa.table({"user_id": t["user_id"], "n": n, "nn": n * (n - 1)})
 
-    agg = (
-        per_type.map_batches(rollup, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .repartition(4)
-        .groupby("user_id")
-        .aggregate(Sum("p_tot", alias_name="n_events"),
-                   Sum("p_num", alias_name="simpson_num"),
-                   Sum("p_k", alias_name="n_types"))
+    agg = runtime.group_agg(
+        per_type.map_batches(pair_term, batch_format="pyarrow",
+                             zero_copy_batch=True),
+        "user_id",
+        {"n_events": ("sum", "n"), "simpson_num": ("sum", "nn"),
+         "n_types": ("count", None)},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1310,23 +1231,19 @@ def q_benford_digits(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def first_digit(t: pa.Table) -> pa.Table:
         cents = np.round(t["o_totalprice"].to_numpy(zero_copy_only=False)
                          * 100).astype(np.int64)
         d = pd.Series(cents).astype(str).str[0].astype(np.int64).to_numpy()
-        u, n = np.unique(d, return_counts=True)
-        return pa.table({"digit": u, "p_n": n.astype(np.int64)})
+        return pa.table({"digit": d})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(2)
-        .groupby("digit")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(first_digit, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "digit", {"n": ("count", None)},
     ).to_pandas()  # bounded: 9 digits
 
     total = int(agg["n"].sum())
@@ -1357,52 +1274,36 @@ def q_pareto_share(sf_dir: str):
     boundary vs everyone — per-customer two-phase revenue sums, the
     distributed quantile boundary (quantile_disc rule, bit-matched),
     and one broadcast-compare pass. All int64; no floats anywhere."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     from georay.ops import sketch as sketch_ops
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
-    def rev_partial(t: pa.Table) -> pa.Table:
-        key = t["l_orderkey"].to_numpy(zero_copy_only=False)
+    def line_rev(t: pa.Table) -> pa.Table:
         cents = np.round(t["l_extendedprice"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64)
         pct = np.round(t["l_discount"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64)
-        rev = cents * (100 - pct)
-        u, inv = np.unique(key, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, rev)
-        return pa.table({"o_orderkey": u, "p_rev": acc})
+        return pa.table({"o_orderkey": t["l_orderkey"],
+                         "rev": cents * (100 - pct)})
 
-    by_order = (
-        li.map_batches(rev_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(8)
-        .groupby("o_orderkey")
-        .aggregate(Sum("p_rev", alias_name="rev"))
-        .repartition(8)
+    by_order = runtime.group_agg(
+        li.map_batches(line_rev, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "o_orderkey", {"rev": ("sum", "rev")},
     )
     joined = by_order.join(orders.repartition(8), join_type="inner",
                            num_partitions=8, on=("o_orderkey",))
 
-    def cust_partial(t: pa.Table) -> pa.Table:
-        c = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r = t["rev"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(c, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, r)
-        return pa.table({"c": u, "p_r": acc})
+    def cust_rev(t: pa.Table) -> pa.Table:
+        return pa.table({"c": t["o_custkey"].cast(pa.int64()),
+                         "rev": t["rev"].cast(pa.int64())})
 
-    by_cust = (
-        joined.map_batches(cust_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("c")
-        .aggregate(Sum("p_r", alias_name="crev"))
+    by_cust = runtime.group_agg(
+        joined.map_batches(cust_rev, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "c", {"crev": ("sum", "rev")},
     )
 
     def tag(t: pa.Table) -> pa.Table:
@@ -1421,25 +1322,17 @@ def q_pareto_share(sf_dir: str):
     def split(t: pa.Table) -> pa.Table:
         r = t["crev"].to_numpy(zero_copy_only=False).astype(np.int64)
         top = r >= q99
-        return pa.table({
-            "p_n": np.array([r.size], np.int64),
-            "p_topn": np.array([int(top.sum())], np.int64),
-            "p_toprev": np.array([int(r[top].sum())], np.int64),
-            "p_rev": np.array([int(r.sum())], np.int64),
-        })
+        return pa.table({"top": top.astype(np.int64),
+                         "toprev": np.where(top, r, 0), "rev": r})
 
-    tot = (
+    tot = runtime.group_agg(
         by_cust.map_batches(split, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        .sum(["p_n", "p_topn", "p_toprev", "p_rev"])
-    )
-    return pd.DataFrame({
-        "n_cust": [np.int64(tot["sum(p_n)"])],
-        "top_n": [np.int64(tot["sum(p_topn)"])],
-        "q99_rev": [np.int64(q99)],
-        "top_rev_u": [np.int64(tot["sum(p_toprev)"])],
-        "total_rev_u": [np.int64(tot["sum(p_rev)"])],
-    })
+                            zero_copy_batch=True), [],
+        {"n_cust": ("count", None), "top_n": ("sum", "top"),
+         "top_rev_u": ("sum", "toprev"), "total_rev_u": ("sum", "rev")},
+    ).to_pandas()
+    tot.insert(2, "q99_rev", np.int64(q99))
+    return tot
 
 
 SQL_PARETO_SHARE = """
@@ -1471,23 +1364,19 @@ def q_spatial_entropy(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     n = agg["n"].to_numpy().astype(np.int64)
@@ -1526,27 +1415,18 @@ def q_cycle_time_median(sf_dir: str):
     a two-phase per-order Max, one hash join to orders, integer day
     diffs, then ops.sketch.grouped_median2 (2×median stays int64).
     SQL twin: window-function percentile replay."""
-    from ray.data.aggregate import Max
-
     from georay.ops import sketch as sketch_ops
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
-    def ship_partial(t: pa.Table) -> pa.Table:
-        key = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        us = t["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        u, inv = np.unique(key, return_inverse=True)
-        mx = np.full(u.size, np.int64(-1) << 62, dtype=np.int64)
-        np.maximum.at(mx, inv, us)
-        return pa.table({"o_orderkey": u, "p_mx": mx})
+    def ship_us(t: pa.Table) -> pa.Table:
+        return pa.table({"o_orderkey": t["l_orderkey"],
+                         "us": t["l_shipdate"].cast(pa.int64())})
 
-    last_ship = (
-        li.map_batches(ship_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(8)
-        .groupby("o_orderkey")
-        .aggregate(Max("p_mx", alias_name="ship_us"))
-        .repartition(8)
+    last_ship = runtime.group_agg(
+        li.map_batches(ship_us, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "o_orderkey", {"ship_us": ("max", "us")},
     )
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderdate",
@@ -1599,41 +1479,29 @@ def q_spherical_resultant(sf_dir: str):
     the nation's points cluster on the sphere) is the one float
     expression, written with identical association order (explicit
     x·π/180, never radians()) on both sides."""
-    from ray.data.aggregate import Sum
-
     import math
 
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     SC = 1_000_000_000
 
-    def partial(t: pa.Table) -> pa.Table:
+    def unit_vec(t: pa.Table) -> pa.Table:
         key = t["c_custkey"].to_numpy(zero_copy_only=False)
-        nat = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
         lon, lat = spatial.synth_lonlat(key)
         lam = lon * math.pi / 180.0
         phi = lat * math.pi / 180.0
-        vx = np.floor(SC * np.cos(phi) * np.cos(lam)).astype(np.int64)
-        vy = np.floor(SC * np.cos(phi) * np.sin(lam)).astype(np.int64)
-        vz = np.floor(SC * np.sin(phi)).astype(np.int64)
-        u, inv = np.unique(nat, return_inverse=True)
-        cols = {}
-        for nm, v in (("p_x", vx), ("p_y", vy), ("p_z", vz),
-                      ("p_n", np.ones_like(vx))):
-            acc = np.zeros(u.size, np.int64)
-            np.add.at(acc, inv, v)
-            cols[nm] = acc
-        return pa.table({"c_nationkey": u, **cols})
+        return pa.table({
+            "c_nationkey": t["c_nationkey"].cast(pa.int64()),
+            "vx": np.floor(SC * np.cos(phi) * np.cos(lam)).astype(np.int64),
+            "vy": np.floor(SC * np.cos(phi) * np.sin(lam)).astype(np.int64),
+            "vz": np.floor(SC * np.sin(phi)).astype(np.int64),
+        })
 
-    agg = (
-        cust.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .repartition(4)
-        .groupby("c_nationkey")
-        .aggregate(Sum("p_x", alias_name="sx"),
-                   Sum("p_y", alias_name="sy"),
-                   Sum("p_z", alias_name="sz"),
-                   Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        cust.map_batches(unit_vec, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "c_nationkey",
+        {"sx": ("sum", "vx"), "sy": ("sum", "vy"), "sz": ("sum", "vz"),
+         "n": ("count", None)},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -1691,27 +1559,18 @@ def q_hour_concentration(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ev = _read(sf_dir, "events", columns=["event_type", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        et = np.asarray(t["event_type"].to_pylist())
+    def type_hour(t: pa.Table) -> pa.Table:
         hr = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
               // 3_600_000_000) % 24
-        df = pd.DataFrame({"et": et, "hr": hr})
-        out = df.groupby(["et", "hr"], as_index=False).size()
-        return pa.table({
-            "et": pa.array(out["et"].to_numpy(), pa.string()),
-            "hr": out["hr"].to_numpy().astype(np.int64),
-            "p_n": out["size"].to_numpy().astype(np.int64),
-        })
+        return pa.table({"et": t["event_type"], "hr": hr})
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["et", "hr"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        ev.map_batches(type_hour, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["et", "hr"], {"n": ("count", None)},
     ).to_pandas()  # bounded: types × 24
 
     ci = np.array([math.floor(1_000_000 * math.cos(2 * math.pi * h / 24))
@@ -1762,28 +1621,20 @@ def q_lag1_autocorr(sf_dir: str):
     association order both sides. Users with < 3 active days dropped
     (r undefined / zero-variance guard)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from georay.ops import buckets as bk
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def user_day(t: pa.Table) -> pa.Table:
         day = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
                // 86_400_000_000)
-        pack = uid * (np.int64(1) << 24) + day
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"user_id": u >> 24, "day": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "day": day})
 
-    daily = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["user_id", "day"])
-        .aggregate(Sum("p_n", alias_name="x"))
-        .repartition(8)
+    daily = runtime.group_agg(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"], {"x": ("count", None)},
     )
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -1871,7 +1722,6 @@ def q_facility_coverage(sf_dir: str):
     collapses them, one tiny groupby dedups globally, and the answer is
     two ints (covered, total). SQL twin: EXISTS."""
     import pandas as pd
-    from ray.data.aggregate import Count
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     total = cust.count()
@@ -1885,17 +1735,9 @@ def q_facility_coverage(sf_dir: str):
         query_cols=["c_custkey"], ref_id="s_suppkey",
     )
 
-    def local_distinct(t: pa.Table) -> pa.Table:
-        u = np.unique(t["c_custkey"].to_numpy(zero_copy_only=False))
-        return pa.table({"c_custkey": u})
-
-    covered = int(
-        pairs.map_batches(local_distinct, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("c_custkey")
-        .aggregate(Count(alias_name="_c"))
-        .count()
-    )
+    covered = runtime.group_agg(
+        pairs.select_columns(["c_custkey"]), "c_custkey"
+    ).count()
     return pd.DataFrame({
         "covered": [np.int64(covered)], "total": [np.int64(total)],
     })
@@ -1924,25 +1766,19 @@ def q_longest_streak(sf_dir: str):
     the answer is the max run length. Bucketized segmented numpy — one
     sort per bucket, no per-user Python call. SQL twin: the day −
     ROW_NUMBER() island trick."""
-    from ray.data.aggregate import Count, Max
-
     from georay.ops import buckets as bk
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def user_day(t: pa.Table) -> pa.Table:
         day = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
                // 86_400_000_000)
-        pack = np.unique(uid * (np.int64(1) << 24) + day)
-        return pa.table({"user_id": pack >> 24,
-                         "day": pack & ((1 << 24) - 1)})
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "day": day})
 
-    daily = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "day"])
-        .aggregate(Count(alias_name="_c"))
-        .select_columns(["user_id", "day"])
+    daily = runtime.group_agg(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"],
     )
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -1968,13 +1804,12 @@ def q_longest_streak(sf_dir: str):
         np.maximum.at(best, np.searchsorted(uu, users), run)
         return pd.DataFrame({"user_id": uu, "p_best": best})
 
-    return (
+    return runtime.group_agg(
         daily.map_batches(add_bucket, batch_format="pyarrow",
                           zero_copy_batch=True)
         .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("user_id")
-        .aggregate(Max("p_best", alias_name="longest_streak"))
+        .map_groups(per_bucket, batch_format="pandas"),
+        "user_id", {"longest_streak": ("max", "p_best")},
     )
 
 
@@ -2057,48 +1892,28 @@ def q_fano_burstiness(sf_dir: str):
     with both sides int64-exact, one float division (F ≈ 1 Poisson,
     > 1 bursty). One two-phase (user, day) count, then integer moment
     partials per user."""
-    from ray.data.aggregate import Sum
-
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def user_day(t: pa.Table) -> pa.Table:
         day = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
                // 86_400_000_000)
-        pack = uid * (np.int64(1) << 24) + day
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"user_id": u >> 24, "day": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "day": day})
 
-    daily = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["user_id", "day"])
-        .aggregate(Sum("p_n", alias_name="x"))
-        .repartition(8)
+    daily = runtime.group_agg(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"], {"x": ("count", None)},
     )
 
-    def moments(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        x = t["x"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(uid, return_inverse=True)
-        sx = np.zeros(u.size, np.int64)
-        sxx = np.zeros(u.size, np.int64)
-        np.add.at(sx, inv, x)
-        np.add.at(sxx, inv, x * x)
-        return pa.table({"user_id": u,
-                         "p_d": np.bincount(inv).astype(np.int64),
-                         "p_sx": sx, "p_sxx": sxx})
+    def square(t: pa.Table) -> pa.Table:
+        x = t["x"].to_numpy(zero_copy_only=False)
+        return pa.table({"user_id": t["user_id"], "x": x, "xx": x * x})
 
-    agg = (
-        daily.map_batches(moments, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(4)
-        .groupby("user_id")
-        .aggregate(Sum("p_d", alias_name="n_days"),
-                   Sum("p_sx", alias_name="sx"),
-                   Sum("p_sxx", alias_name="sxx"))
+    agg = runtime.group_agg(
+        daily.map_batches(square, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "user_id",
+        {"n_days": ("count", None), "sx": ("sum", "x"), "sxx": ("sum", "xx")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -2140,8 +1955,6 @@ def q_nn_distance_hist(sf_dir: str):
     kNN (k=2, self dropped — a zero-distance duplicate co-point still
     yields the correct nearest other), floor-binned and two-phase
     counted. SQL twin: self-join MIN + the same floor bin."""
-    from ray.data.aggregate import Min, Sum
-
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     cust = spatial.points_with_cells(cust, "c_custkey", BITS_JOIN, xy=False)
     refs = _small_points(
@@ -2160,25 +1973,20 @@ def q_nn_distance_hist(sf_dir: str):
         return pa.table({"c_custkey": t["c_custkey"].filter(keep),
                          "d2": t["dist2"].filter(keep)})
 
-    nn = (
+    nn = runtime.group_agg(
         out.map_batches(drop_self, batch_format="pyarrow",
-                        zero_copy_batch=True)
-        .repartition(8)
-        .groupby("c_custkey")
-        .aggregate(Min("d2", alias_name="mind2"))
+                        zero_copy_batch=True),
+        "c_custkey", {"mind2": ("min", "d2")},
     )
 
     def binify(t: pa.Table) -> pa.Table:
         b = np.floor(t["mind2"].to_numpy(zero_copy_only=False)).astype(
             np.int64)
-        u, n = np.unique(b, return_counts=True)
-        return pa.table({"bin": u, "p_n": n.astype(np.int64)})
+        return pa.table({"bin": b})
 
-    return (
-        nn.map_batches(binify, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(2)
-        .groupby("bin")
-        .aggregate(Sum("p_n", alias_name="n"))
+    return runtime.group_agg(
+        nn.map_batches(binify, batch_format="pyarrow", zero_copy_batch=True),
+        "bin", {"n": ("count", None)},
     )
 
 
@@ -2202,7 +2010,6 @@ def q_gains_deciles(sf_dir: str):
     decile = 1 + #boundaries strictly below the value; integer counts
     only."""
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.ops import sketch as sketch_ops
     from georay.runtime import per_process
@@ -2230,24 +2037,15 @@ def q_gains_deciles(sf_dir: str):
     ref = ray.put(bounds)
     key = ref.hex() + "-gains"
 
-    def partial(t: pa.Table) -> pa.Table:
+    def decile(t: pa.Table) -> pa.Table:
         b = per_process(key, lambda: ray.get(ref))
         c = t["cents"].to_numpy(zero_copy_only=False)
-        pos = t["pos"].to_numpy(zero_copy_only=False)
         d = 1 + (c[:, None] > b[None, :]).sum(1).astype(np.int64)
-        u, inv = np.unique(d, return_inverse=True)
-        npos = np.zeros(u.size, np.int64)
-        np.add.at(npos, inv, pos)
-        return pa.table({"decile": u,
-                         "p_n": np.bincount(inv).astype(np.int64),
-                         "p_pos": npos})
+        return pa.table({"decile": d, "pos": t["pos"]})
 
-    return (
-        oc.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4)
-        .groupby("decile")
-        .aggregate(Sum("p_n", alias_name="n"),
-                   Sum("p_pos", alias_name="n_pos"))
+    return runtime.group_agg(
+        oc.map_batches(decile, batch_format="pyarrow", zero_copy_batch=True),
+        "decile", {"n": ("count", None), "n_pos": ("sum", "pos")},
     )
 
 
@@ -2281,8 +2079,6 @@ def q_dbscan_centroids(sf_dir: str):
     ever shuffles; centroid = sums / (1000·n) − offset is the caller's
     one division). Composition: ops.dbscan.grid_dbscan → noise filter →
     two-phase integer sums per cluster."""
-    from ray.data.aggregate import Sum
-
     from georay.ops import dbscan as dbscan_ops
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
@@ -2292,31 +2088,20 @@ def q_dbscan_centroids(sf_dir: str):
         id_col="c_custkey", num_partitions=8,
     )
 
-    def partial(t: pa.Table) -> pa.Table:
+    def milli_xy(t: pa.Table) -> pa.Table:
         cl = t["cluster"].to_numpy(zero_copy_only=False).astype(np.int64)
         k = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = cl != -1
         cl, k = cl[keep], k[keep]
-        xi = (k * HASH_LON) % 360000
-        yi = (k * HASH_LAT) % 180000
-        u, inv = np.unique(cl, return_inverse=True)
-        sx = np.zeros(u.size, np.int64)
-        sy = np.zeros(u.size, np.int64)
-        np.add.at(sx, inv, xi)
-        np.add.at(sy, inv, yi)
-        return pa.table({
-            "cluster": u, "p_n": np.bincount(inv).astype(np.int64),
-            "p_sx": sx, "p_sy": sy,
-        })
+        return pa.table({"cluster": cl, "xi": (k * HASH_LON) % 360000,
+                         "yi": (k * HASH_LAT) % 180000})
 
-    return (
-        out.map_batches(partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-        .repartition(4)
-        .groupby("cluster")
-        .aggregate(Sum("p_n", alias_name="n"),
-                   Sum("p_sx", alias_name="sum_xi"),
-                   Sum("p_sy", alias_name="sum_yi"))
+    return runtime.group_agg(
+        out.map_batches(milli_xy, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        "cluster",
+        {"n": ("count", None), "sum_xi": ("sum", "xi"),
+         "sum_yi": ("sum", "yi")},
     )
 
 
@@ -2481,41 +2266,25 @@ def q_tile_centroid(sf_dir: str):
     idiom, means as ONE double division each — the zonal-statistics shape
     for continuous coordinates (zonal_stats covers per-polygon; this is
     per-cell)."""
-    from ray.data.aggregate import Sum
-
     from georay import fixtures
 
     ds = fixtures.read_images(sf_dir, columns=["lon", "lat"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def milli(t: pa.Table) -> pa.Table:
         lon = t["lon"].to_numpy(zero_copy_only=False)
         lat = t["lat"].to_numpy(zero_copy_only=False)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
         xi = np.floor(lon * 1000).astype(np.int64)
         yi = np.floor(lat * 1000).astype(np.int64)
-        u, inv, cnt = np.unique(cell, return_inverse=True, return_counts=True)
-        sx = np.zeros(u.size, np.int64)
-        sy = np.zeros(u.size, np.int64)
-        sx2 = np.zeros(u.size, np.int64)
-        sy2 = np.zeros(u.size, np.int64)
-        np.add.at(sx, inv, xi)
-        np.add.at(sy, inv, yi)
-        np.add.at(sx2, inv, xi * xi)
-        np.add.at(sy2, inv, yi * yi)
-        return pa.table(
-            {"cell": u, "p_n": cnt.astype(np.int64), "p_sx": sx,
-             "p_sy": sy, "p_sx2": sx2, "p_sy2": sy2}
-        )
+        return pa.table({
+            "cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64),
+            "xi": xi, "yi": yi, "xi2": xi * xi, "yi2": yi * yi,
+        })
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(
-            Sum("p_n", alias_name="n"), Sum("p_sx", alias_name="sum_x"),
-            Sum("p_sy", alias_name="sum_y"), Sum("p_sx2", alias_name="sum_x2"),
-            Sum("p_sy2", alias_name="sum_y2"),
-        )
+    agg = runtime.group_agg(
+        ds.map_batches(milli, batch_format="pyarrow", zero_copy_batch=True),
+        "cell",
+        {"n": ("count", None), "sum_x": ("sum", "xi"), "sum_y": ("sum", "yi"),
+         "sum_x2": ("sum", "xi2"), "sum_y2": ("sum", "yi2")},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -2640,9 +2409,6 @@ def q1_lineitem(sf_dir: str):
     """Flagship columnar aggregate (TPC-H Q1 shape): per-batch partial
     aggregation, then a tiny groupby over partials. Money pre-scaled to
     integer cents per row so sums are execution-order-exact."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     li = _read(
         sf_dir,
         "lineitem",
@@ -2656,47 +2422,25 @@ def q1_lineitem(sf_dir: str):
     )
     cutoff = np.datetime64("1998-09-02T00:00:00", "us")
 
-    def partial(t: pa.Table) -> pa.Table:
+    def scaled(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         t = t.filter(pc.less_equal(t["l_shipdate"], pa.scalar(cutoff)))
-        df = pd.DataFrame(
-            {
-                "l_returnflag": t["l_returnflag"].to_pandas(),
-                "l_linestatus": t["l_linestatus"].to_pandas(),
-                "qty": t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64),
-                "cents": np.round(
-                    t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        )
-        g = (
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False)
-            .agg(p_qty=("qty", "sum"), p_cents=("cents", "sum"), p_n=("qty", "size"))
-        )
-        return runtime.table_from_pandas(
-            g,
-            pa.schema(
-                [("l_returnflag", pa.string()), ("l_linestatus", pa.string()),
-                 ("p_qty", pa.int64()), ("p_cents", pa.int64()),
-                 ("p_n", pa.int64())]
-            ),
-        )
+        return pa.table({
+            "l_returnflag": t["l_returnflag"],
+            "l_linestatus": t["l_linestatus"],
+            "qty": t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64),
+            "cents": np.round(
+                t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
+            ).astype(np.int64),
+        })
 
-    agg = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        # partial rows are tiny and there are only 6 groups: a single
-        # combine partition avoids schema-less EMPTY aggregate outputs
-        # (sort-aggregate emits one empty block per group-free partition)
-        .repartition(1)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("p_qty", alias_name="sum_qty"),
-            Sum("p_cents", alias_name="sum_base_cents"),
-            Sum("p_n", alias_name="n_rows"),
-        )
+    return runtime.group_agg(
+        li.map_batches(scaled, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("sum", "qty"), "sum_base_cents": ("sum", "cents"),
+         "n_rows": ("count", None)},
     )
-    return agg
 
 
 SQL_Q1 = """
@@ -2716,36 +2460,20 @@ GROUP BY l_returnflag, l_linestatus
 def q_events_window(sf_dir: str):
     """Tumbling 1-day window per event_type (streaming-shaped workload as a
     batch groupby; values floor-scaled to ints for order-exact sums)."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     ev = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def day_milli(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // (86_400 * 1_000_000)
         milli = np.floor(t["value"].to_numpy(zero_copy_only=False) * 1000).astype(
             np.int64
         )
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pandas(), "day": day, "milli": milli}
-        )
-        g = df.groupby(["event_type", "day"], as_index=False).agg(
-            p_n=("milli", "size"), p_milli=("milli", "sum")
-        )
-        return runtime.table_from_pandas(
-            g,
-            pa.schema(
-                [("event_type", pa.string()), ("day", pa.int64()),
-                 ("p_n", pa.int64()), ("p_milli", pa.int64())]
-            ),
-        )
+        return pa.table({"event_type": t["event_type"],
+                         "day": us // (86_400 * 1_000_000), "milli": milli})
 
-    return (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_milli", alias_name="sum_val_milli"))
+    return runtime.group_agg(
+        ev.map_batches(day_milli, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "day"],
+        {"n": ("count", None), "sum_val_milli": ("sum", "milli")},
     )
 
 
@@ -2765,8 +2493,6 @@ GROUP BY 1, 2
 def q_dedup_docs(sf_dir: str):
     """Exact dedup, first-wins by min doc_id, keyed on a 40-char content
     prefix (hash-partition on the key; only (key, id) shuffles, not rows)."""
-    from ray.data.aggregate import Count, Min
-
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def key(t: pa.Table) -> pa.Table:
@@ -2779,11 +2505,9 @@ def q_dedup_docs(sf_dir: str):
             }
         )
 
-    agg = (
-        docs.map_batches(key, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("k")
-        .aggregate(Min("doc_id", alias_name="doc_id"), Count(alias_name="n_copies"))
+    agg = runtime.group_agg(
+        docs.map_batches(key, batch_format="pyarrow", zero_copy_batch=True),
+        "k", {"doc_id": ("min", "doc_id"), "n_copies": ("count", None)},
     )
     return agg.select_columns(["doc_id", "n_copies"])
 
@@ -3097,38 +2821,20 @@ def q_images_decode(sf_dir: str):
     """Decode + invariant enforcement (actor pool), aggregated per format.
     ``n_ok`` must equal ``n`` — any codec/caption regression breaks the
     oracle match, making the PSNR/caption invariant part of the gate."""
-    from ray.data.aggregate import Count, Sum
-
     from georay import fixtures
     from georay.ops import images as img_ops
-
-    import pandas as pd
 
     ds = fixtures.read_images(
         sf_dir, columns=["image_id", "fmt", "bytes", "caption"]
     )
     checked = img_ops.decode_invariant(ds)
 
-    def partial(t: pa.Table) -> pa.Table:
-        # per-batch pre-aggregation: 3 rows per batch reach the combine,
-        # never the 100k raw rows (two-phase rule)
-        df = pd.DataFrame(
-            {"fmt": t["fmt"].to_pandas(),
-             "ok": t["ok"].cast(pa.int64()).to_pandas()}
-        )
-        g = df.groupby("fmt", as_index=False).agg(
-            p_n=("ok", "size"), p_ok=("ok", "sum")
-        )
-        return runtime.table_from_pandas(
-            g, pa.schema([("fmt", pa.string()), ("p_n", pa.int64()),
-                          ("p_ok", pa.int64())])
-        )
+    def fmt_ok(t: pa.Table) -> pa.Table:
+        return pa.table({"fmt": t["fmt"], "ok": t["ok"].cast(pa.int64())})
 
-    return (
-        checked.map_batches(partial, batch_format="pyarrow")
-        .repartition(1)  # 3 groups of tiny partials: see q1 combine note
-        .groupby("fmt")
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_ok", alias_name="n_ok"))
+    return runtime.group_agg(
+        checked.map_batches(fmt_ok, batch_format="pyarrow"),
+        "fmt", {"n": ("count", None), "n_ok": ("sum", "ok")},
     )
 
 
@@ -3335,16 +3041,13 @@ def q_images_geo_neardup(sf_dir: str):
     impossible. Distinct from images_ahash_neardup (global pairs)."""
     import pyarrow.compute as pc
 
-    from georay import fixtures
-    from georay.ops import images as img_ops
+    from georay import fixtures, images
     from georay.ops import minhash as mh
 
     ds = fixtures.read_images(
         sf_dir, columns=["image_id", "fmt", "bytes", "lon", "lat"])
 
     def hash_and_tile(t: pa.Table) -> pa.Table:
-        from georay import images
-
         idx = pc.cast(pc.utf8_slice_codeunits(t["image_id"], 3, 15), pa.int64())
         fmts = t["fmt"].to_pylist()
         blobs = t["bytes"].to_pylist()
@@ -4116,12 +3819,11 @@ def q_corpus_curation(sf_dir: str):
 
     Scale shape: ONE map-only pass over the text computes lang + quality
     + fingerprint (text never shuffles with the flags); exact dedup is a
-    Min groupby on (fp, id) rows; survivors rejoin their text through a
+    group_agg min on (fp, id) rows; survivors rejoin their text through a
     hash join (the 100 TB path — no id-set broadcast) and run the standard
     no-broadcast near-dup pipeline (shuffle verify); stages assemble with
     two more hash joins on bounded flag tables."""
     import pandas as pd
-    from ray.data.aggregate import Min
 
     from georay.ops import cluster as cluster_ops
     from georay.ops import minhash as mh
@@ -4162,11 +3864,9 @@ def q_corpus_curation(sf_dir: str):
         k = t.filter(keep)
         return pa.table({"fp": k["fp"], "doc_id": k["doc_id"]})
 
-    keep_fp = (
-        tagged.map_batches(surv12, batch_format="pyarrow")
-        .groupby("fp")
-        .aggregate(Min("doc_id", alias_name="keep_id"))
-        .repartition(8)  # merge schema-less empties before the join
+    keep_fp = runtime.group_agg(
+        tagged.map_batches(surv12, batch_format="pyarrow"),
+        "fp", {"keep_id": ("min", "doc_id")},
     )
     staged = tagged.join(
         keep_fp, join_type="left_outer", num_partitions=8, on=("fp",)
@@ -4887,33 +4587,18 @@ def q_user_top_event(sf_dir: str):
     ties broken by event_type ascending — two-phase (user, type) counts
     composed with ops.rank.grouped_topk at k=1. SQL twin: ROW_NUMBER over
     grouped counts."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
     from georay.ops.rank import grouped_topk
 
     ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
-    partial_schema = pa.schema(
-        [("user_id", pa.int64()), ("event_type", pa.string()),
-         ("p_n", pa.int64())]
-    )
+    def user_type(t: pa.Table) -> pa.Table:
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "event_type": t["event_type"]})
 
-    def partial(df: pd.DataFrame):
-        g = (
-            df.groupby(["user_id", "event_type"], as_index=False)
-            .size().rename(columns={"size": "p_n"})
-        )
-        # schema-explicit Arrow return: raw pandas would round-trip through
-        # pa.Table.from_pandas whose metadata defeats block-schema dedup
-        return runtime.table_from_pandas(g, schema=partial_schema)
-
-    counts = (
-        ev.map_batches(partial, batch_format="pandas")
-        .repartition(8)
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    counts = runtime.group_agg(
+        ev.map_batches(user_type, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["user_id", "event_type"], {"n": ("count", None)},
     )
     top = grouped_topk(counts, ["user_id"], ["n", "event_type"],
                        [False, True], k=1)
@@ -5034,9 +4719,6 @@ def q_compact_roundtrip(sf_dir: str):
     reconstruct exactly the distinct input cell set (count + xy-checksum
     hard check; the lossless-roundtrip property is H3 compact/uncompact
     parity, SURVEY.md N1)."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_orderkey"])
     pts = spatial.points_with_cells(orders, "o_orderkey", 12, xy=False)
     comp = cells.compact_dataset(
@@ -5044,27 +4726,17 @@ def q_compact_roundtrip(sf_dir: str):
     )
     back = cells.uncompact_dataset(comp, target_bits=12)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def xy(t: pa.Table) -> pa.Table:
         c = t["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
         x, y = codec.deinterleave(c, 12)
         # xy-weighted checksum so any wrong cell (not just a wrong count)
         # breaks the hash
-        return pa.table(
-            {
-                "p_n": pa.array([np.int64(c.size)]),
-                "p_sum": pa.array(
-                    [np.int64((x.astype(np.int64) * 64 + y).sum())]
-                ),
-            }
-        )
+        return pa.table({"xy": x.astype(np.int64) * 64 + y})
 
-    agg = (
-        back.map_batches(partial, batch_format="pyarrow")
-        .repartition(1)
-        .aggregate(Sum("p_n", alias_name="n_cells"),
-                   Sum("p_sum", alias_name="xy_checksum"))
+    return runtime.group_agg(
+        back.map_batches(xy, batch_format="pyarrow"), [],
+        {"n_cells": ("count", None), "xy_checksum": ("sum", "xy")},
     )
-    return pd.DataFrame([agg])
 
 
 SQL_COMPACT_ROUNDTRIP = f"""
@@ -5360,11 +5032,10 @@ def q_revenue_topk(sf_dir: str):
     pre-aggregated per batch in exact integer units (cents × (100 −
     discount_pct), order-independent), the small BUILDING customer key set
     broadcast semi-joins the date-filtered orders (dimension side — the
-    Bloom path in ops.join covers the 10^10-key scale), ONE hash join
-    matches revenue partials to qualifying orders, a Sum groupby merges the
-    partials, and a distributed sort + limit finishes."""
+    Bloom path in ops.join covers the 10^10-key scale), per-order revenue
+    sums, ONE hash join keeps the qualifying orders, and a distributed sort
+    + limit finishes."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     cust = _read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     keys = cust.filter(pc.equal(cust["c_mktsegment"], "BUILDING"))[
@@ -5393,7 +5064,7 @@ def q_revenue_topk(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def li_partial(t: pa.Table) -> pa.Table:
+    def li_rev(t: pa.Table) -> pa.Table:
         us = t["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         keep = us > REVENUE_CUTOFF_US
         key = t["l_orderkey"].to_numpy(zero_copy_only=False)[keep]
@@ -5403,18 +5074,14 @@ def q_revenue_topk(sf_dir: str):
         pct = np.round(
             t["l_discount"].to_numpy(zero_copy_only=False)[keep] * 100
         ).astype(np.int64)
-        rev = cents * (100 - pct)
-        keys_u, inv = np.unique(key, return_inverse=True)
-        part = np.zeros(keys_u.size, dtype=np.int64)
-        np.add.at(part, inv, rev)
-        return pa.table({"o_orderkey": pa.array(keys_u), "part_rev": pa.array(part)})
+        return pa.table({"o_orderkey": key, "rev": cents * (100 - pct)})
 
-    partials = li.map_batches(li_partial, batch_format="pyarrow", zero_copy_batch=True)
-    joined = partials.join(
-        orders_b, join_type="inner", num_partitions=8, on=("o_orderkey",)
+    revenue = runtime.group_agg(
+        li.map_batches(li_rev, batch_format="pyarrow", zero_copy_batch=True),
+        "o_orderkey", {"revenue_u": ("sum", "rev")},
     )
-    agg = joined.groupby("o_orderkey").aggregate(
-        Sum("part_rev", alias_name="revenue_u")
+    agg = revenue.join(
+        orders_b, join_type="inner", num_partitions=8, on=("o_orderkey",)
     )
     return agg.sort(
         ["revenue_u", "o_orderkey"], descending=[True, False]
@@ -5439,40 +5106,15 @@ LIMIT 10
 
 def q_distinct_users(sf_dir: str):
     """EXACT COUNT(DISTINCT user) per event type at shuffle-bounded cost:
-    batch-local pair dedup (Arrow group_by — repeated users inside a batch
-    never leave it) → one (event_type, user_id) groupby collapses global
-    duplicates → per-batch partial counts → tiny Sum groupby. The wide
-    exchange carries distinct pairs only; no per-group user set ever
+    a distinct (event_type, user_id) group_agg (its per-batch Arrow
+    partials keep repeated users inside their batch) → one count per
+    event type. Only distinct pairs leave a batch; no per-group user set ever
     assembles on one node (contrast hll_users / distinct_kmv: the sketched
     approximations of the same question)."""
-    from ray.data.aggregate import Count, Sum
-
     ev = _read(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def local_dedup(t: pa.Table) -> pa.Table:
-        return t.group_by(["event_type", "user_id"]).aggregate([])
-
-    pairs = ev.map_batches(local_dedup, batch_format="pyarrow", zero_copy_batch=True)
-    distinct = (
-        pairs.repartition(8)
-        .groupby(["event_type", "user_id"])
-        .aggregate(Count(alias_name="_n"))
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        keys, counts = np.unique(
-            t["event_type"].to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"event_type": pa.array(keys), "part_n": pa.array(counts.astype(np.int64))}
-        )
-
-    return (
-        distinct.map_batches(partial, batch_format="pyarrow")
-        .repartition(4)
-        .groupby("event_type")
-        .aggregate(Sum("part_n", alias_name="n_users"))
-    )
+    distinct = runtime.group_agg(ev, ["event_type", "user_id"])
+    return runtime.group_agg(distinct, "event_type",
+                             {"n_users": ("count", None)})
 
 
 SQL_DISTINCT_USERS = """
@@ -5686,23 +5328,18 @@ def q_tile_reconcile(sf_dir: str):
     of silently dropping. Two two-phase partial counts (only (cell, n)
     rows shuffle) and ONE outer hash join on the cell key."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def counted(ds, key_col, out_col):
-        def partial(t: pa.Table) -> pa.Table:
+        def cell(t: pa.Table) -> pa.Table:
             key = t[key_col].to_numpy(zero_copy_only=False)
             lon, lat = spatial.synth_lonlat(key)
-            cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-            u, n = np.unique(cell, return_counts=True)
-            return pa.table({"cell": u, "p_n": n.astype(np.int64)})
+            return pa.table(
+                {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-        return (
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(8)
-            .groupby("cell")
-            .aggregate(Sum("p_n", alias_name=out_col))
-            .repartition(4)  # merge blocks: Acero rejects schema-less empties
+        return runtime.group_agg(
+            ds.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+            "cell", {out_col: ("count", None)},
         )
 
     a = counted(_read(sf_dir, "orders", columns=["o_custkey"]),
@@ -5936,9 +5573,7 @@ def q_images_hot_salted(sf_dir: str):
     cells of the fixture), salt them into sub-keys, run the skewed groupby
     on the salted key, unsalt and re-aggregate. Result must equal the plain
     tile-count oracle exactly (salting is physical, not semantic)."""
-    from ray.data.aggregate import Sum
-
-    from georay import fixtures, runtime
+    from georay import fixtures
 
     ds = fixtures.read_images(sf_dir, columns=["lon", "lat"])
 
@@ -5956,24 +5591,15 @@ def q_images_hot_salted(sf_dir: str):
     n_salt = 16
     salted = runtime.salt_hot_keys(cells_ds, "cell", hot, n_salt=n_salt)
 
-    # two-phase inside the salted keyspace (tile_counts idiom, VERDICT r2
-    # #6): partial np.unique counts per batch collapse each batch to one
-    # row per distinct salted key BEFORE the shuffle, then one Sum groupby
-    # on the UNSALTED cell — no per-salted-key pandas group invocations,
-    # and the reduce sees O(partitions) pre-aggregated rows per cell
-    def partial(t: pa.Table) -> pa.Table:
-        keys, counts = np.unique(
-            t["cell_salted"].to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"cell": keys // n_salt, "part_n": counts.astype(np.int64)}
-        )
+    # unsalt per row, then one count on the UNSALTED cell: group_agg's
+    # per-batch partials collapse each batch to one row per cell
+    def unsalt(t: pa.Table) -> pa.Table:
+        salted_key = t["cell_salted"].to_numpy(zero_copy_only=False)
+        return pa.table({"cell": salted_key // n_salt})
 
-    agg = (
-        salted.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("part_n", alias_name="n"))
+    agg = runtime.group_agg(
+        salted.map_batches(unsalt, batch_format="pyarrow", zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -6033,8 +5659,6 @@ def q_index_lifecycle(sf_dir: str):
     import shutil
     import tempfile
 
-    from ray.data.aggregate import Sum
-
     from georay.index import CellIndex
 
     root = os.path.join(
@@ -6065,19 +5689,16 @@ def q_index_lifecycle(sf_dir: str):
         spatial.points_with_cells(even, "c_custkey", BITS_IDX, xy=False))
     idx.compact()
 
-    def partial(t: pa.Table) -> pa.Table:
+    def xy_key(t: pa.Table) -> pa.Table:
         cell = t["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
         x, y = codec.deinterleave(cell, BITS_IDX)
-        key = (x.astype(np.int64) << np.int64(32)) | y.astype(np.int64)
-        u, n = np.unique(key, return_counts=True)
-        return pa.table({"k": u, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"k": (x.astype(np.int64) << np.int64(32)) | y.astype(np.int64)})
 
-    agg = (
+    agg = runtime.group_agg(
         idx.scan(columns=["cell"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("k")
-        .aggregate(Sum("p_n", alias_name="n"))
+        .map_batches(xy_key, batch_format="pyarrow", zero_copy_batch=True),
+        "k", {"n": ("count", None)},
     )
 
     def fin(t: pa.Table) -> pa.Table:
@@ -6877,7 +6498,6 @@ def q_tile_growth(sf_dir: str):
     ``(n_b+1)/(n_a+1)`` (ONE float division — SQL-replayable), top-25
     growing tiles. Counts are one two-phase aggregate over (tile, half);
     only O(tiles) rows reach the ratio stage."""
-    from ray.data.aggregate import Sum
     from georay.runtime import table_from_pandas
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
@@ -6887,19 +6507,12 @@ def q_tile_growth(sf_dir: str):
             t["user_id"].to_numpy(zero_copy_only=False))
         cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        late = us >= GROWTH_SPLIT_US
-        cells, inv = np.unique(cell, return_inverse=True)
-        n_a = np.zeros(cells.size, np.int64)
-        n_b = np.zeros(cells.size, np.int64)
-        np.add.at(n_a, inv[~late], 1)
-        np.add.at(n_b, inv[late], 1)
-        return pa.table({"cell": cells, "p_a": n_a, "p_b": n_b})
+        late = (us >= GROWTH_SPLIT_US).astype(np.int64)
+        return pa.table({"cell": cell, "a": 1 - late, "b": late})
 
-    agg = (
-        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_a", alias_name="n_a"), Sum("p_b", alias_name="n_b"))
+    agg = runtime.group_agg(
+        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        "cell", {"n_a": ("sum", "a"), "n_b": ("sum", "b")},
     )
 
     def ratio(t: pa.Table) -> pa.Table:
@@ -6960,10 +6573,9 @@ def q_local_revenue(sf_dir: str):
     share the nation, region-filtered, 1996 orders. Star plan: the three
     tiny dims (region→nation set, supplier→nation, nation→name) broadcast
     as closure arrays; customer⋈orders is the big-big HASH JOIN;
-    lineitem pre-aggregates exact integer revenue per (orderkey, suppkey)
-    per batch BEFORE its join; one Sum groupby per nation finishes."""
+    lineitem rows carry exact integer revenue into their join; one
+    ``group_agg`` sum per nation finishes."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     nation = _read_table(sf_dir, "nation")
     region = _read_table(sf_dir, "region")
@@ -7012,7 +6624,7 @@ def q_local_revenue(sf_dir: str):
                columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                         "l_discount"])
 
-    def li_partial(t: pa.Table) -> pa.Table:
+    def li_rev(t: pa.Table) -> pa.Table:
         sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(sk_sorted, sk)  # broadcast dim lookup,
         # vectorized: every lineitem row resolves its supplier nation
@@ -7025,16 +6637,10 @@ def q_local_revenue(sf_dir: str):
             zero_copy_only=False)[keep] * 100).astype(np.int64)
         pct = np.round(t["l_discount"].to_numpy(
             zero_copy_only=False)[keep] * 100).astype(np.int64)
-        rev = cents * (100 - pct)
-        key = ok * 32 + s_nat[keep]  # nationkeys < 32: pack for one unique
-        ku, inv = np.unique(key, return_inverse=True)
-        part = np.zeros(ku.size, np.int64)
-        np.add.at(part, inv, rev)
-        return pa.table({"l_orderkey": pa.array(ku // 32),
-                         "s_nat": pa.array(ku % 32),
-                         "p_rev": pa.array(part)})
+        return pa.table({"l_orderkey": ok, "s_nat": s_nat[keep],
+                         "p_rev": cents * (100 - pct)})
 
-    li_p = li.map_batches(li_partial, batch_format="pyarrow",
+    li_p = li.map_batches(li_rev, batch_format="pyarrow",
                           zero_copy_batch=True)
     joined = li_p.join(ord_cust.select_columns(["o_orderkey", "c_nat"]),
                        join_type="inner", num_partitions=8,
@@ -7051,12 +6657,10 @@ def q_local_revenue(sf_dir: str):
                 t["p_rev"].to_numpy(zero_copy_only=False)[keep]),
         })
 
-    return (
+    return runtime.group_agg(
         joined.map_batches(same_nation, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(4)
-        .groupby("n_name")
-        .aggregate(Sum("p_rev", alias_name="revenue_u"))
+                           zero_copy_batch=True),
+        "n_name", {"revenue_u": ("sum", "p_rev")},
     )
 
 
@@ -7160,29 +6764,23 @@ def q_caption_geoparse(sf_dir: str):
     is SQL-verified — any drift in extract, Morton split, or alphabet
     order breaks n_ok."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from georay import fixtures
-    from georay.runtime import table_from_pandas
 
     ds = fixtures.read_images(sf_dir, columns=["caption", "lon", "lat"])
 
-    def partial(df):
+    def check(df):
         extracted = df["caption"].str[-5:].to_numpy()
         expected = codec.encode_str(
             df["lon"].to_numpy(), df["lat"].to_numpy(), 5
         ).astype("U5")
         ok = (extracted == expected).astype(np.int64)
         gh1 = pd.Series(extracted).str[0].to_numpy()
-        out = pd.DataFrame({"gh1": gh1, "p_n": 1, "p_ok": ok}).groupby(
-            "gh1", as_index=False).sum()
-        return table_from_pandas(out.astype({"p_n": np.int64}))
+        return pa.table({"gh1": pa.array(gh1, pa.string()), "ok": ok})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .repartition(8)
-        .groupby("gh1")
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_ok", alias_name="n_ok"))
+    return runtime.group_agg(
+        ds.map_batches(check, batch_format="pandas"),
+        "gh1", {"n": ("count", None), "n_ok": ("sum", "ok")},
     )
 
 
@@ -7337,12 +6935,11 @@ def q_colocation(sf_dir: str):
     """Spatial co-location mining (participation-lift of category pairs):
     which event types occur together in the same user-home tile more than
     chance — lift = n_ab·K / (n_a·n_b) over per-cell presence sets.
-    Plan: per-batch presence bitmap per cell (wide 0/1 columns, the pivot
-    idiom) → ONE Max groupby builds the distinct (cell → presence vector)
-    table → per-batch partial pair-AND sums reduce to 5+10+1 driver ints
+    Plan: per-row presence flags (wide 0/1 columns, the pivot idiom) →
+    ONE group_agg max builds the distinct (cell → presence vector) table
+    → per-batch partial pair-AND sums reduce to 5+10+1 driver ints
     (bounded, like k-means) → the 10-row matrix finalizes driver-side."""
     import pandas as pd
-    from ray.data.aggregate import Max
 
     tlist = COLOC_TYPES
     nt = len(tlist)
@@ -7353,19 +6950,14 @@ def q_colocation(sf_dir: str):
         lon, lat = spatial.synth_lonlat(uid)
         cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
         et = t["event_type"].to_numpy(zero_copy_only=False)
-        cells, inv = np.unique(cell, return_inverse=True)
-        cols = {"cell": cells}
+        cols = {"cell": cell}
         for i, ty in enumerate(tlist):
-            m = np.zeros(cells.size, np.int64)
-            m[inv[et == ty]] = 1
-            cols[f"p{i}"] = m
+            cols[f"p{i}"] = (et == ty).astype(np.int64)
         return pa.table(cols)
 
-    pres = (
-        ev.map_batches(presence, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(*[Max(f"p{i}", alias_name=f"b{i}") for i in range(nt)])
+    pres = runtime.group_agg(
+        ev.map_batches(presence, batch_format="pyarrow", zero_copy_batch=True),
+        "cell", {f"b{i}": ("max", f"p{i}") for i in range(nt)},
     )
 
     def pair_partial(t: pa.Table) -> pa.Table:
@@ -7454,17 +7046,14 @@ def q_tile_image_stats(sf_dir: str):
     real binary column; the oracle replays it through a 768-entry
     period-literal table (the images_features idiom) joined to the coord
     formula."""
-    from ray.data.aggregate import Sum
-
     from georay import fixtures, images
 
     ds = fixtures.read_images(
         sf_dir, columns=["fmt", "bytes", "lon", "lat"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def channel_sums(t: pa.Table) -> pa.Table:
         lon = t["lon"].to_numpy(zero_copy_only=False)
         lat = t["lat"].to_numpy(zero_copy_only=False)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
         fmts = t["fmt"].to_pylist()
         blobs = t["bytes"].to_pylist()
         n = len(blobs)
@@ -7474,24 +7063,17 @@ def q_tile_image_stats(sf_dir: str):
             px = images.decode_image(blobs[i], fmts[i]).astype(np.int64)
             sums[i] = px.reshape(-1, 3).sum(axis=0)
             npx[i] = px.shape[0] * px.shape[1]
-        cells, inv = np.unique(cell, return_inverse=True)
-        out = np.zeros((cells.size, 5), np.int64)
-        np.add.at(out, inv, np.column_stack(
-            [np.ones(n, np.int64), npx, sums]))
         return pa.table({
-            "cell": cells, "p_img": out[:, 0], "p_px": out[:, 1],
-            "p_r": out[:, 2], "p_g": out[:, 3], "p_b": out[:, 4],
+            "cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64),
+            "px": npx, "r": sums[:, 0], "g": sums[:, 1], "b": sums[:, 2],
         })
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_img", alias_name="n_img"),
-                   Sum("p_px", alias_name="n_px"),
-                   Sum("p_r", alias_name="sum_r"),
-                   Sum("p_g", alias_name="sum_g"),
-                   Sum("p_b", alias_name="sum_b"))
+    agg = runtime.group_agg(
+        ds.map_batches(channel_sums, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "cell",
+        {"n_img": ("count", None), "n_px": ("sum", "px"),
+         "sum_r": ("sum", "r"), "sum_g": ("sum", "g"), "sum_b": ("sum", "b")},
     )
 
     def fin(t: pa.Table) -> pa.Table:
@@ -7543,15 +7125,14 @@ ROLLUP_LEVELS = [5, 3, 1, 0]  # 32x32, 8x8, 2x2, whole-earth
 def q_tile_rollup(sf_dir: str):
     """Hierarchical spatial drill-down (GROUPING SETS over cell precisions):
     order counts + exact cent revenue at FOUR tile resolutions in ONE pass —
-    the partial stage emits per-batch (level, x, y) rows for every level, so
-    a single Sum groupby finalizes the whole cube (no per-level rescan; the
-    coarse levels ride along for O(levels) extra partial rows per batch)."""
+    every row emits its (level, x, y) key at each level, so a single
+    ``group_agg`` finalizes the whole cube (no per-level rescan; the coarse
+    levels ride along for O(levels) extra partial rows per batch)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def levels(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
         cell = codec.encode(lon, lat, BITS_TILE)
@@ -7559,29 +7140,21 @@ def q_tile_rollup(sf_dir: str):
         cents = pc.cast(
             pc.round(pc.multiply(t["o_totalprice"], 100.0)), pa.int64()
         ).to_numpy()
-        outs = []
-        for lv in ROLLUP_LEVELS:
-            sh = 5 - lv
-            k = ((x5 >> sh).astype(np.int64) << 6) | (y5 >> sh).astype(
-                np.int64)
-            uk, inv = np.unique(k, return_inverse=True)
-            n = np.bincount(inv).astype(np.int64)
-            s = np.zeros(uk.size, np.int64)
-            np.add.at(s, inv, cents)
-            outs.append(pa.table({
-                "level": np.full(uk.size, lv, np.int64),
-                "tile_x": uk >> 6, "tile_y": uk & 63,
-                "p_n": n, "p_cents": s,
-            }))
-        return pa.concat_tables(outs)
+        return pa.concat_tables([
+            pa.table({
+                "level": np.full(cents.size, lv, np.int64),
+                "tile_x": (x5 >> (5 - lv)).astype(np.int64),
+                "tile_y": (y5 >> (5 - lv)).astype(np.int64),
+                "cents": cents,
+            })
+            for lv in ROLLUP_LEVELS
+        ])
 
-    return (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["level", "tile_x", "tile_y"])
-        .aggregate(Sum("p_n", alias_name="n"),
-                   Sum("p_cents", alias_name="sum_cents"))
+    return runtime.group_agg(
+        orders.map_batches(levels, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["level", "tile_x", "tile_y"],
+        {"n": ("count", None), "sum_cents": ("sum", "cents")},
     )
 
 
@@ -7612,48 +7185,31 @@ def q_tile_diversity(sf_dir: str):
     integer form (n² − Σnᵢ²)/n²: two stacked two-phase integer aggregates
     ((cell,type) counts, then per-cell moment sums) and ONE float division
     at the end, mirrored verbatim in the SQL twin."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     ev = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
-    p1_schema = pa.schema([("cell", pa.int64()), ("event_type", pa.string()),
-                           ("p_n", pa.int64())])
-
-    def p1(df: pd.DataFrame):
-        lon, lat = spatial.synth_lonlat(df["user_id"].to_numpy())
-        df = pd.DataFrame({
+    def cell_type(t: pa.Table) -> pa.Table:
+        lon, lat = spatial.synth_lonlat(
+            t["user_id"].to_numpy(zero_copy_only=False))
+        return pa.table({
             "cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64),
-            "event_type": df["event_type"].to_numpy(),
+            "event_type": t["event_type"],
         })
-        g = (df.groupby(["cell", "event_type"], as_index=False)
-             .size().rename(columns={"size": "p_n"}))
-        return runtime.table_from_pandas(g, schema=p1_schema)
 
-    counts = (
-        ev.map_batches(p1, batch_format="pandas")
-        .repartition(8)
-        .groupby(["cell", "event_type"])
-        .aggregate(Sum("p_n", alias_name="n_ct"))
+    counts = runtime.group_agg(
+        ev.map_batches(cell_type, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["cell", "event_type"], {"n_ct": ("count", None)},
     )
 
-    def p2(t: pa.Table) -> pa.Table:
-        cell = t["cell"].to_numpy(zero_copy_only=False)
+    def square(t: pa.Table) -> pa.Table:
         n = t["n_ct"].to_numpy(zero_copy_only=False)
-        uc, inv = np.unique(cell, return_inverse=True)
-        out = np.zeros((uc.size, 3), np.int64)
-        np.add.at(out, inv, np.column_stack(
-            [n, n * n, np.ones(n.size, np.int64)]))
-        return pa.table({"cell": uc, "p_sum": out[:, 0], "p_ssq": out[:, 1],
-                         "p_t": out[:, 2]})
+        return pa.table({"cell": t["cell"], "n": n, "nn": n * n})
 
-    mom = (
-        counts.map_batches(p2, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_sum", alias_name="n"),
-                   Sum("p_ssq", alias_name="ssq"),
-                   Sum("p_t", alias_name="n_types"))
+    mom = runtime.group_agg(
+        counts.map_batches(square, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell",
+        {"n": ("sum", "n"), "ssq": ("sum", "nn"), "n_types": ("count", None)},
     )
 
     def fin(t: pa.Table) -> pa.Table:
@@ -7696,27 +7252,21 @@ def q_cohort_retention(sf_dir: str):
     at each later active day offset. Distinct (user, day) pairs via a
     two-phase groupby; the per-user MIN-day + offset expansion runs in
     hash-BUCKETED groups (segmented numpy across users inside a bucket —
-    the rank.py idiom, never one Python call per user); a final small Sum
-    groupby merges bucket partials."""
+    the rank.py idiom, never one Python call per user); a final group_agg
+    sum merges bucket partials."""
     import pandas as pd
-    from ray.data.aggregate import Count, Sum
 
     from georay.ops.sketch import splitmix64
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def pairs(t: pa.Table) -> pa.Table:
+    def user_day(t: pa.Table) -> pa.Table:
         us = t["ts"].cast(pa.int64()).to_numpy()
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        day = us // DAY_US
-        k = np.unique((u << 20) | day)  # day < 2^20 until year 4840
-        return pa.table({"user_id": k >> 20, "day": k & ((1 << 20) - 1)})
+        return pa.table({"user_id": t["user_id"], "day": us // DAY_US})
 
-    uw = (
-        ev.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["user_id", "day"])
-        .aggregate(Count())
+    uw = runtime.group_agg(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"],
     )
 
     def bucket(t: pa.Table) -> pa.Table:
@@ -7744,13 +7294,11 @@ def q_cohort_retention(sf_dir: str):
                           "p_n": n.astype(np.int64)}),
             schema=part_schema)
 
-    return (
+    return runtime.group_agg(
         uw.map_batches(bucket, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .repartition(4)
-        .groupby(["cohort_day", "day_offset"])
-        .aggregate(Sum("p_n", alias_name="n_users"))
+        .map_groups(per_bucket, batch_format="pandas"),
+        ["cohort_day", "day_offset"], {"n_users": ("sum", "p_n")},
     )
 
 
@@ -7784,7 +7332,6 @@ def q_kcore(sf_dir: str):
     graph never collects on the driver. Output: (node, deg) in the
     round-{KCORE_ROUNDS} subgraph."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
 
     from georay.ops.sketch import splitmix64
 
@@ -7800,39 +7347,33 @@ def q_kcore(sf_dir: str):
              % np.uint64(n_nodes)).astype(np.int64) + 1
         lo, hi = np.minimum(a, d), np.maximum(a, d)
         m = lo != hi
-        return pa.table({"ek": np.unique(lo[m] * B + hi[m])})
+        return pa.table({"ek": lo[m] * B + hi[m]})
 
     def unpack(t: pa.Table) -> pa.Table:
         ek = t["ek"].to_numpy(zero_copy_only=False)
         return pa.table({"a": ek // B, "b": ek % B})
 
     edges = (
-        cust.map_batches(gen_edges, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .repartition(8)
-        .groupby("ek")
-        .aggregate(Count())
-        .repartition(4)
+        runtime.group_agg(
+            cust.map_batches(gen_edges, batch_format="pyarrow",
+                             zero_copy_batch=True),
+            "ek",
+        )
         .map_batches(unpack, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
     )
 
-    def deg_partial(t: pa.Table) -> pa.Table:
-        node = np.concatenate([
+    def endpoints(t: pa.Table) -> pa.Table:
+        return pa.table({"node": np.concatenate([
             t["a"].to_numpy(zero_copy_only=False),
             t["b"].to_numpy(zero_copy_only=False),
-        ])
-        u, cnt = np.unique(node, return_counts=True)
-        return pa.table({"node": u, "p_deg": cnt.astype(np.int64)})
+        ])})
 
     def degrees(es):
-        return (
-            es.map_batches(deg_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .repartition(4)
-            .groupby("node")
-            .aggregate(Sum("p_deg", alias_name="deg"))
-            .repartition(4)  # merge blocks: Acero rejects schema-less empties
+        return runtime.group_agg(
+            es.map_batches(endpoints, batch_format="pyarrow",
+                           zero_copy_batch=True),
+            "node", {"deg": ("count", None)},
         )
 
     for _ in range(KCORE_ROUNDS):
@@ -7902,7 +7443,6 @@ def q_triangle_count(sf_dir: str):
     the packed edge-key set. Only edge/wedge rows shuffle; the graph is
     never collected on the driver."""
     import pandas as pd
-    from ray.data.aggregate import Count
 
     from georay.ops.sketch import splitmix64
 
@@ -7918,15 +7458,12 @@ def q_triangle_count(sf_dir: str):
              % np.uint64(n_nodes)).astype(np.int64) + 1
         lo, hi = np.minimum(a, d), np.maximum(a, d)
         m = lo != hi
-        return pa.table({"ek": np.unique(lo[m] * B + hi[m])})
+        return pa.table({"ek": lo[m] * B + hi[m]})
 
-    edges_keys = (
+    edges_keys = runtime.group_agg(
         cust.map_batches(gen_edges, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .repartition(8)
-        .groupby("ek")
-        .aggregate(Count())
-        .repartition(4)  # merge blocks: Acero join rejects schema-less empties
+                         zero_copy_batch=True),
+        "ek",
     )
 
     def unpack(t: pa.Table) -> pa.Table:
@@ -7997,23 +7534,19 @@ def q_moran_i(sf_dir: str):
     I = K·Σw(K·xᵢ−S)(K·xⱼ−S) / (W·Σ(K·xᵢ−S)²) — ONE float division, the
     SQL twin uses HUGEINT for the same products."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     cell = agg["cell"].to_numpy().astype(np.uint64)
@@ -8069,32 +7602,22 @@ def q_bigram_topk(sf_dir: str):
     import pandas as pd
     import re
 
-    from ray.data.aggregate import Sum
-
-    from georay.runtime import table_from_pandas
-
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     word_re = re.compile(r"[\w']+", re.UNICODE)
-    pair_schema = pa.schema([("w1", pa.string()), ("w2", pa.string()),
-                             ("p_n", pa.int64())])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def bigrams(df: pd.DataFrame) -> pa.Table:
         df = df.reset_index(drop=True)
         toks = df["text"].str.findall(word_re).explode().dropna().str.lower()
         row = toks.index.to_numpy().astype(np.int64)
         w = toks.to_numpy()
         same = row[1:] == row[:-1]
-        out = pd.DataFrame({"w1": w[:-1][same], "w2": w[1:][same]}).groupby(
-            ["w1", "w2"], as_index=False).size()
-        return table_from_pandas(out.rename(columns={"size": "p_n"}),
-                                 schema=pair_schema)
+        return pa.table({"w1": pa.array(w[:-1][same], pa.string()),
+                         "w2": pa.array(w[1:][same], pa.string())})
 
-    counts = (
-        docs.map_batches(partial, batch_format="pandas")
-        .repartition(8)
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("p_n", alias_name="n"))
-        .repartition(1)  # bounded by bigram vocab: final rank is local
+    # one block, bounded by the bigram vocabulary: the final rank is local
+    counts = runtime.group_agg(
+        docs.map_batches(bigrams, batch_format="pandas"),
+        ["w1", "w2"], {"n": ("count", None)},
     )
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -8177,25 +7700,20 @@ def q_segment_entropy(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     cust = _read(sf_dir, "customer", columns=["c_nationkey", "c_mktsegment"])
     seg_sorted = np.array(SEGMENTS)
 
-    def partial(t: pa.Table) -> pa.Table:
-        nat = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def nat_seg(t: pa.Table) -> pa.Table:
         seg = np.asarray(t["c_mktsegment"].to_pylist())
-        sidx = np.searchsorted(seg_sorted, seg)
-        pack = nat * 8 + sidx
-        u, n = np.unique(pack, return_counts=True)
-        return pa.table({"nat": u // 8, "seg": u % 8,
-                         "p_n": n.astype(np.int64)})
+        return pa.table({
+            "nat": t["c_nationkey"].cast(pa.int64()),
+            "seg": np.searchsorted(seg_sorted, seg).astype(np.int64),
+        })
 
-    agg = (
-        cust.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["nat", "seg"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        cust.map_batches(nat_seg, batch_format="pyarrow", zero_copy_batch=True),
+        ["nat", "seg"], {"n": ("count", None)},
     ).to_pandas()  # bounded: nations × 5 rows
 
     nats = np.sort(agg["nat"].unique())
@@ -8250,28 +7768,20 @@ def q_tile_mk_trend(sf_dir: str):
     are single digits) → vectorized pair loop across ALL tiles at once.
     SQL twin: week self-join + SUM(sign)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ev = _read(sf_dir, "events", columns=["event_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tile_week(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False)
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         xi = (eid * HASH_LON) % 360000
         yi = (eid * HASH_LAT) % 180000
-        tile = (xi // 11250) * 32 + yi // 5625
-        week = us // (7 * 86_400_000_000)
-        pack = tile * (np.int64(1) << 24) + week
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"tile": u >> 24, "week": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"tile": (xi // 11250) * 32 + yi // 5625,
+                         "week": us // (7 * 86_400_000_000)})
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["tile", "week"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        ev.map_batches(tile_week, batch_format="pyarrow", zero_copy_batch=True),
+        ["tile", "week"], {"n": ("count", None)},
     ).to_pandas()  # bounded: tiles × single-digit weeks
 
     tiles_v = agg["tile"].to_numpy().astype(np.int64)
@@ -8333,7 +7843,6 @@ def q_lm_surprisal(sf_dir: str):
 
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.runtime import per_process, table_from_pandas
 
@@ -8354,20 +7863,8 @@ def q_lm_surprisal(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     tf = docs.map_batches(tf_rows, batch_format="pandas").materialize()
 
-    def cf_partial(t: pa.Table) -> pa.Table:
-        w = np.asarray(t["w"].to_pylist())
-        v = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(w, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, v)
-        return pa.table({"w": pa.array(u, pa.string()), "p_cf": acc})
-
-    cf = (
-        tf.map_batches(cf_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("w")
-        .aggregate(Sum("p_cf", alias_name="cf"))
+    cf = runtime.group_agg(
+        tf, "w", {"cf": ("sum", "tf")}
     ).to_pandas()  # bounded: vocabulary
 
     words = cf["w"].to_numpy()
@@ -8383,26 +7880,17 @@ def q_lm_surprisal(sf_dir: str):
     ref = ray.put((words, su))
     key = ref.hex() + "-surprisal"
 
-    def score_partial(t: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> pa.Table:
         ws, sus = per_process(key, lambda: ray.get(ref))
         w = np.asarray(t["w"].to_pylist())
         v = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = sus[np.searchsorted(ws, w)]
-        did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(did, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, v * s)
-        ntk = np.zeros(u.size, np.int64)
-        np.add.at(ntk, inv, v)
-        return pa.table({"doc_id": u, "p_s": acc, "p_n": ntk})
+        return pa.table({"doc_id": t["doc_id"], "vs": v * s, "tf": v})
 
-    return (
-        tf.map_batches(score_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("doc_id")
-        .aggregate(Sum("p_s", alias_name="surprisal_scaled"),
-                   Sum("p_n", alias_name="n_tokens"))
+    return runtime.group_agg(
+        tf.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        "doc_id",
+        {"surprisal_scaled": ("sum", "vs"), "n_tokens": ("sum", "tf")},
     )
 
 
@@ -8432,7 +7920,6 @@ def q_auc_mwu(sf_dir: str):
     the ML-evaluation twin of the KS drift statistic. SQL: window cumsum
     replay."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderpriority", "o_totalprice"])
@@ -8442,19 +7929,13 @@ def q_auc_mwu(sf_dir: str):
         keep = (pri == "1-URGENT") | (pri == "5-LOW")
         dollars = (np.round(t["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64) // 10_000)
-        val = dollars[keep]
         flag = np.where(pri[keep] == "1-URGENT", np.int64(1), np.int64(2))
-        pack = val * 2 + (flag - 1)
-        u, n = np.unique(pack, return_counts=True)
-        return pa.table({"val": u >> 1, "flag": u % 2 + 1,
-                         "p_n": n.astype(np.int64)})
+        return pa.table({"val": dollars[keep], "flag": flag})
 
-    hist = (
+    hist = runtime.group_agg(
         orders.map_batches(prep, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(2)
-        .groupby(["val", "flag"])
-        .aggregate(Sum("p_n", alias_name="n"))
+                           zero_copy_batch=True),
+        ["val", "flag"], {"n": ("count", None)},
     ).to_pandas()  # bounded: binned dollar values × 2
 
     val = hist["val"].to_numpy().astype(np.int64)
@@ -8568,27 +8049,18 @@ def q_chi2_independence(sf_dir: str):
     counts beyond ~10⁹ rows. SQL twin: window marginals over the same
     crosstab."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ev = _read(sf_dir, "events", columns=["event_type", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        et = np.asarray(t["event_type"].to_pylist())
+    def type_hour(t: pa.Table) -> pa.Table:
         hr = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
               // 3_600_000_000) % 24
-        df = pd.DataFrame({"et": et, "hr": hr})
-        out = df.groupby(["et", "hr"], as_index=False).size()
-        return pa.table({
-            "et": pa.array(out["et"].to_numpy(), pa.string()),
-            "hr": out["hr"].to_numpy().astype(np.int64),
-            "p_n": out["size"].to_numpy().astype(np.int64),
-        })
+        return pa.table({"et": t["event_type"], "hr": hr})
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["et", "hr"])
-        .aggregate(Sum("p_n", alias_name="o"))
+    agg = runtime.group_agg(
+        ev.map_batches(type_hour, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["et", "hr"], {"o": ("count", None)},
     ).to_pandas()  # bounded: types × 24 cells
 
     et = agg["et"].to_numpy()
@@ -8636,7 +8108,6 @@ def q_ann_recall(sf_dir: str):
     a left join against the query list. Integer counts end to end."""
     import pyarrow.compute as pc
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.ops import similarity as sim
 
@@ -8661,33 +8132,17 @@ def q_ann_recall(sf_dir: str):
     both = cos.map_batches(to_pack, batch_format="pyarrow").union(
         sq8.map_batches(to_pack, batch_format="pyarrow"))
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        u, n = np.unique(t["pk"].to_numpy(zero_copy_only=False),
-                         return_counts=True)
-        return pa.table({"pk": u, "p_n": n.astype(np.int64)})
+    matched = runtime.group_agg(both, "pk", {"n": ("count", None)})
 
-    matched = (
-        both.map_batches(pair_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .repartition(4)
-        .groupby("pk")
-        .aggregate(Sum("p_n", alias_name="n"))
-    )
-
-    def per_query(t: pa.Table) -> pa.Table:
+    def overlap(t: pa.Table) -> pa.Table:
         pk = t["pk"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy(zero_copy_only=False)
-        q = pk[n == 2] >> 32
-        u, c = np.unique(q, return_counts=True)
-        return pa.table({"query_id": u, "p_ov": c.astype(np.int64)})
+        return pa.table({"query_id": pk[n == 2] >> 32})
 
-    counts = (
-        matched.map_batches(per_query, batch_format="pyarrow",
-                            zero_copy_batch=True)
-        .repartition(4)
-        .groupby("query_id")
-        .aggregate(Sum("p_ov", alias_name="ov"))
-        .repartition(4)
+    counts = runtime.group_agg(
+        matched.map_batches(overlap, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        "query_id", {"ov": ("count", None)},
     )
 
     all_q = ray.data.from_arrow(
@@ -8756,23 +8211,19 @@ def q_cell_gini(sf_dir: str):
     float division at the end. SQL twin: ROW_NUMBER over the same
     ascending (n, cell) order."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     n = agg["n"].to_numpy().astype(np.int64)
@@ -8842,47 +8293,21 @@ def q_assoc_rules(sf_dir: str):
     Item supports and the basket count broadcast (bounded vocab);
     composition over ops.pairs.frequent_pairs."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
     from georay.ops import pairs as pairs_ops
     from georay.runtime import per_process
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
-    distinct = (
-        li.map_batches(
-            lambda t: t.group_by(["l_orderkey", "l_partkey"]).aggregate([]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_orderkey", "l_partkey"])
-        .aggregate(Count(alias_name="_d"))
-        .select_columns(["l_orderkey", "l_partkey"])
-        .repartition(8)
-    )
-
-    def item_partial(t: pa.Table) -> pa.Table:
-        it = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, n = np.unique(it, return_counts=True)
-        return pa.table({"it": u, "p_n": n.astype(np.int64)})
-
-    sup = (
-        distinct.map_batches(item_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .repartition(4)
-        .groupby("it")
-        .aggregate(Sum("p_n", alias_name="n"))
+    distinct = runtime.group_agg(li, ["l_orderkey", "l_partkey"])
+    sup = runtime.group_agg(
+        distinct, "l_partkey", {"n": ("count", None)}
     ).to_pandas()  # bounded: item vocabulary
+    n_baskets = runtime.group_agg(
+        distinct.select_columns(["l_orderkey"]), "l_orderkey"
+    ).count()
 
-    def basket_partial(t: pa.Table) -> pa.Table:
-        b = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"b": np.unique(b)})
-
-    n_baskets = int(
-        distinct.map_batches(basket_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("b").aggregate(Count(alias_name="_c")).count()
-    )
-
-    sk = sup["it"].to_numpy().astype(np.int64)
+    sk = sup["l_partkey"].to_numpy().astype(np.int64)
     so = np.argsort(sk, kind="quicksort")
     sup_ref = ray.put((sk[so], sup["n"].to_numpy().astype(np.int64)[so]))
     sup_key = sup_ref.hex() + "-assoc"
@@ -9092,7 +8517,6 @@ def q_hits_suppliers(sf_dir: str):
     hub₁ stays distributed and hash-joins back (customer-sized — the big
     side never collects)."""
     import ray
-    from ray.data.aggregate import Count, Sum
 
     from georay.runtime import per_process
 
@@ -9108,69 +8532,35 @@ def q_hits_suppliers(sf_dir: str):
     joined = pairs.join(orders.repartition(8), join_type="inner",
                         num_partitions=8, on=("o_orderkey",))
 
-    def edge_partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c": t["o_custkey"], "s": t["s"],
-        }).group_by(["c", "s"]).aggregate([])
+    def edge(t: pa.Table) -> pa.Table:
+        return pa.table({"c": t["o_custkey"], "s": t["s"]})
 
-    edges = (
-        joined.map_batches(edge_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby(["c", "s"])
-        .aggregate(Count(alias_name="_d"))  # global distinct
-        .select_columns(["c", "s"])
-        .repartition(8)
+    edges = runtime.group_agg(  # global distinct
+        joined.map_batches(edge, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["c", "s"],
     )
 
-    a1 = (
-        edges.map_batches(
-            lambda t: t.group_by("s").aggregate([("s", "count")]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4)
-        .groupby("s")
-        .aggregate(Sum("s_count", alias_name="auth1"))
+    a1 = runtime.group_agg(
+        edges, "s", {"auth1": ("count", None)}
     ).to_pandas()  # supplier-sized: the designated small side
     sk = a1["s"].to_numpy().astype(np.int64)
     so = np.argsort(sk, kind="quicksort")
     a1_ref = ray.put((sk[so], a1["auth1"].to_numpy().astype(np.int64)[so]))
     a1_key = a1_ref.hex() + "-hits-a1"
 
-    def hub_partial(t: pa.Table) -> pa.Table:
+    def auth(t: pa.Table) -> pa.Table:
         keys, vals = per_process(a1_key, lambda: ray.get(a1_ref))
         s = t["s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = vals[np.searchsorted(keys, s)]
-        u, inv = np.unique(c, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, a)
-        return pa.table({"c": u, "p_h": acc})
+        return pa.table({"c": t["c"], "a": vals[np.searchsorted(keys, s)]})
 
-    h1 = (
-        edges.map_batches(hub_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .repartition(8)
-        .groupby("c")
-        .aggregate(Sum("p_h", alias_name="hub1"))
-        .repartition(8)
+    h1 = runtime.group_agg(
+        edges.map_batches(auth, batch_format="pyarrow", zero_copy_batch=True),
+        "c", {"hub1": ("sum", "a")},
     )
 
     ej = edges.join(h1, join_type="inner", num_partitions=8, on=("c",))
-
-    def a2_partial(t: pa.Table) -> pa.Table:
-        s = t["s"].to_numpy(zero_copy_only=False).astype(np.int64)
-        h = t["hub1"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(s, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, h)
-        return pa.table({"s": u, "p_a": acc})
-
-    a2 = (
-        ej.map_batches(a2_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("s")
-        .aggregate(Sum("p_a", alias_name="auth2"))
-    )
+    a2 = runtime.group_agg(ej, "s", {"auth2": ("sum", "hub1")})
 
     def finalize(t: pa.Table) -> pa.Table:
         keys, vals = per_process(a1_key, lambda: ray.get(a1_ref))
@@ -9206,32 +8596,23 @@ def q_iqr_outliers(sf_dir: str):
     broadcast to a vectorized integer filter (2·dev > 3·IQR cross-
     multiplies the 1.5 away, so no float ever decides membership).
     Output: the flagged orders with side −1 (low) / +1 (high)."""
-    from ray.data.aggregate import Sum
-
     from georay.ops import sketch as sketch_ops
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
-    def rev_partial(t: pa.Table) -> pa.Table:
-        key = t["l_orderkey"].to_numpy(zero_copy_only=False)
+    def line_rev(t: pa.Table) -> pa.Table:
         cents_v = np.round(t["l_extendedprice"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64)
         pct = np.round(t["l_discount"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64)
-        rev = cents_v * (100 - pct)
-        u, inv = np.unique(key, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, rev)
-        return pa.table({"o_orderkey": u, "p_rev": acc})
+        return pa.table({"o_orderkey": t["l_orderkey"],
+                         "rev": cents_v * (100 - pct)})
 
-    rev = (
-        li.map_batches(rev_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(8)
-        .groupby("o_orderkey")
-        .aggregate(Sum("p_rev", alias_name="cents"))
-        .repartition(8)  # merge blocks pre-join (CLAUDE.md invariant)
+    rev = runtime.group_agg(
+        li.map_batches(line_rev, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "o_orderkey", {"cents": ("sum", "rev")},
     )
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderpriority"]).repartition(8)
@@ -9307,31 +8688,22 @@ def q_corr_qty_discount(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_quantity", "l_discount"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        flag = np.asarray(t["l_returnflag"].to_pylist())
+    def moments(t: pa.Table) -> pa.Table:
         x = t["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         y = np.round(t["l_discount"].to_numpy(zero_copy_only=False)
                      * 100).astype(np.int64)
-        u, inv = np.unique(flag, return_inverse=True)
-        cols = {}
-        for nm, v in (("p_n", np.ones_like(x)), ("p_sx", x), ("p_sy", y),
-                      ("p_sxx", x * x), ("p_syy", y * y), ("p_sxy", x * y)):
-            acc = np.zeros(u.size, np.int64)
-            np.add.at(acc, inv, v)
-            cols[nm] = acc
-        return pa.table({"l_returnflag": pa.array(u, pa.string()), **cols})
+        return pa.table({"l_returnflag": t["l_returnflag"], "x": x, "y": y,
+                         "xx": x * x, "yy": y * y, "xy": x * y})
 
-    agg = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4)
-        .groupby("l_returnflag")
-        .aggregate(*[Sum(f"p_{c}", alias_name=c)
-                     for c in ("n", "sx", "sy", "sxx", "syy", "sxy")])
+    agg = runtime.group_agg(
+        li.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        "l_returnflag",
+        {"n": ("count", None), "sx": ("sum", "x"), "sy": ("sum", "y"),
+         "sxx": ("sum", "xx"), "syy": ("sum", "yy"), "sxy": ("sum", "xy")},
     ).to_pandas()  # bounded: one row per return flag
 
     n = agg["n"].astype("int64")
@@ -9596,28 +8968,19 @@ def q_cusum_changepoint(sf_dir: str):
     ops.window.cusum_changepoint (ONE hash-bucket groupby, segmented
     numpy across keys — no per-key Python call). SQL twin: window
     cumulative sums + ROW_NUMBER argmax."""
-    from ray.data.aggregate import Sum
-
     from georay.ops import window as window_ops
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def user_day(t: pa.Table) -> pa.Table:
         day = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
                // 86_400_000_000)
-        pack = uid * (np.int64(1) << 24) + day
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"user_id": u >> 24, "day": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "day": day})
 
-    daily = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["user_id", "day"])
-        .aggregate(Sum("p_n", alias_name="x"))
-        .repartition(8)
+    daily = runtime.group_agg(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"], {"x": ("count", None)},
     )
     return window_ops.cusum_changepoint(daily, "user_id", "day", "x")
 
@@ -9748,16 +9111,14 @@ VOLUME_Y2_US = 883_612_800_000_000  # 1998-01-01
 
 def q_volume_shipping(sf_dir: str):
     """TPC-H Q7 shape — shipping volume between two nations by year: a
-    5-table join where BOTH fact sides are pre-filtered and pre-aggregated
-    before the single big hash join. Customer (nation-filtered) broadcasts
+    5-table join where BOTH fact sides are pre-filtered before the single
+    big hash join. Customer (nation-filtered) broadcasts
     via ray.put; orders stream through it to (o_orderkey, cust_nat);
     lineitem filters the 2-year window, maps l_suppkey through the tiny
-    supplier dim, and combines to one integer-revenue partial per
-    (orderkey, supp_nat, year) per batch; ONE hash join + asymmetric-pair
-    filter + tiny 3-key Sum groupby finish. Revenue in exact integer
-    units, so combine order never matters."""
+    supplier dim, and carries one integer revenue per row; ONE hash join
+    + asymmetric-pair filter + tiny 3-key ``group_agg`` sum finish. Revenue
+    in exact integer units, so combine order never matters."""
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.runtime import per_process
 
@@ -9809,7 +9170,7 @@ def q_volume_shipping(sf_dir: str):
                columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                         "l_discount", "l_shipdate"])
 
-    def li_partial(t: pa.Table) -> pa.Table:
+    def li_rev(t: pa.Table) -> pa.Table:
         us = t["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         keep = (us >= VOLUME_Y0_US) & (us < VOLUME_Y2_US)
         lsk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[keep]
@@ -9822,53 +9183,40 @@ def q_volume_shipping(sf_dir: str):
             zero_copy_only=False)[keep][hit] * 100).astype(np.int64)
         pct = np.round(t["l_discount"].to_numpy(
             zero_copy_only=False)[keep][hit] * 100).astype(np.int64)
-        rev = cents * (100 - pct)
-        nbit = (snat[hit] == n1).astype(np.int64)
-        pack = okey * 4 + nbit * 2 + (year - 1996)
-        u, inv = np.unique(pack, return_inverse=True)
-        part = np.zeros(u.size, dtype=np.int64)
-        np.add.at(part, inv, rev)
         return pa.table({
-            "o_orderkey": u >> 2,
-            "supp_nat": np.where((u >> 1) % 2 == 1, np.int64(n1),
-                                 np.int64(n0)),
-            "l_year": u % 2 + 1996,
-            "p_rev": part,
+            "o_orderkey": okey,
+            "supp_nat": np.where(snat[hit] == n1, np.int64(n1), np.int64(n0)),
+            "l_year": year,
+            "p_rev": cents * (100 - pct),
         })
 
     # merge blocks before the join: empty read splits skip the map UDF and
     # emit schema-less blocks Acero rejects (CLAUDE.md invariant)
-    partials = li.map_batches(li_partial, batch_format="pyarrow",
-                              zero_copy_batch=True).repartition(4)
-    joined = partials.join(orders_b.repartition(4), join_type="inner",
+    rows = li.map_batches(li_rev, batch_format="pyarrow",
+                          zero_copy_batch=True).repartition(4)
+    joined = rows.join(orders_b.repartition(4), join_type="inner",
                            num_partitions=8, on=("o_orderkey",))
 
     names = np.array([name_of[n0], name_of[n1]])
 
-    def pair_partial(t: pa.Table) -> pa.Table:
+    def cross_nation(t: pa.Table) -> pa.Table:
         snat = t["supp_nat"].to_numpy(zero_copy_only=False).astype(np.int64)
         cnat = t["cust_nat"].to_numpy(zero_copy_only=False).astype(np.int64)
         yr = t["l_year"].to_numpy(zero_copy_only=False).astype(np.int64)
         rev = t["p_rev"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = snat != cnat
-        pack = (snat[m] == n1).astype(np.int64) * 2 + (yr[m] - 1996)
-        u, inv = np.unique(pack, return_inverse=True)
-        part = np.zeros(u.size, dtype=np.int64)
-        np.add.at(part, inv, rev[m])
+        is1 = (snat[m] == n1).astype(np.int64)
         return pa.table({
-            "supp_nation": names[(u >> 1) % 2],
-            "cust_nation": names[1 - (u >> 1) % 2],
-            "l_year": u % 2 + 1996,
-            "p_rev": part,
+            "supp_nation": names[is1], "cust_nation": names[1 - is1],
+            "l_year": yr[m], "p_rev": rev[m],
         })
 
-    return (
-        joined.map_batches(pair_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(4)
-        .groupby(["supp_nation", "cust_nation", "l_year"])
-        .aggregate(Sum("p_rev", alias_name="revenue_u"))
-        .sort(["supp_nation", "cust_nation", "l_year"])
+    # group_agg's one output block is sorted by its keys
+    return runtime.group_agg(
+        joined.map_batches(cross_nation, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        ["supp_nation", "cust_nation", "l_year"],
+        {"revenue_u": ("sum", "p_rev")},
     )
 
 
@@ -9965,8 +9313,6 @@ def q_interval_union(sf_dir: str):
     one bucketed cogroup + segmented diffs computes every key in one
     vectorized pass (the ops.buckets idiom); the SQL twin is the LAG
     window of the same formula. All int64 microseconds."""
-    from ray.data.aggregate import Sum
-
     from georay.ops import buckets as bk
     from georay.runtime import table_from_pandas
 
@@ -10047,10 +9393,9 @@ def q_label_centroids(sf_dir: str):
     classifier): per-(label, dim) integer sums of µ-scaled components —
     float32 components are pre-scaled to exact int64 so the sums are
     order-independent, and the caller's centroid = sum / (n·scale) is the
-    one float division. Per-batch partials are a (labels × dims) dense
-    matmul-free np.add.at; the exchange carries O(labels × 64 × batches)
-    rows."""
-    from ray.data.aggregate import Sum
+    one float division. Each vector emits one (label, dim) row per
+    component; ``group_agg``'s per-batch partials leave O(labels × 64 ×
+    batches) rows for the combine."""
 
     emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding",
                                                "label"])
@@ -10058,28 +9403,20 @@ def q_label_centroids(sf_dir: str):
     from georay.ops.similarity import emb_matrix  # bound pre-closure:
     # worker code must not import georay lazily (foreign-cwd, CLAUDE.md)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def components(t: pa.Table) -> pa.Table:
         lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = emb_matrix(t["embedding"]).astype(np.float64)
-        scaled = np.round(m * EMB_SCALE).astype(np.int64)
-        u, inv = np.unique(lab, return_inverse=True)
-        d = m.shape[1]
-        sums = np.zeros((u.size, d), dtype=np.int64)
-        np.add.at(sums, inv, scaled)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        lab_rep = np.repeat(u, d)
-        dim = np.tile(np.arange(d, dtype=np.int64), u.size)
+        n, d = m.shape
         return pa.table({
-            "label": lab_rep, "dim": dim,
-            "p_s": sums.reshape(-1), "p_n": np.repeat(n, d),
+            "label": np.repeat(lab, d),
+            "dim": np.tile(np.arange(d, dtype=np.int64), n),
+            "s": np.round(m * EMB_SCALE).astype(np.int64).reshape(-1),
         })
 
-    return (
-        emb.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["label", "dim"])
-        .aggregate(Sum("p_s", alias_name="sum_scaled"),
-                   Sum("p_n", alias_name="n"))
+    return runtime.group_agg(
+        emb.map_batches(components, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        ["label", "dim"], {"sum_scaled": ("sum", "s"), "n": ("count", None)},
     )
 
 
@@ -10104,7 +9441,7 @@ def q_raster_convolve(sf_dir: str):
     self-join with the separable CASE weight product."""
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     pts = spatial.points_with_cells(cust, "c_custkey", BITS_TILE, xy=False)
-    raster = tiles.count_by(pts.select_columns(["cell"]), "cell").repartition(8)
+    raster = tiles.count_by(pts.select_columns(["cell"]), "cell")
     w1 = {0: 6, 1: 4, 2: 1}
     kernel = [(dx, dy, w1[abs(dx)] * w1[abs(dy)])
               for dx in (-2, -1, 0, 1, 2) for dy in (-2, -1, 0, 1, 2)]
@@ -10238,29 +9575,21 @@ def q_grid_bfs(sf_dir: str):
     iterative frontier scatter → join, MIN(hop) collapse; no anti-join
     per round). The SQL twin is a bounded recursive CTE over the same
     wraparound adjacency."""
-    from ray.data.aggregate import Sum
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell_src(t: pa.Table) -> pa.Table:
         key = t["c_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        is_src = (key % 97 == 0).astype(np.int64)
-        u, inv = np.unique(cell, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, is_src)
-        return pa.table({"cell": u, "p_n": n, "p_s": s})
+        return pa.table({
+            "cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64),
+            "src": (key % 97 == 0).astype(np.int64),
+        })
 
-    raster = (
-        cust.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"),
-                   Sum("p_s", alias_name="n_src"))
-        .repartition(8)  # merge empty blocks pre-join
+    raster = runtime.group_agg(
+        cust.map_batches(cell_src, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "cell", {"n": ("count", None), "n_src": ("sum", "src")},
     )
     out = tiles.grid_bfs(raster, BITS_TILE, max_hops=BFS_HOPS)
 
@@ -10301,31 +9630,22 @@ def q_burst_days(sf_dir: str):
     (n·D > 2·S) so it is pure int64, no float mean. Plan: per-(user, day)
     two-phase counts → per-user (active_days, total) rollup of those
     aggregate rows → hash join back + filter; raw events shuffle nowhere."""
-    from ray.data.aggregate import Count, Sum
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def user_day(t: pa.Table) -> pa.Table:
         day = (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
                // 86_400_000_000)
-        pack = uid * (np.int64(1) << 24) + day
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"user_id": u >> 24, "day": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"user_id": t["user_id"].cast(pa.int64()),
+                         "day": day})
 
-    daily = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["user_id", "day"])
-        .aggregate(Sum("p_n", alias_name="n"))
-        .repartition(8)  # merge schema-less empty blocks pre-join/agg
+    daily = runtime.group_agg(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"], {"n": ("count", None)},
     )
-    per_user = (
-        daily.groupby("user_id")
-        .aggregate(Count(alias_name="d_days"), Sum("n", alias_name="s_total"))
-        .repartition(4)
+    per_user = runtime.group_agg(
+        daily, "user_id",
+        {"d_days": ("count", None), "s_total": ("sum", "n")},
     )
     joined = daily.join(per_user, join_type="inner", num_partitions=8,
                         on=("user_id",))
@@ -10422,7 +9742,6 @@ def q_attribution(sf_dir: str):
     at all scales); purchases with no prior touch drop (inner asof), same
     as the SQL twin's MAX-ts formulation."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from georay.ops import asof as asof_ops
 
@@ -10466,22 +9785,12 @@ def q_attribution(sf_dir: str):
         .repartition(8),
         join_type="inner", num_partitions=8, on=("user_id", "us_r"))
 
-    def partial(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        cents = t["cents"].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, cents)
-        return pa.table({"touch_type": u, "p_n": n, "p_c": s})
+    def touch_type(t: pa.Table) -> pa.Table:
+        return pa.table({"touch_type": t["event_type"], "c": t["cents"]})
 
-    return (
-        credited.map_batches(partial, batch_format="pyarrow")
-        .repartition(4)
-        .groupby("touch_type")
-        .aggregate(Sum("p_n", alias_name="n_purchases"),
-                   Sum("p_c", alias_name="cents"))
-        .repartition(1)
+    return runtime.group_agg(
+        credited.map_batches(touch_type, batch_format="pyarrow"),
+        "touch_type", {"n_purchases": ("count", None), "cents": ("sum", "c")},
     )
 
 
@@ -10677,23 +9986,19 @@ def q_geary_c(sf_dir: str):
     two-phase count aggregate; the ≤2^bits-row cell table finalizes
     driver-side with Python ints (overflow-free at any scale)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     cell = agg["cell"].to_numpy().astype(np.uint64)
@@ -10929,23 +10234,18 @@ def q_cell_bbox(sf_dir: str):
     lon_max = lon_min + 360/2^nx (exact dyadic cell size), mirrored verbatim
     in SQL. Two-phase count aggregate; the bbox map runs distributed over
     the ≤2^bits aggregated cell rows."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     )
 
     def bbox(t: pa.Table) -> pa.Table:
@@ -10990,7 +10290,6 @@ def q_precision_error(sf_dir: str):
     (codec.py:195's 360/2^nx ÷ 2 — every row must satisfy it, and the SQL
     twin recomputes decode centers + the identical dyadic bound). One
     Max/Sum aggregate over 3 groups; only (bits, partial) rows shuffle."""
-    from ray.data.aggregate import Max, Sum
 
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
 
@@ -11014,14 +10313,12 @@ def q_precision_error(sf_dir: str):
             rows["p_within"].append(np.int64(within))
         return pa.table(rows)
 
-    return (
+    return runtime.group_agg(
         cust.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("bits")
-        .aggregate(Max("p_dlon", alias_name="max_dlon"),
-                   Max("p_dlat", alias_name="max_dlat"),
-                   Sum("p_n", alias_name="n"),
-                   Sum("p_within", alias_name="n_within"))
+                         zero_copy_batch=True),
+        "bits",
+        {"max_dlon": ("max", "p_dlon"), "max_dlat": ("max", "p_dlat"),
+         "n": ("sum", "p_n"), "n_within": ("sum", "p_within")},
     )
 
 
@@ -11062,23 +10359,18 @@ def q_cell_area(sf_dir: str):
     is a dyadic-exact degree value and numpy's sin/radians match DuckDB's
     libm on those inputs (asserted by this query's hash match). Two-phase
     count aggregate; the area map runs distributed over ≤2^bits cells."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     )
 
     def area_stage(t: pa.Table) -> pa.Table:
@@ -11131,23 +10423,19 @@ def q_where_zones(sf_dir: str):
     raster_assembly. SQL twin: MIN/MAX row/col per parent over occupied
     fine cells."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     nx, ny = codec.split_bits(BITS_TILE)
@@ -11191,23 +10479,18 @@ def q_hilbert_order(sf_dir: str):
     Two-phase count aggregate, then the vectorized rotate/reflect walk over
     the ≤2^bits aggregated cells; the SQL twin unrolls the identical
     5-level loop as a CTE chain (pure integer CASE arithmetic, bit-exact)."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     )
 
     def key_stage(t: pa.Table) -> pa.Table:
@@ -11295,28 +10578,20 @@ def q_tile_sen_slope(sf_dir: str):
     once → per-tile sorted-middle pick. SQL twin: week self-join +
     ROW_NUMBER median replay."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ev = _read(sf_dir, "events", columns=["event_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tile_week(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False)
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         xi = (eid * HASH_LON) % 360000
         yi = (eid * HASH_LAT) % 180000
-        tile = (xi // 11250) * 32 + yi // 5625
-        week = us // (7 * 86_400_000_000)
-        pack = tile * (np.int64(1) << 24) + week
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"tile": u >> 24, "week": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"tile": (xi // 11250) * 32 + yi // 5625,
+                         "week": us // (7 * 86_400_000_000)})
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["tile", "week"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        ev.map_batches(tile_week, batch_format="pyarrow", zero_copy_batch=True),
+        ["tile", "week"], {"n": ("count", None)},
     ).to_pandas()  # bounded: tiles × single-digit weeks
 
     tiles_v = agg["tile"].to_numpy().astype(np.int64)
@@ -11395,23 +10670,19 @@ def q_lisa_clusters(sf_dir: str):
     HH/LL/HL/LH cluster quadrant comes from exact int signs. Cells with
     no occupied neighbor drop out (mirrors the SQL inner join)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     cell = agg["cell"].to_numpy().astype(np.uint64)
@@ -11486,23 +10757,19 @@ def q_quadrat_csr(sf_dir: str):
     divides the same integer by Q·N·(Q−1)/Q·… — both SQL-twinned via
     HUGEINT."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
-        cell = codec.encode(lon, lat, BITS_TILE).astype(np.int64)
-        uc, n = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": n.astype(np.int64)})
+        return pa.table(
+            {"cell": codec.encode(lon, lat, BITS_TILE).astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     Q = 1 << BITS_TILE
@@ -11626,28 +10893,20 @@ def q_emerging_hotspots(sf_dir: str):
     rising MK trend), persistent_hot (hot last week, flat/falling),
     former_hot (was hot, not last week), none."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ev = _read(sf_dir, "events", columns=["event_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tile_week(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False)
         us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         xi = (eid * HASH_LON) % 360000
         yi = (eid * HASH_LAT) % 180000
-        tile = (xi // 11250) * 32 + yi // 5625
-        week = us // (7 * 86_400_000_000)
-        pack = tile * (np.int64(1) << 24) + week
-        u, inv = np.unique(pack, return_inverse=True)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
-        return pa.table({"tile": u >> 24, "week": u & ((1 << 24) - 1),
-                         "p_n": n})
+        return pa.table({"tile": (xi // 11250) * 32 + yi // 5625,
+                         "week": us // (7 * 86_400_000_000)})
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby(["tile", "week"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        ev.map_batches(tile_week, batch_format="pyarrow", zero_copy_batch=True),
+        ["tile", "week"], {"n": ("count", None)},
     ).to_pandas()  # bounded: tiles × single-digit weeks
 
     tiles_v = agg["tile"].to_numpy().astype(np.int64)
@@ -11792,34 +11051,21 @@ def q_sde_ellipse(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     ev = _read(sf_dir, "events", columns=["event_id", "event_type"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def moments(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        et = np.asarray(t["event_type"].to_pylist())
         x = (eid * HASH_LON) % 360000 // 100
         y = (eid * HASH_LAT) % 180000 // 100
-        u, inv = np.unique(et, return_inverse=True)
-        def seg(v):
-            acc = np.zeros(u.size, np.int64)
-            np.add.at(acc, inv, v)
-            return acc
-        return pa.table({
-            "event_type": pa.array(u, pa.string()),
-            "p_n": seg(np.ones(eid.size, np.int64)),
-            "p_x": seg(x), "p_y": seg(y),
-            "p_xx": seg(x * x), "p_yy": seg(y * y), "p_xy": seg(x * y),
-        })
+        return pa.table({"event_type": t["event_type"], "x": x, "y": y,
+                         "xx": x * x, "yy": y * y, "xy": x * y})
 
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4)
-        .groupby("event_type")
-        .aggregate(Sum("p_n", alias_name="n"), Sum("p_x", alias_name="sx"),
-                   Sum("p_y", alias_name="sy"), Sum("p_xx", alias_name="sxx"),
-                   Sum("p_yy", alias_name="syy"), Sum("p_xy", alias_name="sxy"))
+    agg = runtime.group_agg(
+        ev.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"n": ("count", None), "sx": ("sum", "x"), "sy": ("sum", "y"),
+         "sxx": ("sum", "xx"), "syy": ("sum", "yy"), "sxy": ("sum", "xy")},
     ).to_pandas()  # bounded: one row per event type
 
     n = agg["n"].to_numpy().astype(np.int64)
@@ -11893,24 +11139,19 @@ def q_join_counts(sf_dir: str):
     the shared denominator m·(m−1). Plan: two-phase per-cell counts →
     bounded ≤1024-row driver final (dense 32×32 shift masks)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         key = t["o_custkey"].to_numpy(zero_copy_only=False)
         lon, lat = spatial.synth_lonlat(key)
         cx, cy = codec.xy_from_lonlat(lon, lat, BITS_TILE)
-        cell = cx.astype(np.int64) * 32 + cy.astype(np.int64)
-        uc, cnt = np.unique(cell, return_counts=True)
-        return pa.table({"cell": uc, "p_n": cnt.astype(np.int64)})
+        return pa.table({"cell": cx.astype(np.int64) * 32 + cy.astype(np.int64)})
 
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(8)
-        .groupby("cell")
-        .aggregate(Sum("p_n", alias_name="n"))
+    agg = runtime.group_agg(
+        orders.map_batches(cell, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "cell", {"n": ("count", None)},
     ).to_pandas()  # bounded: ≤ 2^BITS_TILE occupied cells
 
     cell = agg["cell"].to_numpy().astype(np.int64)
@@ -12072,10 +11313,8 @@ def q_silhouette_labels(sf_dir: str):
     int64 (|xs·n| < 2^23 → 64-dim sum < 2^63); the one float step d² =
     I/(n·CS)² and the (b−a)/max ratio are order-free scalars, floored to
     ints before the final Sum. Plan: two-phase centroid sums (bounded
-    labels×dims) → broadcast → per-batch integer scoring → groupby(label).
+    labels×dims) → broadcast → per-row integer scoring → group_agg(label).
     """
-    from ray.data.aggregate import Sum
-
     from georay.ops.similarity import emb_matrix
     from georay.runtime import per_process
 
@@ -12084,27 +11323,20 @@ def q_silhouette_labels(sf_dir: str):
     emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding",
                                                "label"])
 
-    def cent_partial(t: pa.Table) -> pa.Table:
+    def components(t: pa.Table) -> pa.Table:
         lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = emb_matrix(t["embedding"]).astype(np.float64)
-        xs = np.floor(m * SIL_CS).astype(np.int64)
-        u, inv = np.unique(lab, return_inverse=True)
-        d = m.shape[1]
-        sums = np.zeros((u.size, d), np.int64)
-        np.add.at(sums, inv, xs)
-        n = np.bincount(inv, minlength=u.size).astype(np.int64)
+        n, d = m.shape
         return pa.table({
-            "label": np.repeat(u, d),
-            "dim": np.tile(np.arange(d, dtype=np.int64), u.size),
-            "p_s": sums.reshape(-1), "p_n": np.repeat(n, d),
+            "label": np.repeat(lab, d),
+            "dim": np.tile(np.arange(d, dtype=np.int64), n),
+            "xs": np.floor(m * SIL_CS).astype(np.int64).reshape(-1),
         })
 
-    cent = (
-        emb.map_batches(cent_partial, batch_format="pyarrow",
-                        zero_copy_batch=True)
-        .repartition(4)
-        .groupby(["label", "dim"])
-        .aggregate(Sum("p_s", alias_name="s"), Sum("p_n", alias_name="n"))
+    cent = runtime.group_agg(
+        emb.map_batches(components, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        ["label", "dim"], {"s": ("sum", "xs"), "n": ("count", None)},
     ).to_pandas()  # bounded: labels × dims
 
     labs = np.sort(cent["label"].unique()).astype(np.int64)
@@ -12134,21 +11366,11 @@ def q_silhouette_labels(sf_dir: str):
         mx = np.maximum(a, b)
         sil = np.where(mx == 0.0, 0.0, (b - a) / mx)
         silq = np.floor(SIL_SCALE * sil).astype(np.int64)
-        u, inv = np.unique(lab, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, silq)
-        return pa.table({
-            "label": u,
-            "p_sil": acc,
-            "p_n": np.bincount(inv, minlength=u.size).astype(np.int64),
-        })
+        return pa.table({"label": lab, "silq": silq})
 
-    return (
-        emb.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(4)
-        .groupby("label")
-        .aggregate(Sum("p_sil", alias_name="sil_sum_scaled"),
-                   Sum("p_n", alias_name="n_pts"))
+    return runtime.group_agg(
+        emb.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        "label", {"sil_sum_scaled": ("sum", "silq"), "n_pts": ("count", None)},
     )
 
 
@@ -12202,8 +11424,6 @@ def q_dsir_resample(sf_dir: str):
     because its input hash is), k highest scores win with (score DESC,
     doc_id ASC) tie-break. Plan: the dsir_weights pipeline → per-batch
     integer scoring → global top-k via one bounded sort-limit."""
-    import pandas as pd
-
     from georay.ops.sketch import splitmix64
 
     k = 64
@@ -12264,7 +11484,6 @@ def _dsir_weights_ds(sf_dir: str):
 
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.ops.sketch import splitmix64
     from georay.runtime import per_process, table_from_pandas
@@ -12291,23 +11510,8 @@ def _dsir_weights_ds(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     tf = docs.map_batches(tf_rows, batch_format="pandas").materialize()
 
-    def cf_partial(t: pa.Table) -> pa.Table:
-        w = np.asarray(t["w"].to_pylist())
-        r = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tt = t["tf_t"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(w, return_inverse=True)
-        ar = np.zeros(u.size, np.int64)
-        at = np.zeros(u.size, np.int64)
-        np.add.at(ar, inv, r)
-        np.add.at(at, inv, tt)
-        return pa.table({"w": pa.array(u, pa.string()), "p_r": ar, "p_t": at})
-
-    cf = (
-        tf.map_batches(cf_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("w")
-        .aggregate(Sum("p_r", alias_name="r"), Sum("p_t", alias_name="t"))
+    cf = runtime.group_agg(
+        tf, "w", {"r": ("sum", "tf"), "t": ("sum", "tf_t")}
     ).to_pandas()  # bounded: vocabulary
 
     words = cf["w"].to_numpy()
@@ -12332,26 +11536,16 @@ def _dsir_weights_ds(sf_dir: str):
     ref = ray.put((words, lam_w))
     key = ref.hex() + "-dsir"
 
-    def score_partial(t: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> pa.Table:
         ws, lam = per_process(key, lambda: ray.get(ref))
         w = np.asarray(t["w"].to_pylist())
         v = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = lam[np.searchsorted(ws, w)]
-        did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, inv = np.unique(did, return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, v * s)
-        ntk = np.zeros(u.size, np.int64)
-        np.add.at(ntk, inv, v)
-        return pa.table({"doc_id": u, "p_s": acc, "p_n": ntk})
+        return pa.table({"doc_id": t["doc_id"], "vs": v * s, "tf": v})
 
-    return (
-        tf.map_batches(score_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("doc_id")
-        .aggregate(Sum("p_s", alias_name="dsir_scaled"),
-                   Sum("p_n", alias_name="n_tokens"))
+    return runtime.group_agg(
+        tf.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        "doc_id", {"dsir_scaled": ("sum", "vs"), "n_tokens": ("sum", "tf")},
     )
 
 
@@ -12495,9 +11689,7 @@ def q_areal_interpolation(sf_dir: str):
     ``n4 = Σ quarters`` is the zone estimate ×4 — no float weights
     anywhere. Edge quarters outside the zone frame clamp to the nearest
     zone (both sides mirror the clamp). Plan: two-phase cell counts →
-    4-way scatter partial → one tiny groupby(zone)."""
-    from ray.data.aggregate import Sum
-
+    4-way scatter → one tiny group_agg(zone)."""
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     pts = spatial.points_with_cells(cust, "c_custkey", BITS_TILE, xy=False)
     raster = tiles.count_by(pts.select_columns(["cell"]), "cell")
@@ -12517,17 +11709,13 @@ def q_areal_interpolation(sf_dir: str):
                 zy = np.clip((hy - 1) // 4, 0, 15)
                 zones.append(zx * 16 + zy)
                 vals.append(n)
-        u, inv = np.unique(np.concatenate(zones), return_inverse=True)
-        acc = np.zeros(u.size, np.int64)
-        np.add.at(acc, inv, np.concatenate(vals))
-        return pa.table({"zone": u, "p_n4": acc})
+        return pa.table({"zone": np.concatenate(zones),
+                         "n": np.concatenate(vals)})
 
-    return (
+    return runtime.group_agg(
         raster.map_batches(scatter, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .repartition(4)
-        .groupby("zone")
-        .aggregate(Sum("p_n4", alias_name="n4"))
+                           zero_copy_batch=True),
+        "zone", {"n4": ("sum", "n")},
     )
 
 
@@ -12566,7 +11754,6 @@ def q_gravity_calibration(sf_dir: str):
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from georay.ops import trajectory as traj
 
@@ -12586,7 +11773,7 @@ def q_gravity_calibration(sf_dir: str):
     pts = ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     od = traj.od_matrix(pts, "user_id", "us", "event_id", "cell")
 
-    def hist_partial(t: pa.Table) -> pa.Table:
+    def dist_flow(t: pa.Table) -> pa.Table:
         o = t["o_cell"].to_numpy(zero_copy_only=False).astype(np.int64)
         d = t["d_cell"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -12594,25 +11781,17 @@ def q_gravity_calibration(sf_dir: str):
         dy = o % 32 - d % 32
         d2 = dx * dx + dy * dy
         keep = d2 > 0
-        key = d2[keep] * (1 << 24) + n[keep]  # n = leg count ≪ 2^24
-        u, inv = np.unique(key, return_inverse=True)
-        return pa.table({
-            "key": u,
-            "p_m": np.bincount(inv, minlength=u.size).astype(np.int64),
-        })
+        return pa.table({"d2": d2[keep], "nf": n[keep]})
 
-    hist = (
-        od.map_batches(hist_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("key")
-        .aggregate(Sum("p_m", alias_name="m"))
+    hist = runtime.group_agg(
+        od.map_batches(dist_flow, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["d2", "nf"], {"m": ("count", None)},
     ).to_pandas()  # bounded: distinct (d², flow) combos on a 32×32 grid
 
-    key = hist["key"].to_numpy().astype(np.int64)
     m = hist["m"].to_numpy().astype(np.int64)
-    d2 = key >> 24
-    nf = key & ((1 << 24) - 1)
+    d2 = hist["d2"].to_numpy().astype(np.int64)
+    nf = hist["nf"].to_numpy().astype(np.int64)
     x = np.array([math.floor(GRAVITY_SCALE * math.log(float(v)))
                   for v in d2], dtype=object)
     y = np.array([math.floor(GRAVITY_SCALE * math.log(float(v)))
@@ -12693,7 +11872,6 @@ def q_knox_test(sf_dir: str):
     pair list ever materializes to the driver; M comes from a two-phase
     per-user count. SQL twin: three DuckDB IEJoins on the raw predicates."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from georay.ops import trajectory as traj
 
@@ -12797,34 +11975,24 @@ def q_rbo_rankings(sf_dir: str):
     two-phase integer part aggregates → bounded part-catalog driver final
     (overlap prefix loop over two k-lists)."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_extendedprice", "l_discount",
                         "l_quantity"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        key = t["l_partkey"].to_numpy(zero_copy_only=False)
+    def rev_qty(t: pa.Table) -> pa.Table:
         cents = np.round(t["l_extendedprice"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64)
         pct = np.round(t["l_discount"].to_numpy(
             zero_copy_only=False) * 100).astype(np.int64)
         qty = np.round(t["l_quantity"].to_numpy(
             zero_copy_only=False)).astype(np.int64)
-        rev = cents * (100 - pct)
-        u, inv = np.unique(key, return_inverse=True)
-        ar = np.zeros(u.size, np.int64)
-        aq = np.zeros(u.size, np.int64)
-        np.add.at(ar, inv, rev)
-        np.add.at(aq, inv, qty)
-        return pa.table({"l_partkey": u, "p_rev": ar, "p_qty": aq})
+        return pa.table({"l_partkey": t["l_partkey"],
+                         "rev": cents * (100 - pct), "qty": qty})
 
-    agg = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .groupby("l_partkey")
-        .aggregate(Sum("p_rev", alias_name="rev"),
-                   Sum("p_qty", alias_name="qty"))
+    agg = runtime.group_agg(
+        li.map_batches(rev_qty, batch_format="pyarrow", zero_copy_batch=True),
+        "l_partkey", {"rev": ("sum", "rev"), "qty": ("sum", "qty")},
     ).to_pandas()  # bounded: part catalog (dimension table)
 
     top_a = (agg.sort_values(["rev", "l_partkey"], ascending=[False, True])
@@ -12899,7 +12067,6 @@ def q_doc_keywords(sf_dir: str):
 
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.ops.rank import grouped_topk
     from georay.runtime import per_process, table_from_pandas
@@ -12921,21 +12088,9 @@ def q_doc_keywords(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     tf = docs.map_batches(tf_rows, batch_format="pandas").materialize()
 
-    def df_partial(t: pa.Table) -> pa.Table:
-        # tf rows are unique per (doc, w): counting rows per w IS df
-        w = np.asarray(t["w"].to_pylist())
-        u, inv = np.unique(w, return_inverse=True)
-        return pa.table({
-            "w": pa.array(u, pa.string()),
-            "p_df": np.bincount(inv, minlength=u.size).astype(np.int64),
-        })
-
-    dfh = (
-        tf.map_batches(df_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("w")
-        .aggregate(Sum("p_df", alias_name="df"))
+    # tf rows are unique per (doc, w): counting rows per w IS df
+    dfh = runtime.group_agg(
+        tf.select_columns(["w"]), "w", {"df": ("count", None)}
     ).to_pandas()  # bounded: vocabulary
 
     # D = docs with ≥1 token (distinct doc_id in tf) via one tiny count_by
@@ -13011,14 +12166,13 @@ def q_nb_langid(sf_dir: str):
     doc→lang join or broadcast of the big side is ever needed. Test docs
     whose true lang never occurs in training are excluded (no code).
     Plan: train tf → two-phase (lang, w) counts → broadcast λ/π →
-    per-batch score partials → groupby(key) → argmax map → 1-partition
-    confusion final (empty-block invariant)."""
+    per-row scores → group_agg(key) → argmax map → group_agg confusion
+    final."""
     import math
     import re
 
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from georay.ops.sketch import splitmix64
     from georay.runtime import per_process, table_from_pandas
@@ -13071,13 +12225,10 @@ def q_nb_langid(sf_dir: str):
                 dc_g["size"].to_numpy().astype(np.int64)]),
         })
 
-    trained = (
+    trained = runtime.group_agg(
         tf.map_batches(train_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby(["lang", "w"])
-        .aggregate(Sum("p_tf", alias_name="tf"),
-                   Sum("p_docs", alias_name="docs"))
+                       zero_copy_batch=True),
+        ["lang", "w"], {"tf": ("sum", "p_tf"), "docs": ("sum", "p_docs")},
     ).to_pandas()  # bounded: train vocabulary × classes
 
     langs = np.sort(trained["lang"].unique().astype(str))
@@ -13115,7 +12266,7 @@ def q_nb_langid(sf_dir: str):
     ref = ray.put((vocab, bkt_all, lam, langs))
     key = ref.hex() + "-nb"
 
-    def score_partial(t: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> pa.Table:
         vb, bk_v, lm, ls = per_process(key, lambda: ray.get(ref))
         did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = np.asarray(t["w"].to_pylist(), dtype=object).astype(str)
@@ -13126,29 +12277,15 @@ def q_nb_langid(sf_dir: str):
         lc = np.searchsorted(ls, lg)
         in_l = (lc < ls.size) & (ls[np.minimum(lc, ls.size - 1)] == lg)
         keep = (did % 2 == 1) & in_v & in_l
-        cols = {"key": np.empty(0, np.int64)}
-        cols.update({f"s{c}": np.empty(0, np.int64)
-                     for c in range(ls.size)})
-        if not keep.any():
-            return pa.table(cols)
         bkt = bk_v[idx[keep]]
-        kk = did[keep] * 8 + lc[keep]
         vv = v[keep]
-        u, inv = np.unique(kk, return_inverse=True)
-        cols["key"] = u
-        for c in range(ls.size):
-            acc = np.zeros(u.size, np.int64)
-            np.add.at(acc, inv, vv * lm[bkt, c])
-            cols[f"s{c}"] = acc
+        cols = {"key": did[keep] * 8 + lc[keep]}
+        cols.update({f"s{c}": vv * lm[bkt, c] for c in range(ls.size)})
         return pa.table(cols)
 
-    aggs = [Sum(f"s{c}", alias_name=f"t{c}") for c in range(c_cnt)]
-    scored = (
-        tf.map_batches(score_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .repartition(4)
-        .groupby("key")
-        .aggregate(*aggs)
+    scored = runtime.group_agg(
+        tf.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        "key", {f"t{c}": ("sum", f"s{c}") for c in range(c_cnt)},
     )
 
     langs_b, pri_b = langs, pri  # bound pre-closure for the worker
@@ -13162,14 +12299,11 @@ def q_nb_langid(sf_dir: str):
         return pa.table({
             "lang_true": pa.array(langs_b[kk % 8], pa.string()),
             "lang_pred": pa.array(langs_b[pred], pa.string()),
-            "p_n": np.ones(kk.size, np.int64),
         })
 
-    return (
-        scored.map_batches(finalize, batch_format="pyarrow")
-        .repartition(1)  # ≤ C² confusion groups: empty-block invariant
-        .groupby(["lang_true", "lang_pred"])
-        .aggregate(Sum("p_n", alias_name="n"))
+    return runtime.group_agg(
+        scored.map_batches(finalize, batch_format="pyarrow"),
+        ["lang_true", "lang_pred"], {"n": ("count", None)},
     )
 
 

@@ -111,7 +111,8 @@ def group_agg(ds, keys, aggs: dict | None = None):
     rows (its column is ignored, pass ``None``), ``"sum"`` takes INTEGER
     columns only (floats raise ``TypeError``: pre-scale them, so sums are
     exact and order-independent), ``"min"``/``"max"`` take any orderable
-    column. No ``aggs`` gives the distinct keys.
+    column. No ``aggs`` gives the distinct keys. Empty ``keys`` aggregates
+    the whole dataset into one row.
 
     Each batch is reduced by a pyarrow hash ``group_by`` inside
     ``map_batches`` (it fuses with the caller's row-level map), then ONE
@@ -119,10 +120,13 @@ def group_agg(ds, keys, aggs: dict | None = None):
     every partial row is what makes the combine cheap: on a 2-logical-CPU
     node of a 1-core host, a pyarrow hash combine of 3.2M partial rows took
     0.15 s where ``repartition(8)`` + Ray's sort-aggregate took 37 s. The
-    output is exactly one block sorted by ``keys`` (the order Ray's
-    range-partitioned sort-aggregate gives), so callers never see the
+    output of a non-empty input is exactly one block sorted by ``keys``
+    (the order Ray's range-partitioned sort-aggregate gives), never the
     schema-less empty blocks that a sort-aggregate with more partitions
-    than groups emits. Empty input gives zero rows.
+    than groups emits. Zero input rows (also with ``keys=[]``) give a
+    dataset whose ``schema()`` is None and whose ``to_pandas()`` has no
+    columns, as Ray's own ``groupby().aggregate()`` does: map UDFs are
+    skipped on empty blocks, so nothing can type the output.
 
     Output columns: ``keys`` then ``aggs`` in order. Counts are int64;
     integer sums wrap like numpy's."""
@@ -149,7 +153,8 @@ def group_agg(ds, keys, aggs: dict | None = None):
             [(p, _COMBINE_OP[op]) for p, (op, _) in zip(parts, aggs.values())]
         )
         g = pa.Table.from_arrays(g.columns, names=keys + list(aggs))
-        return g.sort_by([(k, "ascending") for k in keys])
+        # pyarrow 16 rejects sort_by([])
+        return g.sort_by([(k, "ascending") for k in keys]) if keys else g
 
     return (
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)

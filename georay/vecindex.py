@@ -39,8 +39,10 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from georay import runtime
+from georay.ops.rank import grouped_topk
 from georay.ops.similarity import (
     _normalize,
     dim_bounds,
@@ -237,7 +239,8 @@ class VecIndex:
     def query_topk(self, query_ids: np.ndarray, query_mat: np.ndarray,
                    k: int = 5, n_probe: int = 4):
         """Top-k by int64 code math over the probed inverted lists only —
-        partition-pruned read, per-batch local top-k, one per-query merge.
+        partition-pruned read, per-batch local top-k, ``rank.grouped_topk``
+        merge.
         ``ivf_sq8``: SQ8 query code · stored SQ8 code dot products;
         ``ivf_pq``: per-query integer ADC lookup tables gathered through
         the stored PQ codeword ids (no vector reconstructed). Self-matches
@@ -245,7 +248,6 @@ class VecIndex:
         ``n_probe == n_centroids`` the ranking is bit-identical to the
         in-flight ``ivf_sq8_topk`` / ``ivf_pq_topk``.
         Output: ``query_id, neighbor_id, score, rank``."""
-        import pandas as pd
         import ray
 
         from georay.runtime import per_process
@@ -337,20 +339,14 @@ class VecIndex:
                 })
 
         def local_fn(t: pa.Table) -> pa.Table:
-            return per_process(state_key, Scorer)(t)
+            t = per_process(state_key, Scorer)(t)
+            return t.filter(pc.greater_equal(t["score"], 0))
 
         local = ray.data.read_parquet(files).map_batches(
             local_fn, batch_format="pyarrow")
 
-        def merge(g: pd.DataFrame) -> pd.DataFrame:
-            g = g[g["score"] >= 0]
-            g = g.sort_values(["score", "neighbor_id"],
-                              ascending=[False, True]).head(k)
-            g = g.assign(rank=np.arange(1, len(g) + 1, dtype=np.int64))
-            return g[["query_id", "neighbor_id", "score", "rank"]]
-
-        return local.repartition(8).groupby("query_id").map_groups(
-            merge, batch_format="pandas")
+        return grouped_topk(local, ["query_id"], ["score", "neighbor_id"],
+                            [False, True], k)
 
     # ------------------------------------------------------------ inspection
 

@@ -243,6 +243,23 @@ def test_group_agg_empty_input(ray_session):
         assert len(out.to_pandas()) == 0
 
 
+def test_group_agg_without_keys_is_one_row(ray_session):
+    import ray
+
+    rng = np.random.default_rng(5)
+    v = rng.integers(-(2**40), 2**40, 1000)
+    f = rng.standard_normal(1000)
+    out = runtime.group_agg(
+        _ds(ray, {"v": v, "f": f}, blocks=7), [],
+        {"n": ("count", None), "s": ("sum", "v"),
+         "mn": ("min", "f"), "mx": ("max", "v")},
+    ).to_pandas()
+    assert list(out.columns) == ["n", "s", "mn", "mx"]
+    assert out.to_dict("records") == [
+        {"n": 1000, "s": int(v.sum()), "mn": float(f.min()), "mx": int(v.max())}
+    ]
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     rows=st.lists(
@@ -270,10 +287,14 @@ def test_group_agg_matches_pandas(ray_session, rows, blocks):
     pd.testing.assert_frame_equal(out, want, check_dtype=False)
 
 
-# Aggregate sites under georay/ops/ allowed to keep ray.data.aggregate:
+# Files under georay/ allowed to keep ray.data.aggregate:
 # {"<file name>": "<one-line measured reason>"}. Every count/sum/min/max
 # aggregate there goes through runtime.group_agg.
 AGGREGATE_IMPORTS_KEPT: dict[str, str] = {}
+
+# Literal `.repartition(<int>)` calls left under georay/ outside runtime.py;
+# lower it as call sites move to group_agg or adaptive partition counts.
+LITERAL_REPARTITIONS_MAX = 35
 
 
 def test_ops_use_group_agg_not_ray_aggregates():
@@ -292,8 +313,7 @@ def test_ops_use_group_agg_not_ray_aggregates():
                 mods = [a.name for a in node.names]
             else:
                 mods = []
-            if (path.parent.name == "ops"
-                    and path.name not in AGGREGATE_IMPORTS_KEPT
+            if (path.name not in AGGREGATE_IMPORTS_KEPT
                     and any(m.startswith("ray.data.aggregate") for m in mods)):
                 imports.append(f"{rel}:{node.lineno}")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -303,3 +323,28 @@ def test_ops_use_group_agg_not_ray_aggregates():
                     knobs.append(f"{rel}:{node.lineno} {node.name}")
     assert not imports, f"use runtime.group_agg, not ray.data.aggregate: {imports}"
     assert not knobs, f"group_agg has no partition count to choose: {knobs}"
+
+
+def test_literal_repartition_count_does_not_grow():
+    import ast
+    import pathlib
+
+    root = pathlib.Path(runtime.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "runtime.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "repartition"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, int)):
+                sites.append((path.relative_to(root.parent).as_posix(),
+                              node.lineno))
+    assert len(sites) <= LITERAL_REPARTITIONS_MAX, (
+        f"{len(sites)} literal .repartition(<int>) calls "
+        f"(max {LITERAL_REPARTITIONS_MAX}): {sorted(sites)}"
+    )
