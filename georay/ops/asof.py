@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from georay.runtime import join
+
 
 def interval_join(
     points_ds,
@@ -81,11 +83,10 @@ def interval_join(
             }
         )
 
-    joined = points_ds.map_batches(prep_points, batch_format="pyarrow").join(
+    joined = join(
+        points_ds.map_batches(prep_points, batch_format="pyarrow"),
         intervals_ds.map_batches(prep_intervals, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(by, "_b"),
+        "inner", on=(by, "_b"), num_partitions=num_partitions,
     )
 
     def refine(t: pa.Table) -> pa.Table:

@@ -27,16 +27,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from georay.ops.sketch import splitmix64  # module level: worker-executed
-from georay.ops.text import fingerprint64  # (foreign-cwd drivers)
-
-
-def key_hash(arr: np.ndarray) -> np.ndarray:
-    """uint64 hash of a key column (int-like via splitmix64, strings via
-    the rolling fingerprint) — same mix as ops.rank."""
-    if arr.dtype.kind in "iu":
-        return splitmix64(arr.astype(np.int64).view(np.uint64))
-    return fingerprint64(arr.astype(object))
+# module level: worker-executed (foreign-cwd drivers)
+from georay.hashing import key_hash
 
 
 def bucket_of(arr: np.ndarray, num_buckets: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.runtime import adaptive_partitions, group_agg
+from georay.runtime import adaptive_partitions, group_agg, join
 
 
 def connected_components(
@@ -97,14 +97,13 @@ def connected_components(
     for _ in range(max_rounds):
         # propagate: each edge (src,dst) offers label(src) to dst
         offered = (
-            edges.join(
+            join(
+                edges,
                 labels.map_batches(
                     lambda t: pa.table({"src": t["node"], "label": t["label"]}),
                     batch_format="pyarrow",
                 ),
-                join_type="inner",
-                num_partitions=num_partitions,
-                on=("src",),
+                "inner", on=("src",), num_partitions=num_partitions,
             )
             .map_batches(
                 lambda t: pa.table(
@@ -130,13 +129,14 @@ def connected_components(
             lambda t: pa.table({"plabel": t["node"], "label2": t["label"]}),
             batch_format="pyarrow",
         )
-        jumped = labels.map_batches(
-            lambda t: pa.table({"node": t["node"], "plabel": t["label"],
-                                "is_node": t["is_node"]}),
-            batch_format="pyarrow",
-        ).join(
-            as_parent, join_type="left_outer",
-            num_partitions=num_partitions, on=("plabel",),
+        jumped = join(
+            labels.map_batches(
+                lambda t: pa.table({"node": t["node"], "plabel": t["label"],
+                                    "is_node": t["is_node"]}),
+                batch_format="pyarrow",
+            ),
+            as_parent, "left_outer", on=("plabel",),
+            num_partitions=num_partitions,
         )
 
         def shortcut(t: pa.Table) -> pa.Table:

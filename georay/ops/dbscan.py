@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 
 from georay.ops import knn as knn_ops
 from georay.ops.cluster import connected_components
-from georay.runtime import adaptive_partitions, group_agg
+from georay.runtime import adaptive_partitions, group_agg, join
 
 
 def grid_dbscan(
@@ -105,8 +105,8 @@ def grid_dbscan(
 
     if core.count() == 0:
         # no core point anywhere (sparse regime): every point is noise —
-        # exact short-circuit; also avoids feeding an all-empty-block side
-        # into the hash join (Acero rejects schema-less blocks)
+        # exact short-circuit; also keeps a zero-row side out of the
+        # left-outer join below (runtime.join cannot type its columns)
         def all_noise(t: pa.Table) -> pa.Table:
             n = len(t)
             return pa.table(
@@ -125,10 +125,11 @@ def grid_dbscan(
 
     # 3. core-core edges → components (stable min-id labels)
     edges = (
-        pairs.join(core, join_type="inner", num_partitions=num_partitions,
-                   on=("pid",))
-        .join(core_n, join_type="inner", num_partitions=num_partitions,
-              on=("nid",))
+        join(
+            join(pairs, core, "inner", on=("pid",),
+                 num_partitions=num_partitions),
+            core_n, "inner", on=("nid",), num_partitions=num_partitions,
+        )
         .map_batches(
             lambda t: t.filter(pc.not_equal(t["pid"], t["nid"])),
             batch_format="pyarrow",
@@ -145,15 +146,13 @@ def grid_dbscan(
     # 4. every point's label = MIN adjacent core component (one rule for
     # core AND border: a core point is adjacent to itself)
     lab = group_agg(
-        pairs.join(comps, join_type="inner", num_partitions=num_partitions,
-                   on=("nid",)),
+        join(pairs, comps, "inner", on=("nid",),
+             num_partitions=num_partitions),
         "pid", {"lbl": ("min", "component")},
     )
 
-    out = deg.join(
-        lab, join_type="left_outer", num_partitions=num_partitions,
-        on=("pid",)
-    )
+    out = join(deg, lab, "left_outer", on=("pid",),
+               num_partitions=num_partitions)
 
     def finish(t: pa.Table) -> pa.Table:
         cnt = t["cnt"].to_numpy(zero_copy_only=False)

@@ -7,10 +7,17 @@ Two physical strategies, chosen by side size:
   shuffle at all; the right choice whenever one side fits in a worker heap
   (dimension tables, tile sets). This is the 100 TB-scale default for
   point×polygon-table joins.
-- :func:`shuffle_cell_join` — both sides large: Ray Data's hash-partitioned
-  ``Dataset.join`` (all-to-all exchange on the cell key). Use
+- :func:`shuffle_cell_join` — both sides large: :func:`georay.runtime.join`
+  (both sides hash-bucketed on the cell key, exchanged by Ray's task-based
+  sort, joined per bucket by pyarrow; no actors). Use
   ``georay.runtime.salt_hot_keys`` first when the key distribution is
   skewed (dense urban cells).
+
+Ray's own ``Dataset.join`` is not used: it starts hash-shuffle aggregator
+actors on every call. On a 1-core host with 2 logical Ray CPUs the
+benchmark's ``spatial_join_shuffle`` (15k × 1k rows) took 2.5 s per call
+that way (median of 10 runs; 0.51 s through ``runtime.join``), where its
+broadcast twin took 0.17 s.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import check_saltable, group_agg
+from georay.runtime import check_saltable, group_agg, join
 
 
 class _SortedLookup:
@@ -118,25 +125,16 @@ def shuffle_cell_join(
     right_cols: list[str] | None = None,
     join_type: str = "inner",
 ):
-    """Equi-join of two large Datasets: Ray Data hash shuffle join.
+    """Equi-join of two large Datasets on the cell key (``runtime.join``;
+    ``num_partitions=None`` → ``runtime.adaptive_partitions()``).
 
     ``join_type``: inner / left_outer / right_outer / full_outer."""
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
     if left_cols is not None:
         left_ds = left_ds.select_columns(list(dict.fromkeys([on] + left_cols)))
     if right_cols is not None:
         right_ds = right_ds.select_columns(list(dict.fromkeys([on] + right_cols)))
-    return left_ds.join(
-        right_ds,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=(on,),
-        right_suffix="_r",
-    )
+    return join(left_ds, right_ds, join_type, on=(on,), right_suffix="_r",
+                num_partitions=num_partitions)
 
 
 def salted_shuffle_join(
@@ -156,13 +154,6 @@ def salted_shuffle_join(
     unchanged. Output rows carry the original (unsalted) key — row counts
     are exactly those of the plain join.
     """
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
-    import numpy as np
-
     hot = np.sort(np.unique(np.asarray(hot_keys)))
 
     if left_cols is not None:
@@ -189,15 +180,10 @@ def salted_shuffle_join(
     from georay.runtime import salt_hot_keys
 
     joined = (
-        salt_hot_keys(left_ds, on, hot, n_salt=n_salt, salted_col="_sk")
-        .join(
-            right_ds.map_batches(replicate_right, batch_format="pyarrow"),
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("_sk",),
-            left_suffix="_l",
-            right_suffix="_r",
-        )
+        join(salt_hot_keys(left_ds, on, hot, n_salt=n_salt, salted_col="_sk"),
+             right_ds.map_batches(replicate_right, batch_format="pyarrow"),
+             "inner", on=("_sk",), left_suffix="_l", right_suffix="_r",
+             num_partitions=num_partitions)
     )
 
     def unsalt(t: pa.Table) -> pa.Table:
@@ -400,10 +386,8 @@ def bloom_semi_join(ds, keys_ds, on: str, right_on: str | None = None,
                             batch_format="pyarrow"),
         on, {"__hit": ("count", None)},
     )
-    joined = candidates.join(
-        marker, join_type="left_outer", num_partitions=num_partitions,
-        on=(on,),
-    )
+    joined = join(candidates, marker, "left_outer", on=(on,),
+                  num_partitions=num_partitions)
 
     def resolve(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -498,14 +482,8 @@ def box_overlap_join(
     if coalesce is not None:
         left = left.repartition(coalesce)
         right = right.repartition(coalesce)
-    joined = left.join(
-        right,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("cell",),
-        left_suffix="_l",
-        right_suffix="_r",
-    )
+    joined = join(left, right, "inner", on=("cell",), left_suffix="_l",
+                  right_suffix="_r", num_partitions=num_partitions)
 
     def overlap_once(t: pa.Table) -> pa.Table:
         ax0 = t["a_x0"].to_numpy(zero_copy_only=False)
@@ -603,8 +581,8 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
 
     right = left.map_batches(as_right, batch_format="pyarrow",
                              zero_copy_batch=True).repartition(num_partitions)
-    cand = left.join(right, join_type="inner",
-                     num_partitions=num_partitions, on=("cell",))
+    cand = join(left, right, "inner", on=("cell",),
+                num_partitions=num_partitions)
 
     def refine(t: pa.Table) -> pa.Table:
         a = t["sid"].to_numpy(zero_copy_only=False)

@@ -7,7 +7,7 @@ pair dedup → exact-Jaccard verification via a hash-join back to the docs.
 Only ids+hashes shuffle; document text moves once, for verification.
 
 On the sandbox's small corpora the verification join uses the broadcast
-path; ``verify="shuffle"`` switches to ``Dataset.join`` for big-big.
+path; ``verify="shuffle"`` switches to ``runtime.join`` for big-big.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from georay.ops.pairs import (
     grouped_pair_indices,
 )
 from georay.ops.sketch import splitmix64
+from georay.runtime import join
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -357,10 +358,10 @@ def jaccard_verify_packed(pairs_ds, sh_ds, threshold: float = 0.7,
     sh_a = sh.map_batches(as_side("a"), batch_format="pyarrow")
     sh_b = sh.map_batches(as_side("b"), batch_format="pyarrow")
     pairs = pairs_ds.select_columns(["id_a", "id_b"])
-    joined = pairs.join(
-        sh_a, join_type="inner", num_partitions=num_partitions, on=("id_a",)
-    ).join(
-        sh_b, join_type="inner", num_partitions=num_partitions, on=("id_b",)
+    joined = join(
+        join(pairs, sh_a, "inner", on=("id_a",),
+             num_partitions=num_partitions),
+        sh_b, "inner", on=("id_b",), num_partitions=num_partitions,
     )
 
     def jac(t: pa.Table) -> pa.Table:

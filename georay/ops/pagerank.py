@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import adaptive_partitions, group_agg
+from georay.runtime import adaptive_partitions, group_agg, join
 
 SCALE = 10**12
 D_NUM, D_DEN = 85, 100  # damping 0.85 as an exact rational
@@ -64,9 +64,10 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
     driver-side numpy loop (np.add.at bincount — bit-identical integers,
     since every update is an order-independent int64 sum). The
     distributed per-iteration plan (2 joins + union-group_agg, below) pays
-    ~6 JoinOperator exchanges per call in fixed overhead — 23–43 s at
-    sf0.1 for a 21k-node graph whose whole iteration loop is 10 ms of
-    numpy — and remains the >driver_max_edges path.
+    ~6 exchanges per call in fixed overhead — 23–43 s at sf0.1 for a
+    21k-node graph (measured with Ray's actor-based joins) whose whole
+    iteration loop is 10 ms of numpy — and remains the >driver_max_edges
+    path.
 
     ``num_partitions=None`` → ``runtime.adaptive_partitions()`` for the
     edge table's blocks and the distributed plan's per-iteration joins."""
@@ -138,10 +139,8 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
         ).sum("d") or 0)
         dang_share = dang // n_nodes
 
-        contrib = edges.join(
-            ranks, join_type="inner", num_partitions=num_partitions,
-            on=("src",), right_on=("node",),
-        )
+        contrib = join(edges, ranks, "inner", on=("src",), right_on=("node",),
+                       num_partitions=num_partitions)
 
         def edge_contrib(t: pa.Table) -> pa.Table:
             r = t["r"].to_numpy(zero_copy_only=False)
@@ -161,10 +160,8 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
             "node", {"ins": ("sum", "in_p")},
         )
 
-        joined = in_full.join(
-            nodes, join_type="inner", num_partitions=num_partitions,
-            on=("node",),
-        )
+        joined = join(in_full, nodes, "inner", on=("node",),
+                      num_partitions=num_partitions)
 
         def update(t: pa.Table) -> pa.Table:
             ins = t["ins"].to_numpy(zero_copy_only=False)

@@ -24,17 +24,9 @@ import pandas as pd
 import pyarrow as pa
 
 
-from georay.ops.sketch import splitmix64  # module level: worker-executed
-from georay.ops.text import fingerprint64  # (foreign-cwd drivers, CLAUDE.md)
+# module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
+from georay.hashing import MIX, key_hash
 from georay.runtime import strip_metadata
-
-
-def _key_hash(arr: np.ndarray) -> np.ndarray:
-    """uint64 hash of a group-key column (int-like via splitmix64, strings
-    via the rolling fingerprint)."""
-    if arr.dtype.kind in "iu":
-        return splitmix64(arr.astype(np.int64).view(np.uint64))
-    return fingerprint64(arr.astype(object))
 
 
 def grouped_topk(ds, group_cols: list[str], sort_cols: list[str],
@@ -60,7 +52,7 @@ def grouped_topk(ds, group_cols: list[str], sort_cols: list[str],
         h = np.zeros(t.num_rows, dtype=np.uint64)
         with np.errstate(over="ignore"):
             for c in group_cols:  # order-sensitive mix, one pass per key col
-                h = h * np.uint64(0x9E3779B97F4A7C15) + _key_hash(
+                h = h * MIX + key_hash(
                     t[c].to_numpy(zero_copy_only=False)
                 )
         bucket = (h % np.uint64(num_buckets)).astype(np.int64)

@@ -55,7 +55,7 @@ from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.sketch import splitmix64
 from georay.ops.text import fingerprint64
 from georay.ops.tiles import count_by
-from georay.runtime import per_process, table_from_pandas
+from georay.runtime import join, per_process, table_from_pandas
 
 _WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 
@@ -165,8 +165,8 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
     The token document-frequency table is BROADCAST (``ray.put`` of two
     sorted arrays + batch-local searchsorted) when its row count is at most
     ``broadcast_vocab_max`` — natural-language vocabularies are
-    Zipf-bounded, so this is the common case and saves a whole
-    JoinOperator; bigger vocabularies fall back to the hash join."""
+    Zipf-bounded, so this is the common case and saves a whole shuffle
+    join; bigger vocabularies fall back to ``runtime.join``."""
     if not (0 < num <= den):
         raise ValueError("threshold must satisfy 0 < num/den <= 1")
     import ray
@@ -210,9 +210,8 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
 
         joined = toks.map_batches(attach_df, batch_format="pyarrow")
     else:
-        joined = toks.join(
-            dfc, join_type="inner", num_partitions=num_partitions, on=("th",),
-        )
+        joined = join(toks, dfc, "inner", on=("th",),
+                      num_partitions=num_partitions)
 
     def add_bucket(t: pa.Table) -> pa.Table:
         ids = t["sid"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -360,10 +359,10 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
 
     sh_a = sets.map_batches(as_side("a"), batch_format="pyarrow")
     sh_b = sets.map_batches(as_side("b"), batch_format="pyarrow")
-    verif = cand.join(
-        sh_a, join_type="inner", num_partitions=num_partitions, on=("id_a",)
-    ).join(
-        sh_b, join_type="inner", num_partitions=num_partitions, on=("id_b",)
+    verif = join(
+        join(cand, sh_a, "inner", on=("id_a",),
+             num_partitions=num_partitions),
+        sh_b, "inner", on=("id_b",), num_partitions=num_partitions,
     )
 
     def jac(t: pa.Table) -> pa.Table:
@@ -470,9 +469,8 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
 
         joined = toks.map_batches(attach_df, batch_format="pyarrow")
     else:
-        joined = toks.join(
-            dfc, join_type="inner", num_partitions=num_partitions, on=("th",),
-        )
+        joined = join(toks, dfc, "inner", on=("th",),
+                      num_partitions=num_partitions)
 
     def add_bucket(t: pa.Table) -> pa.Table:
         ids = t["sid"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -621,12 +619,11 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
 
         return fn
 
-    verif = cand.join(
-        sets.map_batches(as_side("a"), batch_format="pyarrow"),
-        join_type="inner", num_partitions=num_partitions, on=("id_a",),
-    ).join(
-        sets.map_batches(as_side("b"), batch_format="pyarrow"),
-        join_type="inner", num_partitions=num_partitions, on=("id_b",),
+    verif = join(
+        join(cand, sets.map_batches(as_side("a"), batch_format="pyarrow"),
+             "inner", on=("id_a",), num_partitions=num_partitions),
+        sets.map_batches(as_side("b"), batch_format="pyarrow"), "inner",
+        on=("id_b",), num_partitions=num_partitions,
     )
 
     def contain(t: pa.Table) -> pa.Table:

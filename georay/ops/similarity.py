@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.rank import grouped_topk
 from georay.ops.sketch import splitmix64
-from georay.runtime import group_agg
+from georay.runtime import group_agg, join
 
 
 def emb_matrix(col) -> np.ndarray:
@@ -1059,11 +1059,11 @@ def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
         return pa.table({id_col: t["neighbor_id"],
                          "query_id": t["query_id"]})
 
-    joined = topk.map_batches(
-        neighbor_key, batch_format="pyarrow"
-    ).repartition(num_partitions).join(
-        labels, join_type="inner", num_partitions=num_partitions,
-        on=(id_col,))
+    joined = join(
+        topk.map_batches(neighbor_key, batch_format="pyarrow")
+        .repartition(num_partitions),
+        labels, "inner", on=(id_col,), num_partitions=num_partitions,
+    )
 
     def votes(t: pa.Table) -> pa.Table:
         q = t["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)

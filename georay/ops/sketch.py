@@ -21,22 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from georay.hashing import splitmix64
 from georay.ops.pairs import popcount64
 from georay.runtime import group_agg
 
 _U = np.uint64
 _M64 = "18446744073709551616"  # 2^64 (HUGEINT modulus in the SQL twin)
-
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 (wrapping arithmetic)."""
-    z = np.asarray(x).astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += _U(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-        z ^= z >> _U(31)
-    return z
 
 
 def _sql_wrap64(expr: str) -> str:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.ops.sketch import splitmix64  # module level: worker-executed
-# code must not import georay lazily (foreign-cwd drivers, CLAUDE.md)
-from georay.runtime import group_agg
+# module level: worker-executed code must not import georay lazily
+# (foreign-cwd drivers, CLAUDE.md)
+from georay.hashing import fingerprint64, fp_powers, splitmix64
+from georay.runtime import group_agg, join
 
 # Tiny per-language stopword profiles (top function words). Enough signal to
 # separate the 5 corpus languages; a real deployment would plug a fastText
@@ -151,47 +152,6 @@ def quality(ds, concurrency=(1, 8)):
 
 # ------------------------------------------------------------- fingerprinting
 
-_FP_BASE = np.uint64(1099511628211)
-_FP_SEED = np.uint64(0xCBF29CE484222325)
-
-
-_FP_POW_CACHE: dict[int, np.ndarray] = {}
-
-
-def _fp_powers(n: int) -> np.ndarray:
-    """Cached [BASE^0 .. BASE^n] table (mod 2^64) — grown on demand."""
-    cached = _FP_POW_CACHE.get(0)
-    if cached is None or cached.size < n + 1:
-        size = max(n + 1, 1024)
-        with np.errstate(over="ignore"):
-            p = np.empty(size, dtype=np.uint64)
-            acc = np.uint64(1)
-            for j in range(size):
-                p[j] = acc
-                acc *= _FP_BASE
-        _FP_POW_CACHE[0] = p
-        cached = p
-    return cached
-
-
-def fingerprint64(texts: np.ndarray, prefix: int | None = None) -> np.ndarray:
-    """Rolling polynomial hash over UTF-8 bytes (one uint64 per doc), with a
-    shared cached powers table (no per-doc table rebuild). ``prefix`` hashes
-    only the first N chars (dedup-by-prefix key). Grouping by this
-    fingerprint ≡ grouping by the (prefix of the) text, up to 2^-64
-    collisions — the SQL oracle groups by the text itself."""
-    out = np.empty(texts.shape[0], dtype=np.uint64)
-    max_len = max((len(s[:prefix] if prefix else s) for s in texts), default=0)
-    powers = _fp_powers(max_len * 4 + 8)  # utf-8 can be up to 4 B/char
-    with np.errstate(over="ignore"):
-        for i, s in enumerate(texts):
-            b = s[:prefix].encode() if prefix else s.encode()
-            arr = np.frombuffer(b, dtype=np.uint8).astype(np.uint64)
-            n = arr.size
-            out[i] = (arr * powers[n - 1 :: -1][:n]).sum(dtype=np.uint64)                 + _FP_SEED * powers[n]
-    return out
-
-
 def add_fingerprint(ds, text_col: str = "text", prefix: int | None = None,
                     out_col: str = "fp"):
     def fn(t: pa.Table) -> pa.Table:
@@ -243,7 +203,7 @@ def make_gram_hash_rows(k: int, id_col: str, text_col: str):
             gram_offs, n_grams
         )
         starts = base + ramp
-        powers = _fp_powers(k)
+        powers = fp_powers(k)
         g = np.zeros(starts.size, dtype=np.uint64)
         with np.errstate(over="ignore"):
             for j in range(k):
@@ -306,10 +266,8 @@ def decontaminate(train, bench, k: int = 8, id_col: str = "doc_id",
             })
         return fn
 
-    hits = train_grams.join(
-        bench_keys, join_type="inner", num_partitions=num_partitions,
-        on=("g",), right_suffix="_r",
-    )
+    hits = join(train_grams, bench_keys, "inner", on=("g",), right_suffix="_r",
+                num_partitions=num_partitions)
     rows = train_grams.map_batches(
         flagged(1), batch_format="pyarrow", zero_copy_batch=True
     ).union(hits.map_batches(
@@ -365,10 +323,8 @@ def ngram_span_stats(ds, k: int = 8, id_col: str = "doc_id",
 
     counts = count_by(grams.select_columns(["g"]), "g", out_col="n_occ")
 
-    joined = grams.join(
-        counts, join_type="inner", num_partitions=num_partitions,
-        on=("g",), right_suffix="_r",
-    )
+    joined = join(grams, counts, "inner", on=("g",), right_suffix="_r",
+                  num_partitions=num_partitions)
 
     def doc_rows(t: pa.Table) -> pa.Table:
         dup = (t["n_occ"].to_numpy(zero_copy_only=False) >= 2).astype(np.int64)
@@ -439,10 +395,8 @@ def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
 
     df_counts = count_by(tf.select_columns(["w"]), "w", out_col="df")
 
-    joined = tf.join(
-        df_counts, join_type="inner", num_partitions=num_partitions,
-        on=("w",), right_suffix="_r",
-    )
+    joined = join(tf, df_counts, "inner", on=("w",), right_suffix="_r",
+                  num_partitions=num_partitions)
 
     def add_bucket(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -571,12 +525,10 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
             lambda t: pa.table({"w_b": t["w"], "n_b": t["df"]}),
             batch_format="pyarrow",
         )
-        enriched = pair_counts.repartition(num_partitions).join(
-            a_side, join_type="inner", num_partitions=num_partitions,
-            on=("w_a",),
-        ).join(
-            b_side, join_type="inner", num_partitions=num_partitions,
-            on=("w_b",),
+        enriched = join(
+            join(pair_counts.repartition(num_partitions), a_side,
+                 "inner", on=("w_a",), num_partitions=num_partitions),
+            b_side, "inner", on=("w_b",), num_partitions=num_partitions,
         )
 
     def lift(t: pa.Table) -> pa.Table:
@@ -797,8 +749,8 @@ def rarity_scores(ds, n_docs: int, id_col: str = "doc_id",
 
     df_counts = count_by(tf.select_columns(["w"]), "w", out_col="df")
 
-    joined = tf.join(df_counts, join_type="inner",
-                     num_partitions=num_partitions, on=("w",))
+    joined = join(tf, df_counts, "inner", on=("w",),
+                  num_partitions=num_partitions)
 
     def rows(t: pa.Table) -> pa.Table:
         tf_v = t["tf"].to_numpy(zero_copy_only=False)

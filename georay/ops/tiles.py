@@ -12,7 +12,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import codec
-from georay.runtime import adaptive_partitions, group_agg
+from georay.runtime import adaptive_partitions, group_agg, join
 
 
 def _map(ds, fn):
@@ -181,13 +181,8 @@ def focal_sum(raster_ds, bits: int, cell_col: str = "cell",
     gathered = group_agg(_map(raster_ds, scatter), cell_col,
                          {"focal_sum": ("sum", "v"), "n_nb": ("count", None)})
 
-    return raster_ds.join(
-        gathered,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(cell_col,),
-        right_suffix="_r",
-    )
+    return join(raster_ds, gathered, "inner", on=(cell_col,),
+                right_suffix="_r", num_partitions=num_partitions)
 
 
 def zonal_stats(ds, zone_col: str, value_col: str):
@@ -283,8 +278,8 @@ def hotspot_gi(ds, bits: int, cell_col: str = "cell",
     nb = group_agg(_map(counts, explode), "cell",
                    {"w": ("count", None), "s": ("sum", "s_part")})
 
-    joined = nb.join(counts, join_type="inner",
-                     num_partitions=num_partitions, on=("cell",))
+    joined = join(nb, counts, "inner", on=("cell",),
+                  num_partitions=num_partitions)
 
     def z_rows(t: pa.Table) -> pa.Table:
         cell = t["cell"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -365,9 +360,8 @@ def adaptive_cells(ds, bits: int, levels: int, threshold: int,
                                   zero_copy_batch=True)
     parents = counts.map_batches(parent_side, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    joined = children.join(parents, join_type="inner",
-                           num_partitions=num_partitions,
-                           on=("p_level", "p_tile"))
+    joined = join(children, parents, "inner", on=("p_level", "p_tile"),
+                  num_partitions=num_partitions)
 
     def leaf_mid(t: pa.Table) -> pa.Table:
         lvl = t["level"].to_numpy(zero_copy_only=False)
@@ -503,10 +497,11 @@ def variogram(raster_ds, bits: int, max_lag: int, cell_col: str = "cell",
         scatter, batch_format="pyarrow", zero_copy_batch=True
     ).repartition(num_partitions)
 
-    landed = scattered.join(
+    landed = join(
+        scattered,
         raster_ds.select_columns([cell_col, value_col])
         .repartition(num_partitions),
-        join_type="inner", num_partitions=num_partitions, on=(cell_col,),
+        "inner", on=(cell_col,), num_partitions=num_partitions,
     )
 
     def rows(t: pa.Table) -> pa.Table:
@@ -640,10 +635,11 @@ def kernel_convolve(raster_ds, bits: int, kernel, cell_col: str = "cell",
 
     gathered = group_agg(_map(raster_ds, scatter), cell_col,
                          {"conv": ("sum", "v")})
-    return raster_ds.select_columns([cell_col, value_col]).repartition(
-        num_partitions).join(
-        gathered, join_type="inner", num_partitions=num_partitions,
-        on=(cell_col,))
+    return join(
+        raster_ds.select_columns([cell_col, value_col])
+        .repartition(num_partitions),
+        gathered, "inner", on=(cell_col,), num_partitions=num_partitions,
+    )
 
 
 def flow_direction(raster_ds, bits: int, cell_col: str = "cell",
@@ -689,10 +685,8 @@ def flow_direction(raster_ds, bits: int, cell_col: str = "cell",
     gathered = group_agg(_map(raster_ds, scatter), cell_col,
                          {"minpack": ("min", "pack")})
 
-    joined = raster_ds.join(
-        gathered, join_type="left_outer", num_partitions=num_partitions,
-        on=(cell_col,), right_suffix="_r",
-    )
+    joined = join(raster_ds, gathered, "left_outer", on=(cell_col,),
+                  right_suffix="_r", num_partitions=num_partitions)
 
     def finalize(t: pa.Table) -> pa.Table:
         mp = pc.fill_null(t["minpack"], int(sentinel)).to_numpy(

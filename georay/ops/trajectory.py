@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from georay.runtime import group_agg
+from georay.runtime import group_agg, join
 
 
 def trajectory_stats(ds, key_col: str, ts_col: str, order_col: str,
@@ -463,8 +463,7 @@ def spatiotemporal_pairs(ds, id_col: str, user_col: str, ts_col: str,
                          zero_copy_batch=True).repartition(num_partitions)
     p = base.map_batches(probe, batch_format="pyarrow",
                          zero_copy_batch=True).repartition(num_partitions)
-    joined = h.join(p, join_type="inner", num_partitions=num_partitions,
-                    on=("bk",))
+    joined = join(h, p, "inner", on=("bk",), num_partitions=num_partitions)
 
     def filt(t: pa.Table) -> pa.Table:
         ea = t["event_a"].to_numpy(zero_copy_only=False)

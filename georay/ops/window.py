@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import adaptive_partitions, group_agg, table_from_pandas
+from georay.runtime import (
+    adaptive_partitions, group_agg, join, table_from_pandas,
+)
 
 US_PER_DAY = 86_400 * 1_000_000
 
@@ -409,8 +411,8 @@ def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
         partials, ["from_type", "to_type"], {"n": ("sum", "p_n")}
     ).materialize()  # consumed twice: totals + join
     totals = group_agg(counts, "from_type", {"from_total": ("sum", "n")})
-    joined = counts.join(totals, join_type="inner",
-                         num_partitions=num_partitions, on=("from_type",))
+    joined = join(counts, totals, "inner", on=("from_type",),
+                  num_partitions=num_partitions)
 
     def prob(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -486,9 +488,8 @@ def resample_gapfill(ds, key_col: str, ts_col: str, value_col: str,
     grid = spans.map_batches(explode, batch_format="pyarrow",
                              zero_copy_batch=True).repartition(num_partitions)
 
-    joined = grid.join(agg, join_type="left_outer",
-                       num_partitions=num_partitions,
-                       on=(key_col, "bucket"))
+    joined = join(grid, agg, "left_outer", on=(key_col, "bucket"),
+                  num_partitions=num_partitions)
 
     def fill(t: pa.Table) -> pa.Table:
         return pa.table({

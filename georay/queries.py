@@ -338,9 +338,8 @@ def q_cover_morphology(sf_dir: str):
         })
 
     cov_marks = cov.map_batches(marker, batch_format="pyarrow",
-                                zero_copy_batch=True).repartition(2)
-    joined = support.join(cov_marks, join_type="left_outer",
-                          num_partitions=4, on=("k",))
+                                zero_copy_batch=True)
+    joined = runtime.join(support, cov_marks, "left_outer", on=("k",))
 
     def fin(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -434,12 +433,11 @@ def q_cover_setops(sf_dir: str):
             c = t["cell"].to_numpy(zero_copy_only=False)
             return pa.table({"cell": c, col: np.ones(c.size, np.int64)})
         return ds.map_batches(fn, batch_format="pyarrow",
-                              zero_copy_batch=True).repartition(2)
+                              zero_copy_batch=True)
 
     a = flagged(cells.polygon_cover_dataset(rx, ry, BITS_POLY), "_a")
     b = flagged(cells.polygon_cover_dataset(bx, by, BITS_POLY), "_b")
-    joined = a.join(b, join_type="full_outer", num_partitions=4,
-                    on=("cell",))
+    joined = runtime.join(a, b, "full_outer", on=("cell",))
 
     def fin(t: pa.Table) -> pa.Table:
         cell = pc.fill_null(t["cell"], 0).to_numpy(
@@ -528,8 +526,8 @@ FROM c JOIN s ON c.x = s.x AND c.y = s.y
 
 
 def q_spatial_join_shuffle(sf_dir: str):
-    """Shuffle path: hash-partitioned Dataset.join on the cell key — same
-    result as the broadcast path, exercised separately."""
+    """Shuffle path: ``runtime.join`` (hash-bucketed, task-based) on the
+    cell key — same result as the broadcast path, exercised separately."""
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     cust = spatial.points_with_cells(cust, "c_custkey", BITS_JOIN)
     supp = _read(sf_dir, "supplier", columns=["s_suppkey"])
@@ -1293,8 +1291,7 @@ def q_pareto_share(sf_dir: str):
                        zero_copy_batch=True),
         "o_orderkey", {"rev": ("sum", "rev")},
     )
-    joined = by_order.join(orders.repartition(8), join_type="inner",
-                           num_partitions=8, on=("o_orderkey",))
+    joined = runtime.join(by_order, orders, "inner", on=("o_orderkey",))
 
     def cust_rev(t: pa.Table) -> pa.Table:
         return pa.table({"c": t["o_custkey"].cast(pa.int64()),
@@ -1429,10 +1426,8 @@ def q_cycle_time_median(sf_dir: str):
         "o_orderkey", {"ship_us": ("max", "us")},
     )
     orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderdate",
-                            "o_orderpriority"]).repartition(8)
-    joined = last_ship.join(orders, join_type="inner", num_partitions=8,
-                            on=("o_orderkey",))
+                   columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
+    joined = runtime.join(last_ship, orders, "inner", on=("o_orderkey",))
 
     def days(t: pa.Table) -> pa.Table:
         ship = t["ship_us"].to_numpy(zero_copy_only=False)
@@ -3868,9 +3863,8 @@ def q_corpus_curation(sf_dir: str):
         tagged.map_batches(surv12, batch_format="pyarrow"),
         "fp", {"keep_id": ("min", "doc_id")},
     )
-    staged = tagged.join(
-        keep_fp, join_type="left_outer", num_partitions=8, on=("fp",)
-    ).materialize()
+    staged = runtime.join(tagged, keep_fp, "left_outer",
+                          on=("fp",)).materialize()
 
     def surv3(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -3882,9 +3876,7 @@ def q_corpus_curation(sf_dir: str):
         return pa.table({"doc_id": t.filter(keep)["doc_id"]})
 
     surv_ids = staged.map_batches(surv3, batch_format="pyarrow")
-    surv_docs = docs.join(
-        surv_ids, join_type="inner", num_partitions=8, on=("doc_id",)
-    )
+    surv_docs = runtime.join(docs, surv_ids, "inner", on=("doc_id",))
     pairs = mh.near_dup_pairs(
         surv_docs, n_hashes=64, n_bands=16, shingle_k=5,
         threshold=CURATION_J, verify="shuffle", num_partitions=8,
@@ -3897,11 +3889,9 @@ def q_corpus_curation(sf_dir: str):
              "is_rep": t["is_representative"].cast(pa.int64())}
         ),
         batch_format="pyarrow",
-    ).repartition(4)
-
-    out = staged.join(
-        clusters, join_type="left_outer", num_partitions=8, on=("doc_id",)
     )
+
+    out = runtime.join(staged, clusters, "left_outer", on=("doc_id",))
 
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -5080,9 +5070,7 @@ def q_revenue_topk(sf_dir: str):
         li.map_batches(li_rev, batch_format="pyarrow", zero_copy_batch=True),
         "o_orderkey", {"revenue_u": ("sum", "rev")},
     )
-    agg = revenue.join(
-        orders_b, join_type="inner", num_partitions=8, on=("o_orderkey",)
-    )
+    agg = runtime.join(revenue, orders_b, "inner", on=("o_orderkey",))
     return agg.sort(
         ["revenue_u", "o_orderkey"], descending=[True, False]
     ).limit(10)
@@ -5347,8 +5335,7 @@ def q_tile_reconcile(sf_dir: str):
     b = counted(_read(sf_dir, "events", columns=["user_id"]),
                 "user_id", "n_events")
 
-    joined = a.join(b, join_type="full_outer", num_partitions=4,
-                    on=("cell",))
+    joined = runtime.join(a, b, "full_outer", on=("cell",))
 
     def fin(t: pa.Table) -> pa.Table:
         cell = pc.fill_null(t["cell"], 0)  # key is never null in full_outer
@@ -5415,10 +5402,9 @@ def q_tile_mad(sf_dir: str):
     def as_med(t: pa.Table) -> pa.Table:
         return t.rename_columns(["tile", "med"])
 
-    med = med.map_batches(as_med, batch_format="pyarrow").repartition(2)
+    med = med.map_batches(as_med, batch_format="pyarrow")
 
-    joined = prepped.join(med, join_type="inner", num_partitions=4,
-                          on=("tile",))
+    joined = runtime.join(prepped, med, "inner", on=("tile",))
 
     def dev(t: pa.Table) -> pa.Table:
         c = t["cents"].to_numpy(zero_copy_only=False)
@@ -5433,8 +5419,8 @@ def q_tile_mad(sf_dir: str):
     def as_mad(t: pa.Table) -> pa.Table:
         return t.rename_columns(["tile", "mad"])
 
-    mad = mad.map_batches(as_mad, batch_format="pyarrow").repartition(2)
-    return med.join(mad, join_type="inner", num_partitions=2, on=("tile",))
+    mad = mad.map_batches(as_mad, batch_format="pyarrow")
+    return runtime.join(med, mad, "inner", on=("tile",))
 
 
 SQL_TILE_MAD = f"""
@@ -6617,8 +6603,8 @@ def q_local_revenue(sf_dir: str):
 
     orders_f = orders.map_batches(ord_prep, batch_format="pyarrow",
                                   zero_copy_batch=True)
-    ord_cust = orders_f.join(cust_f, join_type="inner", num_partitions=8,
-                             on=("o_custkey",), right_on=("c_custkey",))
+    ord_cust = runtime.join(orders_f, cust_f, "inner", on=("o_custkey",),
+                            right_on=("c_custkey",))
 
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_suppkey", "l_extendedprice",
@@ -6642,9 +6628,10 @@ def q_local_revenue(sf_dir: str):
 
     li_p = li.map_batches(li_rev, batch_format="pyarrow",
                           zero_copy_batch=True)
-    joined = li_p.join(ord_cust.select_columns(["o_orderkey", "c_nat"]),
-                       join_type="inner", num_partitions=8,
-                       on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = runtime.join(li_p,
+                          ord_cust.select_columns(["o_orderkey", "c_nat"]),
+                          "inner", on=("l_orderkey",),
+                          right_on=("o_orderkey",))
 
     def same_nation(t: pa.Table) -> pa.Table:
         s_nat = t["s_nat"].to_numpy(zero_copy_only=False)
@@ -6888,10 +6875,10 @@ def q_ann_mutual(sf_dir: str):
         return pa.table({"pk": n * B + q, "rank_ba": r})
 
     fwd = ranks.map_batches(fwd_key, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(4)
+                            zero_copy_batch=True)
     rev = ranks.map_batches(rev_key, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(4)
-    joined = fwd.join(rev, join_type="inner", num_partitions=4, on=("pk",))
+                            zero_copy_batch=True)
+    joined = runtime.join(fwd, rev, "inner", on=("pk",))
 
     def fin(t: pa.Table) -> pa.Table:
         a = t["id_a"].to_numpy(zero_copy_only=False)
@@ -7382,7 +7369,7 @@ def q_kcore(sf_dir: str):
                 pc.greater_equal(t["deg"], KCORE_K)
             ).select(["node"]),
             batch_format="pyarrow",
-        ).repartition(2).materialize()  # consumed twice (both join sides)
+        ).materialize()  # consumed twice (both join sides)
 
         def as_key(col):
             def fn(t: pa.Table) -> pa.Table:
@@ -7390,14 +7377,14 @@ def q_kcore(sf_dir: str):
             return fn
 
         edges = (
-            edges.join(
-                surv.map_batches(as_key("a"), batch_format="pyarrow"),
-                join_type="inner", num_partitions=4, on=("a",),
-            )
-            .join(
-                surv.map_batches(as_key("b"), batch_format="pyarrow")
-                .repartition(2),
-                join_type="inner", num_partitions=4, on=("b",),
+            runtime.join(
+                runtime.join(
+                    edges,
+                    surv.map_batches(as_key("a"), batch_format="pyarrow"),
+                    "inner", on=("a",),
+                ),
+                surv.map_batches(as_key("b"), batch_format="pyarrow"),
+                "inner", on=("b",),
             )
             .select_columns(["a", "b"])
             .materialize()
@@ -7481,9 +7468,8 @@ def q_triangle_count(sf_dir: str):
         return pa.table({"a": t["a"], "c": t["b"]})
 
     right = edges.map_batches(as_right, batch_format="pyarrow",
-                              zero_copy_batch=True).repartition(4)
-    wedges = left.repartition(4).join(right, join_type="inner",
-                                      num_partitions=4, on=("a",))
+                              zero_copy_batch=True)
+    wedges = runtime.join(left, right, "inner", on=("a",))
 
     def close_key(t: pa.Table) -> pa.Table:
         b = t["b"].to_numpy(zero_copy_only=False)
@@ -7492,10 +7478,9 @@ def q_triangle_count(sf_dir: str):
         return pa.table({"ek": b[m] * B + c[m]})
 
     closing = wedges.map_batches(close_key, batch_format="pyarrow",
-                                 zero_copy_batch=True).repartition(4)
-    tri = closing.join(
-        edges.select_columns(["ek", "flag"]).repartition(4),
-        join_type="inner", num_partitions=4, on=("ek",))
+                                 zero_copy_batch=True)
+    tri = runtime.join(closing, edges.select_columns(["ek", "flag"]),
+                       "inner", on=("ek",))
     n_tri = tri.count()
 
     return pd.DataFrame({
@@ -8145,10 +8130,8 @@ def q_ann_recall(sf_dir: str):
         "query_id", {"ov": ("count", None)},
     )
 
-    all_q = ray.data.from_arrow(
-        pa.table({"query_id": q_ids})).repartition(2)
-    joined = all_q.join(counts, join_type="left_outer", num_partitions=4,
-                        on=("query_id",))
+    all_q = ray.data.from_arrow(pa.table({"query_id": q_ids}))
+    joined = runtime.join(all_q, counts, "left_outer", on=("query_id",))
 
     def fill(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -8528,9 +8511,8 @@ def q_hits_suppliers(sf_dir: str):
         return out.rename_columns(["o_orderkey", "s"])
 
     pairs = li.map_batches(li_dedup, batch_format="pyarrow",
-                           zero_copy_batch=True).repartition(8)
-    joined = pairs.join(orders.repartition(8), join_type="inner",
-                        num_partitions=8, on=("o_orderkey",))
+                           zero_copy_batch=True)
+    joined = runtime.join(pairs, orders, "inner", on=("o_orderkey",))
 
     def edge(t: pa.Table) -> pa.Table:
         return pa.table({"c": t["o_custkey"], "s": t["s"]})
@@ -8559,7 +8541,7 @@ def q_hits_suppliers(sf_dir: str):
         "c", {"hub1": ("sum", "a")},
     )
 
-    ej = edges.join(h1, join_type="inner", num_partitions=8, on=("c",))
+    ej = runtime.join(edges, h1, "inner", on=("c",))
     a2 = runtime.group_agg(ej, "s", {"auth2": ("sum", "hub1")})
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -8615,9 +8597,8 @@ def q_iqr_outliers(sf_dir: str):
         "o_orderkey", {"cents": ("sum", "rev")},
     )
     orders = _read(sf_dir, "orders",
-                   columns=["o_orderkey", "o_orderpriority"]).repartition(8)
-    oc = rev.join(orders, join_type="inner", num_partitions=8,
-                  on=("o_orderkey",))
+                   columns=["o_orderkey", "o_orderpriority"])
+    oc = runtime.join(rev, orders, "inner", on=("o_orderkey",))
 
     def rename(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -9190,12 +9171,9 @@ def q_volume_shipping(sf_dir: str):
             "p_rev": cents * (100 - pct),
         })
 
-    # merge blocks before the join: empty read splits skip the map UDF and
-    # emit schema-less blocks Acero rejects (CLAUDE.md invariant)
     rows = li.map_batches(li_rev, batch_format="pyarrow",
-                          zero_copy_batch=True).repartition(4)
-    joined = rows.join(orders_b.repartition(4), join_type="inner",
-                           num_partitions=8, on=("o_orderkey",))
+                          zero_copy_batch=True)
+    joined = runtime.join(rows, orders_b, "inner", on=("o_orderkey",))
 
     names = np.array([name_of[n0], name_of[n1]])
 
@@ -9647,8 +9625,7 @@ def q_burst_days(sf_dir: str):
         daily, "user_id",
         {"d_days": ("count", None), "s_total": ("sum", "n")},
     )
-    joined = daily.join(per_user, join_type="inner", num_partitions=8,
-                        on=("user_id",))
+    joined = runtime.join(daily, per_user, "inner", on=("user_id",))
 
     def flag(t: pa.Table) -> pa.Table:
         n = t["n"].to_numpy(zero_copy_only=False)
@@ -9767,9 +9744,8 @@ def q_attribution(sf_dir: str):
         purchases, touches, by="user_id", left_ts="us", right_ts="us")
     # payload join-backs (1:1 — see docstring): purchase cents on (user, us),
     # touch type on (user, us_r)
-    with_cents = matched.repartition(8).join(
-        purchases.repartition(8), join_type="inner", num_partitions=8,
-        on=("user_id", "us"))
+    with_cents = runtime.join(matched, purchases, "inner",
+                              on=("user_id", "us"))
 
     def key_touch(t: pa.Table) -> pa.Table:
         return pa.table({"user_id": t["user_id"], "us_r": t["us_r"],
@@ -9779,11 +9755,11 @@ def q_attribution(sf_dir: str):
         return pa.table({"user_id": t["user_id"], "us_r": t["us"],
                          "event_type": t["event_type"]})
 
-    credited = with_cents.map_batches(
-        key_touch, batch_format="pyarrow").repartition(8).join(
-        touches.map_batches(touch_keyed, batch_format="pyarrow")
-        .repartition(8),
-        join_type="inner", num_partitions=8, on=("user_id", "us_r"))
+    credited = runtime.join(
+        with_cents.map_batches(key_touch, batch_format="pyarrow"),
+        touches.map_batches(touch_keyed, batch_format="pyarrow"),
+        "inner", on=("user_id", "us_r"),
+    )
 
     def touch_type(t: pa.Table) -> pa.Table:
         return pa.table({"touch_type": t["event_type"], "c": t["cents"]})

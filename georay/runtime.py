@@ -3,6 +3,9 @@
 
 - Grouped aggregates: ``group_agg`` is the one count/sum/min/max/distinct
   aggregate — per-batch pyarrow partials, one combine task.
+- Equi-joins: ``join`` is the one shuffle join — both sides hash-packed
+  into buckets, exchanged by Ray's task-based sort, joined by pyarrow per
+  bucket; no actors.
 - Heavy-hitter detection: a ``group_agg`` count pre-pass finds keys whose
   row count exceeds a threshold.
 - Salting: hot keys split into ``key*S + salt`` sub-keys so one dense urban
@@ -23,6 +26,10 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+# module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
+from georay.hashing import MIX, fingerprint64, key_hash
 
 
 _STAGE_STATE: dict = {}
@@ -68,8 +75,8 @@ def table_from_pandas(df, schema: "pa.Schema | None" = None) -> pa.Table:
 
 
 def adaptive_partitions(cap: int | None = None, floor: int = 4) -> int:
-    """``num_partitions ≈ cluster CPUs`` for JoinOperator / groupby call
-    sites (BASELINE.md partition forensics: more join partitions than CPUs
+    """``num_partitions ≈ cluster CPUs`` for join / groupby call sites
+    (BASELINE.md partition forensics: more join partitions than CPUs
     raises per-message syscall density — which this host's kernel-tax
     phases punish 2–8× — while fewer caps the exchange's parallelism; a
     fixed 8 left 24 of 32 cores idle in containment_join's verify).
@@ -164,6 +171,162 @@ def group_agg(ds, keys, aggs: dict | None = None):
     )
 
 
+# Dataset.join's join types -> pyarrow's join verbs (the map Ray's
+# JoinOperator uses)
+_ARROW_JOIN = {
+    "inner": "inner", "left_outer": "left outer",
+    "right_outer": "right outer", "full_outer": "full outer",
+    "left_semi": "left semi", "right_semi": "right semi",
+    "left_anti": "left anti", "right_anti": "right anti",
+}
+
+
+def _column_hash(col) -> np.ndarray:
+    """uint64 hash of one join-key column: the same in every process, and
+    the same for equal values of any integer width. Nulls never match in
+    a join; they hash as 0 / "" so each lands in exactly one bucket."""
+    if pa.types.is_dictionary(col.type):
+        col = col.cast(col.type.value_type)
+    if pa.types.is_date32(col.type) or pa.types.is_time32(col.type):
+        col = col.cast(pa.int32())  # no direct cast to int64
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        return fingerprint64(
+            pc.fill_null(col, "").to_numpy(zero_copy_only=False))
+    if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
+        return fingerprint64(np.array(  # latin-1: one char per byte
+            [b.decode("latin-1") for b in pc.fill_null(col, b"").to_pylist()],
+            dtype=object))
+    if pa.types.is_floating(col.type):
+        v = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy(
+            zero_copy_only=False) + 0.0  # -0.0 + 0.0 is 0.0: equal keys
+        return key_hash(v.view(np.int64))
+    v = pc.fill_null(pc.cast(col, pa.int64(), safe=False), 0)
+    return key_hash(v.to_numpy(zero_copy_only=False))
+
+
+def join(left, right, join_type: str, on, right_on=None, left_suffix=None,
+         right_suffix=None, num_partitions: int | None = None):
+    """Equi-join two Datasets on Ray tasks — the one shuffle join.
+
+    Same arguments, output columns, suffixes and null handling as
+    ``Dataset.join`` (each bucket makes the pyarrow ``Table.join`` call
+    that Ray's ``JoinOperator`` makes per partition), but no actors: Ray
+    2.49 starts hash-shuffle aggregator actors on every call, each
+    reserving ~0.94 GB of the node's logical ``memory`` (two live joins
+    deadlocked a 15 GB host), and their start-up cost about 2 s per call
+    (a 15k × 1k-row join: 2.5 s that way, 0.51 s here, on a 1-core host).
+
+    Plan, ``P = num_partitions`` (``None`` → :func:`adaptive_partitions`):
+
+    - pack: one ``map_batches`` per side hashes the key columns to a
+      bucket in ``[0, P)`` (splitmix64 for integers, the UTF-8
+      fingerprint for strings, mixed across columns as ``ops.rank``
+      does) and emits exactly P rows per block — ``(_b, _s, _blob)``,
+      the blob being the Arrow IPC stream of that bucket's rows. Empty
+      slices are kept, so every bucket carries both sides' schemas;
+    - exchange: :func:`by_bucket` on ``_b`` over the union of both sides
+      — a fixed-boundary sort, exactly one block per bucket;
+    - join: ``map_batches(batch_size=None)`` decodes one bucket's blobs
+      per side and joins them with pyarrow: one typed block per bucket.
+
+    Scale contract: one bucket (both sides' rows) fits a worker — the
+    contract of one hash-join partition. A side with no rows at all packs
+    nothing (Ray skips map UDFs on empty blocks), so nothing carries its
+    columns: joins that output no row of the other side (inner, semi,
+    the other side's outer/anti) give zero rows; joins that must keep
+    the other side's rows (its outer join, ``full_outer``) raise
+    ``ValueError`` when it has rows; an anti join keeps them as they are.
+    ``Dataset.join`` raised for every join type there."""
+    if join_type not in _ARROW_JOIN:
+        raise ValueError(f"join: unknown join_type {join_type!r}; "
+                         f"one of {sorted(_ARROW_JOIN)}")
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
+    if not on or len(on) != len(right_on):
+        raise ValueError(f"join: on={on} and right_on={right_on} must be "
+                         "non-empty and of equal length")
+    p = adaptive_partitions() if num_partitions is None else int(num_partitions)
+
+    def packer(keys, side):
+        def pack(t: pa.Table) -> pa.Table:
+            h = np.zeros(t.num_rows, dtype=np.uint64)
+            with np.errstate(over="ignore"):
+                for c in keys:  # order-sensitive mix, one pass per key col
+                    h = h * MIX + _column_hash(t[c])
+            b = (h % np.uint64(p)).astype(np.int64)
+            order = np.argsort(b, kind="stable")
+            cuts = np.searchsorted(b[order], np.arange(p + 1))
+            t = strip_metadata(t).take(pa.array(order))
+            # the p IPC streams back to back in one buffer; blob i spans
+            # ends[i]:ends[i + 1]
+            sink, ends = pa.BufferOutputStream(), [0]
+            for i in range(p):
+                with pa.ipc.new_stream(sink, t.schema) as w:
+                    w.write_table(t.slice(cuts[i], cuts[i + 1] - cuts[i]))
+                ends.append(sink.tell())
+            blobs = pa.LargeBinaryArray.from_buffers(
+                pa.large_binary(), p,
+                [None, pa.py_buffer(np.array(ends, dtype=np.int64)),
+                 sink.getvalue()],
+            )
+            return pa.table({
+                "_b": pa.array(np.arange(p, dtype=np.int64)),
+                "_s": pa.array(np.full(p, side, dtype=np.int8)),
+                "_blob": blobs,
+            })
+
+        return pack
+
+    def one_sided(present: pa.Table, missing: str) -> pa.Table:
+        keep = {"right": ("left_outer", "full_outer", "left_anti"),
+                "left": ("right_outer", "full_outer", "right_anti")}[missing]
+        if join_type not in keep or present.num_rows == 0:
+            return pa.table({})
+        if join_type.endswith("_anti"):
+            return present
+        raise ValueError(
+            f"join: the {missing} side has no rows, so a {join_type} join "
+            "cannot type its columns"
+        )
+
+    def join_bucket(t: pa.Table) -> pa.Table:
+        sides = ([], [])
+        blobs = t["_blob"]
+        for i, s in enumerate(t["_s"].to_numpy()):
+            sides[s].append(pa.ipc.open_stream(blobs[i].as_buffer()).read_all())
+        lt, rt = (pa.concat_tables(x, promote_options="default") if x else None
+                  for x in sides)
+        if rt is None:
+            return one_sided(lt, "right")
+        if lt is None:
+            return one_sided(rt, "left")
+        return lt.join(rt, keys=on, right_keys=right_on,
+                       join_type=_ARROW_JOIN[join_type],
+                       left_suffix=left_suffix, right_suffix=right_suffix)
+
+    u = left.map_batches(packer(on, 0), batch_format="pyarrow",
+                         batch_size=None, zero_copy_batch=True).union(
+        right.map_batches(packer(right_on, 1), batch_format="pyarrow",
+                          batch_size=None, zero_copy_batch=True))
+    return by_bucket(u, "_b", p).map_batches(
+        join_bucket, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True)
+
+
+def by_bucket(ds, col: str, p: int):
+    """``ds`` exchanged so that each block holds exactly the rows of one
+    value of the integer column ``col`` in ``[0, p)``: Ray's task-based
+    sort with fixed boundaries — no sampling tasks, one partition per
+    value, so none of the schema-less empty partitions a sampled
+    ``groupby`` makes when it has more partitions than values. ``p = 1``
+    uses ``repartition(1)`` (empty boundaries would sample). Read it with
+    ``map_batches(..., batch_size=None)``: one batch per bucket."""
+    if p > 1:
+        return ds.sort(col, boundaries=list(range(1, p)))
+    return ds.repartition(1)
+
+
 def detect_heavy_keys(ds, col: str, threshold: int) -> np.ndarray:
     """Keys with more than ``threshold`` rows, via partial counts (the
     combine sees one row per distinct key per batch, never the data).
@@ -172,7 +335,6 @@ def detect_heavy_keys(ds, col: str, threshold: int) -> np.ndarray:
     only ever collects the hot keys themselves — O(hot), not O(distinct).
     Fine-precision cell keys or string keys with 10⁶+ distinct values would
     otherwise materialize the whole distinct-key table driver-side."""
-    import pyarrow.compute as pc
 
     def keep_hot(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater(t["n"], threshold))
@@ -328,15 +490,13 @@ def write_partitioned(
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
 
-    import pandas as pd
-
-    def write_group(g: pd.DataFrame) -> pd.DataFrame:
+    def write_group(g: pa.Table) -> pa.Table:
         import hashlib
         import re
 
         import pyarrow.parquet as pq
 
-        key = str(g[partition_col].iloc[0])
+        key = str(g[partition_col][0].as_py())
         if fault_injector is not None:
             fault_injector(key)
         # keys may contain path separators (tile ids like "t3/0") — sanitize
@@ -347,7 +507,9 @@ def write_partitioned(
         t0 = time.time()
         final = os.path.join(out_dir, f"part-{safe}-{digest}.parquet")
         tmp = final + f".tmp{os.getpid()}"
-        pq.write_table(table_from_pandas(g), tmp)  # metadata-free schema
+        # pyarrow end to end: through pandas, a nullable int64 column turns
+        # into double in the partitions that hold a null
+        pq.write_table(strip_metadata(g), tmp)
         os.replace(tmp, final)  # atomic commit of the partition file
         # per-partition durability: sidecar marker so a crash before the
         # final manifest write still skips this partition on rerun; the
@@ -356,21 +518,20 @@ def write_partitioned(
         mtmp = marker + f".tmp{os.getpid()}"
         with open(mtmp, "w") as fh:
             json.dump(
-                {"partition": key, "rows": len(g),
+                {"partition": key, "rows": g.num_rows,
                  "bytes": os.path.getsize(final),
                  "seconds": round(time.time() - t0, 4)}, fh,
             )
         os.replace(mtmp, marker)
-        return pd.DataFrame(
-            {
-                "partition": [key],
-                "rows": [len(g)],
-                "bytes": [os.path.getsize(final)],
-                "seconds": [round(time.time() - t0, 4)],
-            }
-        )
+        return pa.table({
+            "partition": [key],
+            "rows": [g.num_rows],
+            "bytes": [os.path.getsize(final)],
+            "seconds": [round(time.time() - t0, 4)],
+        })
 
-    stats = ds.groupby(partition_col).map_groups(write_group, batch_format="pandas")
+    stats = ds.groupby(partition_col).map_groups(write_group,
+                                                 batch_format="pyarrow")
     for row in stats.iter_rows():
         manifest["partitions"][row["partition"]] = {
             "rows": int(row["rows"]),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -245,3 +246,40 @@ def test_query_never_returns_prefix_column(ray_session, tmp_path, read_paths):
         for columns in (["rec_id", "_prefix"], None):
             out = _on_path(idx.query_cells(some, columns=columns), path).to_pandas()
             assert len(out) > 0 and "_prefix" not in out.columns
+
+
+def test_driver_answer_to_pandas_starts_no_execution(ray_session, tmp_path,
+                                                     monkeypatch):
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    t = _points(500, seed=13)
+    idx = CellIndex.build(
+        ray.data.from_arrow(t), str(tmp_path / "ixp"), bits=16, prefix_bits=6
+    )
+    some = t["cell"].to_numpy()[:3]
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 1  # no file fits: the Ray Data read
+    try:
+        want = idx.query_cells(some, expand_neighbors=True).to_pandas()
+    finally:
+        ctx.target_max_block_size = saved
+    ds = idx.query_cells(some, expand_neighbors=True)
+
+    def no_execution(*args, **kwargs):
+        raise AssertionError("to_pandas started a Ray Data execution")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", no_execution)
+    got = ds.to_pandas()
+    monkeypatch.undo()
+    assert len(got) > 0
+    cols = list(want.columns)
+    assert list(got.columns) == cols
+    pd.testing.assert_frame_equal(
+        got.sort_values("rec_id").reset_index(drop=True),
+        want.sort_values("rec_id").reset_index(drop=True),
+    )

@@ -6,6 +6,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georay import codec
 from georay.ops import join as join_ops
@@ -609,3 +611,25 @@ def test_geodesic_dwithin_polar_brute_parity(ray_session):
     # polar points must have found cross-longitude partners
     polar = got[got.qid >= 306]
     assert len(polar) > 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_topk_precut_matches_uncut(data):
+    # tie-heavy distances (few distinct values, repeated tie-breaks) and
+    # queries with fewer than k candidates, including none
+    counts = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    qidx = np.repeat(np.arange(len(counts)), counts)
+    n = qidx.size
+    dist = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.25, 1.0, 4.0]), min_size=n, max_size=n)),
+        dtype=np.float64)
+    tie = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                      max_size=n)), dtype=np.int64)
+    k = data.draw(st.integers(1, 6))
+
+    def rows(sel, rank):
+        return sorted(zip(qidx[sel], dist[sel], tie[sel], rank))
+
+    assert rows(*knn_ops._topk_sorted_queries(qidx, dist, tie, k)) == rows(
+        *knn_ops._topk_per_query(qidx, dist, tie, k))

@@ -293,8 +293,9 @@ def test_group_agg_matches_pandas(ray_session, rows, blocks):
 AGGREGATE_IMPORTS_KEPT: dict[str, str] = {}
 
 # Literal `.repartition(<int>)` calls left under georay/ outside runtime.py;
-# lower it as call sites move to group_agg or adaptive partition counts.
-LITERAL_REPARTITIONS_MAX = 35
+# lower it as call sites move to group_agg, runtime.join or adaptive
+# partition counts.
+LITERAL_REPARTITIONS_MAX = 10
 
 
 def test_ops_use_group_agg_not_ray_aggregates():
@@ -325,6 +326,28 @@ def test_ops_use_group_agg_not_ray_aggregates():
     assert not knobs, f"group_agg has no partition count to choose: {knobs}"
 
 
+def test_joins_go_through_runtime_join():
+    import ast
+    import pathlib
+
+    root = pathlib.Path(runtime.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "runtime.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "join"
+                    and any(k.arg == "join_type" for k in node.keywords)):
+                sites.append(f"{path.relative_to(root.parent).as_posix()}:"
+                             f"{node.lineno}")
+    assert not sites, (
+        f"Dataset.join starts hash-shuffle actors; use runtime.join: {sites}"
+    )
+
+
 def test_literal_repartition_count_does_not_grow():
     import ast
     import pathlib
@@ -348,3 +371,198 @@ def test_literal_repartition_count_does_not_grow():
         f"{len(sites)} literal .repartition(<int>) calls "
         f"(max {LITERAL_REPARTITIONS_MAX}): {sorted(sites)}"
     )
+
+
+# --------------------------------------------------------------- runtime.join
+
+
+def _sorted(df: pd.DataFrame, cols) -> pd.DataFrame:
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def _join_frames(seed=0, n_left=600, n_right=200):
+    rng = np.random.default_rng(seed)
+    left = pd.DataFrame({
+        "k": rng.integers(0, 40, n_left),
+        "s": rng.choice(["a", "bb", "ccc"], n_left),
+        "v": rng.integers(0, 1000, n_left),
+    })
+    right = pd.DataFrame({
+        "k": rng.integers(20, 60, n_right),
+        "s": rng.choice(["a", "bb", "dd"], n_right),
+        "v": rng.integers(0, 1000, n_right),
+    })
+    return left, right
+
+
+def _frame_ds(ray, df, blocks):
+    return ray.data.from_arrow(
+        runtime.table_from_pandas(df)).repartition(blocks)
+
+
+@pytest.mark.parametrize("join_type,how", [
+    ("inner", "inner"), ("left_outer", "left"),
+    ("right_outer", "right"), ("full_outer", "outer"),
+])
+def test_join_matches_pandas_merge(ray_session, join_type, how):
+    import ray
+
+    left, right = _join_frames()
+    got = runtime.join(_frame_ds(ray, left, 3), _frame_ds(ray, right, 2),
+                       join_type, on=("k", "s"), left_suffix="_l",
+                       right_suffix="_r")
+    want = left.merge(right, how=how, on=["k", "s"], suffixes=("_l", "_r"))
+    cols = ["k", "s", "v_l", "v_r"]
+    got = got.to_pandas()
+    assert sorted(got.columns) == sorted(cols)
+    pd.testing.assert_frame_equal(_sorted(got, cols), _sorted(want, cols),
+                                  check_dtype=False)
+
+
+def test_join_string_key_and_right_on(ray_session):
+    import ray
+
+    left, right = _join_frames(seed=1)
+    right = right.rename(columns={"s": "rs", "k": "rk"})
+    got = runtime.join(_frame_ds(ray, left, 2), _frame_ds(ray, right, 3),
+                       "inner", on=("s",), right_on=("rs",),
+                       right_suffix="_r", num_partitions=3).to_pandas()
+    want = left.merge(right, left_on="s", right_on="rs")
+    want = want.rename(columns={"v_x": "v", "v_y": "v_r"})
+    cols = ["s", "k", "v", "rk", "v_r"]
+    assert "rs" not in got.columns  # keys coalesce, as in Dataset.join
+    pd.testing.assert_frame_equal(_sorted(got, cols), _sorted(want, cols),
+                                  check_dtype=False)
+
+
+@pytest.mark.parametrize("num_partitions", [1, 5])
+def test_join_never_splits_a_bucket(ray_session, num_partitions):
+    import ray
+    from ray.data import DataContext
+
+    # 1-byte blocks: every block-size split Ray can make, it makes; a bucket
+    # split across two batches would lose its cross-batch matches
+    left, right = _join_frames(seed=2, n_left=300, n_right=100)
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 1
+    try:
+        got = runtime.join(_frame_ds(ray, left, 4), _frame_ds(ray, right, 3),
+                           "inner", on=("k",), right_suffix="_r",
+                           num_partitions=num_partitions).to_pandas()
+    finally:
+        ctx.target_max_block_size = saved
+    want = left.merge(right, on="k", suffixes=("", "_r"))
+    cols = ["k", "s", "v", "s_r", "v_r"]
+    pd.testing.assert_frame_equal(_sorted(got, cols), _sorted(want, cols),
+                                  check_dtype=False)
+
+
+def test_join_outputs_one_typed_block_per_bucket(ray_session):
+    import ray
+
+    left, right = _join_frames(seed=3)
+    out = runtime.join(_frame_ds(ray, left, 3), _frame_ds(ray, right, 2),
+                       "inner", on=("k",), right_suffix="_r",
+                       num_partitions=4).materialize()
+    assert out.num_blocks() == 4
+    assert out.schema().names == ["k", "s", "v", "s_r", "v_r"]
+
+
+def test_join_with_zero_row_side(ray_session):
+    import ray
+
+    # Dataset.join raised for every join type here (Acero: no key column
+    # in the empty side's schema-less partition). A side with no rows packs
+    # nothing, so nothing carries its columns: joins that keep no row of
+    # the other side give zero rows, an anti join keeps the other side as
+    # it is, and an outer join that needs the empty side's columns raises.
+    left, _ = _join_frames(seed=4)
+    lds = _frame_ds(ray, left, 2)
+    empty = ray.data.from_arrow(pa.table({
+        "k": pa.array([], pa.int64()), "w": pa.array([], pa.int64())}))
+    for join_type in ("inner", "right_outer", "left_semi"):
+        assert runtime.join(lds, empty, join_type, on=("k",)).count() == 0
+    anti = runtime.join(lds, empty, "left_anti", on=("k",)).to_pandas()
+    pd.testing.assert_frame_equal(_sorted(anti, ["k", "s", "v"]),
+                                  _sorted(left, ["k", "s", "v"]))
+    with pytest.raises(Exception, match="right side has no rows"):
+        runtime.join(lds, empty, "left_outer", on=("k",)).materialize()
+
+
+_TWO_LIVE_JOINS = """
+import numpy as np
+import pandas as pd
+import ray
+
+ray.init(address="local", num_cpus=2, _memory=4 << 30,
+         include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+from georay.ops.join import shuffle_cell_join
+
+rng = np.random.default_rng(0)
+a = pd.DataFrame({"cell": rng.integers(0, 200, 3000), "x": np.arange(3000)})
+b = pd.DataFrame({"cell": np.arange(200), "y": rng.integers(0, 9, 200)})
+c = pd.DataFrame({"cell": np.arange(0, 200, 2), "z": np.arange(100)})
+ab = shuffle_cell_join(ray.data.from_pandas(a), ray.data.from_pandas(b))
+got = shuffle_cell_join(ab, ray.data.from_pandas(c)).to_pandas()
+want = a.merge(b, on="cell").merge(c, on="cell")
+cols = ["cell", "x", "y", "z"]
+pd.testing.assert_frame_equal(
+    got[cols].sort_values(cols).reset_index(drop=True),
+    want[cols].sort_values(cols).reset_index(drop=True), check_dtype=False)
+print("TWO_JOINS_OK", len(got))
+ray.shutdown()
+"""
+
+
+def test_two_live_joins_finish_on_a_4gib_node(tmp_path):
+    import signal
+    import subprocess
+    import sys
+
+    # Ray's hash join reserved ~0.94 GB of logical memory per aggregator
+    # actor, 4 per join here: two live joins on a 4 GiB node never started.
+    # A fresh Ray node in a subprocess, driven from outside the repo.
+    script = tmp_path / "two_joins.py"
+    script.write_text(_TWO_LIVE_JOINS)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], cwd=str(tmp_path), env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("two live joins on a 4 GiB node did not finish in 120 s")
+    assert proc.returncode == 0 and "TWO_JOINS_OK" in out, out[-4000:]
+
+
+def test_write_partitioned_keeps_column_types(ray_session, tmp_path):
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray
+
+    t = pa.table({
+        "part": pa.array([0, 0, 1, 1, 2, 2], pa.int64()),
+        "n": pa.array([1, None, 3, 4, None, 6], pa.int64()),
+        "s": pa.array(["a", "b", None, "d", "e", "f"]),
+        "u": pa.array([1, 2, 3, 4, 5, 2**32 - 1], pa.uint32()),
+    })
+    out = str(tmp_path / "typed")
+    runtime.write_partitioned(ray.data.from_arrow(t).repartition(2), out,
+                              "part")
+    files = sorted(glob.glob(os.path.join(out, "part-*.parquet")))
+    assert len(files) == 3
+    for f in files:
+        assert pq.read_schema(f).remove_metadata() == t.schema, f
+    back = pa.concat_tables(pq.read_table(f) for f in files)
+    assert sorted(back["n"].to_pylist(), key=str) == sorted(
+        t["n"].to_pylist(), key=str)
