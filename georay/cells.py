@@ -10,11 +10,13 @@ sibling cells with a prefix shuffle first.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from georay import codec
 # module level (worker-executed `polygon_cover_dataset.strip` must not
 # import georay at runtime — CLAUDE.md invariant)
 from georay.geometry import points_in_ring
+from georay.runtime import by_key
 
 _U = np.uint64
 
@@ -114,8 +116,6 @@ def uncompact_dataset(ds, target_bits: int, cell_col: str = "cell",
     ``2^(target-bits)`` rows, vectorized per precision group within each
     batch (flat-map style, no shuffle). Output: ``cell:int64`` at one
     precision."""
-    import pyarrow as pa
-
     def explode(t):
         codes = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         code_bits = t[bits_col].to_numpy(zero_copy_only=False)
@@ -126,38 +126,33 @@ def uncompact_dataset(ds, target_bits: int, cell_col: str = "cell",
 
 
 def compact_dataset(ds, cell_col: str, bits: int, step: int = 2, anchor_bits: int = 10):
-    """Distributed compact: shuffle cells so all potential siblings of a
-    coarse anchor prefix land in one group, then numpy-compact per group.
+    """Distributed compact: ``runtime.by_key`` on the coarse anchor prefix
+    puts all potential siblings in one bucket, then numpy-compact per
+    bucket.
 
     Correct because compaction never crosses an ``anchor_bits`` prefix
     boundary as long as ``anchor_bits`` is a multiple of ``step`` below
     ``bits`` (siblings share their parent prefix). Output schema:
     ``cell:uint64, cell_bits:int8``.
     """
-    import pandas as pd
-
     if (bits - anchor_bits) % step:
         raise ValueError("bits - anchor_bits must be a multiple of step")
 
     def add_anchor(t):
-        import pyarrow as pa
-
         cells = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         anchor = (cells >> _U(bits - anchor_bits)).astype(np.int64)
         return pa.table({cell_col: cells.astype(np.int64), "anchor": anchor})
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        cells = g[cell_col].to_numpy().astype(np.uint64)
+    def per_bucket(t):
+        # one compact over many anchors: it never crosses an anchor prefix
+        cells = t[cell_col].to_numpy().astype(np.uint64)
         out, out_bits = compact(cells, bits, step=step)
-        return pd.DataFrame(
-            {"cell": out.astype(np.int64), "cell_bits": out_bits.astype(np.int8)}
-        )
+        return pa.table({"cell": out.astype(np.int64),
+                         "cell_bits": out_bits.astype(np.int8)})
 
-    return (
-        ds.map_batches(add_anchor, batch_format="pyarrow")
-        .groupby("anchor")
-        .map_groups(per_group, batch_format="pandas")
-    )
+    return by_key(ds.map_batches(add_anchor, batch_format="pyarrow"),
+                  "anchor", per_bucket,
+                  pa.schema([("cell", pa.int64()), ("cell_bits", pa.int8())]))
 
 
 # -------------------------------------------------- polygon cover (polyfill)
@@ -235,7 +230,6 @@ def polygon_cover_dataset(ring_lon, ring_lat, bits: int,
     ray-casting only its strip — cover size is unbounded by driver memory
     and the output stays a streamed Dataset of ``cell:int64`` rows. The
     ring (small) ships by closure capture once per task."""
-    import pyarrow as pa
     import ray.data
 
     rx = np.asarray(ring_lon, dtype=np.float64)
@@ -297,8 +291,6 @@ def cell_to_quadkey(code, bits: int):
     tile's quadkey is the child's string prefix, the property tile pyramids
     key on. Returns a pyarrow string array (digits built as one uint8
     matrix, no per-row formatting)."""
-    import pyarrow as pa
-
     z, x, y = cell_to_zxy(code, bits)
     x = x.astype(np.uint64)
     y = y.astype(np.uint64)

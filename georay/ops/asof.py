@@ -2,10 +2,9 @@
 cell-keyed spatial join: for every left row, the single right row with the
 greatest timestamp ≤ the left row's timestamp, within the same key.
 
-Physical plan (Ray Data has no native as-of join): tag both sides, key by
-``hash(by) % num_buckets``, union, co-group with ONE ``groupby(_bucket)``
-shuffle (a few dozen pandas groups total — the ops.buckets idiom, not one
-Python call per key), then a bucket-wide vectorized match: one lexsort
+Physical plan (Ray Data has no native as-of join): tag both sides, union,
+co-group by key with ONE ``runtime.by_key`` exchange (one call per bucket,
+not one Python call per key), then a bucket-wide vectorized match: one lexsort
 interleaves both sides of every key, and a rebased running right-count
 turns "latest right ≤ left ts" into an index into the bucket's sorted
 right rows. Inner semantics: left rows with no prior right row are
@@ -16,9 +15,9 @@ payload columns reattach with ordinary equi-joins on ``(by, ts)``
 (broadcast or shuffle, caller's choice); keeping the union schema to three
 columns is what lets both sides share one exchange.
 
-Partitioning assumption: one BUCKET's rows must fit a worker (size
-``num_buckets`` to the data; see ops.buckets); sub-bucket by time range
-if a single key's history outgrows a worker on its own.
+Partitioning assumption: one BUCKET's rows must fit a worker (the
+``runtime.by_key`` contract); sub-bucket by time range if a single key's
+history outgrows a worker on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import join
+from georay.runtime import by_key, join
 
 
 def interval_join(
@@ -114,7 +113,6 @@ def asof_join(
     left_ts: str = "ts",
     right_ts: str = "ts",
     suffix: str = "_r",
-    num_buckets: int = 32,
 ):
     """For each left row: the latest right timestamp ≤ its own, per key.
 
@@ -122,11 +120,11 @@ def asof_join(
     Timestamps must cast to int64 (cast dates/decimals upstream). Left
     rows keep multiplicity (duplicates join independently).
 
-    Physical plan: one groupby(hash-bucket) shuffle (``num_buckets``
-    pandas groups TOTAL — the ops.buckets idiom); inside a bucket one
-    lexsort by ``(key, ts, right-before-left)`` interleaves both sides of
-    every key, a running right-row count (cumsum, rebased per key run)
-    gives each left row the NUMBER of rights at-or-before it, and that
+    Physical plan: one ``runtime.by_key`` exchange (one call per
+    bucket); inside a bucket one lexsort by ``(key, ts,
+    right-before-left)`` interleaves both sides of every key, a running
+    right-row count (cumsum, rebased per key run) gives each left row
+    the NUMBER of rights at-or-before it, and that
     count minus one indexes straight into the bucket's (key, ts)-sorted
     right rows — the per-key searchsorted, done for all keys in four
     vectorized passes, no per-key Python call."""
@@ -142,9 +140,6 @@ def asof_join(
                     "_role": pa.array(np.full(n, role, dtype=np.int8)),
                     by: t[by],
                     "_ts": t[ts_col].cast(pa.int64()),
-                    "_bucket": pa.array(bk.bucket_of(
-                        t[by].to_numpy(zero_copy_only=False), num_buckets
-                    )),
                 }
             )
 
@@ -154,7 +149,8 @@ def asof_join(
         right_ds.map_batches(prep(1, right_ts), batch_format="pyarrow")
     )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         keys = g[by].to_numpy()
         codes, _ = pd.factorize(keys)
         ts = g["_ts"].to_numpy(np.int64)
@@ -183,20 +179,11 @@ def asof_join(
         return pd.DataFrame(
             {
                 by: keys[order][l_hit],
-                "_lts": t_s[l_hit],
-                "_rts": rt_sorted[pos[hit]],
+                left_ts: t_s[l_hit],
+                f"{right_ts}{suffix}": rt_sorted[pos[hit]],
             }
         )
 
-    joined = u.groupby("_bucket").map_groups(per_bucket, batch_format="pandas")
-
-    def finalize(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                by: t[by],
-                left_ts: t["_lts"],
-                f"{right_ts}{suffix}": t["_rts"],
-            }
-        )
-
-    return joined.map_batches(finalize, batch_format="pyarrow")
+    return by_key(u, by, per_bucket, lambda s: pa.schema(
+        [s.field(by), (left_ts, pa.int64()),
+         (f"{right_ts}{suffix}", pa.int64())]))

@@ -1,24 +1,24 @@
-"""Hash-bucketed per-key execution — the VERDICT-r3 fix for the per-key
-``map_groups`` anti-pattern in the event-analytics family.
+"""Per-key execution helpers for ``runtime.by_key`` bodies.
 
-``ds.groupby(key).map_groups(per_key)`` costs one Python call + one pandas
-DataFrame construction (~50-100 µs) PER DISTINCT KEY and makes Ray's
-sort-based shuffle range-partition millions of tiny groups; at 10⁸ keys
-that is hours of pure interpreter overhead cluster-wide. The repo's rank.py
-/ knn.py idiom fixes both: group by ``hash(key) % num_buckets`` (a few
-hundred pandas groups TOTAL), then vectorize ACROSS keys inside each bucket
-with segmented numpy — one lexsort per bucket puts every key's rows in a
-contiguous run, and per-key reductions become reduceat/cumsum-difference
-over run boundaries.
+``runtime.by_key(ds, keys, fn, schema)`` is the one per-key operator: it
+hash-packs rows into ``P ≈ cluster CPUs`` buckets, exchanges them with a
+fixed-boundary sort, and calls ``fn`` ONCE PER BUCKET on one pyarrow table
+holding every row of each key that hashed there. One call per bucket is
+the point: Ray's per-group UDF call paid one Python call + one pandas
+DataFrame (~50-100 µs) PER DISTINCT KEY, which at 10⁸ keys is hours of
+interpreter overhead cluster-wide. Bodies vectorize ACROSS keys with
+segmented numpy — one lexsort puts every key's rows in a contiguous run,
+and per-key reductions become reduceat/cumsum-difference over run
+boundaries (the helpers below). Bodies that need one key at a time wrap
+themselves in :func:`per_key`.
 
-Scale contract (replaces the old one-KEY-fits-a-worker contract): one
-BUCKET's rows must fit a worker — size ``num_buckets ≈ total_rows /
-(worker_heap / row_width)``. Skewed single keys still land in one bucket,
-same as any key-hash shuffle; the bucket count only has to keep the
-AVERAGE bucket within memory.
+Scale contract: one bucket fits a worker, as for ``runtime.join``. A
+skewed single key still lands in one bucket, as in any key-hash shuffle;
+the bucket count only keeps the AVERAGE bucket within memory.
 
-Helpers here are numpy-only and worker-executed — module-level imports
-only (CLAUDE.md invariant).
+Helpers here are numpy/pyarrow-only and run in Ray workers — module-level
+imports only: an import inside a function fails in a worker started
+outside the checkout.
 """
 
 from __future__ import annotations
@@ -26,20 +26,33 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-# module level: worker-executed (foreign-cwd drivers)
-from georay.hashing import key_hash
+import pyarrow.compute as pc
 
 
-def bucket_of(arr: np.ndarray, num_buckets: int) -> np.ndarray:
-    """int64 bucket id in [0, num_buckets) for a key column."""
-    return (key_hash(arr) % np.uint64(num_buckets)).astype(np.int64)
+def per_key(keys, fn):
+    """A ``runtime.by_key`` body that calls ``fn`` once per distinct
+    ``keys`` value of its bucket (nulls are one value), in ascending key
+    order, and concatenates the outputs — for bodies that read their key
+    as ``g[key][0]``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
 
+    def body(t: pa.Table):
+        t = t.sort_by([(k, "ascending") for k in keys])
+        n = t.num_rows
+        new = np.zeros(n, dtype=bool)
+        new[0] = True  # by_key never calls a body on an empty bucket
+        for k in keys:
+            a, b = t[k].slice(1), t[k].slice(0, n - 1)
+            differ = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                            pc.not_equal(pc.is_null(a), pc.is_null(b)))
+            new[1:] |= differ.to_numpy(zero_copy_only=False)
+        cuts = np.append(np.flatnonzero(new), n)
+        outs = [fn(t.slice(s, e - s)) for s, e in zip(cuts[:-1], cuts[1:])]
+        if isinstance(outs[0], pd.DataFrame):
+            return pd.concat(outs, ignore_index=True)
+        return pa.concat_tables(outs, promote_options="default")
 
-def append_bucket(t: pa.Table, key_col: str, num_buckets: int) -> pa.Table:
-    """Arrow batch -> same batch + ``_bucket`` column."""
-    b = bucket_of(t[key_col].to_numpy(zero_copy_only=False), num_buckets)
-    return t.append_column("_bucket", pa.array(b))
+    return body
 
 
 def segment_starts(codes_sorted: np.ndarray) -> np.ndarray:

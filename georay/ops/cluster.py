@@ -147,11 +147,8 @@ def connected_components(
                 "is_node": t["is_node"],
             })
 
-        labels = (
-            jumped.map_batches(shortcut, batch_format="pyarrow")
-            .repartition(num_partitions)
-            .materialize()
-        )
+        labels = jumped.map_batches(shortcut,
+                                    batch_format="pyarrow").materialize()
         if round_counter is not None:
             round_counter.append(1)
         cur = label_sum(labels)

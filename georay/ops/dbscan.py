@@ -141,7 +141,7 @@ def grid_dbscan(
     ).map_batches(
         lambda t: pa.table({"nid": t["pid"], "component": t["component"]}),
         batch_format="pyarrow",
-    ).repartition(num_partitions)
+    )
 
     # 4. every point's label = MIN adjacent core component (one rule for
     # core AND border: a core point is adjacent to itself)

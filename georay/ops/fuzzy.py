@@ -8,11 +8,11 @@ path for fuzzy dedup of titles/names in an LLM-data pipeline. Variants
 are hashed to 64 bits and never shipped as strings; hash collisions are
 HARMLESS because every candidate passes an exact vectorized verify.
 
-Pipeline (all exchanges bucketized, the house idiom):
-  per-batch distinct → hash-bucket exact distinct → per-length vectorized
-  variant hashing → variant-hash-bucket groupby with capped pair
-  expansion (ops.pairs.grouped_pair_indices) + exact verify INSIDE the
-  group (only true pairs shuffle on) → hash-bucket exact pair dedup.
+Pipeline (every exchange is ``runtime.by_key``):
+  per-batch distinct → exact distinct by string → per-length vectorized
+  variant hashing → by variant hash, with capped pair expansion
+  (ops.pairs.grouped_pair_indices) + exact verify INSIDE the bucket (only
+  true pairs shuffle on) → exact pair dedup by pair.
 
 Semantics: BYTE-level edit distance over UTF-8 (≡ character-level for
 ASCII; multibyte text diverges — documented, the oracle corpus is ASCII).
@@ -22,7 +22,6 @@ Strings containing NUL bytes are not supported (padding sentinel).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from georay import runtime
@@ -110,8 +109,7 @@ def verify_edit1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ok
 
 
-def edit1_pairs(ds, col: str, num_buckets: int = 64,
-                max_bucket: int | None = 4096):
+def edit1_pairs(ds, col: str, max_bucket: int | None = 4096):
     """All unordered distinct-string pairs (a < b) at edit distance ≤ 1.
 
     Returns a Dataset with string columns ``a``, ``b``. Exchange volume:
@@ -119,34 +117,26 @@ def edit1_pairs(ds, col: str, num_buckets: int = 64,
     row count, never all-pairs. Oversized variant buckets are capped via
     the shared chunked expansion (logged, deterministic)."""
     dschema = pa.schema([("s", pa.string())])
-    pschema = pa.schema([("a", pa.string()), ("b", pa.string()),
-                         ("_pb", pa.int64())])
     oschema = pa.schema([("a", pa.string()), ("b", pa.string())])
 
     def batch_distinct(t: pa.Table) -> pa.Table:
         s = np.asarray(t[col].to_numpy(zero_copy_only=False), dtype=object)
         u = np.unique(s.astype("U"))
-        tbl = pa.table({"s": pa.array(u.astype(object), type=pa.string())})
-        return buckets.append_bucket(tbl, "s", num_buckets)
+        return pa.table({"s": pa.array(u.astype(object), type=pa.string())})
 
-    def dedupe(df: pd.DataFrame):
-        u = np.unique(df["s"].to_numpy(dtype="U"))
-        return runtime.table_from_pandas(
-            pd.DataFrame({"s": u.astype(object)}), schema=dschema)
+    def dedupe(t: pa.Table) -> pa.Table:
+        u = np.unique(t["s"].to_numpy().astype("U"))
+        return pa.table({"s": pa.array(u.astype(object), type=pa.string())})
 
-    distinct = (
+    distinct = runtime.by_key(
         ds.map_batches(batch_distinct, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(dedupe, batch_format="pandas")
-    )
+                       zero_copy_batch=True), "s", dedupe, dschema)
 
     def variants(t: pa.Table) -> pa.Table:
         s = np.asarray(t["s"].to_numpy(zero_copy_only=False), dtype=object)
         if s.size == 0:
             return pa.table({"vh": pa.array([], type=pa.int64()),
-                             "s": pa.array([], type=pa.string()),
-                             "_vb": pa.array([], type=pa.int64())})
+                             "s": pa.array([], type=pa.string())})
         m, lens, _w = _byte_matrix(s.astype("U"))
         vh_l, idx_l = [], []
         for L in np.unique(lens):
@@ -162,12 +152,11 @@ def edit1_pairs(ds, col: str, num_buckets: int = 64,
         return pa.table({
             "vh": vh.view(np.int64),
             "s": pa.array(s[ridx], type=pa.string()),
-            "_vb": (vh % np.uint64(num_buckets)).astype(np.int64),
         })
 
-    def cand(df: pd.DataFrame):
-        vh = df["vh"].to_numpy(dtype=np.int64)
-        s = df["s"].to_numpy(dtype="U")
+    def cand(t: pa.Table) -> pa.Table:
+        vh = t["vh"].to_numpy()
+        s = t["s"].to_numpy().astype("U")
         order = np.lexsort((s, vh))
         vh, s = vh[order], s[order]
         starts = buckets.segment_starts(vh)
@@ -188,29 +177,20 @@ def edit1_pairs(ds, col: str, num_buckets: int = 64,
             a, b = rec["a"].astype(object), rec["b"].astype(object)
         else:
             a = b = np.empty(0, dtype=object)
-        pb = buckets.key_hash(
-            np.asarray([f"{x}\x1f{y}" for x, y in zip(a, b)], dtype=object)
-        ) if len(a) else np.empty(0, dtype=np.uint64)
-        return runtime.table_from_pandas(pd.DataFrame({
-            "a": a, "b": b,
-            "_pb": (pb % np.uint64(num_buckets)).astype(np.int64),
-        }), schema=pschema)
+        return pa.table({"a": pa.array(a, type=pa.string()),
+                         "b": pa.array(b, type=pa.string())})
 
-    cands = (
+    cands = runtime.by_key(
         distinct.map_batches(variants, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("_vb")
-        .map_groups(cand, batch_format="pandas")
-    )
+                             zero_copy_batch=True), "vh", cand, oschema)
 
-    def final(df: pd.DataFrame):
-        a = df["a"].to_numpy(dtype="U")
-        b = df["b"].to_numpy(dtype="U")
+    def final(t: pa.Table) -> pa.Table:
+        a = t["a"].to_numpy().astype("U")
+        b = t["b"].to_numpy().astype("U")
         rec = np.empty(a.size, dtype=[("a", a.dtype), ("b", b.dtype)])
         rec["a"], rec["b"] = a, b
         rec = np.unique(rec)
-        return runtime.table_from_pandas(pd.DataFrame({
-            "a": rec["a"].astype(object), "b": rec["b"].astype(object),
-        }), schema=oschema)
+        return pa.table({"a": pa.array(rec["a"].astype(object), pa.string()),
+                         "b": pa.array(rec["b"].astype(object), pa.string())})
 
-    return cands.groupby("_pb").map_groups(final, batch_format="pandas")
+    return runtime.by_key(cands, ["a", "b"], final, oschema)

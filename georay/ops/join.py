@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import check_saltable, group_agg, join
+from georay.ops.buckets import per_key
+from georay.runtime import by_key, check_saltable, group_agg, join
 
 
 class _SortedLookup:
@@ -274,10 +275,6 @@ def build_bloom(keys_ds, col: str, n_bits: int = 1 << 23, n_hashes: int = 4,
     driver traffic is bounded by batches x bitset size, which at 4 MiB is
     cheaper than an all-to-all exchange. The shuffle path only engages for
     bitsets too large to absorb driver-side (the 10^10-key regime)."""
-    import pandas as pd
-
-    from georay.runtime import table_from_pandas
-
     if n_bits % (8 * chunk_bytes):
         raise ValueError("n_bits must be a multiple of 8*chunk_bytes")
 
@@ -307,18 +304,17 @@ def build_bloom(keys_ds, col: str, n_bits: int = 1 << 23, n_hashes: int = 4,
                 bits[s : s + chunk_bytes] |= np.frombuffer(blob, dtype=np.uint8)
         return bits
 
-    def orit(g: pd.DataFrame) -> pd.DataFrame:
+    def orit(g: pa.Table) -> pa.Table:
         acc = np.zeros(chunk_bytes, dtype=np.uint8)
-        for b in g["blob"]:
+        for b in g["blob"].to_pylist():
             acc |= np.frombuffer(b, dtype=np.uint8)
-        return pd.DataFrame(
-            {"chunk_id": [int(g["chunk_id"].iloc[0])], "blob": [acc.tobytes()]}
-        )
+        return pa.table({"chunk_id": [g["chunk_id"][0].as_py()],
+                         "blob": pa.array([acc.tobytes()], pa.binary())})
 
-    reduced = reduced.groupby("chunk_id").map_groups(orit, batch_format="pandas")
+    reduced = by_key(reduced, "chunk_id", per_key("chunk_id", orit),
+                     pa.schema([("chunk_id", pa.int64()),
+                                ("blob", pa.binary())]))
     for b in reduced.iter_batches(batch_format="pyarrow"):
-        if b.num_rows == 0 or "chunk_id" not in b.column_names:
-            continue  # schema-less empty aggregate blocks (CLAUDE.md)
         for cid, blob in zip(b["chunk_id"].to_pylist(), b["blob"].to_pylist()):
             s = cid * chunk_bytes
             bits[s : s + chunk_bytes] = np.frombuffer(blob, dtype=np.uint8)
@@ -572,7 +568,7 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
         })
 
     left = ds.map_batches(scatter, batch_format="pyarrow",
-                          zero_copy_batch=True).repartition(num_partitions)
+                          zero_copy_batch=True)
 
     def as_right(t: pa.Table) -> pa.Table:
         return pa.table({"cell": t["cell"], "tid": t["sid"],
@@ -580,7 +576,7 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
                          "tx2": t["sx2"], "ty2": t["sy2"]})
 
     right = left.map_batches(as_right, batch_format="pyarrow",
-                             zero_copy_batch=True).repartition(num_partitions)
+                             zero_copy_batch=True)
     cand = join(left, right, "inner", on=("cell",),
                 num_partitions=num_partitions)
 

@@ -19,7 +19,8 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells, codec
-from georay.runtime import by_bucket, group_agg, join
+from georay.ops.buckets import per_key
+from georay.runtime import by_key, group_agg, join
 
 
 def codec_split_nx(bits: int) -> int:
@@ -355,9 +356,9 @@ def knn_adaptive(
 
 def _merge_topk_stage(local_ds, query_id: str, ref_id: str, k: int,
                       num_partitions: int):
-    """Global top-k merge over per-batch local top-k rows: one block per
-    value of the ``part`` bucket column (in ``[0, num_partitions)``), each
-    merging many queries in one vectorized sort."""
+    """Global top-k merge over per-batch local top-k rows: one
+    ``runtime.by_key`` call per ``query_id`` bucket, each merging many
+    queries in one vectorized sort."""
 
     def merge_part(t: pa.Table) -> pa.Table:
         q = t[query_id].to_numpy(zero_copy_only=False)
@@ -371,8 +372,10 @@ def _merge_topk_stage(local_ds, query_id: str, ref_id: str, k: int,
             "rank": rank.astype(np.int64),
         })
 
-    return by_bucket(local_ds, "part", num_partitions).map_batches(
-        merge_part, batch_format="pyarrow", batch_size=None)
+    return by_key(local_ds, query_id, merge_part, pa.schema([
+        (query_id, pa.int64()), (ref_id, pa.int64()),
+        ("dist2", pa.float64()), ("rank", pa.int64())]),
+        num_partitions=num_partitions)
 
 
 def knn_shuffle(
@@ -390,12 +393,12 @@ def knn_shuffle(
     """Big×big kNN: explode ONE side to its ring cells (vectorized, 1 row →
     ≤(2r+1)² rows), ``runtime.join`` on cell, then a TWO-PHASE top-k reduce:
     per-batch vectorized local top-k (``_topk_per_query``) cuts each query
-    to ≤k candidates per batch, and the global merge buckets by
-    ``query_id % num_partitions`` (``runtime.by_bucket``) —
+    to ≤k candidates per batch, and the global merge runs one
+    ``runtime.by_key`` call per ``query_id`` bucket —
     O(num_partitions) batches, each merging MANY queries in one vectorized
     sort, never O(queries) tiny groups. Shuffle keys: cell (join),
     query-hash bucket (reduce).
-    ``query_id`` must be integer-valued (the bucket key is ``id % P``).
+    ``query_id`` / ``ref_id`` must be integer-valued.
 
     ``expand_side``: which side pays the (2r+1)²× ring explosion before the
     exchange. Chebyshev ring membership is symmetric (ref ∈ ring(query) ⟺
@@ -408,8 +411,6 @@ def knn_shuffle(
     ``num_partitions=None`` → ``runtime.adaptive_partitions()`` (≈ cluster
     CPUs, VERDICT r4 #4; a syscall-taxed host favors HALVING it — see
     BASELINE.md partition forensics)."""
-    import pandas as pd
-
     from georay.runtime import adaptive_partitions
 
     if num_partitions is None:
@@ -459,9 +460,6 @@ def knn_shuffle(
                 query_id: pa.array(q[sel]),
                 ref_id: pa.array(r[sel]),
                 "dist2": pa.array(dist[sel]),
-                "part": pa.array(
-                    (q[sel].astype(np.int64) % num_partitions).astype(np.int64)
-                ),
             }
         )
 
@@ -480,16 +478,15 @@ def knn_cogroup(
     query_id: str = "query_id",
     ref_id: str = "ref_id",
     cell_col: str = "cell",
-    num_buckets: int = 64,
     num_partitions: int | None = None,
 ):
-    """Big×big kNN via a SORT-shuffle cogroup join: both sides are tagged,
-    keyed by a cell-hash bucket, unioned, and co-grouped with
-    ``groupby(bucket)`` — one vectorized searchsorted join + local top-k
-    per bucket, then the shared bucketed top-k merge.
+    """Big×big kNN via a cogroup join: both sides are tagged, unioned and
+    co-grouped by cell with ``runtime.by_key`` — one vectorized
+    searchsorted join + local top-k per bucket, then the shared bucketed
+    top-k merge.
 
     Same semantics (and SQL twin) as :func:`knn_shuffle`; different
-    physical plan: a pandas per-bucket join instead of ``runtime.join``.
+    physical plan: a numpy per-bucket join instead of ``runtime.join``.
     Both run on tasks now. Measured on a 1-core host, 2 logical Ray CPUs,
     600k queries × 15k refs, ring 1, bits 10, k 5 (one run each): this
     plan 42.6 s, :func:`knn_shuffle` 42.9 s; while ``knn_shuffle`` used
@@ -498,8 +495,6 @@ def knn_cogroup(
     faster).
     ``query_id`` / ``ref_id`` must be integer-valued.
     ``num_partitions=None`` → ``runtime.adaptive_partitions()``."""
-    import pandas as pd
-
     from georay.runtime import adaptive_partitions
 
     if num_partitions is None:
@@ -526,9 +521,6 @@ def knn_cogroup(
                 "lon": pa.array(t["lon"].to_numpy(zero_copy_only=False)[idx]),
                 "lat": pa.array(t["lat"].to_numpy(zero_copy_only=False)[idx]),
                 cell_col: pa.array(flat_cells),
-                "bucket": pa.array(
-                    ((flat_cells * 0x9E3779B1) % num_buckets).astype(np.int64)
-                ),
             }
         )
 
@@ -542,9 +534,6 @@ def knn_cogroup(
                 "lon": pa.array(t["lon"].to_numpy(zero_copy_only=False)),
                 "lat": pa.array(t["lat"].to_numpy(zero_copy_only=False)),
                 cell_col: pa.array(cell),
-                "bucket": pa.array(
-                    ((cell * 0x9E3779B1) % num_buckets).astype(np.int64)
-                ),
             }
         )
 
@@ -552,15 +541,12 @@ def knn_cogroup(
         refs_ds.map_batches(prep_refs, batch_format="pyarrow")
     )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(g: pa.Table) -> pa.Table:
         role = g["role"].to_numpy()
-        empty = pd.DataFrame(
-            {query_id: pd.Series([], dtype=np.int64),
-             ref_id: pd.Series([], dtype=np.int64),
-             "dist2": pd.Series([], dtype=np.float64),
-             "part": pd.Series([], dtype=np.int64)}
-        )
         is_ref = role == 1
+        empty = pa.table({query_id: pa.array([], pa.int64()),
+                          ref_id: pa.array([], pa.int64()),
+                          "dist2": pa.array([], pa.float64())})
         if not is_ref.any() or is_ref.all():
             return empty
         rcell = g[cell_col].to_numpy()[is_ref]
@@ -587,17 +573,12 @@ def knn_cogroup(
         dy = qlat[qidx] - rlat[ridx]
         dist = dx * dx + dy * dy
         sel, _rank = _topk_per_query(qid_v[qidx], dist, rid_v[ridx], k)
-        qf = qid_v[qidx][sel]
-        return pd.DataFrame(
-            {
-                query_id: qf,
-                ref_id: rid_v[ridx][sel],
-                "dist2": dist[sel],
-                "part": (qf.astype(np.int64) % num_partitions),
-            }
-        )
+        return pa.table({query_id: qid_v[qidx][sel],
+                         ref_id: rid_v[ridx][sel], "dist2": dist[sel]})
 
-    local = u.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    local = by_key(u, cell_col, per_bucket, pa.schema([
+        (query_id, pa.int64()), (ref_id, pa.int64()),
+        ("dist2", pa.float64())]), num_partitions=num_partitions)
     return _merge_topk_stage(local, query_id, ref_id, k, num_partitions)
 
 
@@ -783,14 +764,9 @@ def idw_broadcast(ds, q_ids, q_mx, q_my, k: int = 8,
     Plan: the query matrix rides the closure (broadcast once per worker
     process); each batch computes all query distances vectorized and keeps
     only its local top-k per query, so the exchange carries
-    O(k × queries × blocks) rows; a groupby(query) finishes (#groups =
-    #queries — bounded, NOT a per-key explosion). Output: ``query_id,
-    n_used, idw``.
+    O(k × queries × blocks) rows; ``runtime.by_key`` on the query id
+    finishes. Output: ``query_id, n_used, idw``.
     """
-    import pandas as pd
-
-    from georay.runtime import table_from_pandas
-
     q_ids = np.asarray(q_ids, np.int64)
     q_mx = np.asarray(q_mx, np.int64)
     q_my = np.asarray(q_my, np.int64)
@@ -817,25 +793,22 @@ def idw_broadcast(ds, q_ids, q_mx, q_my, k: int = 8,
     survivors = ds.map_batches(local, batch_format="pyarrow",
                                zero_copy_batch=True)
 
-    def final(g: pd.DataFrame) -> pa.Table:
-        order = np.lexsort((g["nid"].to_numpy(np.int64),
-                            g["d2"].to_numpy(np.int64)))[:k]
-        d2 = g["d2"].to_numpy(np.int64)[order]
-        v = g["v"].to_numpy(np.int64)[order]
+    def final(g: pa.Table) -> pa.Table:
+        order = np.lexsort((g["nid"].to_numpy(), g["d2"].to_numpy()))[:k]
+        d2 = g["d2"].to_numpy()[order]
+        v = g["v"].to_numpy()[order]
         num = 0.0
         den = 0.0
         for i in range(d2.size):  # fixed-order sum: the float contract
             dp1 = float(d2[i] + 1)
             num = num + float(v[i]) / dp1
             den = den + 1.0 / dp1
-        return table_from_pandas(pd.DataFrame({
-            "query_id": [np.int64(g["query_id"].iloc[0])],
-            "n_used": [np.int64(d2.size)],
-            "idw": [num / den],
-        }))
+        return pa.table({"query_id": [g["query_id"][0].as_py()],
+                         "n_used": [d2.size], "idw": [num / den]})
 
-    return survivors.groupby("query_id").map_groups(
-        final, batch_format="pandas")
+    return by_key(survivors, "query_id", per_key("query_id", final),
+                  pa.schema([("query_id", pa.int64()), ("n_used", pa.int64()),
+                             ("idw", pa.float64())]))
 
 
 def geodesic_rings(bits: int, d_meters: float,
@@ -1226,8 +1199,8 @@ def huff_shares(demand_ds, supply_table: pa.Table, bits: int, radius: float,
     den = group_agg(weighted, demand_id, {"den": ("sum", "w")})
 
     # second pass over the recomputed pair stream, big-side hash join
-    joined = join(weighted.repartition(num_partitions), den, "inner",
-                  on=(demand_id,), num_partitions=num_partitions)
+    joined = join(weighted, den, "inner", on=(demand_id,),
+                  num_partitions=num_partitions)
 
     def share(t: pa.Table) -> pa.Table:
         w = t["w"].to_numpy(zero_copy_only=False).astype(np.int64)

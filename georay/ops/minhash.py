@@ -2,8 +2,9 @@
 
 Scale shape (the 100 TB path, ray_guide "Aggregation at scale"):
 shingle+minhash per batch (vectorized) → explode to (band_id, band_hash,
-doc_id) rows → ``groupby(band)`` buckets → candidate pairs within buckets →
-pair dedup → exact-Jaccard verification via a hash-join back to the docs.
+doc_id) rows → ``runtime.by_key`` on (band, band_hash) → candidate pairs
+within LSH buckets → pair dedup → exact-Jaccard verification via a
+hash-join back to the docs.
 Only ids+hashes shuffle; document text moves once, for verification.
 
 On the sandbox's small corpora the verification join uses the broadcast
@@ -18,16 +19,11 @@ import pyarrow as pa
 # module level, NOT inside worker-executed functions: a runtime import
 # statement on a foreign-cwd worker bypasses the by-value cloudpickle
 # registration and dies with ModuleNotFoundError (CLAUDE.md invariant)
-from georay.ops.pairs import (
-    bucket_pair_indices,
-    bucket_pairs,
-    distinct_pairs,
-    grouped_pair_indices,
-)
-from georay.ops.sketch import splitmix64
-from georay.runtime import join
+from georay.ops.pairs import bucket_pairs, distinct_pairs, grouped_pair_indices
+from georay.runtime import by_key, join
 
 _MERSENNE = np.uint64((1 << 61) - 1)
+PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
 
 def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
@@ -114,14 +110,11 @@ def _bucket_pairs(ids: np.ndarray, max_bucket: int | None,
     return bucket_pairs(ids, max_bucket, label, log_prefix="georay.minhash")
 
 
-def band_rows(sig_ds, n_bands: int = 8, rows_per_band: int = 8,
-              num_pair_buckets: int = 64):
-    """Explode signatures to (band, band_hash, doc_id, _pb) rows — the
-    shared front half of :func:`lsh_candidate_pairs`, public so the
-    persisted :class:`georay.textindex.MinHashIndex` can store EXACTLY
-    the rows the in-flight pipeline groups (bit-equal lifecycle oracle).
-    ``_pb = splitmix64(bh + salt·band) % num_pair_buckets`` is both the
-    co-location key and the index's partition key."""
+def band_rows(sig_ds, n_bands: int = 8, rows_per_band: int = 8):
+    """Explode signatures to (band, band_hash, doc_id) rows — the shared
+    front half of :func:`lsh_candidate_pairs`, public so the persisted
+    :class:`georay.textindex.MinHashIndex` can store EXACTLY the rows the
+    in-flight pipeline groups (bit-equal lifecycle oracle)."""
 
     def explode(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -136,19 +129,11 @@ def band_rows(sig_ds, n_bands: int = 8, rows_per_band: int = 8,
                 rows_per_band, dtype=np.uint64
             )
             bh = (bands * weights[None, None, :]).sum(axis=2, dtype=np.uint64)
-        band_id = np.tile(np.arange(n_bands, dtype=np.int64), n)
-        bh_flat = bh.reshape(-1)
-        with np.errstate(over="ignore"):
-            pb = (
-                splitmix64(bh_flat + np.uint64(0x9E3779B9) * band_id.view(np.uint64))
-                % np.uint64(num_pair_buckets)
-            ).astype(np.int64)
         return pa.table(
             {
-                "band": band_id,
-                "bh": bh_flat.astype(np.int64),
+                "band": np.tile(np.arange(n_bands, dtype=np.int64), n),
+                "bh": bh.reshape(-1).astype(np.int64),
                 "doc_id": np.repeat(ids, n_bands),
-                "_pb": pb,
             }
         )
 
@@ -157,32 +142,25 @@ def band_rows(sig_ds, n_bands: int = 8, rows_per_band: int = 8,
 
 def candidate_pairs_from_bands(band_ds, max_bucket: int | None = 4096):
     """Back half of :func:`lsh_candidate_pairs`: co-locate band buckets
-    with ONE groupby over the precomputed ``_pb`` (a few dozen pandas
-    groups TOTAL — the ops.buckets idiom; a naive groupby(band, bh) costs
-    one Python call per LSH bucket, and nearly every bucket is a
-    singleton: measured 77 s just to emit 2.5k pairs from 20k docs × 16
-    bands = 320k groups), then emit unique candidate pairs (id_a < id_b)
-    for ALL buckets in a group with one vectorized
-    ``grouped_pair_indices`` pass over lexsorted bucket runs.
+    with ONE ``runtime.by_key`` exchange on ``(band, bh)`` (one call per
+    by_key bucket; a per-LSH-bucket call costs one Python call per
+    bucket, and nearly every bucket is a singleton: measured 77 s just to
+    emit 2.5k pairs from 20k docs × 16 bands = 320k groups), then emit
+    unique candidate pairs (id_a < id_b) for ALL LSH buckets in a call
+    with one vectorized ``grouped_pair_indices`` pass over lexsorted
+    bucket runs.
 
     ``max_bucket`` caps the per-bucket pair explosion: one degenerate band
     value (e.g. near-empty docs all hashing alike) would otherwise put an
     O(b²) group on a single reducer. Capped buckets are logged, never
     silent; pass ``None`` for exact all-pairs semantics."""
-    import pandas as pd
 
-    def pairs(g: pd.DataFrame) -> pa.Table:
-        # return ARROW, not pandas: Ray rebuilds pandas UDF outputs via
-        # pa.Table.from_pandas, whose metadata blob makes the block schema
-        # unhashable and re-triggers the "Failed to hash the schemas"
-        # warnings in the downstream pair-dedup shuffle (VERDICT r2 #5)
-        empty = pa.table({"id_a": pa.array([], pa.int64()),
-                          "id_b": pa.array([], pa.int64())})
+    def pairs(g: pa.Table) -> pa.Table:
         ids = g["doc_id"].to_numpy()
         if ids.size < 2:
-            return empty
-        band = g["band"].to_numpy(np.int64)
-        bh = g["bh"].to_numpy(np.int64)
+            return PAIR_SCHEMA.empty_table()
+        band = g["band"].to_numpy().astype(np.int64)
+        bh = g["bh"].to_numpy().astype(np.int64)
         # one lexsort: every (band, bh) bucket a contiguous run, ids
         # ascending inside — same pair set AND same deterministic capped
         # chunking as the old per-bucket bucket_pairs(sorted ids)
@@ -194,16 +172,14 @@ def candidate_pairs_from_bands(band_ds, max_bucket: int | None = 4096):
         starts = np.flatnonzero(new)
         sizes = np.diff(np.append(starts, ids_s.size))
         ia, ib = grouped_pair_indices(
-            sizes, max_bucket,
-            f"(pair-bucket={int(g['_pb'].iloc[0])})",
-            log_prefix="georay.minhash",
+            sizes, max_bucket, "(lsh bands)", log_prefix="georay.minhash",
         )
         if ia.size == 0:
-            return empty
+            return PAIR_SCHEMA.empty_table()
         return pa.table({"id_a": pa.array(ids_s[ia].astype(np.int64)),
                          "id_b": pa.array(ids_s[ib].astype(np.int64))})
 
-    cand = band_ds.groupby("_pb").map_groups(pairs, batch_format="pandas")
+    cand = by_key(band_ds, ["band", "bh"], pairs, PAIR_SCHEMA)
     # dedupe pairs found in multiple bands — pair-hash bucket dedup, not
     # groupby(pair).aggregate: the sort-aggregate grinds on skewed blocks
     # from capped hot buckets (ops.pairs.distinct_pairs, measured in
@@ -212,14 +188,12 @@ def candidate_pairs_from_bands(band_ds, max_bucket: int | None = 4096):
 
 
 def lsh_candidate_pairs(sig_ds, n_bands: int = 8, rows_per_band: int = 8,
-                        max_bucket: int | None = 4096,
-                        num_pair_buckets: int = 64):
+                        max_bucket: int | None = 4096):
     """Signatures → banded LSH candidate pairs: :func:`band_rows` then
     :func:`candidate_pairs_from_bands` (split so the persisted text index
     can reuse both halves — see each half's docstring for the plan)."""
     return candidate_pairs_from_bands(
-        band_rows(sig_ds, n_bands=n_bands, rows_per_band=rows_per_band,
-                  num_pair_buckets=num_pair_buckets),
+        band_rows(sig_ds, n_bands=n_bands, rows_per_band=rows_per_band),
         max_bucket=max_bucket,
     )
 
@@ -536,9 +510,9 @@ def hamming_near_dup_pairs(sig_ds, id_col: str = "doc_id",
 
     Plan (ONE shuffle, no per-bucket Python): rows explode to ``n_blocks``
     (bucket, id, sig) rows where ``bucket = blk << width | block_value``,
-    salted into ``num_partitions`` parts by a multiplicative hash of the
-    bucket key — complete buckets co-locate, parallelism is the partition
-    count (not the block count). Inside each part the work runs at the
+    and ``runtime.by_key`` on ``bucket`` co-locates complete buckets in
+    ``num_partitions`` parts — parallelism is the partition count (not
+    the block count). Inside each part the work runs at the
     DISTINCT-SIGNATURE level: rows collapse to (bucket, sig) groups first,
     candidate enumeration + SWAR-popcount Hamming verify run over sig
     GROUPS (pairs.grouped_pair_indices over the per-bucket group counts),
@@ -597,18 +571,11 @@ def hamming_near_dup_pairs(sig_ds, id_col: str = "doc_id",
             blk_key = (grp * n_blocks + b) if grp is not None else b
             out_bucket.append((blk_key << width) | val)
             out_sig.append(sh.astype(np.int64))
-        bucket = np.concatenate(out_bucket)
-        with np.errstate(over="ignore"):
-            part = (
-                (bucket.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(40)
-            ).astype(np.int64) % num_partitions
         return pa.table(
             {
                 "id": np.concatenate(out_ids),
-                "bucket": bucket,
+                "bucket": np.concatenate(out_bucket),
                 "sig": np.concatenate(out_sig),
-                "part": part,
             }
         )
 
@@ -618,7 +585,7 @@ def hamming_near_dup_pairs(sig_ds, id_col: str = "doc_id",
             return empty
         bucket = g["bucket"].to_numpy(zero_copy_only=False)
         sig = g["sig"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        label = f"(part={int(g['part'][0].as_py())})"
+        label = "(hash blocks)"
         # collapse rows to distinct (bucket, sig) groups; rows ordered by
         # (group, id) via dense ranks + ONE introsort — stable/radix sorts
         # intermittently run 10-40x slower on this VM (CLAUDE.md)
@@ -697,8 +664,6 @@ def hamming_near_dup_pairs(sig_ds, id_col: str = "doc_id",
              "hamming": pa.array(np.concatenate(out_h))}
         )
 
-    return (
-        sig_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    return by_key(sig_ds.map_batches(explode, batch_format="pyarrow"),
+                  "bucket", pairs, empty.schema,
+                  num_partitions=num_partitions)

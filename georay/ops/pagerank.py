@@ -27,7 +27,7 @@ SCALE = 10**12
 D_NUM, D_DEN = 85, 100  # damping 0.85 as an exact rational
 
 
-def _distinct_edges(ds, src_col: str, dst_col: str, num_partitions: int):
+def _distinct_edges(ds, src_col: str, dst_col: str):
     """DISTINCT (src, dst): batch-local pair dedup first — repeated pairs
     never leave their block — then the pair-hash bucket distinct
     (ops.pairs.distinct_pairs; the old groupby(src,dst) sort-aggregate was
@@ -45,7 +45,6 @@ def _distinct_edges(ds, src_col: str, dst_col: str, num_partitions: int):
                            zero_copy_batch=True),
             a_col="src", b_col="dst",
         )
-        .repartition(num_partitions)
         .materialize()  # reused every iteration
     )
 
@@ -74,7 +73,7 @@ def pagerank(ds, src_col: str, dst_col: str, iterations: int = 3,
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
-    edges = _distinct_edges(ds, src_col, dst_col, num_partitions)
+    edges = _distinct_edges(ds, src_col, dst_col)
 
     if edges.count() <= driver_max_edges:
         import ray

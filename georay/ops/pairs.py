@@ -157,17 +157,16 @@ def bucket_pairs(
 
 
 def distinct_pairs(ds, a_col: str = "id_a", b_col: str = "id_b",
-                   num_buckets: int = 64, max_col: str | None = None):
+                   max_col: str | None = None):
     """Global DISTINCT over (a, b) id-pair rows WITHOUT Ray's sort-aggregate.
 
     ``groupby([a, b]).aggregate(...)`` sorts every block on the
     high-cardinality two-column key and grinds on skew (measured: one
     1.08M-pair block from a capped hot token took 39.6 s inside
     containment_join's dedup Aggregate — 75 s remote wall total, 2 of 32
-    cores busy). This spreads rows by PAIR hash into ``num_buckets``
-    pandas groups (ONE vectorized lexsort run-dedup per group — the
-    ops.buckets idiom), so a hot token's pairs scatter uniformly instead
-    of pinning one reducer.
+    cores busy). This spreads rows by PAIR hash with ``runtime.by_key``
+    (ONE vectorized lexsort run-dedup per bucket), so a hot token's pairs
+    scatter uniformly instead of pinning one reducer.
 
     With ``max_col`` set, also keeps the per-pair MAX of that float column
     (``np.maximum.reduceat`` over the sorted runs) — the LSH multi-table
@@ -175,32 +174,18 @@ def distinct_pairs(ds, a_col: str = "id_a", b_col: str = "id_b",
 
     Output: ``a_col, b_col`` (+ ``max_col``), exactly one row per pair.
     """
-    import pandas as pd
     import pyarrow as pa
 
-    from georay.ops.sketch import splitmix64
-
-    def add_db(t: pa.Table) -> pa.Table:
-        ia = t[a_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ib = t[b_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = splitmix64(splitmix64(ia) + ib)
-        return t.append_column(
-            "_db", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
+    from georay.runtime import by_key
 
     cols = ([a_col, b_col] if max_col is None else [a_col, b_col, max_col])
-    empty_cols = {a_col: pa.array([], pa.int64()),
-                  b_col: pa.array([], pa.int64())}
-    if max_col is not None:
-        empty_cols[max_col] = pa.array([], pa.float64())
-    empty = pa.table(empty_cols)
+    schema = pa.schema(
+        [(a_col, pa.int64()), (b_col, pa.int64())]
+        + ([] if max_col is None else [(max_col, pa.float64())]))
 
-    def dedup(g: pd.DataFrame) -> pa.Table:
-        ia = g[a_col].to_numpy(np.int64)
-        if ia.size == 0:
-            return empty
-        ib = g[b_col].to_numpy(np.int64)
+    def dedup(g: pa.Table) -> pa.Table:
+        ia = g[a_col].to_numpy().astype(np.int64)
+        ib = g[b_col].to_numpy().astype(np.int64)
         o = np.lexsort((ib, ia))
         ia, ib = ia[o], ib[o]
         first = np.empty(ia.size, dtype=bool)
@@ -208,22 +193,17 @@ def distinct_pairs(ds, a_col: str = "id_a", b_col: str = "id_b",
         first[1:] = (ia[1:] != ia[:-1]) | (ib[1:] != ib[:-1])
         out = {a_col: pa.array(ia[first]), b_col: pa.array(ib[first])}
         if max_col is not None:
-            v = g[max_col].to_numpy(np.float64)[o]
+            v = g[max_col].to_numpy().astype(np.float64)[o]
             out[max_col] = pa.array(
                 np.maximum.reduceat(v, np.flatnonzero(first))
             )
         return pa.table(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_db, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_db")
-        .map_groups(dedup, batch_format="pandas")
-    )
+    return by_key(ds.select_columns(cols), [a_col, b_col], dedup, schema)
 
 
 def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
-                   num_buckets: int = 32, max_basket: int | None = 4096):
+                   max_basket: int | None = 4096):
     """A-priori frequent item PAIRS (market-basket mining): every
     unordered item pair co-occurring in at least ``min_support`` baskets.
 
@@ -232,20 +212,18 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
     expands (a pair's support never exceeds its items'), and the
     frequent-item set broadcasts via ray.put (item vocabularies are
     bounded; the candidate-pair exchange carries pair COUNTS, never
-    baskets). Pair emission is bucketized by basket hash — one pandas
-    group per bucket, per-basket runs expand through
+    baskets). Pair emission runs on ``runtime.by_key`` by basket — one
+    call per bucket, per-basket runs expand through
     :func:`grouped_pair_indices` with the standard logged cap on
     pathological giant baskets.
 
     Item ids must fit 2³¹ (pair packs into one int64 count key).
     Output: ``item_a, item_b, support``.
     """
-    import pandas as pd
     import pyarrow as pa
     import ray
 
-    from georay.ops.sketch import splitmix64
-    from georay.runtime import group_agg, per_process
+    from georay.runtime import by_key, group_agg, per_process
 
     distinct = group_agg(ds, [basket_col, item_col])
     freq = group_agg(
@@ -257,7 +235,7 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
     items_ref = ray.put(keep_items)
     items_key = items_ref.hex() + "-apriori"
 
-    def prune_bucket(t: pa.Table) -> pa.Table:
+    def prune(t: pa.Table) -> pa.Table:
         fi = per_process(items_key, lambda: ray.get(items_ref))
         it = t[item_col].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(fi, it)
@@ -266,37 +244,31 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
             np.zeros(it.size, bool)
         b = t[basket_col].to_numpy(zero_copy_only=False).astype(
             np.int64)[hit]
-        bucket = (splitmix64(b.view(np.uint64))
-                  % np.uint64(num_buckets)).astype(np.int64)
-        return pa.table({"b": b, "it": it[hit], "_bucket": bucket})
+        return pa.table({"b": b, "it": it[hit]})
 
-    empty = pa.table({"pk": pa.array([], pa.int64())})
+    schema = pa.schema([("pk", pa.int64())])
 
-    def pair_keys(g: pd.DataFrame) -> pa.Table:
-        b = g["b"].to_numpy(np.int64)
-        it = g["it"].to_numpy(np.int64)
+    def pair_keys(g: pa.Table) -> pa.Table:
+        b = g["b"].to_numpy()
+        it = g["it"].to_numpy()
         order = np.lexsort((it, b))
         b_s, it_s = b[order], it[order]
         new = np.empty(b_s.size, dtype=bool)
-        if b_s.size == 0:
-            return empty
         new[0] = True
         new[1:] = b_s[1:] != b_s[:-1]
         starts = np.flatnonzero(new)
         sizes = np.diff(np.append(starts, b_s.size))
         ia, ib = grouped_pair_indices(
-            sizes, max_basket, f"(basket-bucket={int(g['_bucket'].iloc[0])})",
-            log_prefix="georay.apriori",
+            sizes, max_basket, "(baskets)", log_prefix="georay.apriori",
         )
         if ia.size == 0:
-            return empty
+            return schema.empty_table()
         return pa.table({"pk": it_s[ia] * (np.int64(1) << 32) + it_s[ib]})
 
     counts = group_agg(
-        distinct.map_batches(prune_bucket, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(pair_keys, batch_format="pandas"),
+        by_key(distinct.map_batches(prune, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+               "b", pair_keys, schema),
         "pk", {"support": ("count", None)},
     )
 

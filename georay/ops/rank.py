@@ -7,33 +7,32 @@ batches`` survivor rows:
 - local phase (``map_batches``): each batch keeps only its own top-k per
   group — one vectorized ``sort_values`` + ``groupby.head`` per batch, no
   per-group Python loop;
-- final phase: survivors hash-bucket by group key (``num_buckets`` pandas
-  groups TOTAL, each ranking many groups in one sort + cumcount — the
-  knn.py merge idiom), emitting ``rank`` 1..k per group.
+- final phase: ``runtime.by_key`` on the group key — one call per bucket,
+  each ranking many groups in one sort + cumcount (the knn.py merge
+  idiom), emitting ``rank`` 1..k per group.
 
-Scale contract: ``k × |groups|`` fits one worker ONLY per bucket — buckets
-split the group space, so the global survivor set never assembles in one
+Scale contract: one bucket of survivors fits a worker — buckets split
+the group space, so the global survivor set never assembles in one
 place. Callers must pass ``sort_cols`` that total-order rows within a
 group (include a unique id as the last key) or ranks are nondeterministic.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 
 # module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
-from georay.hashing import MIX, key_hash
-from georay.runtime import strip_metadata
+from georay.runtime import by_key, strip_metadata
 
 
 def grouped_topk(ds, group_cols: list[str], sort_cols: list[str],
-                 ascending: list[bool], k: int, num_buckets: int = 8,
-                 rank_col: str = "rank"):
+                 ascending: list[bool], k: int, rank_col: str = "rank",
+                 num_partitions: int | None = None):
     """Top-k rows per group by ``sort_cols``/``ascending`` with a dense
-    1..k ``rank_col``. Output schema = input columns + rank."""
+    1..k ``rank_col``. Output schema = input columns + rank.
+    ``num_partitions`` is ``runtime.by_key``'s bucket count."""
 
     by = list(group_cols) + list(sort_cols)
     asc = [True] * len(group_cols) + list(ascending)
@@ -48,28 +47,15 @@ def grouped_topk(ds, group_cols: list[str], sort_cols: list[str],
             pa.Table.from_pandas(out, preserve_index=False)
         )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = np.zeros(t.num_rows, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for c in group_cols:  # order-sensitive mix, one pass per key col
-                h = h * MIX + key_hash(
-                    t[c].to_numpy(zero_copy_only=False)
-                )
-        bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column("_bucket", pa.array(bucket))
-
-    def final_topk(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(by, ascending=asc, kind="quicksort")
+    def final_topk(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(by, ascending=asc, kind="quicksort")
         out = g.groupby(list(group_cols), sort=False).head(k).copy()
         out[rank_col] = (
             out.groupby(list(group_cols), sort=False).cumcount().to_numpy() + 1
         )
-        out = out.drop(columns=["_bucket"]).reset_index(drop=True)
-        return strip_metadata(pa.Table.from_pandas(out, preserve_index=False))
+        return out
 
-    return (
-        ds.map_batches(local_topk, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    return by_key(
+        ds.map_batches(local_topk, batch_format="pandas"), group_cols,
+        final_topk, lambda s: s.append(pa.field(rank_col, pa.int64())),
+        num_partitions=num_partitions)

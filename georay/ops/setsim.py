@@ -28,9 +28,9 @@ Scale shape — only ids + 64-bit hashes shuffle; text is tokenized ONCE:
    two sorted arrays) while it fits ``broadcast_vocab_max`` — the common,
    Zipf-bounded case — and falls back to a hash join above that, which is
    the 100 TB path for unbounded vocabularies.
-3. Per-doc prefix selection runs in O(num_partitions) pandas groups via
-   the doc-hash bucket idiom (one vectorized sort + cumcount per bucket,
-   not a per-doc map_groups).
+3. Per-doc prefix selection runs in O(num_partitions) ``runtime.by_key``
+   calls on the doc (one vectorized sort + cumcount per bucket, not one
+   call per doc).
 4. Prefix buckets emit candidate pairs (anti-explosion cap from ops.pairs,
    logged), pairs dedupe via the pair-hash bucket idiom
    (ops.pairs.distinct_pairs — NOT a sort-aggregate, which grinds on the
@@ -50,12 +50,12 @@ import pandas as pd
 import pyarrow as pa
 
 # module level, NOT inside worker-executed functions (CLAUDE.md invariant)
-from georay.ops.minhash import _packed_view
+from georay.ops.minhash import PAIR_SCHEMA, _packed_view
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.sketch import splitmix64
 from georay.ops.text import fingerprint64
 from georay.ops.tiles import count_by
-from georay.runtime import join, per_process, table_from_pandas
+from georay.runtime import by_key, join, per_process, table_from_pandas
 
 _WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 
@@ -213,63 +213,36 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
         joined = join(toks, dfc, "inner", on=("th",),
                       num_partitions=num_partitions)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ids = t["sid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = (
-            (ids * np.uint64(0x9E3779B1)) % np.uint64(num_partitions)
-        ).astype(np.int64)
-        return t.append_column("bucket", pa.array(bucket))
-
     prefix_schema = pa.schema(
         [("th", pa.int64()), ("sid", pa.int64()), ("n_tok", pa.int64())]
     )
 
-    def prefix_bucket(g: pd.DataFrame) -> pa.Table:
+    def prefix_bucket(t: pa.Table) -> pd.DataFrame:
         # rarest-first total order: (df, th) — th breaks frequency ties
-        g = g.sort_values(["sid", "df", "th"], kind="quicksort").reset_index(
-            drop=True
-        )
+        g = t.to_pandas().sort_values(
+            ["sid", "df", "th"], kind="quicksort").reset_index(drop=True)
         pos = g.groupby("sid").cumcount().to_numpy()
         n = g["n_tok"].to_numpy(np.int64)
         p = _prefix_len(n, num, den)
         keep = pos < p
-        return table_from_pandas(
-            pd.DataFrame(
-                {
-                    "th": g["th"].to_numpy(np.int64)[keep],
-                    "sid": g["sid"].to_numpy(np.int64)[keep],
-                    "n_tok": n[keep],
-                }
-            ),
-            schema=prefix_schema,
-        )
+        return pd.DataFrame({
+            "th": g["th"].to_numpy(np.int64)[keep],
+            "sid": g["sid"].to_numpy(np.int64)[keep],
+            "n_tok": n[keep],
+        })
 
-    prefixes = (
-        joined.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(prefix_bucket, batch_format="pandas")
-    )
+    prefixes = by_key(joined, "sid", prefix_bucket, prefix_schema,
+                      num_partitions=num_partitions)
 
-    empty_pairs = pa.table(
-        {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-    )
-
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        # co-locate whole prefix-token groups by hash(th) — ONE pandas
-        # group per hash bucket (ops.buckets idiom), not one Python call
-        # per distinct prefix token (Zipf prefixes are mostly-rare tokens,
-        # so groupby("th") degenerates to millions of 1-2-row groups)
-        th = t["th"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = (splitmix64(th) % np.uint64(64)).astype(np.int64)
-        return t.append_column("_pb", pa.array(pb))
-
-    def pairs(g: pd.DataFrame) -> pa.Table:
-        ids = g["sid"].to_numpy(np.int64)
+    def pairs(g: pa.Table) -> pa.Table:
+        # whole prefix-token groups co-located by by_key on th: one call
+        # per bucket, not one Python call per distinct prefix token (Zipf
+        # prefixes are mostly-rare tokens: millions of 1-2-row groups)
+        ids = g["sid"].to_numpy()
         if ids.size < 2:
-            return empty_pairs
-        th = g["th"].to_numpy(np.int64)
-        ntok = g["n_tok"].to_numpy(np.int64)
+            return PAIR_SCHEMA.empty_table()
+        th = g["th"].to_numpy()
+        ntok = g["n_tok"].to_numpy()
         # one lexsort: each th a contiguous run, sids ascending inside —
         # positional pairs then give id_a < id_b and the same deterministic
         # capped chunking the old per-token bucket_pairs(sorted) emitted
@@ -281,11 +254,10 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
         starts = np.flatnonzero(new)
         sizes = np.diff(np.append(starts, ids_s.size))
         ia, ib = grouped_pair_indices(
-            sizes, max_bucket, f"(pair-bucket={int(g['_pb'].iloc[0])})",
-            log_prefix="georay.setsim",
+            sizes, max_bucket, "(prefix tokens)", log_prefix="georay.setsim",
         )
         if ia.size == 0:
-            return empty_pairs
+            return PAIR_SCHEMA.empty_table()
         # length filter (PPJoin): J ≥ τ forces min·den ≥ num·max — sizes
         # read positionally off the sorted run, no per-token id lookup
         sa, sb = ntok_s[ia], ntok_s[ib]
@@ -304,19 +276,10 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
             {"id_a": pa.array(pa_ids), "id_b": pa.array(pb_ids)}
         )
 
-    cand = (
-        distinct_pairs(
-            prefixes.map_batches(add_pair_bucket, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-            .groupby("_pb")
-            .map_groups(pairs, batch_format="pandas")
-        )
-        # distinct_pairs spreads by PAIR hash (a hot prefix token's capped
-        # pair pile scattered one sort-aggregate reducer for 39 s before);
-        # repartition merges any empty buckets pre-Acero (CLAUDE.md
-        # schema-less empty-block invariant)
-        .repartition(num_partitions)
-    )
+    # distinct_pairs spreads by PAIR hash (a hot prefix token's capped
+    # pair pile scattered one sort-aggregate reducer for 39 s before)
+    cand = distinct_pairs(by_key(prefixes, "th", pairs, PAIR_SCHEMA,
+                                 num_partitions=num_partitions))
 
     if sets.count() <= broadcast_docs_max:
         # verify dual plan, small-side fast path: the packed sets broadcast
@@ -472,61 +435,38 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
         joined = join(toks, dfc, "inner", on=("th",),
                       num_partitions=num_partitions)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ids = t["sid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = (
-            (ids * np.uint64(0x9E3779B1)) % np.uint64(num_partitions)
-        ).astype(np.int64)
-        return t.append_column("bucket", pa.array(bucket))
-
     role_schema = pa.schema([("th", pa.int64()), ("sid", pa.int64()),
                              ("is_a", pa.int8())])
 
-    def emit_roles(g: pd.DataFrame) -> pa.Table:
+    def emit_roles(t: pa.Table) -> pd.DataFrame:
         # B-full rows for every token; A-prefix rows only for eligible
         # docs' first p tokens under the (df, th) rarest-first order
-        g = g.sort_values(["sid", "df", "th"], kind="quicksort").reset_index(
-            drop=True)
+        g = t.to_pandas().sort_values(
+            ["sid", "df", "th"], kind="quicksort").reset_index(drop=True)
         pos = g.groupby("sid").cumcount().to_numpy()
         n = g["n_tok"].to_numpy(np.int64)
         p = _prefix_len(n, num, den)
         a_keep = (pos < p) & (n >= min_tokens)
         th = g["th"].to_numpy(np.int64)
         sid = g["sid"].to_numpy(np.int64)
-        return table_from_pandas(
-            pd.DataFrame({
-                "th": np.concatenate([th, th[a_keep]]),
-                "sid": np.concatenate([sid, sid[a_keep]]),
-                "is_a": np.concatenate([
-                    np.zeros(th.size, np.int8),
-                    np.ones(int(a_keep.sum()), np.int8),
-                ]),
-            }),
-            schema=role_schema,
-        )
+        return pd.DataFrame({
+            "th": np.concatenate([th, th[a_keep]]),
+            "sid": np.concatenate([sid, sid[a_keep]]),
+            "is_a": np.concatenate([
+                np.zeros(th.size, np.int8),
+                np.ones(int(a_keep.sum()), np.int8),
+            ]),
+        })
 
-    roles = (
-        joined.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(emit_roles, batch_format="pandas")
-    )
+    roles = by_key(joined, "sid", emit_roles, role_schema,
+                   num_partitions=num_partitions)
 
-    empty_pairs = pa.table(
-        {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-    )
-
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        th = t["th"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pb = (splitmix64(th) % np.uint64(64)).astype(np.int64)
-        return t.append_column("_pb", pa.array(pb))
-
-    def bipartite_pairs(g: pd.DataFrame) -> pa.Table:
+    def bipartite_pairs(g: pa.Table) -> pa.Table:
         # layout: sort by (th, is_a, sid) → per token one B run then one
         # A run; expand A × B per token with pure offset arithmetic
-        th = g["th"].to_numpy(np.int64)
-        sid = g["sid"].to_numpy(np.int64)
-        is_a = g["is_a"].to_numpy(np.int64)
+        th = g["th"].to_numpy()
+        sid = g["sid"].to_numpy()
+        is_a = g["is_a"].to_numpy().astype(np.int64)
         order = np.lexsort((sid, is_a, th))
         th_s, sid_s, a_s = th[order], sid[order], is_a[order]
         new = np.empty(th_s.size, dtype=bool)
@@ -552,7 +492,7 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
                 m = a_cnt * b_cnt
         tot = int(m.sum())
         if tot == 0:
-            return empty_pairs
+            return PAIR_SCHEMA.empty_table()
         gidx = np.repeat(np.arange(m.size), m)
         j = np.arange(tot, dtype=np.int64) - np.repeat(np.cumsum(m) - m, m)
         b_rep = np.repeat(b_cnt, m)
@@ -573,15 +513,9 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
             ia, ib = ia[first], ib[first]
         return pa.table({"id_a": pa.array(ia), "id_b": pa.array(ib)})
 
-    cand = (
-        distinct_pairs(
-            roles.map_batches(add_pair_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby("_pb")
-            .map_groups(bipartite_pairs, batch_format="pandas")
-        )  # pair-hash spread dedup, not sort-aggregate (skew: hot tokens)
-        .repartition(num_partitions)  # schema-less empty-block guard
-    )
+    # pair-hash spread dedup, not sort-aggregate (skew: hot tokens)
+    cand = distinct_pairs(by_key(roles, "th", bipartite_pairs, PAIR_SCHEMA,
+                                 num_partitions=num_partitions))
 
     if sets.count() <= broadcast_docs_max:
         # verify dual plan, small-side fast path (see setsim_join): packed

@@ -19,10 +19,10 @@ import pyarrow.compute as pc
 
 # module level (worker-executed code must not import georay at runtime —
 # CLAUDE.md invariant; by-value cloudpickle only covers captured objects)
+from georay.ops.buckets import per_key
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.rank import grouped_topk
-from georay.ops.sketch import splitmix64
-from georay.runtime import group_agg, join
+from georay.runtime import by_key, group_agg, join
 
 
 def emb_matrix(col) -> np.ndarray:
@@ -350,7 +350,6 @@ def cosine_near_dup_pairs(ds, threshold: float = 0.9, n_planes: int = 12,
                           n_tables: int = 1, id_col: str = "vec_id",
                           emb_col: str = "embedding", seed: int = 42,
                           max_bucket: int | None = 4096,
-                          num_pair_buckets: int = 64,
                           concurrency=(1, 8)):
     """Embedding near-dup via random-hyperplane LSH: vectors sharing a
     sign-pattern bucket (in ANY of ``n_tables`` independent tables — OR
@@ -364,8 +363,6 @@ def cosine_near_dup_pairs(ds, threshold: float = 0.9, n_planes: int = 12,
     zero/identical embeddings collapsing into one sign pattern would put an
     O(b²) group on a single reducer) with the shared logged-chunking helper
     every LSH family here uses; ``None`` restores exact all-pairs."""
-    import pandas as pd
-
     from georay.runtime import per_process
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -389,61 +386,45 @@ def cosine_near_dup_pairs(ds, threshold: float = 0.9, n_planes: int = 12,
         emb = t[emb_col].combine_chunks() if isinstance(
             t[emb_col], pa.ChunkedArray
         ) else t[emb_col]
-        tab_all = np.concatenate(tab_out)
-        bucket_all = np.concatenate(bucket_out)
-        with np.errstate(over="ignore"):
-            pb = (
-                splitmix64(bucket_all.view(np.uint64)
-                           + np.uint64(0x9E3779B9) * tab_all.view(np.uint64))
-                % np.uint64(num_pair_buckets)
-            ).astype(np.int64)
         return pa.table(
             {
                 id_col: pa.array(np.concatenate(ids_out)),
-                "tab": pa.array(tab_all),
-                "bucket": pa.array(bucket_all),
+                "tab": pa.array(np.concatenate(tab_out)),
+                "bucket": pa.array(np.concatenate(bucket_out)),
                 "emb": emb.take(pa.array(rep)),
-                "_pb": pa.array(pb),
             }
         )
 
-    def pairs(g: pd.DataFrame) -> pa.Table:
-        # arrow output: keeps the downstream cross-table dedup groupby's
-        # block schemas metadata-free (hashable). One pandas group per
-        # HASH-BUCKET of (tab, bucket) LSH cells — not one Python call per
-        # cell (ops.buckets idiom; cells are near-singletons, so per-cell
-        # map_groups is pure interpreter overhead at scale): a single
+    pair_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                             ("cos", pa.float64())])
+
+    def pairs(g: pa.Table) -> pa.Table:
+        # One call per by_key bucket of (tab, bucket) LSH cells — not one
+        # Python call per cell (cells are near-singletons): a single
         # lexsort puts every cell in a contiguous run, grouped_pair_indices
         # expands all runs' pairs in one vectorized pass, and the cosine is
-        # one einsum over every pair of every cell in the group.
-        empty = pa.table(
-            {"id_a": pa.array([], pa.int64()),
-             "id_b": pa.array([], pa.int64()),
-             "cos": pa.array([], pa.float64())}
-        )
+        # one einsum over every pair of every cell in the bucket.
         ids = g[id_col].to_numpy()
         if ids.size < 2:
-            return empty
-        tab = g["tab"].to_numpy(np.int64)
-        bucket = g["bucket"].to_numpy(np.int64)
+            return pair_schema.empty_table()
+        tab = g["tab"].to_numpy()
+        bucket = g["bucket"].to_numpy()
         # ids ascending inside each (tab, bucket) run: a < b and the capped
         # chunking stays deterministic (same order bucket_pairs used)
         order = np.lexsort((ids, bucket, tab))
         ids_s = ids[order]
         tab_s, bucket_s = tab[order], bucket[order]
-        mat = _normalize(np.stack(g["emb"].to_numpy()[order]))
+        mat = _normalize(emb_matrix(g["emb"])[order])
         new = np.empty(ids_s.size, dtype=bool)
         new[0] = True
         new[1:] = (tab_s[1:] != tab_s[:-1]) | (bucket_s[1:] != bucket_s[:-1])
         starts = np.flatnonzero(new)
         sizes = np.diff(np.append(starts, ids_s.size))
         ia, ib = grouped_pair_indices(
-            sizes, max_bucket,
-            f"(pair-bucket={int(g['_pb'].iloc[0])})",
-            log_prefix="georay.similarity",
+            sizes, max_bucket, "(lsh cells)", log_prefix="georay.similarity",
         )
         if ia.size == 0:
-            return empty
+            return pair_schema.empty_table()
         # per-pair dot products: O(pairs·dim), never an n×n sims matrix
         cos = np.einsum("ij,ij->i", mat[ia], mat[ib])
         keep = cos >= threshold
@@ -458,9 +439,8 @@ def cosine_near_dup_pairs(ds, threshold: float = 0.9, n_planes: int = 12,
     # computes the identical einsum value) — ops.pairs.distinct_pairs,
     # not groupby(pair).aggregate (sort-aggregate skew pathology)
     return distinct_pairs(
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(pairs, batch_format="pandas"),
+        by_key(ds.map_batches(add_bucket, batch_format="pyarrow"),
+               ["tab", "bucket"], pairs, pair_schema),
         max_col="cos",
     )
 
@@ -614,7 +594,6 @@ def semantic_dedup(ds, k: int = 8, iters: int = 3, threshold: float = 0.45,
     expression shapes of :func:`kmeans_lloyd` / :func:`cosine_pairs_brute`,
     so the SQL twin (kmeans CTE chain + within-cluster EXISTS) is
     hash-exact."""
-    import pandas as pd
     import ray
 
     _, cent = kmeans_lloyd(
@@ -638,7 +617,7 @@ def semantic_dedup(ds, k: int = 8, iters: int = 3, threshold: float = 0.45,
             }
         )
 
-    def per_cluster(g: pd.DataFrame) -> pd.DataFrame:
+    def per_cluster(g: pa.Table) -> pa.Table:
         ids = g[id_col].to_numpy()
         order = np.argsort(ids, kind="quicksort")  # ids unique: total order
         ids = ids[order]
@@ -650,21 +629,17 @@ def semantic_dedup(ds, k: int = 8, iters: int = 3, threshold: float = 0.45,
         sims = M @ M.T
         # dup[i] ⇔ ∃ j < i (id order) with cos ≥ threshold
         dup = np.tril(sims >= threshold, -1).any(axis=1)
-        return pd.DataFrame(
-            {
-                id_col: ids,
-                "cluster": np.repeat(
-                    np.int64(g["cluster"].iloc[0]), ids.size
-                ),
-                "keep": (~dup).astype(np.int64),
-            }
-        )
+        return pa.table({
+            id_col: ids,
+            "cluster": np.repeat(np.int64(g["cluster"][0].as_py()), ids.size),
+            "keep": (~dup).astype(np.int64),
+        })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cluster")
-        .map_groups(per_cluster)  # k groups TOTAL — the good map_groups case
-    )
+    return by_key(
+        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True),
+        "cluster", per_key("cluster", per_cluster),
+        lambda s: pa.schema([s.field(id_col), ("cluster", pa.int64()),
+                             ("keep", pa.int64())]))
 
 
 def dim_ranges(ds, emb_col: str = "embedding"):
@@ -1025,7 +1000,7 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
 def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
                  k: int = 5, id_col: str = "vec_id",
                  emb_col: str = "embedding", label_col: str = "label",
-                 num_partitions: int | None = None, num_buckets: int = 16):
+                 num_partitions: int | None = None):
     """k-NN CLASSIFIER: each query's label predicted by majority vote of
     its k nearest neighbors (exact brute cosine, self excluded); vote
     ties break to the SMALLEST label, deterministically. The evaluation
@@ -1033,9 +1008,9 @@ def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
 
     Plan: :func:`brute_topk` (broadcast queries, local top-k, grouped merge)
     → hash join neighbor ids to their labels → per-(query, label) vote
-    counts collapse per batch (≤ k rows a query) → bucketed argmax: one
-    groupby(hash-bucket) with a vectorized sort + first-per-run inside —
-    no per-query Python call.
+    counts collapse per batch (≤ k rows a query) → per-query argmax:
+    ``runtime.by_key`` on the query id with a vectorized sort +
+    first-per-run inside — no per-query Python call.
 
     Output: ``query_id, pred_label, votes``.
     """
@@ -1044,24 +1019,19 @@ def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
-    import pandas as pd
-
     from georay.ops import buckets as bk
-    from georay.runtime import table_from_pandas
 
     topk = brute_topk(ds, query_ids, query_mat, k=k,
                       id_col=id_col, emb_col=emb_col)
 
-    labels = ds.select_columns([id_col, label_col]).repartition(
-        num_partitions)
+    labels = ds.select_columns([id_col, label_col])
 
     def neighbor_key(t: pa.Table) -> pa.Table:
         return pa.table({id_col: t["neighbor_id"],
                          "query_id": t["query_id"]})
 
     joined = join(
-        topk.map_batches(neighbor_key, batch_format="pyarrow")
-        .repartition(num_partitions),
+        topk.map_batches(neighbor_key, batch_format="pyarrow"),
         labels, "inner", on=(id_col,), num_partitions=num_partitions,
     )
 
@@ -1070,32 +1040,29 @@ def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
         lab = t[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
         pack = q * (np.int64(1) << 20) + lab  # labels fit 20 bits
         u, n = np.unique(pack, return_counts=True)
-        out = pa.table({"query_id": u >> 20, "lab": u & ((1 << 20) - 1),
-                        "n": n.astype(np.int64)})
-        return bk.append_bucket(out, "query_id", num_buckets)
+        return pa.table({"query_id": u >> 20, "lab": u & ((1 << 20) - 1),
+                         "n": n.astype(np.int64)})
 
     out_schema = pa.schema([("query_id", pa.int64()),
                             ("pred_label", pa.int64()),
                             ("votes", pa.int64())])
 
-    def argmax_bucket(g: pd.DataFrame):
+    def argmax_bucket(g: pa.Table) -> pa.Table:
         # counts for one query may span batches: merge first, then argmax
-        m = g.groupby(["query_id", "lab"], as_index=False)["n"].sum()
+        m = g.group_by(["query_id", "lab"], use_threads=False).aggregate(
+            [("n", "sum")])
         q = m["query_id"].to_numpy()
-        order = np.lexsort((m["lab"].to_numpy(), -m["n"].to_numpy(), q))
+        lab, n = m["lab"].to_numpy(), m["n_sum"].to_numpy()
+        order = np.lexsort((lab, -n, q))
         qs = q[order]
         first = bk.segment_starts(qs)
-        return table_from_pandas(pd.DataFrame({
-            "query_id": qs[first],
-            "pred_label": m["lab"].to_numpy()[order][first],
-            "votes": m["n"].to_numpy()[order][first],
-        }), schema=out_schema)
+        return pa.table({"query_id": qs[first],
+                         "pred_label": lab[order][first],
+                         "votes": n[order][first]})
 
-    return (
-        joined.map_batches(votes, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(argmax_bucket, batch_format="pandas")
-    )
+    return by_key(joined.map_batches(votes, batch_format="pyarrow"),
+                  "query_id", argmax_bucket, out_schema,
+                  num_partitions=num_partitions)
 
 
 def rrf_fuse(rankings, k: int = 10, c: int = 60,
@@ -1135,4 +1102,5 @@ def rrf_fuse(rankings, k: int = 10, c: int = 60,
                       {"rrf_score": ("sum", "t")})
     return grouped_topk(fused, ["query_id"],
                         ["rrf_score", "neighbor_id"], [False, True],
-                        k=k, num_buckets=num_partitions, rank_col="fused_rank")
+                        k=k, rank_col="fused_rank",
+                        num_partitions=num_partitions)

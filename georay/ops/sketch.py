@@ -22,8 +22,9 @@ import numpy as np
 import pyarrow as pa
 
 from georay.hashing import splitmix64
+from georay.ops.buckets import per_key
 from georay.ops.pairs import popcount64
-from georay.runtime import group_agg
+from georay.runtime import by_key, group_agg
 
 _U = np.uint64
 _M64 = "18446744073709551616"  # 2^64 (HUGEINT modulus in the SQL twin)
@@ -130,8 +131,8 @@ def stratified_sample(ds, stratum_col: str, key_col: str, k: int):
     (PARTITION BY stratum ORDER BY hash, key) <= k``.
 
     Two-phase: per-batch local top-k per stratum (output O(k × strata ×
-    batches)), then one groupby(stratum) shuffle of the survivors for the
-    exact global top-k. Scale contract: k × strata fits a worker.
+    batches)), then ``runtime.by_key`` on the stratum for the exact
+    global top-k. Scale contract: one bucket of survivors fits a worker.
     """
     import pandas as pd
 
@@ -142,18 +143,19 @@ def stratified_sample(ds, stratum_col: str, key_col: str, k: int):
                             key=_unsigned_sort_key, kind="quicksort")
         return df.groupby(stratum_col, sort=False).head(k)
 
-    def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["_h", key_col], key=_unsigned_sort_key,
-                            kind="quicksort").head(k)
+    def final_topk(g: pa.Table) -> pd.DataFrame:
+        df = g.to_pandas().sort_values(["_h", key_col],
+                                       key=_unsigned_sort_key,
+                                       kind="quicksort").head(k)
         out = df.drop(columns=["_h"]).reset_index(drop=True)
         out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
         return out
 
-    return (
-        ds.map_batches(local_topk, batch_format="pandas")
-        .groupby(stratum_col)
-        .map_groups(final_topk, batch_format="pandas")
-    )
+    return by_key(
+        ds.map_batches(local_topk, batch_format="pandas"), stratum_col,
+        per_key(stratum_col, final_topk),
+        lambda s: pa.schema([f for f in s if f.name != "_h"]
+                            + [pa.field("rank", pa.int64())]))
 
 
 def _unsigned_sort_key(s):
@@ -331,10 +333,6 @@ def grouped_quantiles(ds, group_col: str, value_col: str,
 
     Output: ``group_col, p<q·100> ...`` (int64 per quantile).
     """
-    import pandas as pd
-
-    from georay.runtime import table_from_pandas
-
     names = [f"p{int(round(q * 100)):02d}" for q in qs]
     out_schema = pa.schema(
         [(group_col, pa.string())] + [(nm, pa.int64()) for nm in names]
@@ -349,19 +347,19 @@ def grouped_quantiles(ds, group_col: str, value_col: str,
         [group_col, "v"], {"n": ("count", None)},
     )
 
-    def finalize(gdf: pd.DataFrame) -> pa.Table:
-        gdf = gdf.sort_values("v")
-        counts = gdf["n"].to_numpy()
-        vals = gdf["v"].to_numpy()
+    def finalize(g: pa.Table) -> pa.Table:
+        g = g.sort_by("v")
+        counts = g["n"].to_numpy()
+        vals = g["v"].to_numpy()
         cum = np.cumsum(counts)
         n = int(cum[-1])
-        row = {group_col: [gdf[group_col].iloc[0]]}
+        row = {group_col: [g[group_col][0].as_py()]}
         for q, nm in zip(qs, names):
             idx = max(0, int(np.ceil(q * n)) - 1)  # quantile_disc rule
             row[nm] = [int(vals[np.searchsorted(cum, idx, side="right")])]
-        return table_from_pandas(pd.DataFrame(row), schema=out_schema)
+        return pa.table(row)
 
-    return hist.groupby(group_col).map_groups(finalize, batch_format="pandas")
+    return by_key(hist, group_col, per_key(group_col, finalize), out_schema)
 
 
 def _order_keys(v: np.ndarray) -> np.ndarray:
@@ -636,10 +634,6 @@ def grouped_median2(ds, group_col: str, value_col: str):
 
     Output: ``group_col (int64), n_rows, median2``.
     """
-    import pandas as pd
-
-    from georay.runtime import table_from_pandas
-
     out_schema = pa.schema([(group_col, pa.int64()),
                             ("n_rows", pa.int64()),
                             ("median2", pa.int64())])
@@ -654,20 +648,18 @@ def grouped_median2(ds, group_col: str, value_col: str):
         [group_col, "v"], {"n": ("count", None)},
     )
 
-    def finalize(gdf: pd.DataFrame) -> pa.Table:
-        gdf = gdf.sort_values("v")
-        counts = gdf["n"].to_numpy()
-        vals = gdf["v"].to_numpy()
+    def finalize(g: pa.Table) -> pa.Table:
+        g = g.sort_by("v")
+        counts = g["n"].to_numpy()
+        vals = g["v"].to_numpy()
         cum = np.cumsum(counts)
         n = int(cum[-1])
         lo = int(vals[np.searchsorted(cum, (n - 1) // 2, side="right")])
         hi = int(vals[np.searchsorted(cum, n // 2, side="right")])
-        return table_from_pandas(
-            pd.DataFrame({group_col: [gdf[group_col].iloc[0]],
-                          "n_rows": [n], "median2": [lo + hi]}),
-            schema=out_schema)
+        return pa.table({group_col: [g[group_col][0].as_py()],
+                         "n_rows": [n], "median2": [lo + hi]})
 
-    return hist.groupby(group_col).map_groups(finalize, batch_format="pandas")
+    return by_key(hist, group_col, per_key(group_col, finalize), out_schema)
 
 
 def ks2_statistic(ds, value_col: str, flag_col: str):

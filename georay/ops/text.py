@@ -14,7 +14,7 @@ import pyarrow as pa
 # module level: worker-executed code must not import georay lazily
 # (foreign-cwd drivers, CLAUDE.md)
 from georay.hashing import fingerprint64, fp_powers, splitmix64
-from georay.runtime import group_agg, join
+from georay.runtime import by_key, group_agg, join
 
 # Tiny per-language stopword profiles (top function words). Enough signal to
 # separate the 5 corpus languages; a real deployment would plug a fastText
@@ -350,10 +350,10 @@ def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
     they are consumed twice (document frequency + the join) and re-running
     tokenization over 100 TB of text twice costs more than spilling the
     much smaller term rows. df is a count over terms, joined back
-    with a hash join on the term, then ONE doc-hash-bucketed shuffle takes
-    the per-doc top-k — O(num_partitions) pandas groups, each ranking many
-    docs in one vectorized sort + cumcount (the knn.py:334 merge idiom, not
-    a per-doc ``map_groups``). Tokenizer: ``[\\w']+`` lowercased —
+    with a hash join on the term, then ONE ``runtime.by_key`` exchange on
+    the doc takes the per-doc top-k — O(num_partitions) calls, each
+    ranking many docs in one vectorized sort + cumcount, not one call per
+    doc. Tokenizer: ``[\\w']+`` lowercased —
     identical to the LangId/simhash SQL twins.
 
     Output: ``id_col, w, tf, df, rank`` (rank 1..k per doc).
@@ -398,26 +398,16 @@ def tfidf_topk(ds, k: int = 5, id_col: str = "doc_id", text_col: str = "text",
     joined = join(tf, df_counts, "inner", on=("w",), right_suffix="_r",
                   num_partitions=num_partitions)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = ((ids * np.uint64(0x9E3779B1))
-                  % np.uint64(num_partitions)).astype(np.int64)
-        return t.append_column("bucket", pa.array(bucket))
-
-    def topk_bucket(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(
+    def topk_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(
             [id_col, "tf", "df", "w"], ascending=[True, False, True, True],
             kind="quicksort",  # total order: (doc, w) rows are unique
         ).reset_index(drop=True)
         g["rank"] = g.groupby(id_col).cumcount().to_numpy() + 1
-        return table_from_pandas(g[g["rank"] <= k], schema=out_schema)
+        return g[g["rank"] <= k]
 
-    return (
-        joined.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(topk_bucket, batch_format="pandas")
-    )
+    return by_key(joined, id_col, topk_bucket, out_schema,
+                  num_partitions=num_partitions)
 
 
 def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text",
@@ -526,7 +516,7 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
             batch_format="pyarrow",
         )
         enriched = join(
-            join(pair_counts.repartition(num_partitions), a_side,
+            join(pair_counts, a_side,
                  "inner", on=("w_a",), num_partitions=num_partitions),
             b_side, "inner", on=("w_b",), num_partitions=num_partitions,
         )

@@ -12,7 +12,8 @@ import numpy as np
 import pyarrow as pa
 
 from georay import codec
-from georay.runtime import adaptive_partitions, group_agg, join
+from georay.ops.buckets import per_key
+from georay.runtime import adaptive_partitions, by_key, group_agg, join
 
 
 def _map(ds, fn):
@@ -71,10 +72,8 @@ def assemble_raster(ds, bits: int, value_col: str = "n", tile_bits: int = 6):
     """Raster assembly (reference ``to_xarray`` parity, SURVEY.md §2.4 X9):
     pivot cell-keyed values into dense per-tile 2-D grids. Each output row is
     one coarse tile: ``tile, x0, y0, h, w, values`` (row-major flattened
-    dense grid, missing cells = 0). Groups shuffle on the coarse tile prefix
-    so each dense block assembles locally."""
-    import pandas as pd
-
+    dense grid, missing cells = 0). ``runtime.by_key`` on the coarse tile
+    prefix so each dense block assembles locally."""
     fine_per_tile = bits - tile_bits
 
     def add_tile(t: pa.Table) -> pa.Table:
@@ -83,7 +82,7 @@ def assemble_raster(ds, bits: int, value_col: str = "n", tile_bits: int = 6):
             "tile", pa.array((cell >> np.uint64(fine_per_tile)).astype(np.int64))
         )
 
-    def assemble(g: pd.DataFrame) -> pd.DataFrame:
+    def assemble(g: pa.Table) -> pa.Table:
         cell = g["cell"].to_numpy().astype(np.uint64)
         val = g[value_col].to_numpy()
         x, y = codec.deinterleave(cell, bits)
@@ -91,22 +90,15 @@ def assemble_raster(ds, bits: int, value_col: str = "n", tile_bits: int = 6):
         h, w = int(y.max()) - y0 + 1, int(x.max()) - x0 + 1
         grid = np.zeros((h, w), dtype=np.float64)
         grid[y - y0, x - x0] = val
-        return pd.DataFrame(
-            {
-                "tile": [int(g["tile"].iloc[0])],
-                "x0": [x0],
-                "y0": [y0],
-                "h": [h],
-                "w": [w],
-                "values": [grid.reshape(-1)],
-            }
-        )
+        return pa.table({"tile": [g["tile"][0].as_py()], "x0": [x0],
+                         "y0": [y0], "h": [h], "w": [w],
+                         "values": [grid.reshape(-1)]})
 
-    return (
-        ds.map_batches(add_tile, batch_format="pyarrow")
-        .groupby("tile")
-        .map_groups(assemble, batch_format="pandas")
-    )
+    return by_key(
+        ds.map_batches(add_tile, batch_format="pyarrow"), "tile",
+        per_key("tile", assemble),
+        pa.schema([(c, pa.int64()) for c in ("tile", "x0", "y0", "h", "w")]
+                  + [("values", pa.list_(pa.float64()))]))
 
 
 def pyramid_counts(ds, bits: int, levels: int, cell_col: str = "cell",
@@ -495,12 +487,10 @@ def variogram(raster_ds, bits: int, max_lag: int, cell_col: str = "cell",
 
     scattered = raster_ds.map_batches(
         scatter, batch_format="pyarrow", zero_copy_batch=True
-    ).repartition(num_partitions)
+    )
 
     landed = join(
-        scattered,
-        raster_ds.select_columns([cell_col, value_col])
-        .repartition(num_partitions),
+        scattered, raster_ds.select_columns([cell_col, value_col]),
         "inner", on=(cell_col,), num_partitions=num_partitions,
     )
 
@@ -636,8 +626,7 @@ def kernel_convolve(raster_ds, bits: int, kernel, cell_col: str = "cell",
     gathered = group_agg(_map(raster_ds, scatter), cell_col,
                          {"conv": ("sum", "v")})
     return join(
-        raster_ds.select_columns([cell_col, value_col])
-        .repartition(num_partitions),
+        raster_ds.select_columns([cell_col, value_col]),
         gathered, "inner", on=(cell_col,), num_partitions=num_partitions,
     )
 

@@ -1,13 +1,12 @@
 """Trajectory operators over keyed, timestamped point streams.
 
 A "trajectory" is the time-ordered sequence of capture points sharing a key
-(device, user, vessel). The ops here follow the hash-bucket idiom
-(ops/buckets.py): ONE groupby(hash(key) % num_buckets) shuffle co-locates
-many keys per pandas group, one lexsort per bucket puts each key's points
-in a contiguous run, and all per-key reductions are segmented numpy over
-run boundaries — no per-key Python call. Contract: one BUCKET's points must
-fit in a worker (size ``num_buckets`` to the data); a single skewed key
-must still fit on its own, same as any key-hash shuffle.
+(device, user, vessel). The ops here run on
+``runtime.by_key`` (ops/buckets.py): ONE exchange co-locates many keys per
+bucket, one lexsort per bucket puts each key's points in a contiguous run,
+and all per-key reductions are segmented numpy over run boundaries — no
+per-key Python call. Contract: one BUCKET's points must fit in a worker; a
+single skewed key must still fit on its own, same as any key-hash shuffle.
 
 Distances are computed on INTEGER grid coordinates supplied by the caller
 (milli-degree ints in the harness queries) so sums/maxima are exact under
@@ -20,12 +19,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from georay.runtime import group_agg, join
+from georay.runtime import by_key, group_agg, join
 
 
 def trajectory_stats(ds, key_col: str, ts_col: str, order_col: str,
-                     x_col: str, y_col: str, cell_col: str | None = None,
-                     num_buckets: int = 32):
+                     x_col: str, y_col: str, cell_col: str | None = None):
     """Per-key trajectory summary: legs between consecutive points.
 
     Sort order within a key is (``ts_col``, ``order_col``) — the tiebreak
@@ -45,14 +43,10 @@ def trajectory_stats(ds, key_col: str, ts_col: str, order_col: str,
     if cell_col is not None:
         cols.append(cell_col)
 
-    import pyarrow as pa
-
     from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         keys = g[key_col].to_numpy()
         codes, uniq = pd.factorize(keys)
         ts_raw = g[ts_col].astype("int64").to_numpy()
@@ -100,21 +94,19 @@ def trajectory_stats(ds, key_col: str, ts_col: str, order_col: str,
             out["n_cells"] = csn[ends2] - csn[starts2]
         return pd.DataFrame(out)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    stats = ["n_events", "n_legs", "sum_d2", "max_d2", "sum_dt_us"]
+    if cell_col is not None:
+        stats.append("n_cells")
+    return by_key(ds.select_columns(cols), key_col, per_bucket,
+                  lambda s: pa.schema([s.field(key_col)]
+                                      + [(c, pa.int64()) for c in stats]))
 
 
-def od_matrix(ds, key_col: str, ts_col: str, order_col: str, cell_col: str,
-              num_buckets: int = 32):
+def od_matrix(ds, key_col: str, ts_col: str, order_col: str, cell_col: str):
     """Origin→destination transition matrix over trajectory legs: how many
     legs go from cell A to cell B, across all keys.
 
-    One ``groupby(hash-bucket)`` shuffle (``num_buckets`` pandas groups
-    TOTAL — the ops.buckets idiom) co-locates many keys per group; inside
+    One ``runtime.by_key`` exchange co-locates many keys per bucket; inside
     a bucket one lexsort by ``(key, ts, order)`` puts each key's points in
     a run, and within-run consecutive-cell transitions are the legs;
     ``group_agg`` counts them per ``(o_cell, d_cell)`` (its per-batch
@@ -122,12 +114,9 @@ def od_matrix(ds, key_col: str, ts_col: str, order_col: str, cell_col: str,
     Self-loop legs (consecutive points in the same cell) are counted.
     Output: ``(o_cell, d_cell, n)``.
     """
-    from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame):
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         codes, _ = pd.factorize(g[key_col].to_numpy())
         ts_raw = g[ts_col].astype("int64").to_numpy()
         order = np.lexsort(
@@ -139,18 +128,16 @@ def od_matrix(ds, key_col: str, ts_col: str, order_col: str, cell_col: str,
         return pa.table({"o_cell": cell[:-1][within],
                          "d_cell": cell[1:][within]})
 
-    legs = (
-        ds.select_columns([key_col, ts_col, order_col, cell_col])
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    legs = by_key(
+        ds.select_columns([key_col, ts_col, order_col, cell_col]), key_col,
+        per_bucket,
+        pa.schema([("o_cell", pa.int64()), ("d_cell", pa.int64())]))
     return group_agg(legs, ["o_cell", "d_cell"], {"n": ("count", None)})
 
 
 def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
                    x_col: str, y_col: str, cell_size: int,
-                   nx: int, ny: int, num_buckets: int = 32):
+                   nx: int, ny: int):
     """Supercover line rasterization of trajectory legs — which grid cells
     does each consecutive-point segment cross? Completes the vector trio
     (point→cell: codec.encode; polygon→cells: cells.polygon_cover;
@@ -167,8 +154,7 @@ def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
     2⁶³), so the SQL twin is bit-exact BY CONSTRUCTION — no float geometry
     anywhere.
 
-    One shuffle (groupby hash-bucket — ``num_buckets`` pandas groups
-    TOTAL, the ops.buckets idiom), then per bucket: one lexsort by
+    One ``runtime.by_key`` exchange, then per bucket: one lexsort by
     ``(key, ts, order)`` puts each key's points in a run, within-run
     consecutive points form legs (across ALL the bucket's keys at once),
     each leg's bbox candidate cells enumerate with the offsets idiom (no
@@ -177,9 +163,6 @@ def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
     n_cov (covered cells), sum_code (Σ cx·ny + cy — a content checksum)``.
     """
     from georay.ops import buckets as bk
-    from georay.runtime import table_from_pandas
-
-    import pyarrow as pa
 
     out_schema = pa.schema(
         [
@@ -191,10 +174,8 @@ def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
     )
     s = np.int64(cell_size)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
+    def per_bucket(t: pa.Table) -> pd.DataFrame | pa.Table:
+        g = t.to_pandas()
         keys = g[key_col].to_numpy()
         codes, _ = pd.factorize(keys)
         ts_raw = g[ts_col].astype("int64").to_numpy()
@@ -214,9 +195,7 @@ def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
         leg_seq = pos[1:][within] - 1  # 0-based leg index within its key
         n_legs = x1.size
         if n_legs <= 0:
-            return table_from_pandas(
-                pd.DataFrame({key_col: [], "seq": [], "n_cov": [],
-                              "sum_code": []}), schema=out_schema)
+            return out_schema.empty_table()
         cx_lo = np.minimum(x1, x2) // s
         cx_hi = np.minimum(np.maximum(x1, x2) // s, np.int64(nx - 1))
         cy_lo = np.minimum(y1, y2) // s
@@ -247,25 +226,15 @@ def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
         code = cx_k * np.int64(ny) + cy_k
         sum_code = np.zeros(n_legs, dtype=np.int64)
         np.add.at(sum_code, leg_k, code)
-        return table_from_pandas(
-            pd.DataFrame(
-                {
-                    key_col: leg_keys.astype(np.int64),
-                    "seq": leg_seq,
-                    "n_cov": n_cov,
-                    "sum_code": sum_code,
-                }
-            ),
-            schema=out_schema,
-        )
+        return pd.DataFrame({
+            key_col: leg_keys.astype(np.int64),
+            "seq": leg_seq,
+            "n_cov": n_cov,
+            "sum_code": sum_code,
+        })
 
     cols = [key_col, ts_col, order_col, x_col, y_col]
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return by_key(ds.select_columns(cols), key_col, per_bucket, out_schema)
 
 
 # movement-direction octants: ordered first-match-wins conditions, mirrored
@@ -290,18 +259,15 @@ def octant_codes(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def leg_octants(ds, key_col: str, ts_col: str, order_col: str,
-                x_col: str, y_col: str, num_buckets: int = 32):
+                x_col: str, y_col: str):
     """Movement-direction histogram over trajectory legs: every
     consecutive-point leg classified into one of 8 compass octants (plus
     8 = zero-move), counted globally. Same one-shuffle bucketed-cogroup
     shape as :func:`od_matrix`; partials are ≤9 rows per batch, so the
     combine is negligible."""
-    from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame):
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         codes, _ = pd.factorize(g[key_col].to_numpy())
         ts_raw = g[ts_col].astype("int64").to_numpy()
         order = np.lexsort((g[order_col].to_numpy(np.int64), ts_raw, codes))
@@ -313,25 +279,22 @@ def leg_octants(ds, key_col: str, ts_col: str, order_col: str,
         dy = (y[1:] - y[:-1])[within]
         return pa.table({"octant": octant_codes(dx, dy).astype(np.int64)})
 
-    legs = (
-        ds.select_columns([key_col, ts_col, order_col, x_col, y_col])
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    legs = by_key(
+        ds.select_columns([key_col, ts_col, order_col, x_col, y_col]),
+        key_col, per_bucket, pa.schema([("octant", pa.int64())]))
     return group_agg(legs, "octant", {"n": ("count", None)})
 
 
 def stay_points(ds, key_col: str, ts_col: str, order_col: str,
-                x_col: str, y_col: str, eps2: int, min_dur_us: int = 0,
-                num_buckets: int = 32):
+                x_col: str, y_col: str, eps2: int, min_dur_us: int = 0):
     """Stay-point (dwell) detection: per key, every MAXIMAL run of
     consecutive slow legs — legs whose exact integer squared length is
     ≤ ``eps2`` — in (ts, order) order; one output row per stay with its
     bounding timestamps. The gaps-and-islands segmentation GPS pipelines
     use to turn pings into visits.
 
-    Bucketized (one groupby(hash-bucket), segmented numpy across keys):
+    Bucketized (one ``runtime.by_key`` exchange, segmented numpy across
+    keys):
     legs and the slow mask compute across the whole bucket, cross-key diff
     positions are forced fast so runs never straddle keys, and run
     boundaries are two shifted-mask flatnonzeros — no per-key Python call.
@@ -339,16 +302,12 @@ def stay_points(ds, key_col: str, ts_col: str, order_col: str,
     Output: ``key_col, start_us, end_us, n_pts, dur_us`` (stays with
     ``dur_us ≥ min_dur_us``; a single slow leg is a 2-point stay).
     """
-    import pyarrow as pa
-
     from georay.ops import buckets as bk
 
     cols = [key_col, ts_col, order_col, x_col, y_col]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         keys = g[key_col].to_numpy()
         codes, uniq = pd.factorize(keys)
         ts_raw = g[ts_col].astype("int64").to_numpy()
@@ -378,12 +337,10 @@ def stay_points(ds, key_col: str, ts_col: str, order_col: str,
             "dur_us": dur[keep],
         })
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return by_key(ds.select_columns(cols), key_col, per_bucket,
+                  lambda s: pa.schema([s.field(key_col)] + [
+                      (c, pa.int64())
+                      for c in ("start_us", "end_us", "n_pts", "dur_us")]))
 
 
 def spatiotemporal_pairs(ds, id_col: str, user_col: str, ts_col: str,
@@ -459,10 +416,8 @@ def spatiotemporal_pairs(ds, id_col: str, user_col: str, ts_col: str,
 
     cols = [id_col, user_col, ts_col, x_col, y_col]
     base = ds.select_columns(cols)
-    h = base.map_batches(home, batch_format="pyarrow",
-                         zero_copy_batch=True).repartition(num_partitions)
-    p = base.map_batches(probe, batch_format="pyarrow",
-                         zero_copy_batch=True).repartition(num_partitions)
+    h = base.map_batches(home, batch_format="pyarrow", zero_copy_batch=True)
+    p = base.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
     joined = join(h, p, "inner", on=("bk",), num_partitions=num_partitions)
 
     def filt(t: pa.Table) -> pa.Table:

@@ -5,7 +5,7 @@
 Ordering assumption: tumbling windows need none (pure bucketing); sliding
 windows need none (each event expands to the windows containing it —
 flat-map style, vectorized); session windows sort by ts WITHIN each key
-group (the shuffle co-locates a key's events, map_groups sorts locally).
+(``runtime.by_key`` co-locates a key's events, each bucket sorts locally).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay.runtime import (
-    adaptive_partitions, group_agg, join, table_from_pandas,
+    adaptive_partitions, by_key, group_agg, join, table_from_pandas,
 )
 
 US_PER_DAY = 86_400 * 1_000_000
@@ -106,13 +106,12 @@ def sliding(ds, key_col: str, ts_col: str, value_col: str,
     return group_agg(rows_ds, [key_col, "win_start"], _WINDOW_AGGS)
 
 
-def max_concurrency(ds, key_col: str, start_col: str, end_col: str,
-                    num_buckets: int = 32):
+def max_concurrency(ds, key_col: str, start_col: str, end_col: str):
     """Sweep-line max-overlap per key: the maximum number of intervals
     ``[start, end)`` simultaneously open. Each interval emits +1/−1
-    boundary rows batch-locally; ONE groupby(hash-bucket) shuffle
-    (``num_buckets`` pandas groups TOTAL — the ops.buckets idiom, not one
-    Python call per key) co-locates boundaries; inside a bucket one lexsort
+    boundary rows batch-locally; ONE ``runtime.by_key`` exchange (one call
+    per bucket, not one Python call per key) co-locates boundaries;
+    inside a bucket one lexsort
     by ``(key, t, delta)`` (−1 before +1 at equal t — half-open semantics:
     an interval ending at t does not overlap one starting at t) puts every
     key in a contiguous run, and the per-key sweep is a segment-local
@@ -137,11 +136,11 @@ def max_concurrency(ds, key_col: str, start_col: str, end_col: str,
                     [np.ones(k.size, dtype=np.int64),
                      -np.ones(k.size, dtype=np.int64)]
                 )),
-                "_bucket": pa.array(bk.bucket_of(kk, num_buckets)),
             }
         )
 
-    def sweep_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def sweep_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         keys = g[key_col].to_numpy()
         codes, uniq = pd.factorize(keys)
         t = g["t"].to_numpy(np.int64)
@@ -158,17 +157,16 @@ def max_concurrency(ds, key_col: str, start_col: str, end_col: str,
              "max_concurrent": mx.astype(np.int64)}
         )
 
-    return (
+    return by_key(
         ds.select_columns([key_col, start_col, end_col])
-        .map_batches(boundaries, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(sweep_bucket, batch_format="pandas")
-    )
+        .map_batches(boundaries, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, sweep_bucket,
+        lambda s: pa.schema([s.field(key_col),
+                             ("max_concurrent", pa.int64())]))
 
 
 def running_stats(ds, key_col: str, ts_col: str, order_col: str,
-                  value_col: str, roll: int = 3, ts_scale_us: int = 1,
-                  num_buckets: int = 32):
+                  value_col: str, roll: int = 3, ts_scale_us: int = 1):
     """Row-based window functions per key, ordered by (ts, order):
 
     - ``seq``       — 1-based row number within the key
@@ -179,8 +177,8 @@ def running_stats(ds, key_col: str, ts_col: str, order_col: str,
     - ``roll_milli``— rolling sum over the last ``roll`` rows (ROWS
       ``roll-1`` PRECEDING .. CURRENT ROW), via the cumsum-difference trick
 
-    ONE groupby(hash-bucket) shuffle (``num_buckets`` pandas groups TOTAL —
-    the ops.buckets idiom); inside a bucket one lexsort by ``(key, ts,
+    ONE ``runtime.by_key`` exchange (one call per bucket); inside a
+    bucket one lexsort by ``(key, ts,
     order)`` puts every key's rows in a contiguous run, and all four
     windows are segmented numpy over the run boundaries (segment-local
     cumsum, start-masked diffs) — no per-key Python call. ``ts_scale_us``
@@ -192,10 +190,8 @@ def running_stats(ds, key_col: str, ts_col: str, order_col: str,
 
     from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         _assert_ts_scale(g[ts_col].dtype, ts_scale_us, "running_stats")
         codes, _ = pd.factorize(g[key_col].to_numpy())
         ts_raw = g[ts_col].astype("int64").to_numpy()
@@ -228,16 +224,15 @@ def running_stats(ds, key_col: str, ts_col: str, order_col: str,
             }
         )
 
-    return (
-        ds.select_columns([key_col, ts_col, order_col, value_col])
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return by_key(
+        ds.select_columns([key_col, ts_col, order_col, value_col]), key_col,
+        per_bucket, lambda s: pa.schema(
+            [s.field(key_col), (order_col, pa.int64())]
+            + [(c, pa.int64())
+               for c in ("seq", "cum_milli", "dt_us", "roll_milli")]))
 
 
-def funnel(ds, key_col: str, ts_col: str, type_col: str, stages: list,
-           num_buckets: int = 32):
+def funnel(ds, key_col: str, ts_col: str, type_col: str, stages: list):
     """Ordered funnel: per key, the greedy strictly-increasing chain through
     ``stages`` — t₁ = min ts of stage 1, t₂ = min ts of stage 2 with
     ts > t₁, … Output one row per key: ``(key_col, stage)`` where stage is
@@ -245,17 +240,15 @@ def funnel(ds, key_col: str, ts_col: str, type_col: str, stages: list,
 
     Plan: funnel-type events shrink to (key, stage, ts); every batch also
     contributes its distinct keys as stage-0 sentinel rows so keys with no
-    funnel events still appear. ONE groupby(hash-bucket) shuffle
-    (``num_buckets`` pandas groups TOTAL — the ops.buckets idiom); inside
-    a bucket one lexsort by ``(key, ts)`` puts each key's events in a run
-    and the K-step greedy chain advances ALL keys per stage at once (per
-    stage: mask eligible rows, take the first masked row of each key's run
-    — its minimum, since runs are ts-sorted). K iterations of O(rows)
-    vectorized work, no per-key Python call.
+    funnel events still appear. ONE ``runtime.by_key`` exchange (one call
+    per bucket); inside a bucket one lexsort by ``(key, ts)`` puts each
+    key's events in a run and the K-step greedy chain advances ALL keys
+    per stage at once (per stage: mask eligible rows, take the first
+    masked row of each key's run — its minimum, since runs are
+    ts-sorted). K iterations of O(rows) vectorized work, no per-key
+    Python call.
     """
     import pandas as pd
-
-    from georay.ops import buckets as bk
 
     stage_of = {s: i + 1 for i, s in enumerate(stages)}
     n_stages = len(stages)
@@ -277,11 +270,11 @@ def funnel(ds, key_col: str, ts_col: str, type_col: str, stages: list,
                 "us": pa.array(np.concatenate(
                     [us[keep], np.zeros(ukeys.size, dtype=np.int64)]
                 )),
-                "_bucket": pa.array(bk.bucket_of(kk, num_buckets)),
             }
         )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         codes, uniq = pd.factorize(g[key_col].to_numpy())
         nk = len(uniq)
         order = np.lexsort((g["us"].to_numpy(np.int64), codes))
@@ -305,31 +298,27 @@ def funnel(ds, key_col: str, ts_col: str, type_col: str, stages: list,
             reached[adv] = s
         return pd.DataFrame({key_col: np.asarray(uniq), "stage": reached})
 
-    return (
+    return by_key(
         ds.select_columns([key_col, ts_col, type_col])
-        .map_batches(shrink, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+        .map_batches(shrink, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, per_bucket,
+        lambda s: pa.schema([s.field(key_col), ("stage", pa.int64())]))
 
 
-def session(ds, key_col: str, ts_col: str, gap_us: int, ts_scale_us: int = 1,
-            num_buckets: int = 32):
+def session(ds, key_col: str, ts_col: str, gap_us: int, ts_scale_us: int = 1):
     """Session windows: per-key sort by ts, split where the gap exceeds
-    ``gap_us``. One groupby(hash-bucket) shuffle (the ops.buckets idiom);
-    inside a bucket one lexsort by ``(key, ts)`` puts each key's events in
-    a run, and a session starts at every run start or over-gap step — the
-    whole sessionization is one boolean mask + run-length arithmetic, no
+    ``gap_us``. One ``runtime.by_key`` exchange; inside a bucket one
+    lexsort by ``(key, ts)`` puts each key's events in a run, and a
+    session starts at every run start or over-gap step — the whole
+    sessionization is one boolean mask + run-length arithmetic, no
     per-key Python call. Output: key, session_start_us, session_end_us, n.
     """
     import pandas as pd
 
     from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def sessions_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def sessions_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         _assert_ts_scale(g[ts_col].dtype, ts_scale_us, "session")
         keys = g[key_col].to_numpy()
         codes, _ = pd.factorize(keys)
@@ -352,25 +341,24 @@ def session(ds, key_col: str, ts_col: str, gap_us: int, ts_scale_us: int = 1,
             }
         )
 
-    return (
-        ds.select_columns([key_col, ts_col])
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(sessions_bucket, batch_format="pandas")
-    )
+    return by_key(
+        ds.select_columns([key_col, ts_col]), key_col, sessions_bucket,
+        lambda s: pa.schema([s.field(key_col)] + [
+            (c, pa.int64())
+            for c in ("session_start_us", "session_end_us", "n")]))
 
 
 def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
-                num_buckets: int = 32, num_partitions: int = 4):
+                num_partitions: int = 4):
     """First-order Markov transition matrix over per-key event sequences:
     count every (prev type → type) bigram with rows ordered by ``(ts,
     order)`` inside each key, then attach per-source totals and the
     transition probability (ONE float division — SQL-replayable).
 
-    ONE groupby(hash-bucket) shuffle (the ops.buckets idiom): inside a
-    bucket a single lexsort makes every key a contiguous run; bigrams are
-    the (shifted, unshifted) code pairs with run starts masked out, and the
-    bucket collapses to per-(from, to) partial counts before anything else
+    ONE ``runtime.by_key`` exchange: inside a bucket a single lexsort
+    makes every key a contiguous run; bigrams are the (shifted,
+    unshifted) code pairs with run starts masked out, and the bucket
+    collapses to per-(from, to) partial counts before anything else
     shuffles. A ``group_agg`` merges buckets; per-source totals are a
     second one over the (few) matrix rows joined back by source type.
     Output: ``from_type, to_type, n, from_total, prob``.
@@ -379,10 +367,8 @@ def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
 
     from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         codes, _ = pd.factorize(g[key_col].to_numpy())
         ts_raw = g[ts_col].astype("int64").to_numpy()
         order = np.lexsort(
@@ -401,12 +387,11 @@ def transitions(ds, key_col: str, ts_col: str, order_col: str, type_col: str,
             "p_n": cnt.astype(np.int64),
         }))
 
-    partials = (
-        ds.select_columns([key_col, ts_col, order_col, type_col])
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    partials = by_key(
+        ds.select_columns([key_col, ts_col, order_col, type_col]), key_col,
+        per_bucket, lambda s: pa.schema([
+            ("from_type", s.field(type_col).type),
+            ("to_type", s.field(type_col).type), ("p_n", pa.int64())]))
     counts = group_agg(
         partials, ["from_type", "to_type"], {"n": ("sum", "p_n")}
     ).materialize()  # consumed twice: totals + join
@@ -486,7 +471,7 @@ def resample_gapfill(ds, key_col: str, ts_col: str, value_col: str,
         return pa.table({key_col: key[row], "bucket": bucket})
 
     grid = spans.map_batches(explode, batch_format="pyarrow",
-                             zero_copy_batch=True).repartition(num_partitions)
+                             zero_copy_batch=True)
 
     joined = join(grid, agg, "left_outer", on=(key_col, "bucket"),
                   num_partitions=num_partitions)
@@ -501,8 +486,7 @@ def resample_gapfill(ds, key_col: str, ts_col: str, value_col: str,
     return joined.map_batches(fill, batch_format="pyarrow")
 
 
-def cusum_changepoint(series_ds, key_col: str, t_col: str, x_col: str,
-                      num_buckets: int = 64):
+def cusum_changepoint(series_ds, key_col: str, t_col: str, x_col: str):
     """Per-key CUSUM change-point over an ordered integer series: with
     n points, running sum cum_t and total T, the deviation is
     ``D_t = n·cum_t − t·T`` (the mean cross-multiplied away, so D is
@@ -510,23 +494,18 @@ def cusum_changepoint(series_ds, key_col: str, t_col: str, x_col: str,
     ties. Input: one row per (key, t) with integer value ``x_col`` (an
     aggregated series — run a two-phase count first, never raw events).
 
-    Bucketized (VERDICT-r3 idiom): ONE groupby(hash-bucket), and inside a
-    bucket one sort + segmented numpy across all keys (run-boundary
+    Bucketized: ONE ``runtime.by_key`` exchange, and inside a bucket one
+    sort + segmented numpy across all keys (run-boundary
     cumsum, reduceat max, reduceat first-tie pick) — no per-key Python
     call. Overflow contract: n·T must fit int64 (callers with >2³¹-scale
     per-key totals pre-scale down).
 
     Output: ``key_col, n_pts, total, cp_t, max_absdev``.
     """
-    import pandas as pd
-
     from georay.ops import buckets as bk
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, key_col, num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values([key_col, t_col], kind="quicksort")
+    def per_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().sort_values([key_col, t_col], kind="quicksort")
         k = g[key_col].to_numpy()
         tv = g[t_col].to_numpy().astype(np.int64)
         x = g[x_col].to_numpy().astype(np.int64)
@@ -554,9 +533,6 @@ def cusum_changepoint(series_ds, key_col: str, t_col: str, x_col: str,
             "max_absdev": pa.array(m.astype(np.int64)),
         })
 
-    return (
-        series_ds.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return by_key(series_ds, key_col, per_bucket, lambda s: pa.schema(
+        [s.field(key_col)]
+        + [(c, pa.int64()) for c in ("n_pts", "total", "cp_t", "max_absdev")]))

@@ -673,14 +673,12 @@ def q_tile_render(sf_dir: str):
     each raster ENCODES to a real PNG blob with the engine's codec and is
     immediately decoded back inside the same distributed stage (lossless
     round-trip proven in-flight). Plan: two-phase fine-cell counts →
-    per-tile assemble/encode/decode (≤1024 bounded groups — the good
-    map_groups case). The oracle replays the count arithmetic; the
+    per-tile assemble/encode/decode (``runtime.by_key`` on the tile, one
+    call per tile run). The oracle replays the count arithmetic; the
     emitted dec_sum comes from the DECODED pixels, so a codec defect
     breaks the match."""
-    import pandas as pd
-
     from georay import images
-    from georay.runtime import table_from_pandas
+    from georay.ops import buckets as bk
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
@@ -708,21 +706,23 @@ def q_tile_render(sf_dir: str):
     tagged = counts.map_batches(tag_tile, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    def render(g: pd.DataFrame) -> pa.Table:
+    def render(g: pa.Table) -> pa.Table:
         raster = np.zeros((8, 8, 3), np.uint8)
         v = np.minimum(g["n"].to_numpy(), 255).astype(np.uint8)
         raster[g["py"].to_numpy(), g["px"].to_numpy(), :] = v[:, None]
         blob = images.encode_image(raster, "png")
         back = images.decode_image(blob, "png")  # lossless round-trip
-        tile = int(g["tile"].iloc[0])
-        return table_from_pandas(pd.DataFrame({
+        tile = g["tile"][0].as_py()
+        return pa.table({
             "tile_x": [tile // 32], "tile_y": [tile % 32],
             "n_nonzero": [int((back.reshape(-1, 3)[:, 0] > 0).sum())],
             "dec_sum": [int(back.astype(np.int64).sum())],
-        }))
+        })
 
-    return tagged.repartition(4).groupby("tile").map_groups(
-        render, batch_format="pandas")
+    return runtime.by_key(
+        tagged, "tile", bk.per_key("tile", render), pa.schema(
+            [(c, pa.int64())
+             for c in ("tile_x", "tile_y", "n_nonzero", "dec_sum")]))
 
 
 SQL_TILE_RENDER = f"""
@@ -1020,15 +1020,12 @@ def q_interarrival_median(sf_dir: str):
     stays int64). SQL twin: LAG gaps + the window percentile replay."""
     import pandas as pd
 
-    from georay.ops import buckets as bk
     from georay.ops import sketch as sketch_ops
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, "user_id", 16)
-
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
+    def gaps(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         uid = g["user_id"].to_numpy(np.int64)
         us = g["ts"].astype("int64").to_numpy()
         eid = g["event_id"].to_numpy(np.int64)
@@ -1040,12 +1037,8 @@ def q_interarrival_median(sf_dir: str):
             "gap_s": (t[1:] - t[:-1])[same] // 1_000_000,
         })
 
-    gap_ds = (
-        ev.map_batches(add_bucket, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(gaps, batch_format="pandas")
-    )
+    gap_ds = runtime.by_key(ev, "user_id", gaps, pa.schema(
+        [("user_id", pa.int64()), ("gap_s", pa.int64())]))
     return sketch_ops.grouped_median2(gap_ds, "user_id", "gap_s")
 
 
@@ -1079,8 +1072,6 @@ def q_week_overlap(sf_dir: str):
     (weeks are single digits)."""
     import pandas as pd
 
-    from georay.ops import buckets as bk
-
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def user_week(t: pa.Table) -> pa.Table:
@@ -1094,10 +1085,8 @@ def q_week_overlap(sf_dir: str):
         ["user_id", "wk"],
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, "user_id", 16)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         uid = g["user_id"].to_numpy(np.int64)
         wk = g["wk"].to_numpy(np.int64)
         order = np.lexsort((wk, uid))
@@ -1113,10 +1102,8 @@ def q_week_overlap(sf_dir: str):
         })
 
     agg = runtime.group_agg(
-        duw.map_batches(add_bucket, batch_format="pyarrow",
-                        zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas"),
+        runtime.by_key(duw, "user_id", per_bucket, pa.schema(
+            [("wk", pa.int64()), ("kind", pa.int64()), ("p_n", pa.int64())])),
         ["wk", "kind"], {"n": ("sum", "p_n")},
     ).to_pandas()  # bounded: weeks × 2
 
@@ -1632,10 +1619,8 @@ def q_lag1_autocorr(sf_dir: str):
         ["user_id", "day"], {"x": ("count", None)},
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, "user_id", 32)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         uid = g["user_id"].to_numpy(np.int64)
         day = g["day"].to_numpy(np.int64)
         x = g["x"].to_numpy(np.int64)
@@ -1657,11 +1642,9 @@ def q_lag1_autocorr(sf_dir: str):
         out = pd.DataFrame({"user_id": uu, **cols})
         return out[out["n"] >= 2].reset_index(drop=True)
 
-    agg = (
-        daily.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    agg = runtime.by_key(daily, "user_id", per_bucket, pa.schema(
+        [(c, pa.int64())
+         for c in ("user_id", "n", "sa", "sb", "sab", "saa", "sbb")])
     ).to_pandas()
 
     n = agg["n"].astype("int64")
@@ -1776,14 +1759,9 @@ def q_longest_streak(sf_dir: str):
         ["user_id", "day"],
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return bk.append_bucket(t, "user_id", 32)
-
-    def per_bucket(g):
-        import pandas as pd
-
-        uid = g["user_id"].to_numpy(np.int64)
-        day = g["day"].to_numpy(np.int64)
+    def per_bucket(g: pa.Table) -> pa.Table:
+        uid = g["user_id"].to_numpy()
+        day = g["day"].to_numpy()
         order = np.lexsort((day, uid))
         u, d = uid[order], day[order]
         starts = bk.segment_starts(u)
@@ -1797,13 +1775,11 @@ def q_longest_streak(sf_dir: str):
         uu = np.unique(users)
         best = np.zeros(uu.size, np.int64)
         np.maximum.at(best, np.searchsorted(uu, users), run)
-        return pd.DataFrame({"user_id": uu, "p_best": best})
+        return pa.table({"user_id": uu, "p_best": best})
 
     return runtime.group_agg(
-        daily.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas"),
+        runtime.by_key(daily, "user_id", per_bucket, pa.schema(
+            [("user_id", pa.int64()), ("p_best", pa.int64())])),
         "user_id", {"longest_streak": ("max", "p_best")},
     )
 
@@ -3674,9 +3650,9 @@ def q_knn_shuffle(sf_dir: str):
 
 
 def q_knn_cogroup(sf_dir: str):
-    """Big×big kNN via the sort-shuffle cogroup plan (tag → union →
-    groupby(cell-bucket) → vectorized per-bucket join + top-k). Same SQL
-    twin as the hash-join path."""
+    """Big×big kNN via the cogroup plan (tag → union → ``runtime.by_key``
+    on cell → vectorized per-bucket join + top-k). Same SQL twin as the
+    hash-join path."""
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     cust = spatial.points_with_cells(cust, "c_custkey", BITS_JOIN, xy=False)
     supp = _read(sf_dir, "supplier", columns=["s_suppkey"])
@@ -3689,7 +3665,6 @@ def q_knn_cogroup(sf_dir: str):
         ring=1,
         query_id="c_custkey",
         ref_id="s_suppkey",
-        num_buckets=8,
         num_partitions=4,
     )
     return out.select_columns(["c_custkey", "s_suppkey", "rank"])
@@ -4018,8 +3993,8 @@ SQL_CORPUS_CURATION = _sql_curation()
 def q_tfidf(sf_dir: str):
     """Top-5 distinctive terms per document ranked by the integer-exact
     tf-idf order (tf DESC, df ASC, w ASC) — ops.text.tfidf_topk: tokenize
-    once, two-phase df count, hash join on the term, doc-hash-bucketed
-    top-k."""
+    once, two-phase df count, hash join on the term, per-doc top-k on
+    ``runtime.by_key``."""
     from georay.ops import text as text_ops
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -4300,9 +4275,9 @@ SEMDEDUP_T = 0.45
 def q_semantic_dedup(sf_dir: str):
     """SemDeDup-shaped semantic dedup: k-means clusters bound the pairwise
     cosine to within-cluster pairs; keep-lowest-id rule (deterministic).
-    One sort shuffle co-locates each cluster's packed-float32 embeddings;
-    the per-cluster kernel is a single normalized matmul (k groups TOTAL —
-    the good map_groups case). SQL twin = the unrolled-kmeans CTE chain +
+    One ``runtime.by_key`` exchange co-locates each cluster's
+    packed-float32 embeddings; the per-cluster kernel is a single
+    normalized matmul. SQL twin = the unrolled-kmeans CTE chain +
     a within-cluster lower-id EXISTS at the same threshold."""
     from georay.ops import similarity as sim
 
@@ -4514,7 +4489,7 @@ FROM x GROUP BY 1, 2
 def q_running_stats(sf_dir: str):
     """Row-based window functions per user (ROW_NUMBER, running int-exact
     value sum, LAG time gap, 3-row rolling sum) — ops.window.running_stats,
-    one groupby(user) shuffle + numpy windows on the sorted key group. SQL
+    one ``runtime.by_key`` exchange + numpy windows per bucket. SQL
     twin is the standard four-window SELECT."""
     from georay.ops import window as win
 
@@ -4538,9 +4513,9 @@ FROM e WINDOW w AS (PARTITION BY user_id ORDER BY us, event_id)
 def q_max_concurrency(sf_dir: str):
     """Sweep-line max overlap: each event opens a 1-hour interval; per
     event_type, the max number simultaneously open
-    (ops.window.max_concurrency — ±1 boundary rows, one groupby(key)
-    shuffle, local sort+cumsum sweep). SQL twin: UNION ALL boundaries +
-    running window SUM."""
+    (ops.window.max_concurrency — ±1 boundary rows, one
+    ``runtime.by_key`` exchange, local sort+cumsum sweep). SQL twin: UNION
+    ALL boundaries + running window SUM."""
     from georay.ops import window as win
 
     evs = _events_secs(sf_dir)
@@ -4633,10 +4608,10 @@ FUNNEL_STAGES = ["view", "click", "purchase"]
 
 def q_events_funnel(sf_dir: str):
     """Ordered funnel view→click→purchase per user: the greedy strictly-
-    increasing timestamp chain (ops.window.funnel — one groupby(user)
-    shuffle after batch-local shrink to funnel events + stage-0 key
-    sentinels). One row per user with the deepest stage reached. SQL twin
-    chains MIN-timestamp subqueries."""
+    increasing timestamp chain (ops.window.funnel — one
+    ``runtime.by_key`` exchange after batch-local shrink to funnel events +
+    stage-0 key sentinels). One row per user with the deepest stage
+    reached. SQL twin chains MIN-timestamp subqueries."""
     from georay.ops import window as win
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
@@ -4666,7 +4641,8 @@ FROM u LEFT JOIN s1 USING (user_id) LEFT JOIN s2 USING (user_id)
 
 def q_events_session(sf_dir: str):
     """Session windows (2-day inactivity gap) per event_type — per-key sort
-    + gap split in map_groups; the SQL twin uses LAG + cumulative breaks."""
+    + gap split per ``runtime.by_key`` bucket; the SQL twin uses LAG +
+    cumulative breaks."""
     from georay.ops import window as win
 
     ev = _read(sf_dir, "events", columns=["event_type", "ts"])
@@ -4831,7 +4807,7 @@ def q_trajectory_stats(sf_dir: str):
     deterministic synthetic capture point (milli-degree integer grid), legs
     are consecutive points in (ts, event_id) order, and the per-user stats
     (leg count, exact integer squared distances, elapsed time, distinct
-    BITS_TILE cells visited) come from ONE groupby(user) shuffle +
+    BITS_TILE cells visited) come from ONE ``runtime.by_key`` exchange +
     vectorized local diffs (ops.trajectory). SQL twin uses LAG windows."""
     from georay.ops import trajectory as traj
 
@@ -4970,7 +4946,7 @@ def q_od_matrix(sf_dir: str):
     """Origin→destination matrix over per-user event trajectories: legs are
     consecutive events in (ts, event_id) order, each endpoint mapped to its
     BITS_TILE cell; counts per (origin cell, destination cell) pair come
-    from one groupby(user) shuffle + local run-length collapse + a small
+    from one ``runtime.by_key`` exchange + local run-length collapse + a small
     Sum groupby (ops.trajectory.od_matrix). SQL twin is a LAG window."""
     from georay.ops import trajectory as traj
 
@@ -7231,20 +7207,15 @@ FROM c GROUP BY 1, 2
 # ------------------------------------------------------------ cohort retention
 
 DAY_US = 86_400_000_000
-COHORT_BUCKETS = 16
 
 
 def q_cohort_retention(sf_dir: str):
     """Cohort retention matrix: users grouped by first-active day, counted
     at each later active day offset. Distinct (user, day) pairs via a
-    two-phase groupby; the per-user MIN-day + offset expansion runs in
-    hash-BUCKETED groups (segmented numpy across users inside a bucket —
-    the rank.py idiom, never one Python call per user); a final group_agg
-    sum merges bucket partials."""
-    import pandas as pd
-
-    from georay.ops.sketch import splitmix64
-
+    two-phase groupby; the per-user MIN-day + offset expansion runs on
+    ``runtime.by_key`` (segmented numpy across users inside a bucket,
+    never one Python call per user); a final group_agg sum merges bucket
+    partials."""
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def user_day(t: pa.Table) -> pa.Table:
@@ -7256,35 +7227,25 @@ def q_cohort_retention(sf_dir: str):
         ["user_id", "day"],
     )
 
-    def bucket(t: pa.Table) -> pa.Table:
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        b = (splitmix64(u.astype(np.uint64))
-             % np.uint64(COHORT_BUCKETS)).astype(np.int64)
-        return pa.table({"bucket": b, "user_id": u, "day": t["day"]})
-
     part_schema = pa.schema([("cohort_day", pa.int64()),
                              ("day_offset", pa.int64()),
                              ("p_n", pa.int64())])
 
-    def per_bucket(df: pd.DataFrame):
-        u = df["user_id"].to_numpy()
-        d = df["day"].to_numpy()
+    def per_bucket(t: pa.Table) -> pa.Table:
+        u = t["user_id"].to_numpy()
+        d = t["day"].to_numpy()
         o = np.lexsort((d, u))
         u, d = u[o], d[o]
         first = np.r_[0, 1 + np.flatnonzero(u[1:] != u[:-1])]
         runs = np.diff(np.r_[first, u.size])
         cohort = np.repeat(d[first], runs)  # sorted → first day is MIN
         k, n = np.unique((cohort << 20) | (d - cohort), return_counts=True)
-        return runtime.table_from_pandas(
-            pd.DataFrame({"cohort_day": k >> 20,
-                          "day_offset": k & ((1 << 20) - 1),
-                          "p_n": n.astype(np.int64)}),
-            schema=part_schema)
+        return pa.table({"cohort_day": k >> 20,
+                         "day_offset": k & ((1 << 20) - 1),
+                         "p_n": n.astype(np.int64)})
 
     return runtime.group_agg(
-        uw.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas"),
+        runtime.by_key(uw, "user_id", per_bucket, part_schema),
         ["cohort_day", "day_offset"], {"n_users": ("sum", "p_n")},
     )
 
@@ -8946,7 +8907,7 @@ def q_cusum_changepoint(sf_dir: str):
     """CUSUM change-point per user over their daily event-count series:
     the day at max |n·cum_t − t·T| (mean cross-multiplied away — all
     int64, earliest-day tiebreak). Plan: two-phase (user, day) counts →
-    ops.window.cusum_changepoint (ONE hash-bucket groupby, segmented
+    ops.window.cusum_changepoint (ONE ``runtime.by_key`` exchange, segmented
     numpy across keys — no per-key Python call). SQL twin: window
     cumulative sums + ROW_NUMBER argmax."""
     from georay.ops import window as window_ops
@@ -9288,11 +9249,10 @@ def q_interval_union(sf_dir: str):
     """Total ACTIVE time per (user, event_type): each event opens a 1-hour
     window; overlaps merge (interval-union sweep). Constant width makes
     the union a closed form over sorted starts — W + Σ min(gap, W) — so
-    one bucketed cogroup + segmented diffs computes every key in one
-    vectorized pass (the ops.buckets idiom); the SQL twin is the LAG
-    window of the same formula. All int64 microseconds."""
+    one ``runtime.by_key`` cogroup + segmented diffs computes every key
+    in one vectorized pass; the SQL twin is the LAG window of the same
+    formula. All int64 microseconds."""
     from georay.ops import buckets as bk
-    from georay.runtime import table_from_pandas
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
@@ -9304,20 +9264,17 @@ def q_interval_union(sf_dir: str):
         ti = np.searchsorted(types, et)
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         key = uid * 8 + ti
-        out = pa.table({
+        return pa.table({
             "key": key,
             "us": t["ts"].cast(pa.int64()),
         })
-        return bk.append_bucket(out, "key", 32)
-
-    import pandas as pd
 
     out_schema = pa.schema([("key", pa.int64()), ("n_events", pa.int64()),
                             ("union_us", pa.int64())])
 
-    def per_bucket(g: pd.DataFrame):
+    def per_bucket(g: pa.Table) -> pa.Table:
         key = g["key"].to_numpy()
-        us = g["us"].to_numpy(np.int64)
+        us = g["us"].to_numpy()
         order = np.lexsort((us, key))
         k = key[order]
         s = us[order]
@@ -9328,15 +9285,13 @@ def q_interval_union(sf_dir: str):
         gap[starts] = UNION_W_US  # each key's first window contributes W
         sums = np.add.reduceat(gap, starts) if k.size else \
             np.empty(0, np.int64)
-        return table_from_pandas(pd.DataFrame({
+        return pa.table({
             "key": k[starts], "n_events": counts.astype(np.int64),
-            "union_us": sums.astype(np.int64)}), schema=out_schema)
+            "union_us": sums.astype(np.int64)})
 
-    agg = (
-        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    agg = runtime.by_key(
+        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        "key", per_bucket, out_schema)
 
     def finalize(t: pa.Table) -> pa.Table:
         types = np.array(["click", "error", "purchase", "signup", "view"])
@@ -10066,11 +10021,11 @@ def q_trimmed_mean(sf_dir: str):
     trim is over per-batch (flag, cents) COUNT partials (bounded by the
     price domain × batches, not the row count) so ties are multiset-exact —
     the kept sum never depends on tie order. Deliberately NO global
-    (flag, cents) aggregate (see _flag_cents_partials): the 3-group flag
-    groupby sorts the partial rows by cents inside map_groups and does
+    (flag, cents) aggregate (see _flag_cents_partials): ``runtime.by_key``
+    on the 3-value flag sorts each flag's partial rows by cents and does
     run-length prefix math directly on the unmerged multiset — 3 Python
     calls total (~2 s vs ~14 s for the 60k-group aggregate, measured)."""
-    import pandas as pd
+    from georay.ops import buckets as bk
 
     counts = _flag_cents_partials(sf_dir)
 
@@ -10090,10 +10045,10 @@ def q_trimmed_mean(sf_dir: str):
         prev = int(csum[i - 1]) if i > 0 else 0
         return full + (k - prev) * int(v[i])
 
-    def fin(df: pd.DataFrame):
-        df = df.sort_values("cents")
-        c = df["n_v"].to_numpy()
-        v = df["cents"].to_numpy()
+    def fin(g: pa.Table) -> pa.Table:
+        g = g.sort_by("cents")
+        c = g["n_v"].to_numpy()
+        v = g["cents"].to_numpy()
         n = int(c.sum())
         k = (n * TRIM_PCT_NUM) // TRIM_PCT_DEN
         total = int((c * v).sum())
@@ -10101,15 +10056,14 @@ def q_trimmed_mean(sf_dir: str):
         hi = head_sum(c[::-1], v[::-1], k)
         kept_n = n - 2 * k
         kept = total - lo - hi
-        return runtime.table_from_pandas(pd.DataFrame({
-            "l_returnflag": [df["l_returnflag"].iloc[0]],
-            "n": [np.int64(n)], "n_kept": [np.int64(kept_n)],
-            "kept_sum_cents": [np.int64(kept)],
+        return pa.table({
+            "l_returnflag": [g["l_returnflag"][0].as_py()],
+            "n": [n], "n_kept": [kept_n], "kept_sum_cents": [kept],
             "trimmed_mean": [float(kept) / float(kept_n)],
-        }), schema=out_schema)
+        })
 
-    return counts.groupby("l_returnflag").map_groups(
-        fin, batch_format="pandas")
+    return runtime.by_key(counts, "l_returnflag",
+                          bk.per_key("l_returnflag", fin), out_schema)
 
 
 SQL_TRIMMED_MEAN = f"""
@@ -10150,6 +10104,8 @@ def q_ntile_hist(sf_dir: str):
     duplicate cents is unnecessary)."""
     import pandas as pd
 
+    from georay.ops import buckets as bk
+
     counts = _flag_cents_partials(sf_dir)
 
     out_schema = pa.schema([
@@ -10158,10 +10114,10 @@ def q_ntile_hist(sf_dir: str):
         ("min_cents", pa.int64()), ("max_cents", pa.int64()),
     ])
 
-    def fin(df: pd.DataFrame):
-        df = df.sort_values("cents")
-        c = df["n_v"].to_numpy()
-        v = df["cents"].to_numpy()
+    def fin(g: pa.Table) -> pd.DataFrame:
+        g = g.sort_by("cents")
+        c = g["n_v"].to_numpy()
+        v = g["cents"].to_numpy()
         n = int(c.sum())
         sizes = n // NTILE_K + (np.arange(NTILE_K) < n % NTILE_K)
         bounds = np.r_[0, np.cumsum(sizes)]
@@ -10173,15 +10129,13 @@ def q_ntile_hist(sf_dir: str):
                 np.minimum(csum, bounds[b + 1]) - np.maximum(lo, bounds[b]),
                 0, None)
             m = take > 0
-            rows.append((df["l_returnflag"].iloc[0], b + 1,
+            rows.append((g["l_returnflag"][0].as_py(), b + 1,
                          int(take.sum()), int((take * v).sum()),
                          int(v[m][0]), int(v[m][-1])))
-        return runtime.table_from_pandas(pd.DataFrame(
-            rows, columns=["l_returnflag", "bucket", "n", "sum_cents",
-                           "min_cents", "max_cents"]), schema=out_schema)
+        return pd.DataFrame(rows, columns=out_schema.names)
 
-    return counts.groupby("l_returnflag").map_groups(
-        fin, batch_format="pandas")
+    return runtime.by_key(counts, "l_returnflag",
+                          bk.per_key("l_returnflag", fin), out_schema)
 
 
 SQL_NTILE_HIST = f"""
@@ -11196,27 +11150,25 @@ def q_hausdorff_pairs(sf_dir: str):
     H²(A,B) = max(max_a min_b d², max_b min_a d²) over their synthetic
     milli-degree capture points is EXACT int64 (d² ≤ 1.6·10¹¹). Pairs
     missing a side are dropped (no similarity defined). Plan: one
-    hash-bucket groupby co-locates each pair (ops.buckets idiom — both
-    users of pair k land in bucket(k)), then per-pair broadcasted numpy
+    ``runtime.by_key`` exchange on the pair co-locates both users of each
+    pair, then per-pair broadcasted numpy
     distance matrices inside the bucket; cost Σ|A||B| per pair, never
     all-pairs across users."""
     import pandas as pd
-
-    from georay.ops import buckets as bk
 
     ev = _read(sf_dir, "events", columns=["event_id", "user_id"])
 
     def prep(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         uid = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        tt = pa.table({
+        return pa.table({
             "pair": pa.array(uid // 2), "side": pa.array(uid % 2),
             "xi": pa.array((eid * HASH_LON) % 360000),
             "yi": pa.array((eid * HASH_LAT) % 180000),
         })
-        return bk.append_bucket(tt, "pair", 32)
 
-    def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_fn(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()
         out_p, out_na, out_nb, out_h2 = [], [], [], []
         for pid, sub in g.groupby("pair", sort=True):
             s = sub["side"].to_numpy()
@@ -11241,11 +11193,10 @@ def q_hausdorff_pairs(sf_dir: str):
             "h2": np.asarray(out_h2, np.int64),
         })
 
-    return (
-        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(bucket_fn, batch_format="pandas")
-    )
+    return runtime.by_key(
+        ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        "pair", bucket_fn, pa.schema(
+            [(c, pa.int64()) for c in ("pair", "n_a", "n_b", "h2")]))
 
 
 SQL_HAUSDORFF_PAIRS = f"""
@@ -12036,7 +11987,7 @@ def q_doc_keywords(sf_dir: str):
     is floored ONCE per distinct term driver-side over the bounded
     vocabulary and broadcast, so per-row scores are exact int64 products;
     ranking runs through ops.rank.grouped_topk (per-batch local top-k →
-    hash-bucket final, never one Python call per doc). SQL twin: window
+    ``runtime.by_key`` final, never one Python call per doc). SQL twin: window
     ROW_NUMBER over the same integer scores."""
     import math
     import re

@@ -6,6 +6,9 @@
 - Equi-joins: ``join`` is the one shuffle join — both sides hash-packed
   into buckets, exchanged by Ray's task-based sort, joined by pyarrow per
   bucket; no actors.
+- Per-key work: ``by_key`` is the one per-key operator — the same pack
+  and exchange as ``join``, then one call per bucket on every row of each
+  key that hashed there.
 - Heavy-hitter detection: a ``group_agg`` count pre-pass finds keys whose
   row count exceeds a threshold.
 - Salting: hot keys split into ``key*S + salt`` sub-keys so one dense urban
@@ -30,6 +33,7 @@ import pyarrow.compute as pc
 
 # module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
 from georay.hashing import MIX, fingerprint64, key_hash
+from georay.ops.buckets import per_key
 
 
 _STAGE_STATE: dict = {}
@@ -204,6 +208,51 @@ def _column_hash(col) -> np.ndarray:
     return key_hash(v.to_numpy(zero_copy_only=False))
 
 
+def _pack(ds, keys, p: int, side: int = 0):
+    """``ds`` hash-packed into ``p`` buckets — the shuffle input of
+    :func:`join` and :func:`by_key`.
+
+    One ``map_batches`` call per block hashes the ``keys`` columns to a
+    bucket in ``[0, p)`` (:func:`_column_hash`, mixed across columns in
+    order) and emits exactly ``p`` rows ``(_b, _s, _blob)``: the bucket,
+    ``side``, and the Arrow IPC stream of that bucket's rows. Empty slices
+    are kept, so every bucket carries the block's schema."""
+
+    def pack(t: pa.Table) -> pa.Table:
+        h = np.zeros(t.num_rows, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            for c in keys:  # order-sensitive mix, one pass per key col
+                h = h * MIX + _column_hash(t[c])
+        b = (h % np.uint64(p)).astype(np.int64)
+        order = np.argsort(b, kind="stable")
+        cuts = np.searchsorted(b[order], np.arange(p + 1))
+        t = strip_metadata(t).take(pa.array(order))
+        # the p IPC streams back to back in one buffer; blob i spans
+        # ends[i]:ends[i + 1]
+        sink, ends = pa.BufferOutputStream(), [0]
+        for i in range(p):
+            with pa.ipc.new_stream(sink, t.schema) as w:
+                w.write_table(t.slice(cuts[i], cuts[i + 1] - cuts[i]))
+            ends.append(sink.tell())
+        blobs = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(), p,
+            [None, pa.py_buffer(np.array(ends, dtype=np.int64)),
+             sink.getvalue()],
+        )
+        return pa.table({
+            "_b": pa.array(np.arange(p, dtype=np.int64)),
+            "_s": pa.array(np.full(p, side, dtype=np.int8)),
+            "_blob": blobs,
+        })
+
+    return ds.map_batches(pack, batch_format="pyarrow", batch_size=None,
+                          zero_copy_batch=True)
+
+
+def _unpack(blobs) -> list:
+    return [pa.ipc.open_stream(b.as_buffer()).read_all() for b in blobs]
+
+
 def join(left, right, join_type: str, on, right_on=None, left_suffix=None,
          right_suffix=None, num_partitions: int | None = None):
     """Equi-join two Datasets on Ray tasks — the one shuffle join.
@@ -218,12 +267,8 @@ def join(left, right, join_type: str, on, right_on=None, left_suffix=None,
 
     Plan, ``P = num_partitions`` (``None`` → :func:`adaptive_partitions`):
 
-    - pack: one ``map_batches`` per side hashes the key columns to a
-      bucket in ``[0, P)`` (splitmix64 for integers, the UTF-8
-      fingerprint for strings, mixed across columns as ``ops.rank``
-      does) and emits exactly P rows per block — ``(_b, _s, _blob)``,
-      the blob being the Arrow IPC stream of that bucket's rows. Empty
-      slices are kept, so every bucket carries both sides' schemas;
+    - pack: :func:`_pack` per side (``_s`` 0 left, 1 right), so every
+      bucket carries both sides' schemas;
     - exchange: :func:`by_bucket` on ``_b`` over the union of both sides
       — a fixed-boundary sort, exactly one block per bucket;
     - join: ``map_batches(batch_size=None)`` decodes one bucket's blobs
@@ -248,36 +293,6 @@ def join(left, right, join_type: str, on, right_on=None, left_suffix=None,
                          "non-empty and of equal length")
     p = adaptive_partitions() if num_partitions is None else int(num_partitions)
 
-    def packer(keys, side):
-        def pack(t: pa.Table) -> pa.Table:
-            h = np.zeros(t.num_rows, dtype=np.uint64)
-            with np.errstate(over="ignore"):
-                for c in keys:  # order-sensitive mix, one pass per key col
-                    h = h * MIX + _column_hash(t[c])
-            b = (h % np.uint64(p)).astype(np.int64)
-            order = np.argsort(b, kind="stable")
-            cuts = np.searchsorted(b[order], np.arange(p + 1))
-            t = strip_metadata(t).take(pa.array(order))
-            # the p IPC streams back to back in one buffer; blob i spans
-            # ends[i]:ends[i + 1]
-            sink, ends = pa.BufferOutputStream(), [0]
-            for i in range(p):
-                with pa.ipc.new_stream(sink, t.schema) as w:
-                    w.write_table(t.slice(cuts[i], cuts[i + 1] - cuts[i]))
-                ends.append(sink.tell())
-            blobs = pa.LargeBinaryArray.from_buffers(
-                pa.large_binary(), p,
-                [None, pa.py_buffer(np.array(ends, dtype=np.int64)),
-                 sink.getvalue()],
-            )
-            return pa.table({
-                "_b": pa.array(np.arange(p, dtype=np.int64)),
-                "_s": pa.array(np.full(p, side, dtype=np.int8)),
-                "_blob": blobs,
-            })
-
-        return pack
-
     def one_sided(present: pa.Table, missing: str) -> pa.Table:
         keep = {"right": ("left_outer", "full_outer", "left_anti"),
                 "left": ("right_outer", "full_outer", "right_anti")}[missing]
@@ -290,28 +305,74 @@ def join(left, right, join_type: str, on, right_on=None, left_suffix=None,
             "cannot type its columns"
         )
 
-    def join_bucket(t: pa.Table) -> pa.Table:
+    def join_bucket(t: pa.Table):
+        # a generator: Ray Data runs it outside the UDF wrapper that puts
+        # the whole input batch (every blob, in hex) into the error text,
+        # so an error here reads as itself
         sides = ([], [])
-        blobs = t["_blob"]
-        for i, s in enumerate(t["_s"].to_numpy()):
-            sides[s].append(pa.ipc.open_stream(blobs[i].as_buffer()).read_all())
+        for s, blob in zip(t["_s"].to_numpy(), _unpack(t["_blob"])):
+            sides[s].append(blob)
         lt, rt = (pa.concat_tables(x, promote_options="default") if x else None
                   for x in sides)
         if rt is None:
-            return one_sided(lt, "right")
-        if lt is None:
-            return one_sided(rt, "left")
-        return lt.join(rt, keys=on, right_keys=right_on,
-                       join_type=_ARROW_JOIN[join_type],
-                       left_suffix=left_suffix, right_suffix=right_suffix)
+            yield one_sided(lt, "right")
+        elif lt is None:
+            yield one_sided(rt, "left")
+        else:
+            yield lt.join(rt, keys=on, right_keys=right_on,
+                          join_type=_ARROW_JOIN[join_type],
+                          left_suffix=left_suffix, right_suffix=right_suffix)
 
-    u = left.map_batches(packer(on, 0), batch_format="pyarrow",
-                         batch_size=None, zero_copy_batch=True).union(
-        right.map_batches(packer(right_on, 1), batch_format="pyarrow",
-                          batch_size=None, zero_copy_batch=True))
+    u = _pack(left, on, p, 0).union(_pack(right, right_on, p, 1))
     return by_bucket(u, "_b", p).map_batches(
         join_bucket, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True)
+
+
+def by_key(ds, keys, fn, schema, num_partitions: int | None = None):
+    """Call ``fn`` on all rows of each ``keys`` value at once — the one
+    per-key operator (window and trajectory sweeps, per-key top-k, LSH
+    band pairs, pair dedup, partitioned writes).
+
+    The rows are hash-packed into ``P`` buckets with :func:`_pack` (``P``
+    = ``num_partitions``, ``None`` → :func:`adaptive_partitions`),
+    exchanged with :func:`by_bucket`, and ``fn`` runs once per non-empty
+    bucket on one pyarrow table holding every row of each key that hashed
+    there — many keys per call, in no particular order (wrap a body that
+    needs one key at a time in ``ops.buckets.per_key``).
+    ``fn`` returns a pyarrow table or a pandas DataFrame with (at least)
+    ``schema``'s columns; it is cast to ``schema`` with a safe cast, so
+    an output that does not fit raises. ``schema`` is a ``pa.Schema`` or
+    a function of the input's schema (for outputs that carry the input
+    columns through; every bucket sees every block's schema). An empty
+    bucket gives ``schema.empty_table()``: a non-empty input gives
+    exactly ``P`` typed blocks, never the schema-less empty blocks of a
+    sampled ``groupby``.
+    Zero input rows give ``schema() is None``, as with :func:`group_agg`:
+    map UDFs are skipped on empty blocks, so nothing can type the output.
+
+    Scale contract: one bucket fits a worker, as for :func:`join` — a
+    skewed key still lands in one bucket; ``P`` only has to keep the
+    average bucket within memory."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    p = adaptive_partitions() if num_partitions is None else int(num_partitions)
+
+    def run(t: pa.Table):
+        # a generator, as join's join_bucket: errors from fn read as
+        # themselves, not after a hex dump of the bucket's blobs
+        rows = pa.concat_tables(_unpack(t["_blob"]), promote_options="default")
+        out_schema = schema(rows.schema) if callable(schema) else schema
+        if rows.num_rows == 0:
+            yield out_schema.empty_table()
+            return
+        out = fn(rows)
+        if isinstance(out, pa.Table):
+            yield out.select(out_schema.names).cast(out_schema)
+        else:
+            yield table_from_pandas(out, out_schema)
+
+    return by_bucket(_pack(ds, keys, p), "_b", p).map_batches(
+        run, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
 def by_bucket(ds, col: str, p: int):
@@ -438,6 +499,10 @@ def committed_partitions(out_dir: str) -> set:
     )
 
 
+_WRITE_STATS = pa.schema([("partition", pa.string()), ("rows", pa.int64()),
+                          ("bytes", pa.int64()), ("seconds", pa.float64())])
+
+
 def write_partitioned(
     ds,
     out_dir: str,
@@ -530,8 +595,8 @@ def write_partitioned(
             "seconds": [round(time.time() - t0, 4)],
         })
 
-    stats = ds.groupby(partition_col).map_groups(write_group,
-                                                 batch_format="pyarrow")
+    stats = by_key(ds, partition_col, per_key(partition_col, write_group),
+                   _WRITE_STATS)
     for row in stats.iter_rows():
         manifest["partitions"][row["partition"]] = {
             "rows": int(row["rows"]),

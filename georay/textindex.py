@@ -35,11 +35,11 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from georay import runtime
 from georay.ops.minhash import (
+    PAIR_SCHEMA,
     band_rows,
     candidate_pairs_from_bands,
     jaccard_verify_packed,
@@ -52,6 +52,21 @@ from georay.ops.sketch import splitmix64
 _PROPS = "_textindex.json"
 _BANDS = "bands"
 _SHINGLES = "shingles"
+
+
+def _with_pair_bucket(n_parts: int):
+    """``band_rows`` rows + ``_pb = splitmix64(bh + salt·band) % n_parts``,
+    the band table's partition key (query-time partition pruning)."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        band = t["band"].to_numpy(zero_copy_only=False).view(np.uint64)
+        bh = t["bh"].to_numpy(zero_copy_only=False).view(np.uint64)
+        with np.errstate(over="ignore"):
+            pb = splitmix64(bh + np.uint64(0x9E3779B9) * band)
+        return t.append_column(
+            "_pb", pa.array((pb % np.uint64(n_parts)).astype(np.int64)))
+
+    return fn
 
 
 def _part_files(d: str, parts: list[int] | None = None) -> list[str]:
@@ -100,8 +115,8 @@ class MinHashIndex:
         sigs = minhash_signatures(docs_ds, n_hashes=n_hashes,
                                   shingle_k=shingle_k)
         bands = band_rows(sigs, n_bands=n_bands,
-                          rows_per_band=n_hashes // n_bands,
-                          num_pair_buckets=n_parts)
+                          rows_per_band=n_hashes // n_bands).map_batches(
+            _with_pair_bucket(n_parts), batch_format="pyarrow")
         runtime.write_partitioned(bands, os.path.join(root, _BANDS), "_pb",
                                   resume=resume)
 
@@ -167,8 +182,9 @@ class MinHashIndex:
         qsigs = minhash_signatures(query_ds, n_hashes=self.n_hashes,
                                    shingle_k=self.shingle_k)
         qb = band_rows(qsigs, n_bands=self.n_bands,
-                       rows_per_band=self.n_hashes // self.n_bands,
-                       num_pair_buckets=self.n_parts).materialize()
+                       rows_per_band=self.n_hashes // self.n_bands
+                       ).map_batches(_with_pair_bucket(self.n_parts),
+                                     batch_format="pyarrow").materialize()
         parts = sorted(int(p) for p in qb.unique("_pb"))
         if not _part_files(os.path.join(self.root, _BANDS), parts):
             import ray.data
@@ -191,15 +207,15 @@ class MinHashIndex:
             .union(qb.map_batches(tag(1), batch_format="pyarrow"))
         )
 
-        def cross_pairs(g: pd.DataFrame) -> pa.Table:
-            empty = pa.table({"id_a": pa.array([], pa.int64()),
-                              "id_b": pa.array([], pa.int64())})
+        empty = PAIR_SCHEMA.empty_table()
+
+        def cross_pairs(g: pa.Table) -> pa.Table:
             side = g["side"].to_numpy()
             if not (side == 1).any() or not (side == 0).any():
                 return empty
             # keep only (band, bh) buckets that contain a query row
-            key = g["band"].to_numpy(np.int64) * (1 << 48) ^ (
-                g["bh"].to_numpy(np.int64) & ((1 << 48) - 1))
+            key = g["band"].to_numpy().astype(np.int64) * (1 << 48) ^ (
+                g["bh"].to_numpy().astype(np.int64) & ((1 << 48) - 1))
             qkeys = np.unique(key[side == 1])
             hit = np.isin(key, qkeys)
             if not hit.any():
@@ -238,8 +254,7 @@ class MinHashIndex:
             })
 
         cand = distinct_pairs(
-            both.groupby("_pb").map_groups(cross_pairs,
-                                           batch_format="pandas"))
+            runtime.by_key(both, ["band", "bh"], cross_pairs, PAIR_SCHEMA))
         qsh = shingle_sets(query_ds, self.shingle_k, "doc_id",
                            self.text_col, out_id="sid", out_col="sh")
         sh = self._read_shingles().union(qsh)

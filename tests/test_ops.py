@@ -175,7 +175,6 @@ def test_knn_cogroup_matches_brute(ray_session, point_tables):
         bits=bits,
         k=k,
         ring=ring,
-        num_buckets=8,
         num_partitions=4,
     ).to_pandas()
     got = set(zip(out["query_id"], out["ref_id"], out["rank"]))

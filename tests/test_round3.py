@@ -602,7 +602,7 @@ def test_grouped_topk_string_keys(ray_session):
     got = (
         grouped_topk(
             ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(3),
-            ["grp"], ["v"], [False], k=2, num_buckets=2,
+            ["grp"], ["v"], [False], k=2,
         )
         .to_pandas().sort_values(["grp", "rank"]).reset_index(drop=True)
     )

@@ -787,7 +787,7 @@ def test_fuzzy_edit1_pairs_brute_parity(ray_session):
     corpus = ["".join(alpha[rng.integers(0, 2, rng.integers(1, 7))])
               for _ in range(500)]
     ds = ray.data.from_arrow(pa.table({"s": np.array(corpus, dtype=object)}))
-    out = fuzzy.edit1_pairs(ds.repartition(4), "s", num_buckets=8).to_pandas()
+    out = fuzzy.edit1_pairs(ds.repartition(4), "s").to_pandas()
     got = set(zip(out["a"], out["b"]))
 
     uniq = sorted(set(corpus))
@@ -1244,7 +1244,7 @@ def test_cusum_changepoint_matches_brute(ray_session):
     x_a = np.array([r[2] for r in rows], dtype=np.int64)
     out = window_ops.cusum_changepoint(
         ray.data.from_arrow(pa.table({"k": k_a, "t": t_a, "x": x_a}))
-        .repartition(4), "k", "t", "x", num_buckets=8,
+        .repartition(4), "k", "t", "x",
     ).to_pandas().set_index("k")
     for k in np.unique(k_a):
         sel = k_a == k
@@ -1328,7 +1328,6 @@ def test_stay_points_matches_brute(ray_session):
             "k": k_a, "us": t_a, "o": o_a, "x": x_a, "y": y_a,
         })).repartition(4),
         "k", "us", "o", "x", "y", eps2=eps2, min_dur_us=min_dur,
-        num_buckets=8,
     ).to_pandas()
     got = set(map(tuple, out[["k", "start_us", "end_us", "n_pts"]]
                   .itertuples(index=False)))
@@ -1435,7 +1434,7 @@ def test_frequent_pairs_matches_brute(ray_session):
     i_a = np.array([r[1] for r in rows], np.int64)
     out = pairs_ops.frequent_pairs(
         ray.data.from_arrow(pa.table({"b": b_a, "it": i_a})).repartition(4),
-        "b", "it", min_support=2, num_buckets=8,
+        "b", "it", min_support=2,
     ).to_pandas()
     got = {(int(a), int(c)): int(s) for a, c, s in
            zip(out["item_a"], out["item_b"], out["support"])}

@@ -295,7 +295,7 @@ AGGREGATE_IMPORTS_KEPT: dict[str, str] = {}
 # Literal `.repartition(<int>)` calls left under georay/ outside runtime.py;
 # lower it as call sites move to group_agg, runtime.join or adaptive
 # partition counts.
-LITERAL_REPARTITIONS_MAX = 10
+LITERAL_REPARTITIONS_MAX = 9
 
 
 def test_ops_use_group_agg_not_ray_aggregates():
@@ -346,6 +346,26 @@ def test_joins_go_through_runtime_join():
     assert not sites, (
         f"Dataset.join starts hash-shuffle actors; use runtime.join: {sites}"
     )
+
+
+def test_per_key_work_goes_through_runtime_by_key():
+    import ast
+    import pathlib
+
+    root = pathlib.Path(runtime.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, (ast.Attribute, ast.Name))):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name == "map_groups" or (name == "by_bucket"
+                                        and path.name != "runtime.py"):
+                sites.append(f"{path.relative_to(root.parent).as_posix()}:"
+                             f"{node.lineno} {name}")
+    assert not sites, f"per-key work goes through runtime.by_key: {sites}"
 
 
 def test_literal_repartition_count_does_not_grow():
@@ -486,8 +506,10 @@ def test_join_with_zero_row_side(ray_session):
     anti = runtime.join(lds, empty, "left_anti", on=("k",)).to_pandas()
     pd.testing.assert_frame_equal(_sorted(anti, ["k", "s", "v"]),
                                   _sorted(left, ["k", "s", "v"]))
-    with pytest.raises(Exception, match="right side has no rows"):
+    with pytest.raises(Exception, match="right side has no rows") as err:
         runtime.join(lds, empty, "left_outer", on=("k",)).materialize()
+    # the reason, not a hex dump of the bucket's packed blobs
+    assert len(str(err.value)) < 3000, len(str(err.value))
 
 
 _TWO_LIVE_JOINS = """
@@ -566,3 +588,108 @@ def test_write_partitioned_keeps_column_types(ray_session, tmp_path):
     back = pa.concat_tables(pq.read_table(f) for f in files)
     assert sorted(back["n"].to_pylist(), key=str) == sorted(
         t["n"].to_pylist(), key=str)
+
+
+# ------------------------------------------------------------- runtime.by_key
+
+
+@pytest.mark.parametrize("keys", [["k"], ["s"], ["k", "s"]])
+def test_by_key_matches_pandas_groupby_apply(ray_session, keys):
+    import ray
+
+    left, _ = _join_frames(seed=5, n_left=3000)
+    schema = pa.schema([(k, pa.int64() if k == "k" else pa.string())
+                        for k in keys]
+                       + [("sum_v", pa.int64()), ("n", pa.int64())])
+
+    def per_key(g: pd.DataFrame) -> pd.Series:
+        return pd.Series({"sum_v": g["v"].sum(), "n": len(g)})
+
+    out = runtime.by_key(
+        _frame_ds(ray, left, 4), keys,
+        lambda t: t.to_pandas().groupby(keys).apply(
+            per_key, include_groups=False).reset_index(),
+        schema, num_partitions=4).to_pandas()
+    want = left.groupby(keys).apply(per_key,
+                                    include_groups=False).reset_index()
+    cols = list(schema.names)
+    pd.testing.assert_frame_equal(_sorted(out, cols), _sorted(want, cols))
+
+
+def test_by_key_never_splits_a_key(ray_session):
+    import ray
+    from ray.data import DataContext
+
+    left, _ = _join_frames(seed=6, n_left=2000)
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 1
+    try:
+        out = runtime.by_key(
+            _frame_ds(ray, left, 5), "k",
+            lambda t: t.group_by("k", use_threads=False).aggregate(
+                [("v", "count")]).rename_columns(["k", "n"]),
+            pa.schema([("k", pa.int64()), ("n", pa.int64())]),
+            num_partitions=3).to_pandas()
+    finally:
+        ctx.target_max_block_size = old
+    # one output row per key: every key's rows reached one call
+    assert out["k"].is_unique
+    got = out.set_index("k")["n"].sort_index()
+    want = left.groupby("k").size().sort_index()
+    assert got.to_dict() == want.to_dict()
+
+
+def test_by_key_fewer_keys_than_buckets_gives_typed_blocks(ray_session):
+    import logging
+
+    import ray
+
+    class Count(logging.Handler):
+        n = 0
+
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                Count.n += 1
+
+    df = pd.DataFrame({"k": np.arange(3000) % 3, "v": np.arange(3000)})
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+    logger = logging.getLogger("ray.data")
+    handler = Count()
+    logger.addHandler(handler)
+    try:
+        out = runtime.by_key(
+            _frame_ds(ray, df, 5), "k",
+            lambda t: pa.table({"k": [t["k"][0].as_py()], "n": [t.num_rows]}),
+            schema, num_partitions=8).materialize()
+    finally:
+        logger.removeHandler(handler)
+    assert out.num_blocks() == 8
+    blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    assert len(blocks) == 8
+    assert all(b.schema == schema for b in blocks)
+    assert sum(b.num_rows for b in blocks) == 3
+    assert Count.n == 0
+
+
+def test_by_key_output_must_fit_schema(ray_session):
+    import ray
+
+    ds = ray.data.from_arrow(pa.table({"k": [1, 2, 3]}))
+    with pytest.raises(Exception, match="int64") as err:
+        runtime.by_key(ds, "k", lambda t: pa.table({"x": ["a"]}),
+                       pa.schema([("x", pa.int64())])).materialize()
+    assert len(str(err.value)) < 3000
+
+
+def test_by_key_zero_rows_has_no_schema(ray_session):
+    import ray
+
+    # map UDFs are skipped on empty blocks, so nothing can type the output
+    t = pa.table({"k": np.arange(50), "v": np.arange(50)})
+    for ds in (ray.data.from_arrow(t.slice(0, 0)),
+               ray.data.from_arrow(t).repartition(4).filter(expr="k < 0")):
+        out = runtime.by_key(ds, "k", lambda t: t, t.schema).materialize()
+        assert out.count() == 0
+        assert out.schema() is None
