@@ -61,11 +61,13 @@ def k_ring(code, bits: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return codes, valid
 
 
-def compact(codes: np.ndarray, bits: int, step: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def compact(codes: np.ndarray, bits: int, step: int = 2,
+            min_bits: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Replace complete sibling sets by their parent, repeatedly (H3 compact).
 
     ``step=2`` → quadtree siblings (4/level); ``step=5`` → base32 string
     levels (32/level). Input cells must be unique and at one precision.
+    No parent is coarser than ``min_bits`` (nor than ``step``).
     Returns ``(codes, code_bits)`` — mixed precisions after compaction.
 
     In-memory numpy (sort + run-length); the distributed variant is
@@ -77,7 +79,8 @@ def compact(codes: np.ndarray, bits: int, step: int = 2) -> tuple[np.ndarray, np
     cur = codes
     cur_bits = bits
     fanout = 1 << step
-    while cur_bits - step >= step and cur.size >= fanout:
+    floor = max(step, min_bits)
+    while cur_bits - step >= floor and cur.size >= fanout:
         parents = cur >> _U(step)
         uniq, counts = np.unique(parents, return_counts=True)
         full = uniq[counts == fanout]
@@ -128,12 +131,14 @@ def uncompact_dataset(ds, target_bits: int, cell_col: str = "cell",
 def compact_dataset(ds, cell_col: str, bits: int, step: int = 2, anchor_bits: int = 10):
     """Distributed compact: ``runtime.by_key`` on the coarse anchor prefix
     puts all potential siblings in one bucket, then numpy-compact per
-    bucket.
+    bucket, stopping at ``anchor_bits``.
 
-    Correct because compaction never crosses an ``anchor_bits`` prefix
-    boundary as long as ``anchor_bits`` is a multiple of ``step`` below
-    ``bits`` (siblings share their parent prefix). Output schema:
-    ``cell:uint64, cell_bits:int8``.
+    A bucket holds many anchors, so the stop is what keeps the result
+    independent of which anchors share a bucket: a fully covered anchor
+    compacts to one ``anchor_bits`` cell and never on to its parent.
+    ``anchor_bits`` must be a multiple of ``step`` below ``bits``
+    (siblings share their parent prefix). Output schema:
+    ``cell:int64, cell_bits:int8``.
     """
     if (bits - anchor_bits) % step:
         raise ValueError("bits - anchor_bits must be a multiple of step")
@@ -144,9 +149,8 @@ def compact_dataset(ds, cell_col: str, bits: int, step: int = 2, anchor_bits: in
         return pa.table({cell_col: cells.astype(np.int64), "anchor": anchor})
 
     def per_bucket(t):
-        # one compact over many anchors: it never crosses an anchor prefix
         cells = t[cell_col].to_numpy().astype(np.uint64)
-        out, out_bits = compact(cells, bits, step=step)
+        out, out_bits = compact(cells, bits, step=step, min_bits=anchor_bits)
         return pa.table({"cell": out.astype(np.int64),
                          "cell_bits": out_bits.astype(np.int8)})
 

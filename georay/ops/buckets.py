@@ -10,13 +10,13 @@ interpreter overhead cluster-wide. Bodies vectorize ACROSS keys with
 segmented numpy — one lexsort puts every key's rows in a contiguous run,
 and per-key reductions become reduceat/cumsum-difference over run
 boundaries (the helpers below). Bodies that need one key at a time wrap
-themselves in :func:`per_key`.
+themselves in ``runtime.per_key``.
 
 Scale contract: one bucket fits a worker, as for ``runtime.join``. A
 skewed single key still lands in one bucket, as in any key-hash shuffle;
 the bucket count only keeps the AVERAGE bucket within memory.
 
-Helpers here are numpy/pyarrow-only and run in Ray workers — module-level
+Helpers here are numpy-only and run in Ray workers — module-level
 imports only: an import inside a function fails in a worker started
 outside the checkout.
 """
@@ -24,35 +24,6 @@ outside the checkout.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
-
-
-def per_key(keys, fn):
-    """A ``runtime.by_key`` body that calls ``fn`` once per distinct
-    ``keys`` value of its bucket (nulls are one value), in ascending key
-    order, and concatenates the outputs — for bodies that read their key
-    as ``g[key][0]``."""
-    keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def body(t: pa.Table):
-        t = t.sort_by([(k, "ascending") for k in keys])
-        n = t.num_rows
-        new = np.zeros(n, dtype=bool)
-        new[0] = True  # by_key never calls a body on an empty bucket
-        for k in keys:
-            a, b = t[k].slice(1), t[k].slice(0, n - 1)
-            differ = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
-                            pc.not_equal(pc.is_null(a), pc.is_null(b)))
-            new[1:] |= differ.to_numpy(zero_copy_only=False)
-        cuts = np.append(np.flatnonzero(new), n)
-        outs = [fn(t.slice(s, e - s)) for s, e in zip(cuts[:-1], cuts[1:])]
-        if isinstance(outs[0], pd.DataFrame):
-            return pd.concat(outs, ignore_index=True)
-        return pa.concat_tables(outs, promote_options="default")
-
-    return body
 
 
 def segment_starts(codes_sorted: np.ndarray) -> np.ndarray:

@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.ops.buckets import per_key
-from georay.runtime import by_key, check_saltable, group_agg, join
+from georay.runtime import by_key, check_saltable, group_agg, join, per_key
 
 
 class _SortedLookup:

@@ -19,8 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells, codec
-from georay.ops.buckets import per_key
-from georay.runtime import by_key, group_agg, join
+from georay.runtime import by_key, group_agg, join, per_key
 
 
 def codec_split_nx(bits: int) -> int:

@@ -28,11 +28,9 @@ from georay.runtime import by_key, strip_metadata
 
 
 def grouped_topk(ds, group_cols: list[str], sort_cols: list[str],
-                 ascending: list[bool], k: int, rank_col: str = "rank",
-                 num_partitions: int | None = None):
+                 ascending: list[bool], k: int, rank_col: str = "rank"):
     """Top-k rows per group by ``sort_cols``/``ascending`` with a dense
-    1..k ``rank_col``. Output schema = input columns + rank.
-    ``num_partitions`` is ``runtime.by_key``'s bucket count."""
+    1..k ``rank_col``. Output schema = input columns + rank."""
 
     by = list(group_cols) + list(sort_cols)
     asc = [True] * len(group_cols) + list(ascending)
@@ -57,5 +55,4 @@ def grouped_topk(ds, group_cols: list[str], sort_cols: list[str],
 
     return by_key(
         ds.map_batches(local_topk, batch_format="pandas"), group_cols,
-        final_topk, lambda s: s.append(pa.field(rank_col, pa.int64())),
-        num_partitions=num_partitions)
+        final_topk, lambda s: s.append(pa.field(rank_col, pa.int64())))

@@ -19,10 +19,9 @@ import pyarrow.compute as pc
 
 # module level (worker-executed code must not import georay at runtime —
 # CLAUDE.md invariant; by-value cloudpickle only covers captured objects)
-from georay.ops.buckets import per_key
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.rank import grouped_topk
-from georay.runtime import by_key, group_agg, join
+from georay.runtime import by_key, group_agg, join, per_key
 
 
 def emb_matrix(col) -> np.ndarray:
@@ -1066,7 +1065,7 @@ def knn_classify(ds, query_ids: np.ndarray, query_mat: np.ndarray,
 
 
 def rrf_fuse(rankings, k: int = 10, c: int = 60,
-             scale: int = 1_000_000_000, num_partitions: int | None = None):
+             scale: int = 1_000_000_000):
     """Reciprocal-rank fusion (Cormack et al.) of N per-query rankings:
     fused score = Σ_rankers ⌊scale / (c + rank)⌋ — the floor makes every
     term int64, so the fused sum is exact under any combine order and the
@@ -1078,11 +1077,6 @@ def rrf_fuse(rankings, k: int = 10, c: int = 60,
     Output: ``query_id, neighbor_id, rrf_score, fused_rank`` (1..k,
     ties broken by neighbor_id ascending).
     """
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
     from georay.ops.rank import grouped_topk
 
     def to_term(t: pa.Table) -> pa.Table:
@@ -1102,5 +1096,4 @@ def rrf_fuse(rankings, k: int = 10, c: int = 60,
                       {"rrf_score": ("sum", "t")})
     return grouped_topk(fused, ["query_id"],
                         ["rrf_score", "neighbor_id"], [False, True],
-                        k=k, rank_col="fused_rank",
-                        num_partitions=num_partitions)
+                        k=k, rank_col="fused_rank")

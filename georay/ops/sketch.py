@@ -22,9 +22,8 @@ import numpy as np
 import pyarrow as pa
 
 from georay.hashing import splitmix64
-from georay.ops.buckets import per_key
 from georay.ops.pairs import popcount64
-from georay.runtime import by_key, group_agg
+from georay.runtime import by_key, group_agg, per_key
 
 _U = np.uint64
 _M64 = "18446744073709551616"  # 2^64 (HUGEINT modulus in the SQL twin)

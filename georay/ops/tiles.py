@@ -12,8 +12,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import codec
-from georay.ops.buckets import per_key
-from georay.runtime import adaptive_partitions, by_key, group_agg, join
+from georay.runtime import adaptive_partitions, by_key, group_agg, join, per_key
 
 
 def _map(ds, fn):

@@ -678,7 +678,6 @@ def q_tile_render(sf_dir: str):
     emitted dec_sum comes from the DECODED pixels, so a codec defect
     breaks the match."""
     from georay import images
-    from georay.ops import buckets as bk
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
@@ -720,7 +719,7 @@ def q_tile_render(sf_dir: str):
         })
 
     return runtime.by_key(
-        tagged, "tile", bk.per_key("tile", render), pa.schema(
+        tagged, "tile", runtime.per_key("tile", render), pa.schema(
             [(c, pa.int64())
              for c in ("tile_x", "tile_y", "n_nonzero", "dec_sum")]))
 
@@ -4396,9 +4395,9 @@ GROUP BY 1, 2, 3, 4, 5, 6
 
 
 def q_compact(sf_dir: str):
-    """Distributed H3-style compact of customer cells at 20 bits,
+    """Distributed H3-style compact of order cells at 12 bits,
     hard-checked: the quadtree promotion (complete sibling sets replaced by
-    their parent, floored at the 10-bit anchor) is replayed relationally in
+    their parent, floored at the 6-bit anchor) is replayed relationally in
     (x, y) space by the SQL twin — output is the per-precision cell count."""
     orders = _read(sf_dir, "orders", columns=["o_orderkey"])
     pts = spatial.points_with_cells(orders, "o_orderkey", 12, xy=False)
@@ -10025,8 +10024,6 @@ def q_trimmed_mean(sf_dir: str):
     on the 3-value flag sorts each flag's partial rows by cents and does
     run-length prefix math directly on the unmerged multiset — 3 Python
     calls total (~2 s vs ~14 s for the 60k-group aggregate, measured)."""
-    from georay.ops import buckets as bk
-
     counts = _flag_cents_partials(sf_dir)
 
     out_schema = pa.schema([
@@ -10063,7 +10060,7 @@ def q_trimmed_mean(sf_dir: str):
         })
 
     return runtime.by_key(counts, "l_returnflag",
-                          bk.per_key("l_returnflag", fin), out_schema)
+                          runtime.per_key("l_returnflag", fin), out_schema)
 
 
 SQL_TRIMMED_MEAN = f"""
@@ -10104,8 +10101,6 @@ def q_ntile_hist(sf_dir: str):
     duplicate cents is unnecessary)."""
     import pandas as pd
 
-    from georay.ops import buckets as bk
-
     counts = _flag_cents_partials(sf_dir)
 
     out_schema = pa.schema([
@@ -10135,7 +10130,7 @@ def q_ntile_hist(sf_dir: str):
         return pd.DataFrame(rows, columns=out_schema.names)
 
     return runtime.by_key(counts, "l_returnflag",
-                          bk.per_key("l_returnflag", fin), out_schema)
+                          runtime.per_key("l_returnflag", fin), out_schema)
 
 
 SQL_NTILE_HIST = f"""

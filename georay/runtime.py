@@ -28,12 +28,12 @@ import os
 import time
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 # module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
 from georay.hashing import MIX, fingerprint64, key_hash
-from georay.ops.buckets import per_key
 
 
 _STAGE_STATE: dict = {}
@@ -339,7 +339,7 @@ def by_key(ds, keys, fn, schema, num_partitions: int | None = None):
     exchanged with :func:`by_bucket`, and ``fn`` runs once per non-empty
     bucket on one pyarrow table holding every row of each key that hashed
     there — many keys per call, in no particular order (wrap a body that
-    needs one key at a time in ``ops.buckets.per_key``).
+    needs one key at a time in :func:`per_key`).
     ``fn`` returns a pyarrow table or a pandas DataFrame with (at least)
     ``schema``'s columns; it is cast to ``schema`` with a safe cast, so
     an output that does not fit raises. ``schema`` is a ``pa.Schema`` or
@@ -373,6 +373,32 @@ def by_key(ds, keys, fn, schema, num_partitions: int | None = None):
 
     return by_bucket(_pack(ds, keys, p), "_b", p).map_batches(
         run, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+
+
+def per_key(keys, fn):
+    """A ``runtime.by_key`` body that calls ``fn`` once per distinct
+    ``keys`` value of its bucket (nulls are one value), in ascending key
+    order, and concatenates the outputs — for bodies that read their key
+    as ``g[key][0]``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def body(t: pa.Table):
+        t = t.sort_by([(k, "ascending") for k in keys])
+        n = t.num_rows
+        new = np.zeros(n, dtype=bool)
+        new[0] = True  # by_key never calls a body on an empty bucket
+        for k in keys:
+            a, b = t[k].slice(1), t[k].slice(0, n - 1)
+            differ = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                            pc.not_equal(pc.is_null(a), pc.is_null(b)))
+            new[1:] |= differ.to_numpy(zero_copy_only=False)
+        cuts = np.append(np.flatnonzero(new), n)
+        outs = [fn(t.slice(s, e - s)) for s, e in zip(cuts[:-1], cuts[1:])]
+        if isinstance(outs[0], pd.DataFrame):
+            return pd.concat(outs, ignore_index=True)
+        return pa.concat_tables(outs, promote_options="default")
+
+    return body
 
 
 def by_bucket(ds, col: str, p: int):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from georay import cells, codec
 
@@ -95,6 +96,36 @@ def test_compact_dataset(ray_session):
     assert (int(parent[0]), 6) in got and (int(parent[1]), 6) in got
     assert (7001, 12) in got
     assert len(got) == 3
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_compact_dataset_stops_at_anchor_bits(ray_session, monkeypatch, p):
+    """A fully covered 4-bit parent: its 4 sibling 6-bit anchors compact
+    to 4 anchor cells, never to the parent, whichever anchors share a
+    ``by_key`` bucket (p=1 puts all four in one)."""
+    import pyarrow as pa
+    import ray
+
+    from georay import runtime
+
+    monkeypatch.setattr(runtime, "adaptive_partitions", lambda *a, **k: p)
+    anchors = cells.cell_to_children(np.array([0b1011], np.uint64), 4, 6)
+    kids = cells.cell_to_children(anchors.reshape(-1), 6, 12).reshape(-1)
+    ds = ray.data.from_arrow(pa.table({"cell": kids.astype(np.int64)}))
+    out = cells.compact_dataset(ds, "cell", 12, step=2, anchor_bits=6).to_pandas()
+    got = sorted(zip(out["cell"].astype(np.uint64), out["cell_bits"]))
+    assert got == [(int(a), 6) for a in sorted(anchors.reshape(-1))]
+
+
+def test_compact_min_bits():
+    kids = cells.cell_to_children(np.array([0b1011], np.uint64), 4, 8)
+    out, out_bits = cells.compact(kids.reshape(-1), 8, min_bits=6)
+    assert sorted(out.tolist()) == sorted(
+        cells.cell_to_children(np.array([0b1011], np.uint64), 4, 6)
+        .reshape(-1).tolist())
+    assert set(out_bits.tolist()) == {6}
+    out, out_bits = cells.compact(kids.reshape(-1), 8)
+    assert out.tolist() == [0b1011] and out_bits.tolist() == [4]
 
 
 def test_uncompact_dataset_roundtrip(ray_session):

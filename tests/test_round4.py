@@ -1548,8 +1548,7 @@ def test_rrf_fuse_matches_brute(ray_session):
             "rank": np.array([r[2] for r in rows], np.int64),
         })).repartition(3)
 
-    out = sim.rrf_fuse([mk(rows_a), mk(rows_b)], k=4, num_partitions=4
-                       ).to_pandas()
+    out = sim.rrf_fuse([mk(rows_a), mk(rows_b)], k=4).to_pandas()
     from collections import defaultdict
     score = defaultdict(int)
     for rows in (rows_a, rows_b):

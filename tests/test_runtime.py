@@ -368,6 +368,19 @@ def test_per_key_work_goes_through_runtime_by_key():
     assert not sites, f"per-key work goes through runtime.by_key: {sites}"
 
 
+def test_runtime_imports_nothing_under_ops():
+    """``ops/*`` import ``runtime`` at module level, so ``runtime`` must
+    not import ``georay.ops`` (that runs ``ops/__init__``) or it cycles."""
+    import ast
+    import pathlib
+
+    tree = ast.parse(pathlib.Path(runtime.__file__).read_text())
+    mods = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    mods += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+             for a in n.names]
+    assert not [m for m in mods if m and m.startswith("georay.ops")], mods
+
+
 def test_literal_repartition_count_does_not_grow():
     import ast
     import pathlib
