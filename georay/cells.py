@@ -307,19 +307,3 @@ def cell_to_quadkey(code, bits: int):
         pa.binary(z), n, [None, pa.py_buffer(chars.tobytes())]
     )
     return fsb.cast(pa.string())
-
-
-def quadkey_to_cell(quadkeys, bits: int) -> np.ndarray:
-    """Inverse of :func:`cell_to_quadkey` (roundtrip-tested)."""
-    if bits % 2:
-        raise ValueError("zxy tiles need an even bit precision")
-    z = bits // 2
-    _, ny = codec.split_bits(bits)
-    qk = np.asarray(quadkeys, dtype=f"U{z}")
-    # view the fixed-width unicode as a (n, z) uint32 codepoint matrix
-    digits = qk.view(np.uint32).reshape(qk.size, z) - 48
-    shifts = np.arange(z - 1, -1, -1, dtype=np.uint64)[None, :]
-    x = ((digits & 1).astype(np.uint64) << shifts).sum(axis=1)
-    y_web = (((digits >> 1) & 1).astype(np.uint64) << shifts).sum(axis=1)
-    y = _U((1 << ny) - 1) - y_web
-    return codec.interleave(x, y, bits)

@@ -263,13 +263,6 @@ def bounding_boxes(
     return interleave(x, y, bits)
 
 
-def bounding_boxes_str(
-    box: tuple[float, float, float, float] | None = None, precision: int = 1
-) -> np.ndarray:
-    """String-precision cover enumeration (S4)."""
-    return int_to_str(bounding_boxes(box, 5 * precision), precision)
-
-
 NEIGHBOR_ORDER = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
 

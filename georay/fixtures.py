@@ -26,6 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import codec, images
+from georay import io as gio
 from georay.geometry import make_box_ring
 from georay.ops.spatial import synth_lonlat
 
@@ -145,12 +146,10 @@ def read_images(sf_dir: str, columns: list[str] | None = None):
     ``ray.data.read_lance`` when pylance is importable (SURVEY.md §7); this
     sandbox has parquet only.
 
-    Binary-payload reads get ``override_num_blocks ≈ 2×CPUs``: Ray's default
-    splitter makes hundreds of tiny blocks out of wide binary rows, and the
-    per-block object-store round-trips dominate (measured 2×+ slowdown)."""
-    import ray
-    import ray.data
-
+    A read of the ``bytes`` column (or of every column) reads one parquet
+    file per task with pyarrow, one block per file: Ray's reader spends ~3×
+    the CPU on wide binary columns. Other column sets go through
+    ``io.read_parquet``."""
     return _read_images_path(ensure_images_table(sf_dir), columns)
 
 
@@ -174,7 +173,7 @@ def _read_images_path(path: str, columns: list[str] | None):
 
     if columns is not None and "bytes" not in columns:
         # pruned scalar read: Ray's native reader is fine
-        return ray.data.read_parquet(path, columns=columns)
+        return gio.read_parquet(path, columns)
     # wide-binary read: Ray's parquet reader spends ~3× the CPU of a direct
     # pyarrow read on binary columns (measured 9.6s vs 2.9s for 9.6 GB);
     # read one file per task with pyarrow directly, one ~24 MB block each
@@ -314,21 +313,17 @@ def _ensure_media_table(kind: str, n: int, row_fn, cache_root: str) -> str:
 
 
 def read_audio(sf_dir: str, cache_root: str = CACHE_ROOT):
-    import ray.data
-
     path = _ensure_media_table(
         "audio", n_audio_for(sf_dir), make_audio_rows, cache_root
     )
-    return ray.data.read_parquet(path)
+    return gio.read_parquet(path)
 
 
 def read_video(sf_dir: str, cache_root: str = CACHE_ROOT):
-    import ray.data
-
     path = _ensure_media_table(
         "video", n_video_for(sf_dir), make_video_rows, cache_root
     )
-    return ray.data.read_parquet(path)
+    return gio.read_parquet(path)
 
 
 # ------------------------------------------------------------------ tiles (F2)

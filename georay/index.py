@@ -11,10 +11,10 @@ reducer owns its cells exclusively; manifest commits are atomic renames).
 Queries prune at the partition level (only files whose prefix intersects the
 requested cells/box are opened), then refine exactly on the cell column —
 the distributed analogue of the reference's per-code KV lookups. A pruned
-read of at most one block (the files' uncompressed bytes, from their
-footers, ≤ ``DataContext.target_max_block_size``) runs in the driver with
-pyarrow: on a 2-CPU node a Ray Data job cost ~100 ms per ring-1 lookup of
-one or two ~50 KB files, the pyarrow read ~3 ms.
+read of at most one block (the projected columns' uncompressed bytes, from
+the files' footers, ≤ ``DataContext.target_max_block_size``) runs in the
+driver with pyarrow: on a 2-CPU node a Ray Data job cost ~100 ms per ring-1
+lookup of one or two ~50 KB files, the pyarrow read ~3 ms.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from ray.data.dataset import Dataset, MaterializedDataset
 
 from georay import cells as cells_mod
 from georay import codec, runtime
+from georay import io as gio
 
 _PROPS = "_index.json"
 
@@ -195,12 +196,13 @@ class CellIndex:
         + exact cell filter (vectorized isin). Returns a Dataset, or None
         when no partition file matches.
 
-        A pruned read of at most one block — the files' uncompressed bytes,
-        summed from their parquet footers, ≤
+        A pruned read of at most one block — the projected columns'
+        uncompressed bytes, summed from the files' parquet footers
+        (``io.footer_bytes``), ≤
         ``DataContext.target_max_block_size`` — runs in the driver with
         pyarrow and comes back as a materialized one-block Dataset whose
         ``to_pandas`` keeps the typed columns when no row matches. Larger
-        reads run as a Ray Data ``read_parquet`` + refine map.
+        reads run as an ``io.read_parquet`` + refine map.
 
         ``expand_neighbors=True`` widens the request by the Chebyshev
         ``ring`` of surrounding cells first (the reference's border-
@@ -220,11 +222,7 @@ class CellIndex:
             columns = list(dict.fromkeys(list(columns) + [self.cell_col]))
             columns = [c for c in columns if c != "_prefix"]
         wanted = np.sort(cells.astype(np.int64))
-        nbytes = sum(
-            md.row_group(i).total_byte_size
-            for md in map(pq.read_metadata, files)
-            for i in range(md.num_row_groups)
-        )
+        nbytes = gio.footer_bytes(files, columns)
         if nbytes <= DataContext.get_current().target_max_block_size:
             t = pa.concat_tables(
                 [runtime.strip_metadata(pq.read_table(f, columns=columns))
@@ -234,7 +232,7 @@ class CellIndex:
             ds = Dataset.copy(ray.data.from_arrow(t), _as=_OneBlock)
             ds._table = t
             return ds
-        return ray.data.read_parquet(files, columns=columns).map_batches(
+        return gio.read_parquet(files, columns).map_batches(
             _refine, batch_format="pyarrow",
             fn_kwargs={"cell_col": self.cell_col, "wanted": wanted},
         )
@@ -258,6 +256,6 @@ class CellIndex:
         files = [f for _, f in self._partition_files()]
         if not files:
             return None
-        return ray.data.read_parquet(files, columns=columns).map_batches(
+        return gio.read_parquet(files, columns).map_batches(
             _drop_prefix, batch_format="pyarrow"
         )

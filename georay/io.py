@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from georay import runtime
 
@@ -48,20 +49,81 @@ def clean_parquet_schema(path, columns: list[str] | None = None):
     chokes on the unhashable pandas metadata blob and logs "Failed to hash
     the schemas" per task (VERDICT r2 #5). Returns None when no parquet
     file is found (caller falls back to schema inference)."""
-    import glob
-
-    import pyarrow.parquet as pq
-
-    p = path[0] if isinstance(path, (list, tuple)) else path
-    if os.path.isdir(p):
-        shards = sorted(glob.glob(os.path.join(p, "*.parquet")))
-        if not shards:
-            return None
-        p = shards[0]
-    full = pq.read_schema(p).remove_metadata()
+    files = parquet_files(path)
+    if not files:
+        return None
+    full = pq.read_schema(files[0]).remove_metadata()
     if columns is None:
         return full
     return pa.schema([full.field(c) for c in columns])
+
+
+def parquet_files(path_or_files) -> list[str]:
+    """The files a parquet read of ``path_or_files`` covers: a list as
+    given, a file as itself, a directory's files below it minus the
+    hidden ``.``/``_`` ones (Ray's own listing rule)."""
+    if isinstance(path_or_files, (list, tuple)):
+        return list(path_or_files)
+    if not os.path.isdir(path_or_files):
+        return [path_or_files]
+    out = []
+    for root, dirs, names in os.walk(path_or_files):
+        dirs[:] = sorted(d for d in dirs if not d.startswith((".", "_")))
+        out += [os.path.join(root, n) for n in sorted(names)
+                if not n.startswith((".", "_"))]
+    return out
+
+
+def footer_bytes(files: list[str], columns: list[str] | None = None) -> int:
+    """Uncompressed bytes of ``columns`` (every column when None) in
+    ``files``, summed over their row groups from the parquet footers."""
+    want = None if columns is None else set(columns)
+    total = 0
+    for md in map(pq.read_metadata, files):
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            for j in range(rg.num_columns):
+                c = rg.column(j)
+                if want is None or c.path_in_schema.split(".")[0] in want:
+                    total += c.total_uncompressed_size
+    return total
+
+
+def read_num_blocks(nbytes: int) -> int:
+    """Block count for a read of ``nbytes``: enough blocks to keep each
+    under ``target_max_block_size``, and 2×CPUs only while blocks stay
+    at least ``target_min_block_size``. Ray's own rule lets the CPU term
+    override the minimum, so a 146 KB table read as 4 blocks, and a read
+    split into more blocks than read tasks never fuses with the maps
+    after it."""
+    import ray
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    by_max = 1
+    if ctx.target_max_block_size is not None:
+        by_max = -(-nbytes // ctx.target_max_block_size)
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    by_cpu = min(2 * cpus, nbytes // ctx.target_min_block_size)
+    return max(1, by_max, by_cpu)
+
+
+def read_parquet(path_or_files, columns: list[str] | None = None, **kwargs):
+    """``ray.data.read_parquet`` of a file, directory or file list with the
+    metadata-free projected schema (:func:`clean_parquet_schema`) and a
+    block count sized from the footers (:func:`read_num_blocks` of the
+    projected columns' uncompressed bytes). Every georay parquet read goes
+    through here; ``kwargs`` pass on to Ray and win over both."""
+    import ray.data
+
+    files = parquet_files(path_or_files)
+    if files:
+        if "schema" not in kwargs:
+            kwargs["schema"] = clean_parquet_schema(files, columns)
+        if "override_num_blocks" not in kwargs:
+            kwargs["override_num_blocks"] = read_num_blocks(
+                footer_bytes(files, columns))
+    return ray.data.read_parquet(path_or_files, columns=columns, **kwargs)
 
 
 def read_table(path: str, format: str | None = None,
@@ -73,10 +135,7 @@ def read_table(path: str, format: str | None = None,
 
     fmt = format or infer_format(path)
     if fmt == "parquet":
-        if "schema" not in kwargs:
-            kwargs["schema"] = clean_parquet_schema(path, columns)
-        ds = ray.data.read_parquet(path, columns=columns, **kwargs)
-        return ds
+        return read_parquet(path, columns, **kwargs)
     elif fmt == "csv":
         ds = ray.data.read_csv(path, **kwargs)
     elif fmt == "json":

@@ -19,7 +19,7 @@ import pyarrow as pa
 # module level, NOT inside worker-executed functions: a runtime import
 # statement on a foreign-cwd worker bypasses the by-value cloudpickle
 # registration and dies with ModuleNotFoundError (CLAUDE.md invariant)
-from georay.ops.pairs import bucket_pairs, distinct_pairs, grouped_pair_indices
+from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.runtime import by_key, join
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -101,13 +101,6 @@ def minhash_signatures(ds, n_hashes: int = 64, shingle_k: int = 5,
         return inst(t)
 
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=1024)
-
-
-def _bucket_pairs(ids: np.ndarray, max_bucket: int | None,
-                  label: str) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered pairs within a bucket, anti-explosion-capped — shared
-    across every LSH family in :mod:`georay.ops.pairs` (ADVICE r2 #1)."""
-    return bucket_pairs(ids, max_bucket, label, log_prefix="georay.minhash")
 
 
 def band_rows(sig_ds, n_bands: int = 8, rows_per_band: int = 8):

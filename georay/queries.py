@@ -15,6 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells, codec
+from georay import io as gio
 from georay.ops import hilbert as hilbert_ops
 from georay.ops import join as join_ops
 from georay.ops import knn as knn_ops
@@ -39,18 +40,7 @@ ANN_K = 5
 
 
 def _read(sf_dir: str, table: str, columns=None):
-    import ray.data
-
-    from georay.io import clean_parquet_schema
-
-    # pass a projected metadata-free schema INTO the read: the driver-written
-    # testdata files carry a pandas metadata blob that makes block schemas
-    # unhashable, and a strip map AFTER the read is one stage too late for
-    # the read operator's own schema dedup (VERDICT r2 #5)
-    path = f"{sf_dir}/{table}.parquet"
-    return ray.data.read_parquet(
-        path, columns=columns, schema=clean_parquet_schema(path, columns)
-    )
+    return gio.read_parquet(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _read_table(sf_dir: str, table: str, columns=None) -> pa.Table:

@@ -37,6 +37,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from georay import io as gio
 from georay import runtime
 from georay.ops.minhash import (
     PAIR_SCHEMA,
@@ -139,18 +140,13 @@ class MinHashIndex:
 
     # ------------------------------------------------------------- reads
     def _read_bands(self, parts: list[int] | None = None):
-        import ray.data
-
-        return ray.data.read_parquet(
+        return gio.read_parquet(
             _part_files(os.path.join(self.root, _BANDS), parts),
-            columns=["band", "bh", "doc_id", "_pb"])
+            ["band", "bh", "doc_id", "_pb"])
 
     def _read_shingles(self):
-        import ray.data
-
-        return ray.data.read_parquet(
-            _part_files(os.path.join(self.root, _SHINGLES)),
-            columns=["sid", "sh"])
+        return gio.read_parquet(
+            _part_files(os.path.join(self.root, _SHINGLES)), ["sid", "sh"])
 
     # ----------------------------------------------------------- queries
     def self_pairs(self, threshold: float = 0.7,

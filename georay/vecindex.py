@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from georay import io as gio
 from georay import runtime
 from georay.ops.rank import grouped_topk
 from georay.ops.similarity import (
@@ -342,7 +343,7 @@ class VecIndex:
             t = per_process(state_key, Scorer)(t)
             return t.filter(pc.greater_equal(t["score"], 0))
 
-        local = ray.data.read_parquet(files).map_batches(
+        local = gio.read_parquet(files).map_batches(
             local_fn, batch_format="pyarrow")
 
         return grouped_topk(local, ["query_id"], ["score", "neighbor_id"],

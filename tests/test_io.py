@@ -69,3 +69,116 @@ def test_partitioned_sink_resume(ray_session, tmp_path):
 def test_lance_raises_clearly(ray_session):
     with pytest.raises(ImportError, match="pylance"):
         gio.read_table("/nonexistent/t.lance", format="lance")
+
+
+# ------------------------------------------------------- footer-sized reads
+
+
+def _write_points(path, n, seed=0):
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    pq.write_table(pa.table({
+        "k": np.arange(n, dtype=np.int64) + seed * n,
+        "x": rng.random(n),
+        "y": rng.random(n),
+    }), path)
+
+
+def _rows(ds):
+    return ds.to_pandas().sort_values("k").reset_index(drop=True)
+
+
+def _unsized(path, columns=None):
+    import ray.data
+
+    return ray.data.read_parquet(path, columns=columns)
+
+
+def test_small_read_is_one_block_fused_with_its_map(ray_session, tmp_path):
+    path = str(tmp_path / "pts.parquet")
+    _write_points(path, 15_000)
+
+    def shift(t: pa.Table) -> pa.Table:
+        return t.set_column(1, "x", pa.compute.add(t["x"], 1.0))
+
+    ds = gio.read_parquet(path).map_batches(shift, batch_format="pyarrow")
+    mat = ds.materialize()
+    assert mat.num_blocks() == 1
+    ops = [ln for ln in mat.stats().splitlines() if ln.startswith("Operator ")]
+    assert len(ops) == 1 and "ReadParquet->MapBatches(shift)" in ops[0], ops
+    want = _unsized(path).map_batches(shift, batch_format="pyarrow")
+    assert _rows(mat).equals(_rows(want))
+
+
+def test_cpus_raise_blocks_down_to_the_min_block_size(ray_session, tmp_path):
+    import copy
+
+    import ray
+    from ray.data import DataContext
+
+    path = str(tmp_path / "pts.parquet")
+    _write_points(path, 15_000)
+    cpus = int(ray.cluster_resources()["CPU"])
+    prev = DataContext.get_current()
+    ctx = copy.deepcopy(prev)
+    ctx.target_min_block_size = 1024
+    DataContext._set_current(ctx)
+    try:
+        ds = gio.read_parquet(path, ["k", "x"]).materialize()
+    finally:
+        DataContext._set_current(prev)
+    assert ds.num_blocks() == 2 * cpus
+    assert _rows(ds).equals(_rows(_unsized(path, ["k", "x"])))
+
+
+def test_directory_read_matches_unsized_read(ray_session, tmp_path):
+    d = tmp_path / "shards"
+    d.mkdir()
+    for i in range(3):
+        _write_points(str(d / f"part-{i}.parquet"), 2_000, seed=i)
+    (d / "_DONE").write_text("marker")
+    files = gio.parquet_files(str(d))
+    assert [f.rsplit("/", 1)[1] for f in files] == [
+        f"part-{i}.parquet" for i in range(3)]
+    assert gio.read_num_blocks(gio.footer_bytes(files)) == 1
+    ds = gio.read_parquet(str(d), ["k", "y"])
+    assert ds.schema().names == ["k", "y"]
+    assert _rows(ds).equals(_rows(_unsized(files, ["k", "y"])))
+    assert _rows(gio.read_parquet(files)).equals(_rows(_unsized(files)))
+
+
+def test_footer_bytes_counts_projected_columns(tmp_path):
+    import pyarrow.parquet as pq
+
+    path = str(tmp_path / "pts.parquet")
+    _write_points(path, 1_000)
+    md = pq.read_metadata(path)
+    full = sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    assert gio.footer_bytes([path]) == full
+    assert 0 < gio.footer_bytes([path], ["k"]) < full
+
+
+def test_reads_go_through_io_read_parquet():
+    import ast
+    import pathlib
+
+    root = pathlib.Path(gio.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "io.py" and path.parent == root:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            direct = (isinstance(node, ast.Attribute)
+                      and node.attr == "read_parquet"
+                      and ast.unparse(node.value) in ("ray.data", "data"))
+            imported = (isinstance(node, ast.ImportFrom)
+                        and node.module == "ray.data"
+                        and any(a.name == "read_parquet" for a in node.names))
+            if direct or imported:
+                sites.append(f"{path.relative_to(root.parent).as_posix()}:"
+                             f"{node.lineno}")
+    assert not sites, (
+        f"size parquet reads from their footers with io.read_parquet: {sites}"
+    )

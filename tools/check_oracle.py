@@ -6,6 +6,10 @@ via DuckDB on the same parquet tables, then compares row count, schema
 by all columns). Exact equality required — floats included, since every
 oracle-paired query is engineered for bit-exact float determinism.
 
+A query whose run logged Ray Data "different schema" warnings (a stage
+emitted blocks of mixed schemas, e.g. an untyped empty block) carries their
+count on its line; the last line gives the run's total.
+
 Usage: python tools/check_oracle.py [sf_dir] [name ...]
 """
 
@@ -20,6 +24,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import duckdb
 import numpy as np
 import pandas as pd
+
+from perfbench.host import SchemaWarningCounter
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -102,28 +108,33 @@ def main() -> int:
     qs = {name: fn for name, (fn, _sql) in reg.items()}
     oracles = {name: sql for name, (_fn, sql) in reg.items() if sql is not None}
     failures = 0
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
-        t0 = time.time()
-        try:
-            engine = to_pandas(fn(sf_dir))
-        except Exception as exc:  # noqa: BLE001
-            print(f"FAIL {name}: engine raised {type(exc).__name__}: {exc}")
-            failures += 1
-            continue
-        dt = time.time() - t0
-        if name not in oracles:
-            print(f"ok   {name}: rows-only, {len(engine)} rows ({dt:.1f}s)")
-            continue
-        oracle = con.execute(oracles[name]).fetchdf()
-        problems = compare(name, engine, oracle)
-        if problems:
-            failures += 1
-            print(f"FAIL {name} ({dt:.1f}s): " + "; ".join(problems))
-        else:
-            print(f"ok   {name}: {len(engine)} rows match oracle ({dt:.1f}s)")
+    with SchemaWarningCounter() as warned:
+        for name, fn in qs.items():
+            if only and name not in only:
+                continue
+            t0 = time.time()
+            before = warned.count
+            try:
+                engine = to_pandas(fn(sf_dir))
+            except Exception as exc:  # noqa: BLE001
+                print(f"FAIL {name}: engine raised {type(exc).__name__}: {exc}")
+                failures += 1
+                continue
+            dt = time.time() - t0
+            n_warn = warned.count - before
+            note = f" [{n_warn} different-schema]" if n_warn else ""
+            if name not in oracles:
+                print(f"ok   {name}: rows-only, {len(engine)} rows ({dt:.1f}s){note}")
+                continue
+            oracle = con.execute(oracles[name]).fetchdf()
+            problems = compare(name, engine, oracle)
+            if problems:
+                failures += 1
+                print(f"FAIL {name} ({dt:.1f}s){note}: " + "; ".join(problems))
+            else:
+                print(f"ok   {name}: {len(engine)} rows match oracle ({dt:.1f}s){note}")
     ray.shutdown()
+    print(f"different-schema warnings: {warned.count}")
     return 1 if failures else 0
 
 
