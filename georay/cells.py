@@ -16,7 +16,7 @@ from georay import codec
 # module level (worker-executed `polygon_cover_dataset.strip` must not
 # import georay at runtime — CLAUDE.md invariant)
 from georay.geometry import points_in_ring
-from georay.runtime import by_key
+from georay.runtime import by_key, per_process
 
 _U = np.uint64
 
@@ -57,8 +57,69 @@ def k_ring(code, bits: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     yn = y[:, None] + dys[None, :]
     valid = (yn >= 0) & (yn < (1 << ny))
     yn = np.clip(yn, 0, (1 << ny) - 1)
-    codes = codec.interleave(xn.reshape(-1), yn.reshape(-1), bits).reshape(x.shape[0], -1)
+    codes = codec.interleave(xn.reshape(-1), yn.reshape(-1), bits).reshape(xn.shape)
     return codes, valid
+
+
+def ring_probe(code, bits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every query's k-ring as flat ``(query_idx, cell)`` pairs, query-major
+    and in ring order (``cell`` int64): cells past a latitude edge are
+    dropped, and a cell that a ring wider than the longitude axis reaches
+    twice (it wraps) is kept once, so no candidate pair repeats. The one
+    candidate generator of the k-ring plans in ``ops.knn``."""
+    ring_cells, valid = k_ring(code, bits, k)
+    qidx = np.repeat(np.arange(ring_cells.shape[0]), ring_cells.shape[1])
+    ok = valid.reshape(-1)
+    qidx, cell = qidx[ok], ring_cells.reshape(-1).astype(np.int64)[ok]
+    if (2 * k + 1) > (1 << codec.split_bits(bits)[0]):
+        # only tiny grids wrap, so the int64 combo cannot overflow
+        combo = qidx * np.int64(1 << bits) + cell
+        _, first = np.unique(combo, return_index=True)
+        keep = np.zeros(cell.size, dtype=bool)
+        keep[first] = True
+        qidx, cell = qidx[keep], cell[keep]
+    return qidx, cell
+
+
+class SortedLookup:
+    """Immutable sorted-key multimap over a pyarrow table: the one broadcast
+    lookup behind cell joins and ring candidates. Rows are sorted once by
+    ``key_col`` (stable argsort); numpy columns convert on first use."""
+
+    def __init__(self, table: pa.Table, key_col: str):
+        keys = table[key_col].to_numpy(zero_copy_only=False)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.table = table.take(pa.array(order))
+        self._columns: dict[str, np.ndarray] = {}
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` in sorted row order, as numpy."""
+        if name not in self._columns:
+            self._columns[name] = self.table[name].to_numpy(zero_copy_only=False)
+        return self._columns[name]
+
+    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(probe_idx, row_idx) pairs for every key match, probe-major —
+        vectorized range-expand, no Python row loop."""
+        lo = np.searchsorted(self.keys, probe, side="left")
+        counts = np.searchsorted(self.keys, probe, side="right") - lo
+        if not counts.any():
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        probe_idx = np.repeat(np.arange(probe.shape[0]), counts)
+        return probe_idx, codec.expand_ranges(counts, lo)
+
+
+def broadcast_lookup(table: pa.Table, key_col: str):
+    """Ship ``table`` to the object store once (one ``ray.put``) and return
+    a function that gives the calling worker process its
+    :class:`SortedLookup` over it, built on first use and then cached
+    (``runtime.per_process``)."""
+    import ray
+
+    ref = ray.put(table)
+    key = ref.hex()
+    return lambda: per_process(key, lambda: SortedLookup(ray.get(ref), key_col))
 
 
 def compact(codes: np.ndarray, bits: int, step: int = 2,

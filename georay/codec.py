@@ -387,3 +387,13 @@ def transform(code, bits_from: int, bits_to: int) -> np.ndarray:
         raise ValueError("use georay.cells.children for finer precisions")
     code = np.asarray(code, dtype=np.uint64)
     return code >> _U(bits_from - bits_to)
+
+
+def expand_ranges(counts: np.ndarray, lo: np.ndarray | None = None) -> np.ndarray:
+    """Ragged range-expand: the concatenated ranges ``lo[i] + [0, counts[i])``
+    (``lo=None``: the offsets ``[0, counts[i])`` alone). The one kernel
+    behind ``cells.SortedLookup.match`` and every flat-map that explodes a
+    row into a run of cells, children or buckets."""
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    local = np.arange(int(counts.sum()), dtype=np.int64) - starts
+    return local if lo is None else local + np.repeat(lo, counts)

@@ -134,9 +134,7 @@ class STRtree:
             lo = ni * self.node_cap
             hi = np.minimum(lo + self.node_cap, child_count)
             counts = hi - lo
-            total = int(counts.sum())
-            starts = np.repeat(np.cumsum(counts) - counts, counts)
-            ni = np.arange(total, dtype=np.int64) - starts + np.repeat(lo, counts)
+            ni = codec.expand_ranges(counts, lo)
             pi = np.repeat(pi, counts)
         # ni now indexes leaf box positions; exact test on the real boxes
         bb = self.sorted_boxes[ni]
@@ -239,9 +237,7 @@ class PolygonSet:
         if total == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         point_idx = np.repeat(np.arange(cell.shape[0]), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.arange(total) - starts + np.repeat(lo, counts)
-        return point_idx, self._polys[flat]
+        return point_idx, self._polys[codec.expand_ranges(counts, lo)]
 
     def contains(
         self, lon: np.ndarray, lat: np.ndarray

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from georay.codec import expand_ranges
 from georay.runtime import by_key, join
 
 
@@ -68,10 +69,8 @@ def interval_join(
         b0 = st // bucket
         b1 = np.maximum(en - 1, st) // bucket
         counts = (b1 - b0 + 1).astype(np.int64)
-        total = int(counts.sum())
         idx = np.repeat(np.arange(st.shape[0]), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        bks = np.arange(total, dtype=np.int64) - starts + np.repeat(b0, counts)
+        bks = expand_ranges(counts, b0)
         base = t.select([by]).take(pa.array(idx))
         return pa.table(
             {

@@ -2,16 +2,17 @@
 
 Two physical strategies, chosen by side size:
 
-- :func:`broadcast_cell_join` — the small side is ``ray.put`` ONCE as sorted
-  numpy arrays; every map_batches task binary-searches it per batch. No
-  shuffle at all; the right choice whenever one side fits in a worker heap
-  (dimension tables, tile sets). This is the 100 TB-scale default for
+- :func:`broadcast_cell_join` — the small side is ``ray.put`` ONCE and each
+  worker process sorts it once into a :class:`georay.cells.SortedLookup`
+  that every map_batches task binary-searches per batch. No shuffle at
+  all; the right choice whenever one side fits in a worker heap (dimension
+  tables, tile sets). This is the 100 TB-scale default for
   point×polygon-table joins.
 - :func:`shuffle_cell_join` — both sides large: :func:`georay.runtime.join`
   (both sides hash-bucketed on the cell key, exchanged by Ray's task-based
-  sort, joined per bucket by pyarrow; no actors). Use
-  ``georay.runtime.salt_hot_keys`` first when the key distribution is
-  skewed (dense urban cells).
+  sort, joined per bucket by pyarrow; no actors). There is no salted
+  variant: a hot-key-salted join was kept only for a skew regime that
+  would pick it, and no measured regime did.
 
 Ray's own ``Dataset.join`` is not used: it starts hash-shuffle aggregator
 actors on every call. On a 1-core host with 2 logical Ray CPUs the
@@ -25,31 +26,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.runtime import by_key, check_saltable, group_agg, join, per_key
-
-
-class _SortedLookup:
-    """Immutable sorted-key multimap over a pyarrow table, built once."""
-
-    def __init__(self, table: pa.Table, key_col: str):
-        keys = table[key_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.table = table.take(pa.array(order))
-
-    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(probe_idx, right_row_idx) pairs for every key match — vectorized
-        range-expand, no Python row loop."""
-        lo = np.searchsorted(self.keys, probe, side="left")
-        hi = np.searchsorted(self.keys, probe, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        probe_idx = np.repeat(np.arange(probe.shape[0]), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        right_idx = np.arange(total) - starts + np.repeat(lo, counts)
-        return probe_idx, right_idx
+from georay.cells import broadcast_lookup
+from georay.codec import expand_ranges
+from georay.runtime import by_key, group_agg, join, per_key
 
 
 def broadcast_cell_join(
@@ -59,27 +38,21 @@ def broadcast_cell_join(
     right_on: str | None = None,
     left_cols: list[str] | None = None,
     right_cols: list[str] | None = None,
-    concurrency=None,
 ):
     """Inner equi-join: big Dataset × small in-memory table, broadcast once.
 
     ``right_table`` is shipped to the object store a single time via
-    ``ray.put``; each worker process materializes the sorted lookup once
-    (per-process cache) — stateless tasks by default, or an actor pool when
-    ``concurrency`` is given.
+    ``ray.put``; each worker process builds the sorted lookup once
+    (:func:`georay.cells.broadcast_lookup`) and stateless tasks probe it.
     """
-    import ray
-
-    from georay.runtime import per_process
-
     right_on = right_on or on
     if right_cols is not None:
         keep = list(dict.fromkeys([right_on] + right_cols))
         right_table = right_table.select(keep)
-    right_ref = ray.put(right_table)
-    key = right_ref.hex()
+    lookup_here = broadcast_lookup(right_table, right_on)
 
-    def join_batch(lookup: _SortedLookup, t: pa.Table) -> pa.Table:
+    def fn(t: pa.Table) -> pa.Table:
+        lookup = lookup_here()
         if left_cols is not None:
             t = t.select(list(dict.fromkeys([on] + left_cols)))
         probe = t[on].to_numpy(zero_copy_only=False)
@@ -94,26 +67,7 @@ def broadcast_cell_join(
             cols[out_name] = right_part[name]
         return pa.table(cols)
 
-    if concurrency is None:
-
-        def fn(t: pa.Table) -> pa.Table:
-            lookup = per_process(
-                key, lambda: _SortedLookup(ray.get(right_ref), right_on)
-            )
-            return join_batch(lookup, t)
-
-        return left_ds.map_batches(fn, batch_format="pyarrow")
-
-    class Joiner:
-        def __init__(self):
-            self.lookup = _SortedLookup(ray.get(right_ref), right_on)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return join_batch(self.lookup, t)
-
-    return left_ds.map_batches(
-        Joiner, batch_format="pyarrow", concurrency=concurrency
-    )
+    return left_ds.map_batches(fn, batch_format="pyarrow")
 
 
 def shuffle_cell_join(
@@ -135,67 +89,6 @@ def shuffle_cell_join(
         right_ds = right_ds.select_columns(list(dict.fromkeys([on] + right_cols)))
     return join(left_ds, right_ds, join_type, on=(on,), right_suffix="_r",
                 num_partitions=num_partitions)
-
-
-def salted_shuffle_join(
-    left_ds,
-    right_ds,
-    hot_keys,
-    on: str = "cell",
-    n_salt: int = 8,
-    num_partitions: int | None = None,
-    left_cols: list[str] | None = None,
-    right_cols: list[str] | None = None,
-):
-    """Skew-hardened hash join (SURVEY.md §4 skew row): hot join keys are
-    salted on the LEFT (rows spread over ``key*n_salt + salt`` sub-keys) and
-    REPLICATED ``n_salt``× on the RIGHT, so a dense cell's rows land on
-    ``n_salt`` reducers instead of one. Cold keys map to ``key*n_salt``
-    unchanged. Output rows carry the original (unsalted) key — row counts
-    are exactly those of the plain join.
-    """
-    hot = np.sort(np.unique(np.asarray(hot_keys)))
-
-    if left_cols is not None:
-        left_ds = left_ds.select_columns(list(dict.fromkeys([on] + left_cols)))
-    if right_cols is not None:
-        right_ds = right_ds.select_columns(list(dict.fromkeys([on] + right_cols)))
-
-
-    def replicate_right(t: pa.Table) -> pa.Table:
-        key = t[on].to_numpy(zero_copy_only=False)
-        check_saltable(key, n_salt)
-        is_hot = np.isin(key, hot)
-        # cold rows once at salt 0; hot rows replicated across all salts
-        reps = np.where(is_hot, n_salt, 1)
-        idx = np.repeat(np.arange(key.shape[0]), reps)
-        base = t.take(pa.array(idx))
-        # vectorized 0..r-1 per row (range-expand idiom, no Python loop)
-        total = int(reps.sum())
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        salts = np.arange(total, dtype=np.int64) - starts
-        salted = key[idx] * n_salt + salts
-        return base.append_column("_sk", pa.array(salted))
-
-    from georay.runtime import salt_hot_keys
-
-    joined = (
-        join(salt_hot_keys(left_ds, on, hot, n_salt=n_salt, salted_col="_sk"),
-             right_ds.map_batches(replicate_right, batch_format="pyarrow"),
-             "inner", on=("_sk",), left_suffix="_l", right_suffix="_r",
-             num_partitions=num_partitions)
-    )
-
-    def unsalt(t: pa.Table) -> pa.Table:
-        drop = [c for c in ("_sk", f"{on}_r") if c in t.column_names]
-        out = t.drop_columns(drop)
-        if f"{on}_l" in out.column_names:
-            out = out.rename_columns(
-                [on if c == f"{on}_l" else c for c in out.column_names]
-            )
-        return out
-
-    return joined.map_batches(unsalt, batch_format="pyarrow")
 
 
 def broadcast_semi_join(ds, keys, on: str, anti: bool = False):
@@ -450,10 +343,8 @@ def box_overlap_join(
             w = cx_hi - cx_lo + 1
             h = cy_hi - cy_lo + 1
             counts = w * h
-            total = int(counts.sum())
             row = np.repeat(np.arange(x0.size, dtype=np.int64), counts)
-            starts = np.repeat(np.cumsum(counts) - counts, counts)
-            local = np.arange(total, dtype=np.int64) - starts
+            local = expand_ranges(counts)
             cx = cx_lo[row] + local // h[row]
             cy = cy_lo[row] + local % h[row]
             ids = t[id_col].to_numpy(zero_copy_only=False)[row]
@@ -553,10 +444,8 @@ def segment_crossings(ds, id_col: str, x1: str, y1: str, x2: str, y2: str,
         w = cx1_ - cx0 + 1
         h = cy1_ - cy0 + 1
         counts = w * h
-        total = int(counts.sum())
         row = np.repeat(np.arange(sid.size), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        o = np.arange(total) - starts[row]
+        o = expand_ranges(counts)
         ox = o % w[row]
         oy = o // w[row]
         cell = (cx0[row] + ox) * (1 << 24) + (cy0[row] + oy)

@@ -11,6 +11,11 @@ Chebyshev-distance join predicate).
 
 The big×big variant (flat-map ring cells → shuffle join → per-query top-k
 reduce) is :func:`knn_shuffle`.
+
+Every plan here gets its candidates one way: :func:`georay.cells.ring_probe`
+gives each query's ring cells, and the broadcast plans look them up in one
+:class:`georay.cells.SortedLookup` over the refs (:func:`_ring_candidates`);
+the shuffle twins share :func:`_ring_join` instead.
 """
 
 from __future__ import annotations
@@ -20,12 +25,6 @@ import pyarrow as pa
 
 from georay import cells, codec
 from georay.runtime import by_key, group_agg, join, per_key
-
-
-def codec_split_nx(bits: int) -> int:
-    # codec imported at MODULE level: this runs inside worker tasks, where a
-    # lazy import dies on foreign-cwd drivers (CLAUDE.md invariant)
-    return codec.split_bits(bits)[0]
 
 
 def _dense_rank(vals: np.ndarray) -> np.ndarray:
@@ -101,6 +100,23 @@ def _topk_sorted_queries(
     return idx[sel], rank
 
 
+def _broadcast_refs(refs_table: pa.Table, ref_id: str, cell_col: str):
+    """The refs' cell, lon, lat and id columns as one broadcast
+    :class:`georay.cells.SortedLookup` on the cell."""
+    cols = list(dict.fromkeys([cell_col, "lon", "lat", ref_id]))
+    return cells.broadcast_lookup(refs_table.select(cols), cell_col)
+
+
+def _ring_candidates(refs: cells.SortedLookup, qcell: np.ndarray, bits: int,
+                     ring: int) -> tuple[np.ndarray, np.ndarray]:
+    """(query_idx, ref_row) for every ref whose cell lies in the query's
+    ring, query-major (the order :func:`_topk_sorted_queries` needs): the
+    ring probe's cells looked up in the sorted refs."""
+    flat_q, flat_cells = cells.ring_probe(qcell, bits, ring)
+    pi, ridx = refs.match(flat_cells)
+    return flat_q[pi], ridx
+
+
 def knn_ring(
     queries_ds,
     refs_table: pa.Table,
@@ -117,82 +133,29 @@ def knn_ring(
     Requires lon/lat + ``cell_col`` on both sides. Output columns: the query
     columns, ``ref_id``, ``dist2`` (squared degrees), ``rank`` (1-based).
     """
-    import ray
-
-    rcell = refs_table[cell_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(rcell, kind="stable")
-    packed = {
-        "cell": rcell[order],
-        "lon": refs_table["lon"].to_numpy(zero_copy_only=False)[order],
-        "lat": refs_table["lat"].to_numpy(zero_copy_only=False)[order],
-        "id": refs_table[ref_id].to_numpy(zero_copy_only=False)[order],
-    }
-    refs_ref = ray.put(packed)
-    key = refs_ref.hex()
-
-    class Knn:
-        def __init__(self):
-            self.refs = ray.get(refs_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            refs = self.refs
-            qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            qlon = t["lon"].to_numpy(zero_copy_only=False)
-            qlat = t["lat"].to_numpy(zero_copy_only=False)
-            n = qcell.shape[0]
-            ring_cells, valid = cells.k_ring(qcell, bits, ring)
-            flat_cells = ring_cells.reshape(-1).astype(np.int64)
-            flat_q = np.repeat(np.arange(n), ring_cells.shape[1])
-            flat_ok = valid.reshape(-1)
-            flat_cells, flat_q = flat_cells[flat_ok], flat_q[flat_ok]
-            # dedupe ring cells per query: rings wider than the lon grid
-            # alias around the wrap and would duplicate candidates (only
-            # possible on tiny grids, so the int64 combo below cannot
-            # overflow)
-            uniqmask = np.ones(flat_cells.size, dtype=bool)
-            if (2 * ring + 1) > (1 << codec_split_nx(bits)):
-                combo = flat_q.astype(np.int64) * np.int64(1 << bits) + flat_cells
-                _, first = np.unique(combo, return_index=True)
-                uniqmask = np.zeros(flat_cells.size, dtype=bool)
-                uniqmask[first] = True
-            flat_cells, flat_q = flat_cells[uniqmask], flat_q[uniqmask]
-            lo = np.searchsorted(refs["cell"], flat_cells, side="left")
-            hi = np.searchsorted(refs["cell"], flat_cells, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                sel, rank = np.empty(0, np.int64), np.empty(0, np.int64)
-                qidx = np.empty(0, np.int64)
-                ridx = np.empty(0, np.int64)
-            else:
-                qidx = np.repeat(flat_q, counts)
-                starts = np.repeat(np.cumsum(counts) - counts, counts)
-                ridx = np.arange(total) - starts + np.repeat(lo, counts)
-                dx = qlon[qidx] - refs["lon"][ridx]
-                dy = qlat[qidx] - refs["lat"][ridx]
-                dist = dx * dx + dy * dy
-                sel, rank = _topk_sorted_queries(
-                    qidx, dist, refs["id"][ridx], k
-                )
-            qsel = qidx[sel]
-            rsel = ridx[sel]
-            cols = {}
-            keep = query_cols or [c for c in t.column_names]
-            base = t.take(pa.array(qsel))
-            for name in keep:
-                cols[name] = base[name]
-            cols[ref_id] = pa.array(refs["id"][rsel])
-            dxs = qlon[qsel] - refs["lon"][rsel]
-            dys = qlat[qsel] - refs["lat"][rsel]
-            cols["dist2"] = pa.array(dxs * dxs + dys * dys)
-            cols["rank"] = pa.array(rank.astype(np.int64))
-            return pa.table(cols)
-
-    from georay.runtime import per_process
+    lookup_here = _broadcast_refs(refs_table, ref_id, cell_col)
 
     def fn(t: pa.Table) -> pa.Table:
-        inst = per_process(key, Knn)
-        return inst(t)
+        refs = lookup_here()
+        rlon, rlat, rid = refs.column("lon"), refs.column("lat"), refs.column(ref_id)
+        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        qlon = t["lon"].to_numpy(zero_copy_only=False)
+        qlat = t["lat"].to_numpy(zero_copy_only=False)
+        qidx, ridx = _ring_candidates(refs, qcell, bits, ring)
+        dx = qlon[qidx] - rlon[ridx]
+        dy = qlat[qidx] - rlat[ridx]
+        dist = dx * dx + dy * dy
+        sel, rank = _topk_sorted_queries(qidx, dist, rid[ridx], k)
+        qsel = qidx[sel]
+        rsel = ridx[sel]
+        base = t.take(pa.array(qsel))
+        cols = {name: base[name] for name in query_cols or t.column_names}
+        cols[ref_id] = pa.array(rid[rsel])
+        dxs = qlon[qsel] - rlon[rsel]
+        dys = qlat[qsel] - rlat[rsel]
+        cols["dist2"] = pa.array(dxs * dxs + dys * dys)
+        cols["rank"] = pa.array(rank.astype(np.int64))
+        return pa.table(cols)
 
     return queries_ds.map_batches(fn, batch_format="pyarrow")
 
@@ -223,158 +186,137 @@ def knn_adaptive(
     answer. Diagnostic: lets tests and ds.stats() audits pin which
     termination path was live (VERDICT r2 #8).
     """
-    import ray
-
-    from georay import codec
-
-    rcell = refs_table[cell_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(rcell, kind="stable")
-    packed = {
-        "cell": rcell[order],
-        "lon": refs_table["lon"].to_numpy(zero_copy_only=False)[order],
-        "lat": refs_table["lat"].to_numpy(zero_copy_only=False)[order],
-        "id": refs_table[ref_id].to_numpy(zero_copy_only=False)[order],
-    }
-    refs_ref = ray.put(packed)
-    state_key = refs_ref.hex() + "-adaptive"
+    lookup_here = _broadcast_refs(refs_table, ref_id, cell_col)
     nx, ny = codec.split_bits(bits)
     lon_err, lat_err = codec.error_with_precision(bits)
     min_err = min(lon_err, lat_err)
     max_ring = max(1 << nx, 1 << ny)
 
-    class AdaptiveKnn:
-        def __init__(self):
-            self.refs = ray.get(refs_ref)
-
-        def _candidates(self, qcell, d):
-            # (2d+1)^2 cell enumeration explodes at large d (sparse refs at
-            # fine precisions): past a threshold, fall back to brute force
-            # against ALL refs — they are broadcast and bounded here, and
-            # every ref is trivially inside a whole-grid ring
-            if (2 * d + 1) ** 2 > 4096:
-                nq, nr = qcell.shape[0], self.refs["id"].size
-                return (
-                    np.repeat(np.arange(nq), nr),
-                    np.tile(np.arange(nr), nq),
-                    True,  # brute force: result is globally exact already
-                )
-            ring_cells, valid = cells.k_ring(qcell, bits, d)
-            flat_cells = ring_cells.reshape(-1).astype(np.int64)
-            flat_q = np.repeat(np.arange(qcell.shape[0]), ring_cells.shape[1])
-            ok = valid.reshape(-1)
-            flat_cells, flat_q = flat_cells[ok], flat_q[ok]
-            lo = np.searchsorted(self.refs["cell"], flat_cells, side="left")
-            hi = np.searchsorted(self.refs["cell"], flat_cells, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                return np.empty(0, np.int64), np.empty(0, np.int64), False
-            qidx = np.repeat(flat_q, counts)
-            starts = np.repeat(np.cumsum(counts) - counts, counts)
-            ridx = np.arange(total) - starts + np.repeat(lo, counts)
-            # large rings alias around the antimeridian wrap (ring wider
-            # than the lon axis) -> the same (query, ref) pair can appear
-            # twice; dedupe or the rank sequence counts duplicates
-            pair = qidx * np.int64(self.refs["id"].size) + ridx
-            uniq = np.unique(pair)
-            return uniq // self.refs["id"].size, uniq % self.refs["id"].size, False
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            refs = self.refs
-            qcell_all = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            qlon_all = t["lon"].to_numpy(zero_copy_only=False)
-            qlat_all = t["lat"].to_numpy(zero_copy_only=False)
-            n = qcell_all.shape[0]
-            unresolved = np.arange(n)
-            res_q: list[np.ndarray] = []
-            res_r: list[np.ndarray] = []
-            res_rank: list[np.ndarray] = []
-            res_ring: list[np.ndarray] = []
-            d = 1
-            while unresolved.size:
-                sub = unresolved
-                qidx_s, ridx, exact = self._candidates(qcell_all[sub], d)
-                if qidx_s.size:
-                    dx = qlon_all[sub][qidx_s] - refs["lon"][ridx]
-                    dy = qlat_all[sub][qidx_s] - refs["lat"][ridx]
-                    dist = dx * dx + dy * dy
-                    sel, rank = _topk_per_query(qidx_s, dist, refs["id"][ridx], k)
-                    sq, sr, sd = qidx_s[sel], ridx[sel], dist[sel]
-                    # per-query candidate count and kth distance
-                    cnt = np.bincount(sq, minlength=sub.size)
-                    kth = np.zeros(sub.size)
-                    is_kth = rank == np.minimum(k, cnt[sq])
-                    kth[sq[is_kth]] = sd[is_kth]
-                    # STRICT inequality: a ref just outside ring d can sit
-                    # at exactly d*min_err and win the oracle's id tie-break
-                    done = (cnt >= min(k, refs["id"].size)) & (
-                        np.sqrt(kth) < d * min_err
-                    )
-                else:
-                    done = np.zeros(sub.size, dtype=bool)
-                if exact or d >= max_ring:
-                    done = np.ones(sub.size, dtype=bool)
-                if done.any() and qidx_s.size:
-                    keep = done[sq]
-                    res_q.append(sub[sq[keep]])
-                    res_r.append(sr[keep])
-                    res_rank.append(rank[keep])
-                    # ring-bound proof resolved these rows at radius d;
-                    # negative marks the brute/whole-grid fallback path
-                    res_ring.append(
-                        np.full(int(keep.sum()), -d if exact else d, np.int64)
-                    )
-                unresolved = sub[~done]
-                d *= 2
-            qf = np.concatenate(res_q) if res_q else np.empty(0, np.int64)
-            rf = np.concatenate(res_r) if res_r else np.empty(0, np.int64)
-            kf = np.concatenate(res_rank) if res_rank else np.empty(0, np.int64)
-            keep_cols = query_cols or list(t.column_names)
-            base = t.select(keep_cols).take(pa.array(qf))
-            cols = {name: base[name] for name in base.column_names}
-            cols[ref_id] = pa.array(refs["id"][rf])
-            dxs = qlon_all[qf] - refs["lon"][rf]
-            dys = qlat_all[qf] - refs["lat"][rf]
-            cols["dist2"] = pa.array(dxs * dxs + dys * dys)
-            cols["rank"] = pa.array(kf.astype(np.int64))
-            if record_ring_col is not None:
-                cols[record_ring_col] = pa.array(
-                    np.concatenate(res_ring)
-                    if res_ring else np.empty(0, np.int64)
-                )
-            return pa.table(cols)
-
-    from georay.runtime import per_process
+    def candidates(refs: cells.SortedLookup, qcell: np.ndarray, d: int):
+        # (2d+1)^2 cell enumeration explodes at large d (sparse refs at
+        # fine precisions): past a threshold, fall back to brute force
+        # against ALL refs — they are broadcast and bounded here, and
+        # every ref is trivially inside a whole-grid ring
+        if (2 * d + 1) ** 2 > 4096:
+            nq, nr = qcell.shape[0], refs.keys.size
+            return (
+                np.repeat(np.arange(nq), nr),
+                np.tile(np.arange(nr), nq),
+                True,  # brute force: result is globally exact already
+            )
+        return (*_ring_candidates(refs, qcell, bits, d), False)
 
     def fn(t: pa.Table) -> pa.Table:
-        inst = per_process(state_key, AdaptiveKnn)
-        return inst(t)
+        refs = lookup_here()
+        rlon, rlat, rid = refs.column("lon"), refs.column("lat"), refs.column(ref_id)
+        qcell_all = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        qlon_all = t["lon"].to_numpy(zero_copy_only=False)
+        qlat_all = t["lat"].to_numpy(zero_copy_only=False)
+        n = qcell_all.shape[0]
+        unresolved = np.arange(n)
+        res_q: list[np.ndarray] = []
+        res_r: list[np.ndarray] = []
+        res_rank: list[np.ndarray] = []
+        res_ring: list[np.ndarray] = []
+        d = 1
+        while unresolved.size:
+            sub = unresolved
+            qidx_s, ridx, exact = candidates(refs, qcell_all[sub], d)
+            if qidx_s.size:
+                dx = qlon_all[sub][qidx_s] - rlon[ridx]
+                dy = qlat_all[sub][qidx_s] - rlat[ridx]
+                dist = dx * dx + dy * dy
+                sel, rank = _topk_per_query(qidx_s, dist, rid[ridx], k)
+                sq, sr, sd = qidx_s[sel], ridx[sel], dist[sel]
+                # per-query candidate count and kth distance
+                cnt = np.bincount(sq, minlength=sub.size)
+                kth = np.zeros(sub.size)
+                is_kth = rank == np.minimum(k, cnt[sq])
+                kth[sq[is_kth]] = sd[is_kth]
+                # STRICT inequality: a ref just outside ring d can sit
+                # at exactly d*min_err and win the oracle's id tie-break
+                done = (cnt >= min(k, refs.keys.size)) & (
+                    np.sqrt(kth) < d * min_err
+                )
+            else:
+                done = np.zeros(sub.size, dtype=bool)
+            if exact or d >= max_ring:
+                done = np.ones(sub.size, dtype=bool)
+            if done.any() and qidx_s.size:
+                keep = done[sq]
+                res_q.append(sub[sq[keep]])
+                res_r.append(sr[keep])
+                res_rank.append(rank[keep])
+                # ring-bound proof resolved these rows at radius d;
+                # negative marks the brute/whole-grid fallback path
+                res_ring.append(
+                    np.full(int(keep.sum()), -d if exact else d, np.int64)
+                )
+            unresolved = sub[~done]
+            d *= 2
+        qf = np.concatenate(res_q) if res_q else np.empty(0, np.int64)
+        rf = np.concatenate(res_r) if res_r else np.empty(0, np.int64)
+        kf = np.concatenate(res_rank) if res_rank else np.empty(0, np.int64)
+        keep_cols = query_cols or list(t.column_names)
+        base = t.select(keep_cols).take(pa.array(qf))
+        cols = {name: base[name] for name in base.column_names}
+        cols[ref_id] = pa.array(rid[rf])
+        dxs = qlon_all[qf] - rlon[rf]
+        dys = qlat_all[qf] - rlat[rf]
+        cols["dist2"] = pa.array(dxs * dxs + dys * dys)
+        cols["rank"] = pa.array(kf.astype(np.int64))
+        if record_ring_col is not None:
+            cols[record_ring_col] = pa.array(
+                np.concatenate(res_ring)
+                if res_ring else np.empty(0, np.int64)
+            )
+        return pa.table(cols)
 
     return queries_ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _merge_topk_stage(local_ds, query_id: str, ref_id: str, k: int,
-                      num_partitions: int):
-    """Global top-k merge over per-batch local top-k rows: one
-    ``runtime.by_key`` call per ``query_id`` bucket, each merging many
-    queries in one vectorized sort."""
+def _ring_join(queries_ds, refs_ds, bits: int, ring: int, cell_col: str,
+               num_partitions: int | None, expand_side: str):
+    """The shuffle twins' candidate stage: explode ONE side to its ring
+    cells (:func:`georay.cells.ring_probe`, 1 row → ≤(2r+1)² rows) and
+    ``runtime.join`` it with the other side on the cell. Columns both sides
+    carry get ``_q`` / ``_r`` suffixes.
 
-    def merge_part(t: pa.Table) -> pa.Table:
-        q = t[query_id].to_numpy(zero_copy_only=False)
-        d = t["dist2"].to_numpy(zero_copy_only=False)
-        r = t[ref_id].to_numpy(zero_copy_only=False)
-        sel, rank = _topk_per_query(q, d, r, k)
-        return pa.table({
-            query_id: q[sel],
-            ref_id: r[sel],
-            "dist2": d[sel],
-            "rank": rank.astype(np.int64),
-        })
+    ``expand_side``: which side pays the (2r+1)²× ring explosion before the
+    exchange. Chebyshev ring membership is symmetric (ref ∈ ring(query) ⟺
+    query ∈ ring(ref) — x wraps both ways, y bounds hold because both
+    endpoints are themselves in-grid), so candidate pairs are IDENTICAL
+    either way; pick the SMALLER side ("refs" when refs ≪ queries) and the
+    all-to-all exchange shrinks by ~(2r+1)²/(1+|small|/|big|·(2r+1)²)
+    (measured 1.7× wall on the 1.2M×300k probe)."""
 
-    return by_key(local_ds, query_id, merge_part, pa.schema([
-        (query_id, pa.int64()), (ref_id, pa.int64()),
-        ("dist2", pa.float64()), ("rank", pa.int64())]),
-        num_partitions=num_partitions)
+    def explode(t: pa.Table) -> pa.Table:
+        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        idx, flat_cells = cells.ring_probe(qcell, bits, ring)
+        base = t.drop_columns([cell_col]).take(pa.array(idx))
+        return base.append_column(cell_col, pa.array(flat_cells))
+
+    if expand_side == "queries":
+        left = queries_ds.map_batches(explode, batch_format="pyarrow")
+        right = refs_ds
+    elif expand_side == "refs":
+        left = queries_ds
+        right = refs_ds.map_batches(explode, batch_format="pyarrow")
+    else:
+        raise ValueError(f"expand_side must be 'queries' or 'refs', got {expand_side!r}")
+    return join(left, right, "inner", on=(cell_col,), left_suffix="_q",
+                right_suffix="_r", num_partitions=num_partitions)
+
+
+def _pair_dist2(t: pa.Table) -> np.ndarray:
+    """Squared-degree distance of each joined (query, ref) row."""
+    dx = t["lon_q"].to_numpy(zero_copy_only=False) - t["lon_r"].to_numpy(
+        zero_copy_only=False
+    )
+    dy = t["lat_q"].to_numpy(zero_copy_only=False) - t["lat_r"].to_numpy(
+        zero_copy_only=False
+    )
+    return dx * dx + dy * dy
 
 
 def knn_shuffle(
@@ -389,68 +331,24 @@ def knn_shuffle(
     num_partitions: int | None = None,
     expand_side: str = "queries",
 ):
-    """Big×big kNN: explode ONE side to its ring cells (vectorized, 1 row →
-    ≤(2r+1)² rows), ``runtime.join`` on cell, then a TWO-PHASE top-k reduce:
-    per-batch vectorized local top-k (``_topk_per_query``) cuts each query
-    to ≤k candidates per batch, and the global merge runs one
-    ``runtime.by_key`` call per ``query_id`` bucket —
-    O(num_partitions) batches, each merging MANY queries in one vectorized
-    sort, never O(queries) tiny groups. Shuffle keys: cell (join),
-    query-hash bucket (reduce).
+    """Big×big kNN: explode ONE side to its ring cells and ``runtime.join``
+    on cell (:func:`_ring_join`, which also explains ``expand_side``), then
+    a TWO-PHASE top-k reduce: per-batch vectorized local top-k
+    (``_topk_per_query``) cuts each query to ≤k candidates per batch, and
+    the global merge runs one ``runtime.by_key`` call per ``query_id``
+    bucket — O(num_partitions) batches, each merging MANY queries in one
+    vectorized sort, never O(queries) tiny groups. Shuffle keys: cell
+    (join), query-hash bucket (reduce).
     ``query_id`` / ``ref_id`` must be integer-valued.
-
-    ``expand_side``: which side pays the (2r+1)²× ring explosion before the
-    exchange. Chebyshev ring membership is symmetric (ref ∈ ring(query) ⟺
-    query ∈ ring(ref) — x wraps both ways, y bounds hold because both
-    endpoints are themselves in-grid), so candidate pairs are IDENTICAL
-    either way; pick the SMALLER side ("refs" when refs ≪ queries) and the
-    all-to-all exchange shrinks by ~(2r+1)²/(1+|small|/|big|·(2r+1)²)
-    (measured 1.7× wall on the 1.2M×300k probe).
 
     ``num_partitions=None`` → ``runtime.adaptive_partitions()`` (≈ cluster
     CPUs, VERDICT r4 #4; a syscall-taxed host favors HALVING it — see
     BASELINE.md partition forensics)."""
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
-    def explode(t: pa.Table) -> pa.Table:
-        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ring_cells, valid = cells.k_ring(qcell, bits, ring)
-        m = ring_cells.shape[1]
-        idx = np.repeat(np.arange(qcell.shape[0]), m)
-        flat_ok = valid.reshape(-1)
-        idx = idx[flat_ok]
-        flat_cells = ring_cells.reshape(-1)[flat_ok].astype(np.int64)
-        # wrap-aliasing dedup (ring wider than the lon grid -> duplicate
-        # (query, cell) probes -> duplicated join candidates)
-        if (2 * ring + 1) > (1 << codec_split_nx(bits)):
-            combo = idx.astype(np.int64) * np.int64(1 << bits) + flat_cells
-            _, first = np.unique(combo, return_index=True)
-            idx, flat_cells = idx[first], flat_cells[first]
-        base = t.drop_columns([cell_col]).take(pa.array(idx))
-        return base.append_column(cell_col, pa.array(flat_cells))
-
-    if expand_side == "queries":
-        left = queries_ds.map_batches(explode, batch_format="pyarrow")
-        right = refs_ds
-    elif expand_side == "refs":
-        left = queries_ds
-        right = refs_ds.map_batches(explode, batch_format="pyarrow")
-    else:
-        raise ValueError(f"expand_side must be 'queries' or 'refs', got {expand_side!r}")
-    joined = join(left, right, "inner", on=(cell_col,), left_suffix="_q",
-                  right_suffix="_r", num_partitions=num_partitions)
+    joined = _ring_join(queries_ds, refs_ds, bits, ring, cell_col,
+                        num_partitions, expand_side)
 
     def local_topk(t: pa.Table) -> pa.Table:
-        dx = t["lon_q"].to_numpy(zero_copy_only=False) - t["lon_r"].to_numpy(
-            zero_copy_only=False
-        )
-        dy = t["lat_q"].to_numpy(zero_copy_only=False) - t["lat_r"].to_numpy(
-            zero_copy_only=False
-        )
-        dist = dx * dx + dy * dy
+        dist = _pair_dist2(t)
         q = t[query_id].to_numpy(zero_copy_only=False)
         r = t[ref_id].to_numpy(zero_copy_only=False)
         sel, _rank = _topk_per_query(q, dist, r, k)
@@ -462,123 +360,23 @@ def knn_shuffle(
             }
         )
 
-    return _merge_topk_stage(
-        joined.map_batches(local_topk, batch_format="pyarrow"),
-        query_id, ref_id, k, num_partitions,
-    )
+    def merge(t: pa.Table) -> pa.Table:
+        q = t[query_id].to_numpy(zero_copy_only=False)
+        d = t["dist2"].to_numpy(zero_copy_only=False)
+        r = t[ref_id].to_numpy(zero_copy_only=False)
+        sel, rank = _topk_per_query(q, d, r, k)
+        return pa.table({
+            query_id: q[sel],
+            ref_id: r[sel],
+            "dist2": d[sel],
+            "rank": rank.astype(np.int64),
+        })
 
-
-def knn_cogroup(
-    queries_ds,
-    refs_ds,
-    bits: int,
-    k: int,
-    ring: int = 1,
-    query_id: str = "query_id",
-    ref_id: str = "ref_id",
-    cell_col: str = "cell",
-    num_partitions: int | None = None,
-):
-    """Big×big kNN via a cogroup join: both sides are tagged, unioned and
-    co-grouped by cell with ``runtime.by_key`` — one vectorized
-    searchsorted join + local top-k per bucket, then the shared bucketed
-    top-k merge.
-
-    Same semantics (and SQL twin) as :func:`knn_shuffle`; different
-    physical plan: a numpy per-bucket join instead of ``runtime.join``.
-    Both run on tasks now. Measured on a 1-core host, 2 logical Ray CPUs,
-    600k queries × 15k refs, ring 1, bits 10, k 5 (one run each): this
-    plan 42.6 s, :func:`knn_shuffle` 42.9 s; while ``knn_shuffle`` used
-    Ray's actor-based hash join it took 105.0 s against this plan's 48.0 s
-    (an earlier 32-CPU run, 600k × 150k points, had the hash join ~3×
-    faster).
-    ``query_id`` / ``ref_id`` must be integer-valued.
-    ``num_partitions=None`` → ``runtime.adaptive_partitions()``."""
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-
-    def prep_queries(t: pa.Table) -> pa.Table:
-        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ring_cells, valid = cells.k_ring(qcell, bits, ring)
-        m = ring_cells.shape[1]
-        idx = np.repeat(np.arange(qcell.shape[0]), m)
-        flat_ok = valid.reshape(-1)
-        idx = idx[flat_ok]
-        flat_cells = ring_cells.reshape(-1)[flat_ok].astype(np.int64)
-        if (2 * ring + 1) > (1 << codec_split_nx(bits)):
-            combo = idx.astype(np.int64) * np.int64(1 << bits) + flat_cells
-            _, first = np.unique(combo, return_index=True)
-            idx, flat_cells = idx[first], flat_cells[first]
-        return pa.table(
-            {
-                "role": pa.array(np.zeros(idx.size, dtype=np.int8)),
-                "rid": pa.array(
-                    t[query_id].to_numpy(zero_copy_only=False)[idx]
-                ),
-                "lon": pa.array(t["lon"].to_numpy(zero_copy_only=False)[idx]),
-                "lat": pa.array(t["lat"].to_numpy(zero_copy_only=False)[idx]),
-                cell_col: pa.array(flat_cells),
-            }
-        )
-
-    def prep_refs(t: pa.Table) -> pa.Table:
-        cell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = cell.shape[0]
-        return pa.table(
-            {
-                "role": pa.array(np.ones(n, dtype=np.int8)),
-                "rid": pa.array(t[ref_id].to_numpy(zero_copy_only=False)),
-                "lon": pa.array(t["lon"].to_numpy(zero_copy_only=False)),
-                "lat": pa.array(t["lat"].to_numpy(zero_copy_only=False)),
-                cell_col: pa.array(cell),
-            }
-        )
-
-    u = queries_ds.map_batches(prep_queries, batch_format="pyarrow").union(
-        refs_ds.map_batches(prep_refs, batch_format="pyarrow")
-    )
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        role = g["role"].to_numpy()
-        is_ref = role == 1
-        empty = pa.table({query_id: pa.array([], pa.int64()),
-                          ref_id: pa.array([], pa.int64()),
-                          "dist2": pa.array([], pa.float64())})
-        if not is_ref.any() or is_ref.all():
-            return empty
-        rcell = g[cell_col].to_numpy()[is_ref]
-        order = np.argsort(rcell, kind="stable")
-        rcell = rcell[order]
-        rlon = g["lon"].to_numpy()[is_ref][order]
-        rlat = g["lat"].to_numpy()[is_ref][order]
-        rid_v = g["rid"].to_numpy()[is_ref][order]
-        qsel = ~is_ref
-        qcell = g[cell_col].to_numpy()[qsel]
-        qlon = g["lon"].to_numpy()[qsel]
-        qlat = g["lat"].to_numpy()[qsel]
-        qid_v = g["rid"].to_numpy()[qsel]
-        lo = np.searchsorted(rcell, qcell, side="left")
-        hi = np.searchsorted(rcell, qcell, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return empty
-        qidx = np.repeat(np.arange(qcell.shape[0]), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        ridx = np.arange(total) - starts + np.repeat(lo, counts)
-        dx = qlon[qidx] - rlon[ridx]
-        dy = qlat[qidx] - rlat[ridx]
-        dist = dx * dx + dy * dy
-        sel, _rank = _topk_per_query(qid_v[qidx], dist, rid_v[ridx], k)
-        return pa.table({query_id: qid_v[qidx][sel],
-                         ref_id: rid_v[ridx][sel], "dist2": dist[sel]})
-
-    local = by_key(u, cell_col, per_bucket, pa.schema([
-        (query_id, pa.int64()), (ref_id, pa.int64()),
-        ("dist2", pa.float64())]), num_partitions=num_partitions)
-    return _merge_topk_stage(local, query_id, ref_id, k, num_partitions)
+    return by_key(joined.map_batches(local_topk, batch_format="pyarrow"),
+                  query_id, merge, pa.schema([
+                      (query_id, pa.int64()), (ref_id, pa.int64()),
+                      ("dist2", pa.float64()), ("rank", pa.int64())]),
+                  num_partitions=num_partitions)
 
 
 def dwithin_ring_for(radius: float, bits: int) -> int:
@@ -586,8 +384,6 @@ def dwithin_ring_for(radius: float, bits: int) -> int:
     Euclidean degree distance ``radius``: |dlon|,|dlat| <= r, and two points
     whose lon differ by <= r sit at most floor(r/cell_w)+1 x-cells apart
     (same for lat), so the ring below never misses a true pair."""
-    from georay import codec
-
     lon_err, lat_err = codec.error_with_precision(bits)
     return int(max(radius // lon_err, radius // lat_err)) + 1
 
@@ -610,69 +406,26 @@ def dwithin_ring(
     shuffle at all; use :func:`dwithin_shuffle` when refs don't fit a
     broadcast. Output: query_cols, ``ref_id``, ``dist2``.
     """
-    import ray
-
     ring = dwithin_ring_for(radius, bits)
     r2 = np.float64(radius) * np.float64(radius)
-    rcell = refs_table[cell_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(rcell, kind="stable")
-    packed = {
-        "cell": rcell[order],
-        "lon": refs_table["lon"].to_numpy(zero_copy_only=False)[order],
-        "lat": refs_table["lat"].to_numpy(zero_copy_only=False)[order],
-        "id": refs_table[ref_id].to_numpy(zero_copy_only=False)[order],
-    }
-    refs_ref = ray.put(packed)
-    key = refs_ref.hex() + "-dwithin"
-
-    class DWithin:
-        def __init__(self):
-            self.refs = ray.get(refs_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            refs = self.refs
-            qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            qlon = t["lon"].to_numpy(zero_copy_only=False)
-            qlat = t["lat"].to_numpy(zero_copy_only=False)
-            n = qcell.shape[0]
-            ring_cells, valid = cells.k_ring(qcell, bits, ring)
-            flat_cells = ring_cells.reshape(-1).astype(np.int64)
-            flat_q = np.repeat(np.arange(n), ring_cells.shape[1])
-            ok = valid.reshape(-1)
-            flat_cells, flat_q = flat_cells[ok], flat_q[ok]
-            if (2 * ring + 1) > (1 << codec_split_nx(bits)):
-                combo = flat_q.astype(np.int64) * np.int64(1 << bits) + flat_cells
-                _, first = np.unique(combo, return_index=True)
-                flat_cells, flat_q = flat_cells[first], flat_q[first]
-            lo = np.searchsorted(refs["cell"], flat_cells, side="left")
-            hi = np.searchsorted(refs["cell"], flat_cells, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                qsel = np.empty(0, np.int64)
-                rsel = np.empty(0, np.int64)
-                dist = np.empty(0, np.float64)
-            else:
-                qidx = np.repeat(flat_q, counts)
-                starts = np.repeat(np.cumsum(counts) - counts, counts)
-                ridx = np.arange(total) - starts + np.repeat(lo, counts)
-                dx = qlon[qidx] - refs["lon"][ridx]
-                dy = qlat[qidx] - refs["lat"][ridx]
-                dist = dx * dx + dy * dy
-                keep = dist <= r2
-                qsel, rsel, dist = qidx[keep], ridx[keep], dist[keep]
-            keep_cols = query_cols or list(t.column_names)
-            base = t.take(pa.array(qsel))
-            cols = {name: base[name] for name in keep_cols}
-            cols[ref_id] = pa.array(refs["id"][rsel])
-            cols["dist2"] = pa.array(dist)
-            return pa.table(cols)
-
-    from georay.runtime import per_process
+    lookup_here = _broadcast_refs(refs_table, ref_id, cell_col)
 
     def fn(t: pa.Table) -> pa.Table:
-        inst = per_process(key, DWithin)
-        return inst(t)
+        refs = lookup_here()
+        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        qlon = t["lon"].to_numpy(zero_copy_only=False)
+        qlat = t["lat"].to_numpy(zero_copy_only=False)
+        qidx, ridx = _ring_candidates(refs, qcell, bits, ring)
+        dx = qlon[qidx] - refs.column("lon")[ridx]
+        dy = qlat[qidx] - refs.column("lat")[ridx]
+        dist = dx * dx + dy * dy
+        keep = dist <= r2
+        qsel, rsel, dist = qidx[keep], ridx[keep], dist[keep]
+        base = t.take(pa.array(qsel))
+        cols = {name: base[name] for name in query_cols or t.column_names}
+        cols[ref_id] = pa.array(refs.column(ref_id)[rsel])
+        cols["dist2"] = pa.array(dist)
+        return pa.table(cols)
 
     return queries_ds.map_batches(fn, batch_format="pyarrow")
 
@@ -689,55 +442,19 @@ def dwithin_shuffle(
     expand_side: str = "queries",
 ):
     """Big×big distance-within join: ring-explode one side (the ring from
-    :func:`dwithin_ring_for` provably covers ``radius``), hash-join on cell,
-    one vectorized distance filter. Unlike kNN there is NO per-query reduce
-    — a pair's membership depends only on the pair — so this is a single
-    exchange with streaming filter output. ``expand_side`` as in
-    :func:`knn_shuffle` (ring membership is symmetric; explode the smaller
-    side). Output: ``query_id, ref_id, dist2``.
+    :func:`dwithin_ring_for` provably covers ``radius``), hash-join on cell
+    (:func:`_ring_join`, shared with :func:`knn_shuffle`), one vectorized
+    distance filter. Unlike kNN there is NO per-query reduce — a pair's
+    membership depends only on the pair — so this is a single exchange
+    with streaming filter output. Output: ``query_id, ref_id, dist2``.
     ``num_partitions=None`` → ``runtime.adaptive_partitions()``.
     """
-    from georay.runtime import adaptive_partitions
-
-    if num_partitions is None:
-        num_partitions = adaptive_partitions()
-    ring = dwithin_ring_for(radius, bits)
     r2 = np.float64(radius) * np.float64(radius)
-
-    def explode(t: pa.Table) -> pa.Table:
-        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ring_cells, valid = cells.k_ring(qcell, bits, ring)
-        m = ring_cells.shape[1]
-        idx = np.repeat(np.arange(qcell.shape[0]), m)
-        flat_ok = valid.reshape(-1)
-        idx = idx[flat_ok]
-        flat_cells = ring_cells.reshape(-1)[flat_ok].astype(np.int64)
-        if (2 * ring + 1) > (1 << codec_split_nx(bits)):
-            combo = idx.astype(np.int64) * np.int64(1 << bits) + flat_cells
-            _, first = np.unique(combo, return_index=True)
-            idx, flat_cells = idx[first], flat_cells[first]
-        base = t.drop_columns([cell_col]).take(pa.array(idx))
-        return base.append_column(cell_col, pa.array(flat_cells))
-
-    if expand_side == "queries":
-        left = queries_ds.map_batches(explode, batch_format="pyarrow")
-        right = refs_ds
-    elif expand_side == "refs":
-        left = queries_ds
-        right = refs_ds.map_batches(explode, batch_format="pyarrow")
-    else:
-        raise ValueError(f"expand_side must be 'queries' or 'refs', got {expand_side!r}")
-    joined = join(left, right, "inner", on=(cell_col,), left_suffix="_q",
-                  right_suffix="_r", num_partitions=num_partitions)
+    joined = _ring_join(queries_ds, refs_ds, bits, dwithin_ring_for(radius, bits),
+                        cell_col, num_partitions, expand_side)
 
     def dist_filter(t: pa.Table) -> pa.Table:
-        dx = t["lon_q"].to_numpy(zero_copy_only=False) - t["lon_r"].to_numpy(
-            zero_copy_only=False
-        )
-        dy = t["lat_q"].to_numpy(zero_copy_only=False) - t["lat_r"].to_numpy(
-            zero_copy_only=False
-        )
-        dist = dx * dx + dy * dy
+        dist = _pair_dist2(t)
         keep = dist <= r2
         return pa.table(
             {
@@ -827,8 +544,6 @@ def geodesic_rings(bits: int, d_meters: float,
     the Matuschek bounding-box argument, made rigorous per cell row."""
     import math
 
-    from georay import codec
-
     nx, ny = codec.split_bits(bits)
     W, H = 1 << nx, 1 << ny
     lon_err, lat_err = codec.error_with_precision(bits)
@@ -881,96 +596,67 @@ def geodesic_dwithin_ring(
     Output: query_cols, ``ref_id``, ``hav`` (the kernel value)."""
     import math
 
-    import ray
-
-    from georay import codec
-
     nx, ny = codec.split_bits(bits)
     W, H = 1 << nx, 1 << ny
     ring_y, ring_x = geodesic_rings(bits, d_meters, radius_m)
     t = math.sin(d_meters / (2.0 * radius_m))
     thresh = t * t
-
-    rcell = refs_table[cell_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(rcell, kind="stable")
-    packed = {
-        "cell": rcell[order],
-        "lon": refs_table["lon"].to_numpy(zero_copy_only=False)[order],
-        "lat": refs_table["lat"].to_numpy(zero_copy_only=False)[order],
-        "id": refs_table[ref_id].to_numpy(zero_copy_only=False)[order],
-    }
-    refs_ref = ray.put(packed)
-    key = refs_ref.hex() + "-geodwithin"
-
-    class GeoDWithin:
-        def __init__(self):
-            self.refs = ray.get(refs_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            refs = self.refs
-            qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            qlon = t["lon"].to_numpy(zero_copy_only=False)
-            qlat = t["lat"].to_numpy(zero_copy_only=False)
-            qx, qy = codec.deinterleave(qcell, bits)
-            qx = qx.astype(np.int64)
-            qy = qy.astype(np.int64)
-            out_q, out_r, out_h = [], [], []
-            for row in np.unique(qy):
-                rx = int(ring_x[row])
-                dxs = (np.arange(-rx, rx + 1, dtype=np.int64)
-                       if 2 * rx + 1 < W else np.arange(W, dtype=np.int64))
-                dys = np.arange(-ring_y, ring_y + 1, dtype=np.int64)
-                dys = dys[(row + dys >= 0) & (row + dys < H)]
-                sel = np.flatnonzero(qy == row)
-                # candidate cells: |sel| x (dxs*dys) grid, x wraps
-                cx = (qx[sel][:, None] + dxs[None, :]) % W  # (s, dx)
-                cand_x = np.repeat(cx, dys.size, axis=1).reshape(-1)
-                cand_y = np.tile(np.tile(row + dys, dxs.size), sel.size)
-                cand = codec.interleave(
-                    cand_x.astype(np.uint64), cand_y.astype(np.uint64), bits
-                ).astype(np.int64)
-                flat_q = np.repeat(sel, dxs.size * dys.size)
-                lo = np.searchsorted(refs["cell"], cand, side="left")
-                hi = np.searchsorted(refs["cell"], cand, side="right")
-                counts = hi - lo
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                qidx = np.repeat(flat_q, counts)
-                starts = np.repeat(np.cumsum(counts) - counts, counts)
-                ridx = np.arange(total) - starts + np.repeat(lo, counts)
-                # frozen haversine-kernel expression tree (== SQL twin)
-                sp = np.sin((np.radians(qlat[qidx])
-                             - np.radians(refs["lat"][ridx])) / 2.0)
-                sl = np.sin((np.radians(qlon[qidx])
-                             - np.radians(refs["lon"][ridx])) / 2.0)
-                h = sp * sp + (np.cos(np.radians(qlat[qidx]))
-                               * np.cos(np.radians(refs["lat"][ridx]))) \
-                    * (sl * sl)
-                keep = h <= thresh
-                out_q.append(qidx[keep])
-                out_r.append(ridx[keep])
-                out_h.append(h[keep])
-            if out_q:
-                qsel = np.concatenate(out_q)
-                rsel = np.concatenate(out_r)
-                hav = np.concatenate(out_h)
-            else:
-                qsel = np.empty(0, np.int64)
-                rsel = np.empty(0, np.int64)
-                hav = np.empty(0, np.float64)
-            keep_cols = query_cols or list(t.column_names)
-            base = t.take(pa.array(qsel))
-            cols = {name: base[name] for name in keep_cols}
-            cols[ref_id] = pa.array(refs["id"][rsel])
-            cols["hav"] = pa.array(hav)
-            return pa.table(cols)
-
-    from georay.runtime import per_process
+    lookup_here = _broadcast_refs(refs_table, ref_id, cell_col)
 
     def fn(t: pa.Table) -> pa.Table:
-        inst = per_process(key, GeoDWithin)
-        return inst(t)
+        refs = lookup_here()
+        rlon, rlat = refs.column("lon"), refs.column("lat")
+        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        qlon = t["lon"].to_numpy(zero_copy_only=False)
+        qlat = t["lat"].to_numpy(zero_copy_only=False)
+        qx, qy = codec.deinterleave(qcell, bits)
+        qx = qx.astype(np.int64)
+        qy = qy.astype(np.int64)
+        out_q, out_r, out_h = [], [], []
+        for row in np.unique(qy):
+            rx = int(ring_x[row])
+            dxs = (np.arange(-rx, rx + 1, dtype=np.int64)
+                   if 2 * rx + 1 < W else np.arange(W, dtype=np.int64))
+            dys = np.arange(-ring_y, ring_y + 1, dtype=np.int64)
+            dys = dys[(row + dys >= 0) & (row + dys < H)]
+            sel = np.flatnonzero(qy == row)
+            # candidate cells: |sel| x (dxs*dys) grid, x wraps
+            cx = (qx[sel][:, None] + dxs[None, :]) % W  # (s, dx)
+            cand_x = np.repeat(cx, dys.size, axis=1).reshape(-1)
+            cand_y = np.tile(np.tile(row + dys, dxs.size), sel.size)
+            cand = codec.interleave(
+                cand_x.astype(np.uint64), cand_y.astype(np.uint64), bits
+            ).astype(np.int64)
+            flat_q = np.repeat(sel, dxs.size * dys.size)
+            pi, ridx = refs.match(cand)
+            if ridx.size == 0:
+                continue
+            qidx = flat_q[pi]
+            # frozen haversine-kernel expression tree (== SQL twin)
+            sp = np.sin((np.radians(qlat[qidx])
+                         - np.radians(rlat[ridx])) / 2.0)
+            sl = np.sin((np.radians(qlon[qidx])
+                         - np.radians(rlon[ridx])) / 2.0)
+            h = sp * sp + (np.cos(np.radians(qlat[qidx]))
+                           * np.cos(np.radians(rlat[ridx]))) \
+                * (sl * sl)
+            keep = h <= thresh
+            out_q.append(qidx[keep])
+            out_r.append(ridx[keep])
+            out_h.append(h[keep])
+        if out_q:
+            qsel = np.concatenate(out_q)
+            rsel = np.concatenate(out_r)
+            hav = np.concatenate(out_h)
+        else:
+            qsel = np.empty(0, np.int64)
+            rsel = np.empty(0, np.int64)
+            hav = np.empty(0, np.float64)
+        base = t.take(pa.array(qsel))
+        cols = {name: base[name] for name in query_cols or t.column_names}
+        cols[ref_id] = pa.array(refs.column(ref_id)[rsel])
+        cols["hav"] = pa.array(hav)
+        return pa.table(cols)
 
     return queries_ds.map_batches(fn, batch_format="pyarrow")
 

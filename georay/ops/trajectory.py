@@ -19,6 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from georay.codec import expand_ranges
 from georay.runtime import by_key, group_agg, join
 
 
@@ -203,10 +204,8 @@ def leg_cell_cover(ds, key_col: str, ts_col: str, order_col: str,
         w = (cx_hi - cx_lo + 1)
         h = (cy_hi - cy_lo + 1)
         counts = w * h
-        total = int(counts.sum())
         leg = np.repeat(np.arange(n_legs, dtype=np.int64), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        local = np.arange(total, dtype=np.int64) - starts
+        local = expand_ranges(counts)
         cx = cx_lo[leg] + local // h[leg]
         cy = cy_lo[leg] + local % h[leg]
         # corner cross products vs the segment line (int64 exact)

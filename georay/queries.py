@@ -634,8 +634,7 @@ def q_dwithin_shuffle(sf_dir: str):
     supp = spatial.points_with_cells(supp, "s_suppkey", BITS_JOIN, xy=False)
     out = knn_ops.dwithin_shuffle(
         cust, supp, bits=BITS_JOIN, radius=DWITHIN_RADIUS,
-        query_id="c_custkey", ref_id="s_suppkey",
-        num_partitions=8, expand_side="refs",
+        query_id="c_custkey", ref_id="s_suppkey", expand_side="refs",
     )
     return out.select_columns(["c_custkey", "s_suppkey", "dist2"])
 
@@ -3634,27 +3633,6 @@ def q_knn_shuffle(sf_dir: str):
         query_id="c_custkey",
         ref_id="s_suppkey",
         expand_side="refs",  # suppliers are 15x fewer: explode the small side
-    )
-    return out.select_columns(["c_custkey", "s_suppkey", "rank"])
-
-
-def q_knn_cogroup(sf_dir: str):
-    """Big×big kNN via the cogroup plan (tag → union → ``runtime.by_key``
-    on cell → vectorized per-bucket join + top-k). Same SQL twin as the
-    hash-join path."""
-    cust = _read(sf_dir, "customer", columns=["c_custkey"])
-    cust = spatial.points_with_cells(cust, "c_custkey", BITS_JOIN, xy=False)
-    supp = _read(sf_dir, "supplier", columns=["s_suppkey"])
-    supp = spatial.points_with_cells(supp, "s_suppkey", BITS_JOIN, xy=False)
-    out = knn_ops.knn_cogroup(
-        cust,
-        supp,
-        bits=BITS_JOIN,
-        k=KNN_K,
-        ring=1,
-        query_id="c_custkey",
-        ref_id="s_suppkey",
-        num_partitions=4,
     )
     return out.select_columns(["c_custkey", "s_suppkey", "rank"])
 
@@ -12329,7 +12307,6 @@ def registry(n_images: int = 10_000, include_sql: bool = True):
         "embed_neardup_lsh": (q_embed_neardup_lsh, sql_embed_neardup_lsh()),
         "fingerprint_dedup": (q_fingerprint_dedup, SQL_FINGERPRINT_DEDUP),
         "knn_shuffle": (q_knn_shuffle, SQL_KNN),
-        "knn_cogroup": (q_knn_cogroup, SQL_KNN),
         "langid_confusion": (q_langid, SQL_LANGID),
         "quality_scores": (q_quality, SQL_QUALITY),
         "tfidf_topk": (q_tfidf, SQL_TFIDF),

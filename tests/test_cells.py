@@ -141,3 +141,72 @@ def test_uncompact_dataset_roundtrip(ray_session):
     comp = cells.compact_dataset(ds, "cell", bits=12, step=2, anchor_bits=6)
     back = cells.uncompact_dataset(comp, target_bits=12).to_pandas()
     assert sorted(back["cell"]) == sorted(base.tolist())
+
+
+def test_expand_ranges():
+    assert codec.expand_ranges(np.empty(0, np.int64)).size == 0
+    assert codec.expand_ranges(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
+    counts = np.array([2, 0, 3, 0], np.int64)  # rows with zero matches
+    assert codec.expand_ranges(counts).tolist() == [0, 1, 0, 1, 2]
+    lo = np.array([5, 9, 0, 4], np.int64)
+    assert codec.expand_ranges(counts, lo).tolist() == [5, 6, 0, 1, 2]
+
+
+def test_sorted_lookup_match():
+    import pyarrow as pa
+
+    keys = np.array([7, 3, 7, 1, 3, 7], np.int64)
+    lookup = cells.SortedLookup(pa.table({"k": keys, "v": np.arange(6)}), "k")
+    assert lookup.keys.tolist() == [1, 3, 3, 7, 7, 7]
+    assert lookup.column("v").tolist() == [3, 1, 4, 0, 2, 5]  # stable
+    pi, ri = lookup.match(np.empty(0, np.int64))
+    assert pi.size == 0 and ri.size == 0
+    pi, ri = lookup.match(np.array([2, 8], np.int64))  # no key matches
+    assert pi.size == 0 and ri.size == 0
+    pi, ri = lookup.match(np.array([7, 2, 3, 7], np.int64))
+    assert pi.tolist() == [0, 0, 0, 2, 2, 3, 3, 3]
+    assert np.all(np.diff(pi) >= 0)
+    assert (lookup.keys[ri] == np.array([7, 2, 3, 7])[pi]).all()
+    assert ri.tolist() == [3, 4, 5, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("bits,k", [(4, 2), (4, 1), (10, 1), (10, 3)])
+def test_ring_probe(bits, k):
+    qi, cell = cells.ring_probe(np.empty(0, np.uint64), bits, k)
+    assert qi.size == 0 and cell.size == 0
+    rng = np.random.RandomState(bits * 10 + k)
+    code = codec.encode(rng.uniform(-180, 180, 60),
+                        rng.uniform(-90, 90, 60), bits)
+    code[:3] = codec.encode(np.array([0.0, 0.0, 0.0]),
+                            np.array([-89.9, 89.9, 0.0]), bits)  # lat edges
+    qi, cell = cells.ring_probe(code, bits, k)
+    assert cell.dtype == np.int64
+    assert np.all(np.diff(qi) >= 0)  # query-major
+    ring, valid = cells.k_ring(code, bits, k)
+    want = {(q, int(c)) for q in range(code.size)
+            for c, ok in zip(ring[q], valid[q]) if ok}
+    got = list(zip(qi.tolist(), cell.tolist()))
+    assert len(got) == len(set(got))  # a wrapping ring gives each cell once
+    assert set(got) == want
+    # within a query, cells keep their first ring position
+    for q in (0, 1, 2):
+        first = list(dict.fromkeys(int(c) for c, ok in zip(ring[q], valid[q]) if ok))
+        assert cell[qi == q].tolist() == first
+
+
+def test_ring_candidates_go_through_one_probe_and_kernel():
+    import pathlib
+
+    root = pathlib.Path(cells.__file__).parent
+    expand, probe = [], []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root.parent).as_posix()
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if "np.cumsum(counts) - counts" in line:
+                expand.append(f"{rel}:{i}")
+            if "cells.k_ring(" in line and rel.startswith("georay/ops/"):
+                probe.append(f"{rel}:{i}")
+    assert len(expand) == 1 and expand[0].startswith("georay/codec.py:"), (
+        f"range-expand with codec.expand_ranges: {expand}"
+    )
+    assert not probe, f"ring candidates with cells.ring_probe: {probe}"

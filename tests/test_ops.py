@@ -156,32 +156,6 @@ def test_knn_shuffle_matches_brute(ray_session, point_tables):
     assert got == want
 
 
-def test_knn_cogroup_matches_brute(ray_session, point_tables):
-    import ray
-
-    left, right = point_tables
-    bits, k, ring = 8, 3, 1
-    lt = _with_cells(left.slice(0, 200), "lkey", bits)
-    rt = _with_cells(right, "rkey", bits)
-    lq = lt.rename_columns(
-        ["query_id" if c == "lkey" else c for c in lt.column_names]
-    ).drop_columns(["cx", "cy"])
-    rq = rt.rename_columns(
-        ["ref_id" if c == "rkey" else c for c in rt.column_names]
-    ).drop_columns(["cx", "cy"])
-    out = knn_ops.knn_cogroup(
-        ray.data.from_arrow(lq).repartition(3),
-        ray.data.from_arrow(rq),
-        bits=bits,
-        k=k,
-        ring=ring,
-        num_partitions=4,
-    ).to_pandas()
-    got = set(zip(out["query_id"], out["ref_id"], out["rank"]))
-    want = {(a, b, r) for a, b, r in _oracle_knn(lt, rt, bits, k, ring)}
-    assert got == want
-
-
 def test_tile_counts_matches_pandas(ray_session, point_tables):
     import ray
 
@@ -319,34 +293,6 @@ def test_shuffle_join_left_outer(ray_session, point_tables):
     assert got == want
 
 
-def test_salted_shuffle_join_matches_plain(ray_session):
-    import ray
-
-    from georay import runtime
-
-    rng = np.random.RandomState(3)
-    # heavy skew: half of left and a third of right in one hot cell
-    lkey = np.where(np.arange(4000) % 2 == 0, 99, rng.randint(0, 50, 4000))
-    rkey = np.where(np.arange(600) % 3 == 0, 99, rng.randint(0, 50, 600))
-    lt = pa.table({"cell": lkey.astype(np.int64), "lid": np.arange(4000, dtype=np.int64)})
-    rt = pa.table({"cell": rkey.astype(np.int64), "rid": np.arange(600, dtype=np.int64)})
-    lds = ray.data.from_arrow(lt).repartition(6)
-    rds = ray.data.from_arrow(rt).repartition(3)
-    hot = runtime.detect_heavy_keys(lds, "cell", threshold=500)
-    assert 99 in hot.tolist()
-    out = join_ops.salted_shuffle_join(
-        lds, rds, hot, on="cell", n_salt=8, num_partitions=8,
-        left_cols=["lid"], right_cols=["rid"],
-    ).to_pandas()
-    plain = lt.to_pandas().merge(rt.to_pandas(), on="cell")
-    assert len(out) == len(plain)
-    assert set(zip(out["lid"], out["rid"])) == set(zip(plain["lid"], plain["rid"]))
-    # unsalted key column restored
-    assert set(out.columns) >= {"cell", "lid", "rid"}
-    m = out.merge(lt.to_pandas(), on="lid", suffixes=("", "_orig"))
-    assert (m["cell"] == m["cell_orig"]).all()
-
-
 def test_semi_join_empty_keys(ray_session):
     import ray
 
@@ -357,21 +303,40 @@ def test_semi_join_empty_keys(ray_session):
     assert len(semi) == 0 and len(anti) == 50
 
 
-def test_knn_ring_tiny_grid_wrap_dedup(ray_session):
-    # bits=4 -> 4-column lon grid; ring=2 -> 5-wide ring aliases the wrap;
-    # without dedup the same ref appears at multiple ranks
+# bits=4 -> 4-column lon grid (90 deg cells); ring 2 (ring 3 for the
+# 100 deg radius) -> a ring wider than 4 columns aliases the wrap; without
+# the probe's dedup the same ref appears twice for one query
+_WRAP_PLANS = {
+    "knn_ring": lambda lds, rt, rds: knn_ops.knn_ring(
+        lds, rt, bits=4, k=5, ring=2, query_cols=["lkey"], ref_id="rkey"),
+    "knn_shuffle": lambda lds, rt, rds: knn_ops.knn_shuffle(
+        lds, rds, bits=4, k=5, ring=2, query_id="lkey", ref_id="rkey",
+        num_partitions=2),
+    "dwithin_ring": lambda lds, rt, rds: knn_ops.dwithin_ring(
+        lds, rt, bits=4, radius=100.0, query_cols=["lkey"], ref_id="rkey"),
+    "dwithin_shuffle": lambda lds, rt, rds: knn_ops.dwithin_shuffle(
+        lds, rds, bits=4, radius=100.0, query_id="lkey", ref_id="rkey",
+        num_partitions=2),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_WRAP_PLANS))
+def test_knn_ring_tiny_grid_wrap_dedup(ray_session, plan):
     import ray
 
     from georay.ops import spatial as sp
 
     lt = sp.add_cell(sp.add_synth_points(pa.table({"lkey": np.arange(40, dtype=np.int64)}), "lkey"), 4)
     rt = sp.add_cell(sp.add_synth_points(pa.table({"rkey": np.arange(10, dtype=np.int64) + 500}), "rkey"), 4)
-    out = knn_ops.knn_ring(
-        ray.data.from_arrow(lt), rt, bits=4, k=5, ring=2,
-        query_cols=["lkey"], ref_id="rkey",
+    assert knn_ops.dwithin_ring_for(100.0, 4) == 3
+    out = _WRAP_PLANS[plan](
+        ray.data.from_arrow(lt), rt, ray.data.from_arrow(rt)
     ).to_pandas()
+    assert len(out) > 0
     dup = out.groupby(["lkey", "rkey"]).size()
-    assert (dup == 1).all(), "duplicate (query, ref) pairs in top-k"
+    assert (dup == 1).all(), "duplicate (query, ref) pairs"
+    if plan.startswith("dwithin"):
+        assert set(zip(out["lkey"], out["rkey"])) == _oracle_dwithin(lt, rt, 100.0)
 
 
 def _oracle_dwithin(lt, rt, radius):
