@@ -17,7 +17,7 @@ _REPO = os.path.dirname(os.path.abspath(__file__))
 if _REPO not in sys.path:
     sys.path.insert(0, _REPO)
 
-import georay  # noqa: E402  (registers by-value pickling for Ray workers)
+import georay  # noqa: E402  (ships georay to Ray workers by value from a foreign cwd)
 from georay import queries as _q  # noqa: E402
 
 

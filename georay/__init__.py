@@ -4,50 +4,77 @@ From-scratch implementation (NOT a port) of the query/data-processing
 capabilities of ``fbriol/pangeo-geohash``, generalized into an H3/S2-style
 hierarchical cell-index layer over Ray Data pipelines. See SURVEY.md for the
 blueprint and provenance notes.
+
+How georay code reaches Ray workers is settled when this package is
+imported (:func:`shipped_by_value` tells which way was taken):
+
+- **By reference** when ``ray.init`` will put this checkout's root on every
+  worker's ``sys.path``: Ray adds the driver's working directory, and its
+  script directory when that directory is on the driver's ``sys.path``
+  (``JobConfig._py_driver_sys_path``). A task then pickles a georay function
+  as its qualified name and the worker imports the modules its tasks name,
+  once per process, so module state such as the ``runtime.per_process``
+  cache lives as long as the worker.
+- **By value** otherwise (a driver run from another directory that put the
+  checkout on its own ``sys.path``, as ``__ray_entry__.py`` does): every
+  georay module is registered with cloudpickle, so tasks carry the code
+  they reach and workers never import georay.
+
+``PYTHONPATH`` is not consulted: a Ray cluster started elsewhere does not
+carry the driver's environment.
 """
 
 from __future__ import annotations
+
+import os
+import sys
 
 __version__ = "0.1.0"
 
 from georay import codec  # noqa: F401
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+
+
+def _workers_import_by_reference() -> bool:
+    """Whether ``ray.init`` called now would put this checkout's root on
+    the workers' ``sys.path``: it does so for the working directory, and for
+    the script's directory when that is on ``sys.path`` (``ray.init`` in
+    ``ray._private.worker``)."""
+    try:
+        dirs = [os.getcwd()]
+    except OSError:  # working directory deleted
+        return False
+    script = sys.argv[0] if sys.argv else ""
+    if script:
+        script_dir = os.path.dirname(os.path.realpath(script))
+        if script_dir in sys.path:
+            dirs.append(script_dir)
+    return any(os.path.realpath(d) == _ROOT for d in dirs)
+
 
 def register_by_value() -> None:
     """Ship georay code to Ray workers by value.
 
-    Ray workers deserialize map_batches fns with cloudpickle, which pickles
-    module-level functions *by reference*; if the worker process can't import
-    ``georay`` (repo not on its sys.path — e.g. a driver launched from another
-    cwd), every task dies with ``No module named 'georay'``. Registering the
-    package's modules for by-value pickling makes pipelines self-contained
-    regardless of the workers' environment. Called at import time below.
+    Called at import time when workers cannot import georay by reference
+    (:func:`_workers_import_by_reference`). Call it yourself before building
+    a pipeline when that test cannot see how the workers start: a driver
+    that ``chdir``s out of this checkout between importing georay and
+    ``ray.init``, or one whose ``runtime_env`` ``working_dir`` is not this
+    checkout. Registering the package covers every submodule, also those
+    imported later (cloudpickle checks a module's parent packages).
     """
-    import sys
+    import ray.cloudpickle as cp
 
-    try:
-        import ray.cloudpickle as cp  # type: ignore
-    except Exception:
-        return
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and (name == "georay" or name.startswith("georay.")):
-            try:
-                cp.register_pickle_by_value(mod)
-            except Exception:
-                pass
+    cp.register_pickle_by_value(sys.modules[__name__])
 
 
-def _import_all() -> None:
-    """Eagerly import submodules so register_by_value covers them."""
-    import importlib
+def shipped_by_value() -> bool:
+    """Whether georay code ships to Ray workers by value now."""
+    import ray.cloudpickle as cp
 
-    for name in ("codec", "cells", "geometry", "images", "jpeg", "stages",
-                 "io", "runtime", "queries", "ops", "vecindex"):
-        try:
-            importlib.import_module(f"georay.{name}")
-        except ImportError:
-            pass  # module not written yet
+    return __name__ in cp.list_registry_pickle_by_value()
 
 
-_import_all()
-register_by_value()
+if not _workers_import_by_reference():
+    register_by_value()

@@ -81,45 +81,17 @@ def ring_probe(code, bits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return qidx, cell
 
 
-class SortedLookup:
-    """Immutable sorted-key multimap over a pyarrow table: the one broadcast
-    lookup behind cell joins and ring candidates. Rows are sorted once by
-    ``key_col`` (stable argsort); numpy columns convert on first use."""
-
-    def __init__(self, table: pa.Table, key_col: str):
-        keys = table[key_col].to_numpy(zero_copy_only=False)
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.table = table.take(pa.array(order))
-        self._columns: dict[str, np.ndarray] = {}
-
-    def column(self, name: str) -> np.ndarray:
-        """Column ``name`` in sorted row order, as numpy."""
-        if name not in self._columns:
-            self._columns[name] = self.table[name].to_numpy(zero_copy_only=False)
-        return self._columns[name]
-
-    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(probe_idx, row_idx) pairs for every key match, probe-major —
-        vectorized range-expand, no Python row loop."""
-        lo = np.searchsorted(self.keys, probe, side="left")
-        counts = np.searchsorted(self.keys, probe, side="right") - lo
-        if not counts.any():
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        probe_idx = np.repeat(np.arange(probe.shape[0]), counts)
-        return probe_idx, codec.expand_ranges(counts, lo)
-
-
 def broadcast_lookup(table: pa.Table, key_col: str):
     """Ship ``table`` to the object store once (one ``ray.put``) and return
     a function that gives the calling worker process its
-    :class:`SortedLookup` over it, built on first use and then cached
-    (``runtime.per_process``)."""
+    :class:`georay.codec.SortedLookup` over it: built by the first task in
+    each worker process and then cached (``runtime.per_process``), so one
+    sort per worker process, not per task."""
     import ray
 
     ref = ray.put(table)
     key = ref.hex()
-    return lambda: per_process(key, lambda: SortedLookup(ray.get(ref), key_col))
+    return lambda: per_process(key, lambda: codec.SortedLookup(ray.get(ref), key_col))
 
 
 def compact(codes: np.ndarray, bits: int, step: int = 2,

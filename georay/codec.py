@@ -12,8 +12,9 @@ so semantics were validated against public geohash test vectors — SURVEY.md §
   (the engine-canonical choice documented in SURVEY.md §8; the left-aligned
   64-bit form is ``code << (64 - bits)``).
 
-Everything here is pure numpy over 1-D arrays — no Ray, no Python row loops —
-so it can run zero-copy inside ``Dataset.map_batches(batch_format="pyarrow")``.
+Everything here is pure numpy over 1-D arrays (``SortedLookup`` also holds a
+pyarrow table) — no Ray, no Python row loops — so it can run zero-copy inside
+``Dataset.map_batches(batch_format="pyarrow")``.
 
 Known vectors (validated, SURVEY.md §8 / FIXTURES.md F3)::
 
@@ -26,6 +27,7 @@ Known vectors (validated, SURVEY.md §8 / FIXTURES.md F3)::
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 ALPHABET = b"0123456789bcdefghjkmnpqrstuvwxyz"
 _ALPHABET_ARR = np.frombuffer(ALPHABET, dtype=np.uint8)
@@ -392,8 +394,38 @@ def transform(code, bits_from: int, bits_to: int) -> np.ndarray:
 def expand_ranges(counts: np.ndarray, lo: np.ndarray | None = None) -> np.ndarray:
     """Ragged range-expand: the concatenated ranges ``lo[i] + [0, counts[i])``
     (``lo=None``: the offsets ``[0, counts[i])`` alone). The one kernel
-    behind ``cells.SortedLookup.match`` and every flat-map that explodes a
+    behind :meth:`SortedLookup.match` and every flat-map that explodes a
     row into a run of cells, children or buckets."""
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     local = np.arange(int(counts.sum()), dtype=np.int64) - starts
     return local if lo is None else local + np.repeat(lo, counts)
+
+
+class SortedLookup:
+    """Immutable sorted-key multimap over a pyarrow table: the one sorted
+    lookup behind cell joins, ring candidates (``cells.broadcast_lookup``)
+    and the polygon cover of ``geometry.PolygonSet``. Rows are sorted once
+    by ``key_col`` (stable argsort); numpy columns convert on first use."""
+
+    def __init__(self, table: pa.Table, key_col: str):
+        keys = table[key_col].to_numpy(zero_copy_only=False)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.table = table.take(pa.array(order))
+        self._columns: dict[str, np.ndarray] = {}
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` in sorted row order, as numpy."""
+        if name not in self._columns:
+            self._columns[name] = self.table[name].to_numpy(zero_copy_only=False)
+        return self._columns[name]
+
+    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(probe_idx, row_idx) pairs for every key match, probe-major —
+        vectorized range-expand, no Python row loop."""
+        lo = np.searchsorted(self.keys, probe, side="left")
+        counts = np.searchsorted(self.keys, probe, side="right") - lo
+        if not counts.any():
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        probe_idx = np.repeat(np.arange(probe.shape[0]), counts)
+        return probe_idx, expand_ranges(counts, lo)

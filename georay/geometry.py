@@ -15,6 +15,7 @@ must be pre-split by the caller into two lon-monotone rings sharing an id.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from georay import codec
 
@@ -210,10 +211,9 @@ class PolygonSet:
         )
         if backend == "rtree":
             self._tree = STRtree(self.bbox)
-            self._cells = None
-            self._polys = None
+            self._cover = None
             return
-        # cell -> candidate polygon indices (CSR layout for numpy lookup)
+        # cell -> candidate polygon indices, one row per (cover cell, polygon)
         cover_cells = []
         cover_polys = []
         for i, (rx, ry) in enumerate(self.rings):
@@ -224,20 +224,12 @@ class PolygonSet:
             cover_polys.append(np.full(cover.size, i, dtype=np.int64))
         cc = np.concatenate(cover_cells) if cover_cells else np.empty(0, np.uint64)
         cp = np.concatenate(cover_polys) if cover_polys else np.empty(0, np.int64)
-        order = np.argsort(cc, kind="stable")
-        self._cells = cc[order]
-        self._polys = cp[order]
+        self._cover = codec.SortedLookup(pa.table({"cell": cc, "poly": cp}), "cell")
 
     def candidates(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point_idx, poly_idx) candidate pairs for points keyed by cell."""
-        lo = np.searchsorted(self._cells, cell, side="left")
-        hi = np.searchsorted(self._cells, cell, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        point_idx = np.repeat(np.arange(cell.shape[0]), counts)
-        return point_idx, self._polys[codec.expand_ranges(counts, lo)]
+        point_idx, row = self._cover.match(cell)
+        return point_idx, self._cover.column("poly")[row]
 
     def contains(
         self, lon: np.ndarray, lat: np.ndarray

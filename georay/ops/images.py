@@ -7,10 +7,11 @@ Two physical forms of the same stage:
   per-actor state (a real model). Actor pools RESERVE their CPUs, which on a
   small node starves the parquet read running beside them.
 - ``decode_invariant`` (default) — STATELESS TASKS sharing the same cached
-  state through a per-worker-process module global: Ray reuses worker
-  processes, so the ground-truth cache amortizes exactly like actor state,
-  while tasks pack elastically with the read/shuffle stages (no reserved-CPU
-  starvation). Measured 2× end-to-end over the pool on 32 CPUs.
+  state through ``runtime.per_process`` (one instance per worker process,
+  however georay ships to the workers): Ray reuses worker processes, so the
+  ground-truth cache amortizes exactly like actor state, while tasks pack
+  elastically with the read/shuffle stages (no reserved-CPU starvation).
+  Measured 2× end-to-end over the pool on 32 CPUs.
 
 Per-row invariant (BASELINE.json:15): decoded pixels vs the deterministically
 regenerated ground truth — exact equality for lossless fmts, PSNR ≥ 40 dB for
@@ -26,7 +27,7 @@ import pyarrow as pa
 
 from georay import codec, images
 from georay.fixtures import PIXEL_PERIOD, pixel_index, row_coords
-from georay.runtime import group_agg
+from georay.runtime import group_agg, per_process
 
 PSNR_MIN = 40.0
 
@@ -120,16 +121,9 @@ class DecodeInvariant:
         return pa.table(cols)
 
 
-_TASK_STATE: dict = {}
-
-
 def _decode_invariant_batch(t: pa.Table) -> pa.Table:
     """Stateless-task form: per-worker-process DecodeInvariant instance."""
-    inst = _TASK_STATE.get("decoder")
-    if inst is None:
-        inst = DecodeInvariant()
-        _TASK_STATE["decoder"] = inst
-    return inst(t)
+    return per_process("georay-decode-invariant", DecodeInvariant)(t)
 
 
 def decode_invariant(ds, concurrency=None, batch_size: int = 512):
@@ -214,11 +208,8 @@ def image_features(ds, thumb: tuple[int, int] = (16, 16), concurrency=None):
     if concurrency is None:
 
         def fn(t: pa.Table) -> pa.Table:
-            inst = _TASK_STATE.get("transform")
-            if inst is None:
-                inst = ImageTransform(*thumb)
-                _TASK_STATE["transform"] = inst
-            return inst(t)
+            key = f"georay-image-transform-{thumb}"
+            return per_process(key, lambda: ImageTransform(*thumb))(t)
 
         return ds.map_batches(fn, batch_format="pyarrow", batch_size=512)
     return ds.map_batches(

@@ -3,7 +3,7 @@
 Two physical strategies, chosen by side size:
 
 - :func:`broadcast_cell_join` — the small side is ``ray.put`` ONCE and each
-  worker process sorts it once into a :class:`georay.cells.SortedLookup`
+  worker process sorts it once into a :class:`georay.codec.SortedLookup`
   that every map_batches task binary-searches per batch. No shuffle at
   all; the right choice whenever one side fits in a worker heap (dimension
   tables, tile sets). This is the 100 TB-scale default for

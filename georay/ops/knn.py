@@ -14,7 +14,7 @@ reduce) is :func:`knn_shuffle`.
 
 Every plan here gets its candidates one way: :func:`georay.cells.ring_probe`
 gives each query's ring cells, and the broadcast plans look them up in one
-:class:`georay.cells.SortedLookup` over the refs (:func:`_ring_candidates`);
+:class:`georay.codec.SortedLookup` over the refs (:func:`_ring_candidates`);
 the shuffle twins share :func:`_ring_join` instead.
 """
 
@@ -102,12 +102,12 @@ def _topk_sorted_queries(
 
 def _broadcast_refs(refs_table: pa.Table, ref_id: str, cell_col: str):
     """The refs' cell, lon, lat and id columns as one broadcast
-    :class:`georay.cells.SortedLookup` on the cell."""
+    :class:`georay.codec.SortedLookup` on the cell."""
     cols = list(dict.fromkeys([cell_col, "lon", "lat", ref_id]))
     return cells.broadcast_lookup(refs_table.select(cols), cell_col)
 
 
-def _ring_candidates(refs: cells.SortedLookup, qcell: np.ndarray, bits: int,
+def _ring_candidates(refs: codec.SortedLookup, qcell: np.ndarray, bits: int,
                      ring: int) -> tuple[np.ndarray, np.ndarray]:
     """(query_idx, ref_row) for every ref whose cell lies in the query's
     ring, query-major (the order :func:`_topk_sorted_queries` needs): the
@@ -192,7 +192,7 @@ def knn_adaptive(
     min_err = min(lon_err, lat_err)
     max_ring = max(1 << nx, 1 << ny)
 
-    def candidates(refs: cells.SortedLookup, qcell: np.ndarray, d: int):
+    def candidates(refs: codec.SortedLookup, qcell: np.ndarray, d: int):
         # (2d+1)^2 cell enumeration explodes at large d (sparse refs at
         # fine precisions): past a threshold, fall back to brute force
         # against ALL refs — they are broadcast and bounded here, and

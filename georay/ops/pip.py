@@ -4,7 +4,10 @@ The polygon set (with its cell-cover candidate index) is broadcast ONCE via
 ``ray.put``; compute runs either as stateless tasks with a per-worker-process
 cache of the materialized index (default — packs elastically with the other
 stages), or as a dedicated actor pool (pass ``concurrency``) when the index
-is heavy enough to warrant reserved executors.
+is heavy enough to warrant reserved executors. In the task path each worker
+process fetches the index once, on its first task, and keeps it
+(``runtime.per_process``) whether georay ships to the workers by reference
+or by value.
 """
 
 from __future__ import annotations

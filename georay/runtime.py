@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+import types
 
 import numpy as np
 import pandas as pd
@@ -36,12 +38,27 @@ import pyarrow.compute as pc
 from georay.hashing import MIX, fingerprint64, key_hash
 
 
-_STAGE_STATE: dict = {}
 _STAGE_STATE_MAX = 32  # distinct broadcast states kept per worker process
+_STAGE_STATE_MODULE = "_georay_stage_state"
+
+
+def _stage_state() -> dict:
+    """The calling process's ``per_process`` entries, kept on a module in
+    ``sys.modules`` and found there at call time: a task that ships georay
+    by value unpickles a fresh copy of this module, so a dict held as its
+    global would be new in every task."""
+    holder = sys.modules.get(_STAGE_STATE_MODULE)
+    if holder is None:
+        fresh = types.ModuleType(_STAGE_STATE_MODULE)
+        fresh.entries = {}
+        holder = sys.modules.setdefault(_STAGE_STATE_MODULE, fresh)
+    return holder.entries
 
 
 def per_process(key: str, factory):
-    """Per-worker-process singleton for broadcast-state stages.
+    """Per-worker-process singleton for broadcast-state stages: one
+    ``factory()`` call per ``key`` in each worker process, however georay
+    ships to the workers (by reference or by value, ``georay/__init__``).
 
     Ray reuses worker processes across tasks, so state built once per
     process amortizes exactly like actor state while tasks pack elastically
@@ -49,12 +66,13 @@ def per_process(key: str, factory):
     docstring for the measured tradeoff). LRU-capped: long-lived sessions
     running many pipelines would otherwise accumulate one lookup table per
     broadcast ref forever."""
-    inst = _STAGE_STATE.pop(key, None)
+    state = _stage_state()
+    inst = state.pop(key, None)
     if inst is None:
         inst = factory()
-    _STAGE_STATE[key] = inst  # re-insert -> most-recently-used position
-    while len(_STAGE_STATE) > _STAGE_STATE_MAX:
-        _STAGE_STATE.pop(next(iter(_STAGE_STATE)))
+    state[key] = inst  # re-insert -> most-recently-used position
+    while len(state) > _STAGE_STATE_MAX:
+        state.pop(next(iter(state)))
     return inst
 
 

@@ -156,7 +156,7 @@ def test_sorted_lookup_match():
     import pyarrow as pa
 
     keys = np.array([7, 3, 7, 1, 3, 7], np.int64)
-    lookup = cells.SortedLookup(pa.table({"k": keys, "v": np.arange(6)}), "k")
+    lookup = codec.SortedLookup(pa.table({"k": keys, "v": np.arange(6)}), "k")
     assert lookup.keys.tolist() == [1, 3, 3, 7, 7, 7]
     assert lookup.column("v").tolist() == [3, 1, 4, 0, 2, 5]  # stable
     pi, ri = lookup.match(np.empty(0, np.int64))

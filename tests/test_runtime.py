@@ -579,6 +579,130 @@ def test_two_live_joins_finish_on_a_4gib_node(tmp_path):
     assert proc.returncode == 0 and "TWO_JOINS_OK" in out, out[-4000:]
 
 
+_SHIPPING = """
+import json
+import os
+import sys
+import uuid
+
+sys.path.insert(0, sys.argv[1])  # as __ray_entry__.py does
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import ray
+import ray.cloudpickle as cp
+
+import georay
+from georay import cells, runtime
+from georay.ops import join, knn
+
+mode = "by_value" if georay.shipped_by_value() else "by_reference"
+registered = sorted(m for m in cp.list_registry_pickle_by_value()
+                    if m.split(".")[0] == "georay")
+print("MODE", mode, registered)
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+
+# the largest map payload of a kNN ring plan, pickled as Ray pickles it
+refs = pa.table({"cell": np.arange(50, dtype=np.int64),
+                 "lon": np.linspace(0, 1, 50), "lat": np.linspace(0, 1, 50),
+                 "ref_id": np.arange(50)})
+fns = []
+map_batches = ray.data.Dataset.map_batches
+ray.data.Dataset.map_batches = (
+    lambda ds, fn, *a, **kw: fns.append(fn) or map_batches(ds, fn, *a, **kw))
+knn.knn_ring(ray.data.from_arrow(refs), refs, 12, 1)
+ray.data.Dataset.map_batches = map_batches
+print("PAYLOAD", max(len(cp.dumps(fn)) for fn in fns))
+
+# 16 one-row blocks: one SortedLookup per worker process, not per task
+lookup_here = cells.broadcast_lookup(pa.table({"k": [1, 2, 3]}), "k")
+
+
+def tag(t):
+    lookup = lookup_here()
+    if not hasattr(lookup, "tag"):
+        lookup.tag = uuid.uuid4().hex
+    return pa.table({"pid": [os.getpid()], "tag": [lookup.tag]})
+
+
+tags = ray.data.range(16, override_num_blocks=16).map_batches(
+    tag, batch_format="pyarrow", batch_size=None).to_pandas()
+assert len(tags) == 16
+print("BUILDS", json.dumps(tags.groupby("pid")["tag"].nunique().tolist()))
+
+rng = np.random.default_rng(0)
+left = pd.DataFrame({"cell": rng.integers(0, 40, 500), "x": np.arange(500)})
+right = pd.DataFrame({"cell": np.arange(0, 40, 2), "y": np.arange(20)})
+want = left.merge(right, on="cell")
+cols = ["cell", "x", "y"]
+
+
+def same(got, want, cols):
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values(cols).reset_index(drop=True),
+        want[cols].sort_values(cols).reset_index(drop=True),
+        check_dtype=False)
+
+
+lds = ray.data.from_pandas(left).repartition(4)
+same(join.broadcast_cell_join(lds, pa.Table.from_pandas(right)).to_pandas(),
+     want, cols)
+same(runtime.join(lds, ray.data.from_pandas(right), "inner",
+                  on=("cell",)).to_pandas(), want, cols)
+schema = pa.schema([("cell", pa.int64()), ("n", pa.int64())])
+got = runtime.by_key(
+    lds, "cell", lambda t: pd.DataFrame(t.to_pandas().groupby("cell").size()
+                                        .rename("n").reset_index()),
+    schema).to_pandas()
+same(got, left.groupby("cell").size().rename("n").reset_index(), ["cell", "n"])
+print("PLANS_OK")
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("mode", ["by_reference", "by_value"])
+def test_georay_ships_to_workers(tmp_path, mode):
+    import re
+    import signal
+    import subprocess
+    import sys
+
+    # a driver run from the checkout ships georay by reference: no module
+    # of it in cloudpickle's by-value set and small map payloads (this kNN
+    # ring map pickles 88 kB by value, 4 kB by reference); one run from
+    # elsewhere, with the checkout only on its own sys.path, ships it by
+    # value. Both keep one per_process build per worker process and give
+    # the same plan outputs.
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "shipping.py"
+    script.write_text(_SHIPPING)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.Popen(
+        [sys.executable, str(script), repo],
+        cwd=repo if mode == "by_reference" else str(tmp_path), env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{mode} driver did not finish in 180 s")
+    assert proc.returncode == 0 and "PLANS_OK" in out, out[-4000:]
+    registered = "['georay']" if mode == "by_value" else "[]"
+    assert f"MODE {mode} {registered}" in out, out[-4000:]
+    payload = int(re.search(r"PAYLOAD (\d+)", out).group(1))
+    if mode == "by_reference":
+        assert payload < 35_000, payload
+    builds = json.loads(re.search(r"BUILDS (\[.*\])", out).group(1))
+    assert set(builds) == {1}, builds  # lookups built per worker process
+
+
 def test_write_partitioned_keeps_column_types(ray_session, tmp_path):
     import glob
 

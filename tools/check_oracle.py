@@ -8,7 +8,9 @@ oracle-paired query is engineered for bit-exact float determinism.
 
 A query whose run logged Ray Data "different schema" warnings (a stage
 emitted blocks of mixed schemas, e.g. an untyped empty block) carries their
-count on its line; the last line gives the run's total.
+count on its line; the last line gives the run's total. The first line
+says whether georay shipped to the workers by reference (run from the
+checkout) or by value (run from any other directory).
 
 Usage: python tools/check_oracle.py [sf_dir] [name ...]
 """
@@ -93,8 +95,12 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
+    import georay
     from georay import fixtures
     from georay import queries as q
+
+    mode = "by value" if georay.shipped_by_value() else "by reference"
+    print(f"{sf_dir}: georay ships to Ray workers {mode} (cwd {os.getcwd()})")
 
     con = duckdb.connect()
     for t in TABLES:
