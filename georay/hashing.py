@@ -3,8 +3,9 @@
 Every hash here gives the same value in every worker process (never
 Python's per-process salted ``hash()``), so two sides of an exchange that
 hash the same key independently land in the same bucket. This module
-imports nothing from georay: ``runtime`` and ``ops`` both import it at
-module level (worker-executed code, CLAUDE.md) without an import cycle.
+imports only ``georay.process_state`` from georay: ``runtime`` and ``ops``
+both import it at module level (worker-executed code, CLAUDE.md) without
+an import cycle.
 
 - :func:`splitmix64` — the 64-bit mixer (Steele et al., "Fast splittable
   pseudorandom number generators", OOPSLA 2014); ``ops.sketch`` holds its
@@ -17,6 +18,8 @@ module level (worker-executed code, CLAUDE.md) without an import cycle.
 from __future__ import annotations
 
 import numpy as np
+
+from georay.process_state import per_process
 
 _U = np.uint64
 
@@ -39,12 +42,15 @@ _FP_BASE = np.uint64(1099511628211)
 _FP_SEED = np.uint64(0xCBF29CE484222325)
 
 
-_FP_POW_CACHE: dict[int, np.ndarray] = {}
+def _fp_pow_cache() -> dict[int, np.ndarray]:
+    return per_process("georay.hashing.fp_powers", dict)
 
 
 def fp_powers(n: int) -> np.ndarray:
-    """Cached [BASE^0 .. BASE^n] table (mod 2^64) — grown on demand."""
-    cached = _FP_POW_CACHE.get(0)
+    """[BASE^0 .. BASE^n] table (mod 2^64), one per worker process, grown
+    on demand."""
+    cache = _fp_pow_cache()
+    cached = cache.get(0)
     if cached is None or cached.size < n + 1:
         size = max(n + 1, 1024)
         with np.errstate(over="ignore"):
@@ -53,7 +59,7 @@ def fp_powers(n: int) -> np.ndarray:
             for j in range(size):
                 p[j] = acc
                 acc *= _FP_BASE
-        _FP_POW_CACHE[0] = p
+        cache[0] = p
         cached = p
     return cached
 

@@ -27,6 +27,8 @@ import zlib
 
 import numpy as np
 
+from georay.process_state import per_process
+
 FORMATS = ("bmp", "png", "q6", "jpeg")
 LOSSY_FORMATS = ("q6", "jpeg")
 _ROTATION = ("bmp", "png", "q6")  # base per-row cycle; jpeg overrides 1/16
@@ -164,11 +166,13 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _POLY_P = np.uint64(0x100000001B3)  # FNV prime reused as polynomial base
 
 
-_POW_CACHE: dict[int, np.ndarray] = {}
+def _pow_cache() -> dict[int, np.ndarray]:
+    return per_process("georay.images.powers", dict)
 
 
 def _powers(n: int) -> np.ndarray:
-    cached = _POW_CACHE.get(n)
+    cache = _pow_cache()
+    cached = cache.get(n)
     if cached is None:
         with np.errstate(over="ignore"):
             p = np.empty(n, dtype=np.uint64)
@@ -176,7 +180,7 @@ def _powers(n: int) -> np.ndarray:
             for i in range(n):
                 p[i] = acc
                 acc = acc * _POLY_P  # intentional mod-2^64 wraparound
-        _POW_CACHE[n] = p
+        cache[n] = p
         cached = p
     return cached
 

@@ -16,20 +16,28 @@ Hot-path design:
   blocks; only the run-length symbol emission loops (over NONZERO coeffs,
   sparse after quantization); bit packing is vectorized (np.repeat bit
   expansion → np.packbits → bytes.replace stuffing).
-- decode: marker walk, then one sequential Huffman pass per image using a
-  process-cached 16-bit-peek LUT per DHT payload (lists, not dicts — one
-  index per symbol) over a precomputed 24-bit sliding-window list; decoded
-  (block, pos, value) triples scatter into a numpy array once, and
-  dequant + IDCT + color are batched matmuls again.  Per-coefficient work
-  is a handful of int ops — the only Python-loop decode in the engine, and
+- decode: marker walk, then one sequential Huffman pass per image. The
+  16-bit peek at every bit offset of the entropy stream is one numpy pass
+  (a memoryview, so a peek is one index). Each DHT payload gets one fused
+  table, built once per worker process (``process_state.per_process``):
+  when a code and its value bits fit the peek, the entry already holds the
+  bits to consume, the zigzag advance and the sign-extended value (libjpeg's
+  lookahead decoding), so the common coefficient is one lookup and one
+  store into a flat int64 zigzag buffer; EOB and ZRL have reserved entries,
+  and longer codes decode from their symbol. The buffer is un-zigzagged by
+  one fancy-index assignment, and dequant + IDCT + color are batched
+  matmuls again. This is the only Python-loop decode in the engine, and
   the image fixture bounds its share (fmt='jpeg' on 1/16 of rows).
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
 import numpy as np
+
+from georay.process_state import per_process
 
 # ----------------------------------------------------------- constant tables
 
@@ -323,28 +331,63 @@ def encode_jpeg(pixels: np.ndarray, quality: int = 97) -> bytes:
 
 # ------------------------------------------------------------------- decoder
 
-# DHT payload bytes -> 65536-entry list, entry = (symbol << 8) | code_length
-# (0 = invalid prefix). Process-cached: standard-table streams build 4 LUTs
-# once per worker, ~0 amortized.
-_LUT_CACHE: dict[bytes, list[int]] = {}
+# One fused 16-bit-peek table per DHT payload (class, BITS, HUFFVAL bytes),
+# built once per worker process. An entry is one tuple shared by every peek
+# that starts with its code (and, when they fit, its value bits):
+# - AC: (bits, k_advance, value) for a coefficient whose code and value
+#   bits fit the peek; (bits, 0, 0) for EOB and (bits, 16, 0) for ZRL;
+#   (0, symbol << 8 | code_length, 0) for a longer code + value, and
+#   (0, 0, 0) for a prefix that is no code.
+# - DC: (bits, value) when the code and value bits fit the peek;
+#   (0, symbol << 8 | code_length) otherwise, (0, 0) for no code.
+# A coefficient's value is never 0, so ``value == 0`` marks every AC entry
+# that is not a plain coefficient.
+def _tables() -> dict[bytes, list]:
+    return per_process("georay.jpeg.huffman", dict)
 
 
-def _peek_lut(bits: bytes, vals: bytes) -> list[int]:
-    key = bits + b"\x00" + vals
-    lut = _LUT_CACHE.get(key)
+def _huffman_table(seg: bytes) -> list:
+    """Fused table for one DHT table segment ``Tc/Th + BITS + HUFFVAL``."""
+    tables = _tables()
+    lut = tables.get(seg)
     if lut is None:
-        lut = [0] * 65536
-        code, k = 0, 0
-        for ln in range(1, 17):
-            for _ in range(bits[ln - 1]):
-                lo = code << (16 - ln)
-                hi = (code + 1) << (16 - ln)
-                lut[lo:hi] = [(vals[k] << 8) | ln] * (hi - lo)
-                code += 1
-                k += 1
-            code <<= 1
-        _LUT_CACHE[key] = lut
+        lut = _fused_table(seg[0] >> 4, seg[1:17], seg[17:])
+        tables[seg] = lut
     return lut
+
+
+def _fused_table(ac: int, bits: bytes, vals: bytes) -> list:
+    lut = [(0, 0, 0) if ac else (0, 0)] * 65536
+    code, k = 0, 0
+    for ln in range(1, 17):
+        for _ in range(bits[ln - 1]):
+            sym = vals[k]
+            s = sym & 0xF if ac else sym
+            lo = code << (16 - ln)
+            hi = (code + 1) << (16 - ln)
+            if ac and sym in (0x00, 0xF0):  # EOB, ZRL
+                lut[lo:hi] = [(ln, 16 if sym else 0, 0)] * (hi - lo)
+            elif ln + s > 16 or (ac and s == 0):
+                # value bits run past the peek (or a size-0 AC symbol
+                # besides EOB/ZRL): decoded from the symbol, not the entry
+                slow = (sym << 8) | ln
+                lut[lo:hi] = [(0, slow, 0) if ac else (0, slow)] * (hi - lo)
+            else:
+                span = 1 << (16 - ln - s)
+                for vb in range(1 << s):
+                    v = vb if s == 0 or vb >> (s - 1) else vb - (1 << s) + 1
+                    e = (ln + s, (sym >> 4) + 1, v) if ac else (ln + s, v)
+                    at = lo + vb * span
+                    lut[at:at + span] = [e] * span
+            code += 1
+            k += 1
+        code <<= 1
+    return lut
+
+
+# bit offset within a byte -> right shift of its 24-bit window to the
+# 16-bit peek starting there
+_PEEK_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
 
 
 def decode_jpeg(data: bytes) -> np.ndarray:
@@ -358,8 +401,8 @@ def decode_jpeg(data: bytes) -> np.ndarray:
         raise ValueError("not a JPEG (missing SOI)")
     pos = 2
     qtables: dict[int, np.ndarray] = {}
-    dc_luts: dict[int, list[int]] = {}
-    ac_luts: dict[int, list[int]] = {}
+    dc_luts: dict[int, list] = {}
+    ac_luts: dict[int, list] = {}
     h = w = None
     comps: list[tuple[int, int]] = []  # (component id, quant table id)
     scan_comps: list[tuple[int, int, int]] = []  # (cid, dc table, ac table)
@@ -388,8 +431,7 @@ def decode_jpeg(data: bytes) -> np.ndarray:
                 tc_th = data[q]
                 bits = data[q + 1: q + 17]
                 nv = sum(bits)
-                vals = data[q + 17: q + 17 + nv]
-                lut = _peek_lut(bits, vals)
+                lut = _huffman_table(data[q: q + 17 + nv])
                 (ac_luts if tc_th >> 4 else dc_luts)[tc_th & 0xF] = lut
                 q += 17 + nv
         elif marker == 0xC0:  # SOF0 baseline
@@ -428,10 +470,12 @@ def decode_jpeg(data: bytes) -> np.ndarray:
     if ncomp != len(comps):
         raise ValueError("scan/frame component mismatch")
 
-    # 24-bit sliding windows as a Python list: one index + shift per peek
-    arr = np.frombuffer(eb + b"\x00\x00\x00", np.uint8).astype(np.int64)
-    w24 = ((arr[:-3] << 16) | (arr[1:-2] << 8) | arr[2:-1]).tolist()
-    n_windows = len(w24)
+    # the 16-bit peek at every bit offset: one index per lookup (a peek at
+    # or past the end of the stream raises IndexError -> "truncated")
+    arr = np.frombuffer(eb + b"\x00\x00\x00", np.uint8).astype(np.uint32)
+    w24 = (arr[:-3] << 16) | (arr[1:-2] << 8) | arr[2:-1]
+    peek = memoryview((w24[:, None] >> _PEEK_SHIFTS).astype(np.uint16).ravel())
+    limit = len(peek)
 
     luts = []
     for cid, tdc, tac in scan_comps:
@@ -439,62 +483,75 @@ def decode_jpeg(data: bytes) -> np.ndarray:
             raise ValueError("scan references undefined Huffman table")
         luts.append((dc_luts[tdc], ac_luts[tac]))
 
-    out_b: list[int] = []
-    out_p: list[int] = []
-    out_v: list[int] = []
+    # zigzag-ordered coefficients, block b at [64 b, 64 b + 64); the 16
+    # spare slots take a coefficient whose run passes the last block's end.
+    # int64, not int32: a corrupt stream can push the DC predictor past
+    # 2^31, which decodes (to clipped pixels) rather than overflowing
+    n_coef = ncomp * n_mcu * 64
+    zz = array("q", bytes(8 * (n_coef + 16)))
     pred = [0] * ncomp
     bitpos = 0
-    limit = n_windows * 8
     try:
         for m in range(n_mcu):
             for c in range(ncomp):
                 lut_dc, lut_ac = luts[c]
-                base = c * n_mcu + m
-                e = lut_dc[(w24[bitpos >> 3] >> (8 - (bitpos & 7))) & 0xFFFF]
-                s = e >> 8
-                bitpos += e & 0xFF
-                if e == 0:
-                    raise ValueError("invalid DC Huffman prefix")
-                if s:
-                    v = ((w24[bitpos >> 3] >> (8 - (bitpos & 7))) & 0xFFFF) >> (16 - s)
+                slot = (c * n_mcu + m) << 6  # zz index of this block's k = 0
+                nb, v = lut_dc[peek[bitpos]]
+                if nb:
+                    bitpos += nb
+                else:  # code + value bits past the peek, or no code
+                    if v == 0:
+                        raise ValueError("invalid DC Huffman prefix")
+                    s = v >> 8
+                    bitpos += v & 0xFF
+                    v = peek[bitpos] >> (16 - s)
                     bitpos += s
                     if v < (1 << (s - 1)):
                         v -= (1 << s) - 1
-                    pred[c] += v
-                out_b.append(base)
-                out_p.append(0)
-                out_v.append(pred[c])
-                k = 1
-                while k < 64:
-                    e = lut_ac[(w24[bitpos >> 3] >> (8 - (bitpos & 7))) & 0xFFFF]
-                    if e == 0:
-                        raise ValueError("invalid AC Huffman prefix")
-                    sym = e >> 8
-                    bitpos += e & 0xFF
-                    if sym == 0:
-                        break  # EOB
-                    if sym == 0xF0:
-                        k += 16
-                        continue
-                    k += sym >> 4
-                    s = sym & 0xF
-                    v = ((w24[bitpos >> 3] >> (8 - (bitpos & 7))) & 0xFFFF) >> (16 - s)
-                    bitpos += s
-                    if v < (1 << (s - 1)):
-                        v -= (1 << s) - 1
-                    if k > 63:
-                        raise ValueError("AC run past block end")
-                    out_b.append(base)
-                    out_p.append(k)
-                    out_v.append(v)
-                    k += 1
+                pred[c] += v
+                zz[slot] = pred[c]
+                last = slot + 63
+                while slot < last:
+                    nb, ka, v = lut_ac[peek[bitpos]]
+                    if v:
+                        bitpos += nb
+                        slot += ka
+                        zz[slot] = v
+                    elif nb:
+                        bitpos += nb
+                        if ka == 0:
+                            break  # EOB
+                        slot += 16  # ZRL: past k = 63 it ends the block
+                        if slot > last:
+                            slot = last
+                    else:  # code + value bits past the peek, or no code
+                        if ka == 0:
+                            raise ValueError("invalid AC Huffman prefix")
+                        bitpos += ka & 0xFF
+                        sym = ka >> 8
+                        slot += (sym >> 4) + 1
+                        s = sym & 0xF
+                        v = peek[bitpos] >> (16 - s)
+                        bitpos += s
+                        if v < (1 << (s - 1)):
+                            v -= (1 << s) - 1
+                        if slot > last:
+                            raise ValueError("AC run past block end")
+                        zz[slot] = v
+                if slot > last:
+                    # a table entry's run passed position 63; the stream
+                    # is reported truncated instead when this symbol's
+                    # value bits start at or past its end
+                    if bitpos - abs(v).bit_length() >= limit:
+                        raise ValueError("entropy stream truncated")
+                    raise ValueError("AC run past block end")
             if bitpos > limit:
                 raise ValueError("entropy stream truncated")
     except IndexError:
         raise ValueError("entropy stream truncated") from None
 
     coefs = np.zeros((ncomp * n_mcu, 64), np.float64)
-    coefs[np.asarray(out_b), ZIGZAG[np.asarray(out_p)]] = out_v
+    coefs[:, ZIGZAG] = np.frombuffer(zz, np.int64, n_coef).reshape(-1, 64)
     chans = []
     for c, (cid, tq) in enumerate(comps):
         if tq not in qtables:

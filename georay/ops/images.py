@@ -1,17 +1,13 @@
 """Image decode + invariant enforcement (SURVEY.md N7).
 
-Two physical forms of the same stage:
-
-- ``DecodeInvariant`` — callable class for an ACTOR POOL
-  (``map_batches(DecodeInvariant, concurrency=N)``): the shape for heavy
-  per-actor state (a real model). Actor pools RESERVE their CPUs, which on a
-  small node starves the parquet read running beside them.
-- ``decode_invariant`` (default) — STATELESS TASKS sharing the same cached
-  state through ``runtime.per_process`` (one instance per worker process,
-  however georay ships to the workers): Ray reuses worker processes, so the
-  ground-truth cache amortizes exactly like actor state, while tasks pack
-  elastically with the read/shuffle stages (no reserved-CPU starvation).
-  Measured 2× end-to-end over the pool on 32 CPUs.
+The stage runs as STATELESS TASKS that share one ``DecodeInvariant`` (and
+its ground-truth cache) per worker process through ``runtime.per_process``,
+however georay ships to the workers: Ray reuses worker processes, so the
+cache amortizes exactly like actor state, while tasks pack elastically with
+the read/shuffle stages. An actor pool reserves its CPUs, which on a small
+node starves the parquet read running beside it; the task form measured 2×
+end-to-end over the pool on 32 CPUs. ``image_features`` runs the same way
+over one ``ImageTransform`` per process.
 
 Per-row invariant (BASELINE.json:15): decoded pixels vs the deterministically
 regenerated ground truth — exact equality for lossless fmts, PSNR ≥ 40 dB for
@@ -33,7 +29,7 @@ PSNR_MIN = 40.0
 
 
 class DecodeInvariant:
-    """Actor: decode each image, check the pixel + caption invariants.
+    """Decode each image, check the pixel + caption invariants.
 
     Output schema: every input column except the binary payload and the
     caption (verified then dropped), plus ok(bool), psnr(float64),
@@ -43,9 +39,9 @@ class DecodeInvariant:
 
     def __init__(self, check_caption: bool = True):
         self.check_caption = check_caption
-        # per-actor ground-truth cache: synth pixels are periodic in the
-        # pixel index (PIXEL_PERIOD=768 distinct tensors, ~9 MB) — actor
-        # state paying for itself across every batch the actor sees
+        # per-process ground-truth cache: synth pixels are periodic in the
+        # pixel index (PIXEL_PERIOD=768 distinct tensors, ~9 MB) — state
+        # paying for itself across every batch the process sees
         self._truth: dict[int, np.ndarray] = {}
 
     def _ground_truth(self, pix: int) -> np.ndarray:
@@ -126,25 +122,11 @@ def _decode_invariant_batch(t: pa.Table) -> pa.Table:
     return per_process("georay-decode-invariant", DecodeInvariant)(t)
 
 
-def decode_invariant(ds, concurrency=None, batch_size: int = 512):
-    """Run decode+invariant over an images Dataset.
-
-    ``concurrency=None`` (default) → stateless tasks with per-process cached
-    state (elastic CPU sharing with the read stage). Pass an int / (min,max)
-    to force a dedicated actor pool instead (the shape for heavyweight
-    state)."""
-    if concurrency is None:
-        return ds.map_batches(
-            _decode_invariant_batch,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+def decode_invariant(ds):
+    """Run decode+invariant over an images Dataset: stateless tasks with
+    per-process cached state (elastic CPU sharing with the read stage)."""
     return ds.map_batches(
-        DecodeInvariant,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+        _decode_invariant_batch, batch_format="pyarrow", batch_size=512
     )
 
 
@@ -166,7 +148,7 @@ def resize_bilinear(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 class ImageTransform:
-    """Actor-shaped stage: decode → resize to a thumbnail → extract cheap
+    """Per-process stage state: decode → resize to a thumbnail → extract cheap
     features (mean RGB, luma std, content hash of the thumbnail). Output:
     image_id, thumb (binary, q6-encoded WxH thumbnail), mean_r/g/b,
     luma_std, thumb_hash."""
@@ -202,23 +184,15 @@ class ImageTransform:
         )
 
 
-def image_features(ds, thumb: tuple[int, int] = (16, 16), concurrency=None):
-    """Decode → thumbnail → feature columns. Task-based by default (see
-    module docstring); pass ``concurrency`` for a dedicated actor pool."""
-    if concurrency is None:
+def image_features(ds, thumb: tuple[int, int] = (16, 16)):
+    """Decode → thumbnail → feature columns, as stateless tasks over one
+    ``ImageTransform`` per worker process (see module docstring)."""
 
-        def fn(t: pa.Table) -> pa.Table:
-            key = f"georay-image-transform-{thumb}"
-            return per_process(key, lambda: ImageTransform(*thumb))(t)
+    def fn(t: pa.Table) -> pa.Table:
+        key = f"georay-image-transform-{thumb}"
+        return per_process(key, lambda: ImageTransform(*thumb))(t)
 
-        return ds.map_batches(fn, batch_format="pyarrow", batch_size=512)
-    return ds.map_batches(
-        ImageTransform,
-        fn_constructor_args=thumb,
-        batch_format="pyarrow",
-        batch_size=512,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=512)
 
 
 def audio_features(ds, frame_len: int = 1024):

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import time
-import types
 
 import numpy as np
 import pandas as pd
@@ -36,44 +34,7 @@ import pyarrow.compute as pc
 
 # module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
 from georay.hashing import MIX, fingerprint64, key_hash
-
-
-_STAGE_STATE_MAX = 32  # distinct broadcast states kept per worker process
-_STAGE_STATE_MODULE = "_georay_stage_state"
-
-
-def _stage_state() -> dict:
-    """The calling process's ``per_process`` entries, kept on a module in
-    ``sys.modules`` and found there at call time: a task that ships georay
-    by value unpickles a fresh copy of this module, so a dict held as its
-    global would be new in every task."""
-    holder = sys.modules.get(_STAGE_STATE_MODULE)
-    if holder is None:
-        fresh = types.ModuleType(_STAGE_STATE_MODULE)
-        fresh.entries = {}
-        holder = sys.modules.setdefault(_STAGE_STATE_MODULE, fresh)
-    return holder.entries
-
-
-def per_process(key: str, factory):
-    """Per-worker-process singleton for broadcast-state stages: one
-    ``factory()`` call per ``key`` in each worker process, however georay
-    ships to the workers (by reference or by value, ``georay/__init__``).
-
-    Ray reuses worker processes across tasks, so state built once per
-    process amortizes exactly like actor state while tasks pack elastically
-    with other stages (no reserved-CPU starvation — see ops/images.py
-    docstring for the measured tradeoff). LRU-capped: long-lived sessions
-    running many pipelines would otherwise accumulate one lookup table per
-    broadcast ref forever."""
-    state = _stage_state()
-    inst = state.pop(key, None)
-    if inst is None:
-        inst = factory()
-    state[key] = inst  # re-insert -> most-recently-used position
-    while len(state) > _STAGE_STATE_MAX:
-        state.pop(next(iter(state)))
-    return inst
+from georay.process_state import per_process  # noqa: F401 (re-export)
 
 
 def strip_metadata(t: pa.Table) -> pa.Table:

@@ -593,7 +593,7 @@ import ray
 import ray.cloudpickle as cp
 
 import georay
-from georay import cells, runtime
+from georay import cells, hashing, images, jpeg, runtime
 from georay.ops import join, knn
 
 mode = "by_value" if georay.shipped_by_value() else "by_reference"
@@ -633,6 +633,26 @@ tags = ray.data.range(16, override_num_blocks=16).map_batches(
     tag, batch_format="pyarrow", batch_size=None).to_pandas()
 assert len(tags) == 16
 print("BUILDS", json.dumps(tags.groupby("pid")["tag"].nunique().tolist()))
+
+# 16 one-row tasks that decode a JPEG: the fused Huffman tables and the
+# fingerprint and content-hash powers are built once per worker process
+blob = jpeg.encode_jpeg(images.synth_pixels(5))
+
+
+def decode(t):
+    cold = {"jpeg": not jpeg._tables(), "fp": not hashing._fp_pow_cache(),
+            "pow": not images._pow_cache()}
+    px = jpeg.decode_jpeg(blob)
+    hashing.fp_powers(8)
+    images.content_hash64(px)
+    return pa.table({"pid": [os.getpid()], **{k: [v] for k, v in cold.items()}})
+
+
+cold = ray.data.range(16, override_num_blocks=16).map_batches(
+    decode, batch_format="pyarrow", batch_size=None).to_pandas()
+assert len(cold) == 16
+print("TABLE_BUILDS", json.dumps(
+    cold.groupby("pid")[["jpeg", "fp", "pow"]].sum().values.ravel().tolist()))
 
 rng = np.random.default_rng(0)
 left = pd.DataFrame({"cell": rng.integers(0, 40, 500), "x": np.arange(500)})
@@ -675,8 +695,8 @@ def test_georay_ships_to_workers(tmp_path, mode):
     # of it in cloudpickle's by-value set and small map payloads (this kNN
     # ring map pickles 88 kB by value, 4 kB by reference); one run from
     # elsewhere, with the checkout only on its own sys.path, ships it by
-    # value. Both keep one per_process build per worker process and give
-    # the same plan outputs.
+    # value. Both keep one per_process build per worker process (lookups
+    # and the decode stage's tables) and give the same plan outputs.
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = tmp_path / "shipping.py"
     script.write_text(_SHIPPING)
@@ -699,8 +719,10 @@ def test_georay_ships_to_workers(tmp_path, mode):
     payload = int(re.search(r"PAYLOAD (\d+)", out).group(1))
     if mode == "by_reference":
         assert payload < 35_000, payload
-    builds = json.loads(re.search(r"BUILDS (\[.*\])", out).group(1))
+    builds = json.loads(re.search(r"^BUILDS (\[.*\])", out, re.M).group(1))
     assert set(builds) == {1}, builds  # lookups built per worker process
+    tables = json.loads(re.search(r"TABLE_BUILDS (\[.*\])", out).group(1))
+    assert set(tables) == {1}, tables  # decode tables built per process
 
 
 def test_write_partitioned_keeps_column_types(ray_session, tmp_path):
