@@ -22,12 +22,32 @@ imported (:func:`shipped_by_value` tells which way was taken):
 
 ``PYTHONPATH`` is not consulted: a Ray cluster started elsewhere does not
 carry the driver's environment.
+
+Importing georay also turns off Ray Data's per-operator resource reservation
+(``DataContext.op_resource_reservation_enabled``) in the process's current
+``DataContext``, the one every Dataset built afterwards copies. With it on,
+Ray Data's ``ReservationOpResourceAllocator`` reserves at least one task's
+CPU for each operator that has not finished, upstream first. The flagship
+(``queries.flagship``) has three CPU-requesting map operators: the image read
+(0.99 CPU), the fused decode → ``keep_ok`` → PIP → partial stage (1 CPU) and
+``runtime.group_agg``'s combine (1 CPU), which idles behind
+``repartition(1)`` until the end. On a 2-CPU node the combine's share kept
+the decode stage's budget below two tasks for the whole pass, even after the
+read finished: all 20 decode batches of a pass ran in one worker process,
+one after another, while the other CPU idled. Without reservation the
+decode stage runs two tasks at once and the ``images_flagship`` benchmark
+pass takes a third less time, 2.39 → 1.58 s in the median (BASELINE.md,
+"Ray Data without per-operator reservation"). Ray's no-reservation mode caps the executor at 0.25 of the
+object store instead of 0.5. This is the only place georay sets it: no stage
+turns it back on or works around it with per-stage ``num_cpus``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+
+import ray.data
 
 __version__ = "0.1.0"
 
@@ -78,3 +98,5 @@ def shipped_by_value() -> bool:
 
 if not _workers_import_by_reference():
     register_by_value()
+
+ray.data.DataContext.get_current().op_resource_reservation_enabled = False

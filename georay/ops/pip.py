@@ -1,10 +1,8 @@
 """Point-in-polygon assignment stage (SURVEY.md N3).
 
 The polygon set (with its cell-cover candidate index) is broadcast ONCE via
-``ray.put``; compute runs either as stateless tasks with a per-worker-process
-cache of the materialized index (default — packs elastically with the other
-stages), or as a dedicated actor pool (pass ``concurrency``) when the index
-is heavy enough to warrant reserved executors. In the task path each worker
+``ray.put``; compute runs as stateless tasks that pack with the other stages
+of the pipeline (the flagship fuses them with the decode stage). Each worker
 process fetches the index once, on its first task, and keeps it
 (``runtime.per_process``) whether georay ships to the workers by reference
 or by value.
@@ -16,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay.geometry import PolygonSet
+from georay.runtime import per_process
 
 
 def pip_assign(
@@ -25,7 +24,6 @@ def pip_assign(
     bits: int = 12,
     keep_cols: list[str] | None = None,
     poly_id_col: str = "poly_id",
-    concurrency=None,
     backend: str = "cells",
     anti: bool = False,
 ):
@@ -44,7 +42,9 @@ def pip_assign(
     polyset_ref = ray.put(PolygonSet(poly_ids, rings, bits=bits, backend=backend))
     key = polyset_ref.hex()
 
-    def assign(polyset, t: pa.Table) -> pa.Table:
+    def assign(t: pa.Table) -> pa.Table:
+        # LRU-capped per-process cache (one entry per broadcast ref)
+        polyset = per_process(key, lambda: ray.get(polyset_ref))
         lon = t["lon"].to_numpy(zero_copy_only=False)
         lat = t["lat"].to_numpy(zero_copy_only=False)
         p_idx, g_idx = polyset.contains(lon, lat)
@@ -57,23 +57,4 @@ def pip_assign(
         ids = np.asarray(polyset.poly_ids)[g_idx]
         return base.append_column(poly_id_col, pa.array(ids))
 
-    if concurrency is None:
-        from georay.runtime import per_process
-
-        def fn(t: pa.Table) -> pa.Table:
-            # LRU-capped per-process cache (one entry per broadcast ref)
-            polyset = per_process(key, lambda: ray.get(polyset_ref))
-            return assign(polyset, t)
-
-        return points_ds.map_batches(fn, batch_format="pyarrow")
-
-    class PipAssign:
-        def __init__(self):
-            self.polyset = ray.get(polyset_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return assign(self.polyset, t)
-
-    return points_ds.map_batches(
-        PipAssign, batch_format="pyarrow", concurrency=concurrency
-    )
+    return points_ds.map_batches(assign, batch_format="pyarrow")

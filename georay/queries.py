@@ -2164,9 +2164,10 @@ def _nation_boxes(sf_dir: str):
 
 
 def q_pip(sf_dir: str):
-    """Ray-cast point-in-polygon on an actor pool holding the polygon index;
-    the SQL twin reduces to box-range predicates (boxes are offset off the
-    synthetic coordinate lattice so no point lies on a boundary)."""
+    """Ray-cast point-in-polygon as stateless tasks over the broadcast polygon
+    index (one copy per worker process); the SQL twin reduces to box-range
+    predicates (boxes are offset off the synthetic coordinate lattice so no
+    point lies on a boundary)."""
     ids, rings = _nation_boxes(sf_dir)
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     cust = spatial.points_with_cells(cust, "c_custkey", 12, xy=False, cell=False)
@@ -2777,7 +2778,7 @@ FROM img GROUP BY pix % 768
 
 
 def q_images_decode(sf_dir: str):
-    """Decode + invariant enforcement (actor pool), aggregated per format.
+    """Decode + invariant enforcement (stateless tasks), aggregated per format.
     ``n_ok`` must equal ``n`` — any codec/caption regression breaks the
     oracle match, making the PSNR/caption invariant part of the gate."""
     from georay import fixtures
@@ -5694,9 +5695,10 @@ SELECT DISTINCT c_custkey FROM c JOIN p
 
 def flagship(sf_dir: str, n_images: int | None = None):
     """The north-star pipeline end-to-end: image table → decode + invariant
-    enforcement (actor pool) → drop failed rows → ray-cast PIP spatial join
-    against the tile polygon set (broadcast index, actor pool) → per-tile
-    counts (two-phase aggregation). Returns the per-tile count Dataset.
+    enforcement → drop failed rows → ray-cast PIP spatial join against the
+    tile polygon set (broadcast index) → per-tile counts (two-phase
+    aggregation). Decode through the partial aggregate is one fused stage of
+    stateless tasks. Returns the per-tile count Dataset.
 
     ``n_images`` overrides the sf-derived table size (scaling benchmarks)."""
     from georay import fixtures

@@ -579,6 +579,103 @@ def test_two_live_joins_finish_on_a_4gib_node(tmp_path):
     assert proc.returncode == 0 and "TWO_JOINS_OK" in out, out[-4000:]
 
 
+_TWO_WIDE_STAGE = """
+import json
+import os
+import time
+
+import pyarrow as pa
+import ray
+from ray.data import DataContext
+
+ctx = DataContext.get_current()  # a driver that touched the context first
+ctx.enable_progress_bars = False
+import georay  # noqa: E402
+from georay import runtime  # noqa: E402
+
+assert DataContext.get_current() is ctx
+print("RESERVATION", ctx.op_resource_reservation_enabled)
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+
+
+def read(t):
+    return t
+
+
+def slow(t):
+    t0 = time.time()
+    time.sleep(0.2)
+    return pa.table({"block": t["block"], "pid": [os.getpid()] * t.num_rows,
+                     "t0": [t0] * t.num_rows, "t1": [time.time()] * t.num_rows})
+
+
+# the flagship's shape: a 0.99-CPU read stage, a 1-CPU map stage fused with
+# group_agg's partial, and group_agg's 1-CPU combine behind repartition(1)
+n = 12
+ds = (ray.data.from_arrow(pa.table({"block": list(range(n))}))
+      .repartition(n)
+      .map_batches(read, batch_format="pyarrow", batch_size=1, num_cpus=0.99)
+      .map_batches(slow, batch_format="pyarrow", batch_size=None))
+out = runtime.group_agg(ds, ["block", "pid"],
+                        {"t0": ("min", "t0"), "t1": ("max", "t1")}).to_pandas()
+assert len(out) == n, out
+print("TIMELINE", json.dumps(out[["pid", "t0", "t1"]].values.tolist()))
+ray.shutdown()
+"""
+
+
+def test_map_stage_runs_two_wide_beside_read_and_combine(tmp_path):
+    import re
+    import signal
+    import subprocess
+    import sys
+
+    # With Ray Data's per-operator reservation on, the read, the map stage
+    # and the combine each reserve one task's CPU, upstream first: on a
+    # 2-CPU node the map stage ran its 12 blocks in one worker process, one
+    # after another. Importing georay turns the reservation off, also in a
+    # DataContext the driver fetched before the import.
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = tmp_path / "two_wide.py"
+    script.write_text(_TWO_WIDE_STAGE)
+    env = dict(os.environ, PYTHONPATH=repo)
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], cwd=str(tmp_path), env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the two-wide stage driver did not finish in 120 s")
+    assert proc.returncode == 0 and "TIMELINE" in out, out[-4000:]
+    assert "RESERVATION False" in out, out[-4000:]
+    spans = json.loads(re.search(r"TIMELINE (\[.*\])", out).group(1))
+    assert len({pid for pid, _, _ in spans}) == 2, spans
+    overlapping = any(
+        pid_a != pid_b and a0 < b1 and b0 < a1
+        for pid_a, a0, a1 in spans for pid_b, b0, b1 in spans
+    )
+    assert overlapping, spans
+
+
+def test_only_georay_init_touches_op_reservation():
+    import pathlib
+
+    # the reservation setting and its knobs live in georay/__init__ alone
+    root = pathlib.Path(runtime.__file__).parent
+    hits = [
+        f"{path.relative_to(root.parent).as_posix()}:{i}"
+        for path in sorted(root.rglob("*.py")) if path != root / "__init__.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "op_resource_reservation" in line
+    ]
+    assert not hits, f"set Ray Data's reservation only in georay/__init__: {hits}"
+
+
 _SHIPPING = """
 import json
 import os

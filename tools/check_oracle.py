@@ -10,7 +10,9 @@ A query whose run logged Ray Data "different schema" warnings (a stage
 emitted blocks of mixed schemas, e.g. an untyped empty block) carries their
 count on its line; the last line gives the run's total. The first line
 says whether georay shipped to the workers by reference (run from the
-checkout) or by value (run from any other directory).
+checkout) or by value (run from any other directory), and whether Ray
+Data's per-operator resource reservation was on (georay turns it off when
+imported).
 
 Usage: python tools/check_oracle.py [sf_dir] [name ...]
 """
@@ -100,7 +102,9 @@ def main() -> int:
     from georay import queries as q
 
     mode = "by value" if georay.shipped_by_value() else "by reference"
-    print(f"{sf_dir}: georay ships to Ray workers {mode} (cwd {os.getcwd()})")
+    reserve = "on" if DataContext.get_current().op_resource_reservation_enabled else "off"
+    print(f"{sf_dir}: georay ships to Ray workers {mode} (cwd {os.getcwd()}); "
+          f"Ray Data per-operator reservation {reserve}")
 
     con = duckdb.connect()
     for t in TABLES:
