@@ -16,7 +16,7 @@ from georay import codec
 # module level (worker-executed `polygon_cover_dataset.strip` must not
 # import georay at runtime — CLAUDE.md invariant)
 from georay.geometry import points_in_ring
-from georay.runtime import by_key, per_process
+from georay.runtime import by_key
 
 _U = np.uint64
 
@@ -79,19 +79,6 @@ def ring_probe(code, bits: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         keep[first] = True
         qidx, cell = qidx[keep], cell[keep]
     return qidx, cell
-
-
-def broadcast_lookup(table: pa.Table, key_col: str):
-    """Ship ``table`` to the object store once (one ``ray.put``) and return
-    a function that gives the calling worker process its
-    :class:`georay.codec.SortedLookup` over it: built by the first task in
-    each worker process and then cached (``runtime.per_process``), so one
-    sort per worker process, not per task."""
-    import ray
-
-    ref = ray.put(table)
-    key = ref.hex()
-    return lambda: per_process(key, lambda: codec.SortedLookup(ray.get(ref), key_col))
 
 
 def compact(codes: np.ndarray, bits: int, step: int = 2,

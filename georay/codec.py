@@ -403,9 +403,10 @@ def expand_ranges(counts: np.ndarray, lo: np.ndarray | None = None) -> np.ndarra
 
 class SortedLookup:
     """Immutable sorted-key multimap over a pyarrow table: the one sorted
-    lookup behind cell joins, ring candidates (``cells.broadcast_lookup``)
-    and the polygon cover of ``geometry.PolygonSet``. Rows are sorted once
-    by ``key_col`` (stable argsort); numpy columns convert on first use."""
+    lookup behind cell joins, ring candidates (each built once per worker
+    process by ``runtime.broadcast``) and the polygon cover of
+    ``geometry.PolygonSet``. Rows are sorted once by ``key_col`` (stable
+    argsort); numpy columns convert on first use."""
 
     def __init__(self, table: pa.Table, key_col: str):
         keys = table[key_col].to_numpy(zero_copy_only=False)

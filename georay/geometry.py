@@ -189,10 +189,11 @@ class STRtree:
 class PolygonSet:
     """A broadcastable, immutable set of polygons with a cell-cover index.
 
-    Built once on the driver (or in an actor ``__init__`` from a ``ray.put``
-    ref — SURVEY.md §2.5 N3's R-tree role): for each polygon, the precision-
-    ``bits`` cell cover of its bbox maps cell → candidate polygon ids, so a
-    point only ray-casts against polygons whose cover contains its cell.
+    Built once on the driver and broadcast to the workers
+    (``runtime.broadcast`` — SURVEY.md §2.5 N3's R-tree role): for each
+    polygon, the precision-``bits`` cell cover of its bbox maps cell →
+    candidate polygon ids, so a point only ray-casts against polygons whose
+    cover contains its cell.
     """
 
     def __init__(self, poly_ids: list, rings: list, bits: int = 12,

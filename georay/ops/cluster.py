@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from georay.runtime import adaptive_partitions, group_agg, join
+from georay.runtime import adaptive_partitions, broadcast, group_agg, join
 
 
 def connected_components(
@@ -168,10 +168,10 @@ def connected_components(
 def _cc_broadcast(nodes_ds, edge_pairs, node_col: str, edge_a: str,
                   edge_b: str):
     """Small-edge-set plan: driver-side union-find over the collected
-    edges, node→root map broadcast once (``ray.put``), applied per batch
-    with a sorted-array lookup. The NODE stream never materializes (the
-    only driver-side collection is the edge-endpoint ∩ node-id set, which
-    is bounded by the edge count, not the node count).
+    edges, node→root map broadcast once (``runtime.broadcast``), applied
+    per batch with a sorted-array lookup. The NODE stream never
+    materializes (the only driver-side collection is the edge-endpoint ∩
+    node-id set, which is bounded by the edge count, not the node count).
 
     Component ids are NODE-VALUED and plan-independent (ADVICE r2 #1):
     union-find roots range over ALL edge endpoints, including endpoints
@@ -180,8 +180,6 @@ def _cc_broadcast(nodes_ds, edge_pairs, node_col: str, edge_a: str,
     component's members that ARE nodes, so ``dedup_clusters``'s
     ``is_representative = (node == component)`` always marks exactly one
     row per cluster."""
-    import ray
-
     batches = list(edge_pairs.iter_batches(batch_format="pyarrow"))
     edges_t = pa.concat_tables(batches) if batches else None
     if edges_t is None or edges_t.num_rows == 0:
@@ -210,10 +208,10 @@ def _cc_broadcast(nodes_ds, edge_pairs, node_col: str, edge_a: str,
         # which touched endpoints are REAL nodes: one streamed pass over the
         # node Dataset, each batch intersected against the (small) touched
         # set — driver collects at most |touched| ids
-        t_ref = ray.put(touched)
+        touched_here = broadcast(touched)
 
         def hits(t: pa.Table) -> pa.Table:
-            tt = ray.get(t_ref)
+            tt = touched_here()
             ids = t[node_col].to_numpy(zero_copy_only=False).astype(np.int64)
             pos = np.clip(np.searchsorted(tt, ids), 0, tt.size - 1)
             return pa.table({"node": pa.array(ids[tt[pos] == ids])})
@@ -243,10 +241,10 @@ def _cc_broadcast(nodes_ds, edge_pairs, node_col: str, edge_a: str,
         # back to the endpoint's own id just to keep the map total
         mapped_keys = touched
         mapped_roots = np.where(hit, min_node[pos] if has_node else roots, touched)
-    ref = ray.put((mapped_keys, mapped_roots))
+    root_map = broadcast((mapped_keys, mapped_roots))
 
     def assign(t: pa.Table) -> pa.Table:
-        keys, roots = ray.get(ref)
+        keys, roots = root_map()
         ids = t[node_col].to_numpy(zero_copy_only=False)
         comp = ids.copy()
         if keys.size:

@@ -2,12 +2,12 @@
 
 Two physical strategies, chosen by side size:
 
-- :func:`broadcast_cell_join` — the small side is ``ray.put`` ONCE and each
-  worker process sorts it once into a :class:`georay.codec.SortedLookup`
-  that every map_batches task binary-searches per batch. No shuffle at
-  all; the right choice whenever one side fits in a worker heap (dimension
-  tables, tile sets). This is the 100 TB-scale default for
-  point×polygon-table joins.
+- :func:`broadcast_cell_join` — the small side is broadcast ONCE
+  (``runtime.broadcast``) and each worker process sorts it once into a
+  :class:`georay.codec.SortedLookup` that every map_batches task
+  binary-searches per batch. No shuffle at all; the right choice whenever
+  one side fits in a worker heap (dimension tables, tile sets). This is
+  the 100 TB-scale default for point×polygon-table joins.
 - :func:`shuffle_cell_join` — both sides large: :func:`georay.runtime.join`
   (both sides hash-bucketed on the cell key, exchanged by Ray's task-based
   sort, joined per bucket by pyarrow; no actors). There is no salted
@@ -26,9 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from georay.cells import broadcast_lookup
-from georay.codec import expand_ranges
-from georay.runtime import by_key, group_agg, join, per_key
+from georay.codec import SortedLookup, expand_ranges
+from georay.runtime import broadcast, by_key, group_agg, join, per_key
 
 
 def broadcast_cell_join(
@@ -41,15 +40,15 @@ def broadcast_cell_join(
 ):
     """Inner equi-join: big Dataset × small in-memory table, broadcast once.
 
-    ``right_table`` is shipped to the object store a single time via
-    ``ray.put``; each worker process builds the sorted lookup once
-    (:func:`georay.cells.broadcast_lookup`) and stateless tasks probe it.
+    ``right_table`` is shipped to the object store a single time
+    (:func:`georay.runtime.broadcast`); each worker process builds the
+    sorted lookup once and stateless tasks probe it.
     """
     right_on = right_on or on
     if right_cols is not None:
         keep = list(dict.fromkeys([right_on] + right_cols))
         right_table = right_table.select(keep)
-    lookup_here = broadcast_lookup(right_table, right_on)
+    lookup_here = broadcast(right_table, lambda t: SortedLookup(t, right_on))
 
     def fn(t: pa.Table) -> pa.Table:
         lookup = lookup_here()
@@ -92,18 +91,15 @@ def shuffle_cell_join(
 
 
 def broadcast_semi_join(ds, keys, on: str, anti: bool = False):
-    """Semi / anti join: the key SET is broadcast once (ray.put) and each
-    batch filters with a sorted-array membership test — no shuffle. When
-    the key set itself is too large to broadcast (10^10+ keys), use
+    """Semi / anti join: the key SET is broadcast once and each batch
+    filters with a sorted-array membership test — no shuffle. When the key
+    set itself is too large to broadcast (10^10+ keys), use
     :func:`bloom_semi_join`: a fixed-size Bloom bitset broadcast with the
     same stage shape plus an exact-verify band for the false positives."""
-    import numpy as np
-    import ray
-
-    keys_ref = ray.put(np.sort(np.unique(np.asarray(keys))))
+    key_set = broadcast(np.sort(np.unique(np.asarray(keys))))
 
     def fn(t: pa.Table) -> pa.Table:
-        kset = ray.get(keys_ref)
+        kset = key_set()
         probe = t[on].to_numpy(zero_copy_only=False)
         if kset.size == 0:  # empty key set: semi -> nothing, anti -> all
             hit = np.zeros(probe.shape[0], dtype=bool)
@@ -238,17 +234,15 @@ def bloom_semi_join(ds, keys_ds, on: str, right_on: str | None = None,
     if num_partitions is None:
         num_partitions = adaptive_partitions()
 
-    import ray
-
     right_on = right_on or on
     bits = build_bloom(
         keys_ds, right_on, n_bits=n_bits, n_hashes=n_hashes,
         chunk_bytes=min(1 << 16, n_bits // 8),
     )
-    bits_ref = ray.put(bits)
+    bloom = broadcast(bits)
 
     def classify(t: pa.Table, want_candidates: bool) -> pa.Table:
-        bb = ray.get(bits_ref)
+        bb = bloom()
         probe = t[on].to_numpy(zero_copy_only=False)
         pos = bloom_positions(probe, n_bits, n_hashes)
         hit = (

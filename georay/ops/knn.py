@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay import cells, codec
-from georay.runtime import by_key, group_agg, join, per_key
+from georay.runtime import broadcast, by_key, group_agg, join, per_key
 
 
 def _dense_rank(vals: np.ndarray) -> np.ndarray:
@@ -104,7 +104,8 @@ def _broadcast_refs(refs_table: pa.Table, ref_id: str, cell_col: str):
     """The refs' cell, lon, lat and id columns as one broadcast
     :class:`georay.codec.SortedLookup` on the cell."""
     cols = list(dict.fromkeys([cell_col, "lon", "lat", ref_id]))
-    return cells.broadcast_lookup(refs_table.select(cols), cell_col)
+    return broadcast(refs_table.select(cols),
+                     lambda t: codec.SortedLookup(t, cell_col))
 
 
 def _ring_candidates(refs: codec.SortedLookup, qcell: np.ndarray, bits: int,
@@ -673,7 +674,7 @@ def nearest_segment(points_ds, seg_table: pa.Table, point_id: str,
     and ties break by ascending segment id deterministically.
 
     The segment table is the SMALL side (a road network, bounded):
-    ``ray.put`` once, a running-best sweep over segments inside each
+    broadcast once, a running-best sweep over segments inside each
     ``map_batches`` task — vectorized over the batch's points per
     segment, O(points × segments) integer ops, no shuffle. Coordinates
     must satisfy |coord| ≤ 2^9 = 512 so every cross-multiplied compare
@@ -685,10 +686,6 @@ def nearest_segment(points_ds, seg_table: pa.Table, point_id: str,
 
     Output: ``point_id, seg_id, d2_num, d2_den``.
     """
-    import ray
-
-    from georay.runtime import per_process
-
     COORD_BOUND = 512  # 2^9 — see the docstring's overflow derivation
 
     sid_arr = seg_table[seg_id].to_numpy().astype(np.int64)
@@ -708,15 +705,10 @@ def nearest_segment(points_ds, seg_table: pa.Table, point_id: str,
                 "cross-multiplied int64 compare exact (got %d)"
                 % (COORD_BOUND, int(np.abs(arr).max()))
             )
-    seg_ref = ray.put(segs)
-    state_key = seg_ref.hex()
-
-    class Loader:
-        def __init__(self):
-            self.segs = ray.get(seg_ref)
+    segs_here = broadcast(segs)
 
     def fn(t: pa.Table) -> pa.Table:
-        sid, sx1, sy1, sx2, sy2 = per_process(state_key, Loader).segs
+        sid, sx1, sy1, sx2, sy2 = segs_here()
         pid = t[point_id].to_numpy(zero_copy_only=False).astype(np.int64)
         px = t[px_col].to_numpy(zero_copy_only=False).astype(np.int64)
         py = t[py_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -784,8 +776,6 @@ def accessibility_2sfca(demand_ds, supply_table: pa.Table, bits: int,
     Output: ``demand_id, access_scaled, n_fac`` (both int64; divide
     ``access_scaled`` by ``scale`` for the float score).
     """
-    import ray
-
     pairs = dwithin_ring(
         demand_ds, supply_table, bits, radius,
         query_cols=[demand_id, pop_col], ref_id=supply_id,
@@ -813,12 +803,10 @@ def accessibility_2sfca(demand_ds, supply_table: pa.Table, bits: int,
     pos = np.searchsorted(cap_keys, dk)
     den_full[pos] = dv
     terms = (np.int64(scale) * caps) // den_full
-    bundle = ray.put({"keys": cap_keys, "terms": terms})
-    key = bundle.hex() + "-2sfca"
-    from georay.runtime import per_process  # driver-side: closure captures it
+    bundle = broadcast({"keys": cap_keys, "terms": terms})
 
     def score_rows(t: pa.Table) -> pa.Table:
-        b = per_process(key, lambda: ray.get(bundle))
+        b = bundle()
         did = t[demand_id].to_numpy(zero_copy_only=False).astype(np.int64)
         sid = t[supply_id].to_numpy(zero_copy_only=False).astype(np.int64)
         term = b["terms"][np.searchsorted(b["keys"], sid)]

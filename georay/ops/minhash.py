@@ -20,7 +20,7 @@ import pyarrow as pa
 # statement on a foreign-cwd worker bypasses the by-value cloudpickle
 # registration and dies with ModuleNotFoundError (CLAUDE.md invariant)
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
-from georay.runtime import by_key, join
+from georay.runtime import broadcast, by_key, join, per_process
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
@@ -43,7 +43,7 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
 
 
 class MinHasher:
-    """Per-actor state: the k permutation parameters (a, b). Computes
+    """Per-process state: the k permutation parameters (a, b). Computes
     n_hashes minhash signatures per doc, vectorized over shingles."""
 
     def __init__(self, n_hashes: int = 64, shingle_k: int = 5, seed: int = 42):
@@ -71,27 +71,12 @@ class MinHasher:
         )
 
 
-def minhash_signatures(ds, n_hashes: int = 64, shingle_k: int = 5,
-                       concurrency=(1, 8), compute: str = "tasks"):
+def minhash_signatures(ds, n_hashes: int = 64, shingle_k: int = 5):
     """doc_id + list<int64> minhash signature per doc.
 
-    Default is stateless tasks with the permutation state built once per
-    worker process (``per_process`` cache): the state is tiny and
-    seed-deterministic, and an actor pool would reserve CPUs and pay
-    multi-second spin-up that starves colocated read stages on single-node
-    runs (CLAUDE.md invariant). ``compute="actors"`` keeps a dedicated pool
-    for multi-node runs where pinning the stage is worth the reservation."""
-    if compute == "actors":
-        return ds.map_batches(
-            MinHasher,
-            fn_constructor_kwargs={"n_hashes": n_hashes, "shingle_k": shingle_k},
-            batch_format="pyarrow",
-            batch_size=1024,
-            concurrency=concurrency,
-        )
-
-    from georay.runtime import per_process
-
+    Stateless tasks with the permutation state built once per worker
+    process (``per_process`` cache): the state is tiny and
+    seed-deterministic."""
     key = f"georay-minhasher-{n_hashes}-{shingle_k}"
 
     def fn(t: pa.Table) -> pa.Table:
@@ -194,53 +179,38 @@ def lsh_candidate_pairs(sig_ds, n_bands: int = 8, rows_per_band: int = 8,
 def jaccard_verify(pairs_ds, docs_table: pa.Table, shingle_k: int = 5,
                    threshold: float = 0.7, id_col: str = "doc_id",
                    text_col: str = "text"):
-    """Exact shingle-Jaccard on candidate pairs against broadcast docs."""
-    import ray
+    """Exact shingle-Jaccard on candidate pairs against broadcast docs.
+    Each worker process keeps a memo of the shingle hashes it computed."""
 
-    docs_ref = ray.put(
-        dict(
-            zip(
-                docs_table[id_col].to_pylist(),
-                docs_table[text_col].to_pylist(),
-            )
-        )
-    )
+    def memo(docs: dict):
+        cache: dict[int, np.ndarray] = {}
 
-    class Verify:
-        def __init__(self):
-            self.docs = ray.get(docs_ref)
-            self.cache: dict[int, np.ndarray] = {}
-
-        def shingles(self, doc_id: int) -> np.ndarray:
-            s = self.cache.get(doc_id)
+        def shingles(doc_id: int) -> np.ndarray:
+            s = cache.get(doc_id)
             if s is None:
-                s = _shingle_hashes(self.docs[doc_id], shingle_k)
-                self.cache[doc_id] = s
+                s = cache[doc_id] = _shingle_hashes(docs[doc_id], shingle_k)
             return s
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ia = t["id_a"].to_numpy(zero_copy_only=False)
-            ib = t["id_b"].to_numpy(zero_copy_only=False)
-            jac = np.empty(ia.size, dtype=np.float64)
-            for k in range(ia.size):
-                sa, sb = self.shingles(int(ia[k])), self.shingles(int(ib[k]))
-                inter = np.intersect1d(sa, sb, assume_unique=True).size
-                jac[k] = inter / (sa.size + sb.size - inter)
-            keep = jac >= threshold
-            return pa.table(
-                {
-                    "id_a": ia[keep],
-                    "id_b": ib[keep],
-                    "jaccard": jac[keep],
-                }
-            )
+        return shingles
 
-    from georay.runtime import per_process
-
-    state_key = f"georay-mh-verify-{docs_ref.hex()}-{shingle_k}"
+    shingles_here = broadcast(
+        dict(zip(docs_table[id_col].to_pylist(),
+                 docs_table[text_col].to_pylist())),
+        memo,
+    )
 
     def verify_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, Verify)(t)
+        shingles = shingles_here()
+        ia = t["id_a"].to_numpy(zero_copy_only=False)
+        ib = t["id_b"].to_numpy(zero_copy_only=False)
+        jac = np.empty(ia.size, dtype=np.float64)
+        for k in range(ia.size):
+            sa, sb = shingles(int(ia[k])), shingles(int(ib[k]))
+            inter = np.intersect1d(sa, sb, assume_unique=True).size
+            jac[k] = inter / (sa.size + sb.size - inter)
+        keep = jac >= threshold
+        return pa.table({"id_a": ia[keep], "id_b": ib[keep],
+                         "jaccard": jac[keep]})
 
     return pairs_ds.map_batches(
         verify_fn, batch_format="pyarrow", batch_size=4096
@@ -376,7 +346,7 @@ def near_dup_pairs(ds, docs_table: pa.Table | None = None, n_hashes: int = 64,
     """Full MinHash-LSH near-dup pipeline: signatures → bands → candidate
     pairs → exact-Jaccard verify. Returns (id_a, id_b, jaccard).
 
-    ``verify="broadcast"`` ships the corpus once via ``ray.put`` (requires
+    ``verify="broadcast"`` broadcasts the corpus once (requires
     ``docs_table``; right choice when the corpus fits a worker heap);
     ``verify="shuffle"`` hash-joins candidates back to per-doc shingle sets
     computed from ``ds`` itself — the big-big path with no broadcast.
@@ -412,7 +382,7 @@ def near_dup_pairs(ds, docs_table: pa.Table | None = None, n_hashes: int = 64,
 
 
 class SimHasher:
-    """64-bit SimHash over word tokens. Per-actor state: compiled regex +
+    """64-bit SimHash over word tokens. Per-process state: compiled regex +
     a word→FNV-1a hash cache (the corpus vocabulary is small, so the cache
     amortizes across batches). FNV is used instead of Python ``hash()``
     because the latter is randomized per process — cross-worker grouping
@@ -453,17 +423,9 @@ class SimHasher:
         )
 
 
-def simhash_signatures(ds, concurrency=(1, 8), compute: str = "tasks"):
-    """doc_id + deterministic 64-bit simhash per doc. Stateless tasks by
-    default (regex + vocab cache live in a per-process singleton); pass
-    ``compute="actors"`` for a pinned pool (see minhash_signatures)."""
-    if compute == "actors":
-        return ds.map_batches(
-            SimHasher, batch_format="pyarrow", batch_size=2048,
-            concurrency=concurrency,
-        )
-
-    from georay.runtime import per_process
+def simhash_signatures(ds):
+    """doc_id + deterministic 64-bit simhash per doc. Stateless tasks; the
+    regex + vocab cache live in a per-process singleton."""
 
     def fn(t: pa.Table) -> pa.Table:
         return per_process("georay-simhasher", SimHasher)(t)
@@ -472,11 +434,11 @@ def simhash_signatures(ds, concurrency=(1, 8), compute: str = "tasks"):
 
 
 def simhash_near_dup_pairs(ds, max_hamming: int = 6, n_blocks: int = 8,
-                           concurrency=(1, 8), max_bucket: int | None = 4096):
+                           max_bucket: int | None = 4096):
     """Near-dup pairs by SimHash block-LSH over document text — computes
     the 64-bit simhash then delegates to the generic
     :func:`hamming_near_dup_pairs` (shared with image perceptual hashes)."""
-    sigs = simhash_signatures(ds, concurrency=concurrency)
+    sigs = simhash_signatures(ds)
     return hamming_near_dup_pairs(
         sigs, id_col="doc_id", hash_col="simhash",
         max_hamming=max_hamming, n_blocks=n_blocks, max_bucket=max_bucket,

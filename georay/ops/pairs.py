@@ -210,7 +210,7 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
     The A-priori pruning step is real: item supports are a
     ``group_agg`` count, items below ``min_support`` are dropped BEFORE any pair
     expands (a pair's support never exceeds its items'), and the
-    frequent-item set broadcasts via ray.put (item vocabularies are
+    frequent-item set is broadcast once (item vocabularies are
     bounded; the candidate-pair exchange carries pair COUNTS, never
     baskets). Pair emission runs on ``runtime.by_key`` by basket — one
     call per bucket, per-basket runs expand through
@@ -221,9 +221,8 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
     Output: ``item_a, item_b, support``.
     """
     import pyarrow as pa
-    import ray
 
-    from georay.runtime import by_key, group_agg, per_process
+    from georay.runtime import broadcast, by_key, group_agg
 
     distinct = group_agg(ds, [basket_col, item_col])
     freq = group_agg(
@@ -232,11 +231,10 @@ def frequent_pairs(ds, basket_col: str, item_col: str, min_support: int,
     keep_items = np.sort(
         freq[item_col].to_numpy()[freq["n"].to_numpy() >= min_support]
     ).astype(np.int64)
-    items_ref = ray.put(keep_items)
-    items_key = items_ref.hex() + "-apriori"
+    items_here = broadcast(keep_items)
 
     def prune(t: pa.Table) -> pa.Table:
-        fi = per_process(items_key, lambda: ray.get(items_ref))
+        fi = items_here()
         it = t[item_col].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.searchsorted(fi, it)
         posc = np.minimum(pos, max(fi.size - 1, 0))

@@ -1,11 +1,10 @@
 """Point-in-polygon assignment stage (SURVEY.md N3).
 
-The polygon set (with its cell-cover candidate index) is broadcast ONCE via
-``ray.put``; compute runs as stateless tasks that pack with the other stages
-of the pipeline (the flagship fuses them with the decode stage). Each worker
-process fetches the index once, on its first task, and keeps it
-(``runtime.per_process``) whether georay ships to the workers by reference
-or by value.
+The polygon set (with its cell-cover candidate index) is broadcast ONCE
+(``runtime.broadcast``); compute runs as stateless tasks that pack with the
+other stages of the pipeline (the flagship fuses them with the decode
+stage). Each worker process fetches the index once, on its first task, and
+keeps it whether georay ships to the workers by reference or by value.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 
 from georay.geometry import PolygonSet
-from georay.runtime import per_process
+from georay.runtime import broadcast
 
 
 def pip_assign(
@@ -37,14 +36,11 @@ def pip_assign(
     polygon (once each, without ``poly_id_col``) — the "outside every zone"
     filter. Same broadcast index, batch-local complement, still no shuffle.
     """
-    import ray
-
-    polyset_ref = ray.put(PolygonSet(poly_ids, rings, bits=bits, backend=backend))
-    key = polyset_ref.hex()
+    polyset_here = broadcast(
+        PolygonSet(poly_ids, rings, bits=bits, backend=backend))
 
     def assign(t: pa.Table) -> pa.Table:
-        # LRU-capped per-process cache (one entry per broadcast ref)
-        polyset = per_process(key, lambda: ray.get(polyset_ref))
+        polyset = polyset_here()
         lon = t["lon"].to_numpy(zero_copy_only=False)
         lat = t["lat"].to_numpy(zero_copy_only=False)
         p_idx, g_idx = polyset.contains(lon, lat)

@@ -24,8 +24,8 @@ Scale shape — only ids + 64-bit hashes shuffle; text is tokenized ONCE:
    into a binary blob (one row per doc, materialized — every later stage
    derives from it, never from the text).
 2. Token rows (hash, doc, set size) unpack batch-locally; document
-   frequency is a two-phase count. The df table is broadcast (ray.put of
-   two sorted arrays) while it fits ``broadcast_vocab_max`` — the common,
+   frequency is a two-phase count. The df table is broadcast (two sorted
+   arrays, ``runtime.broadcast``) while it fits ``broadcast_vocab_max`` — the common,
    Zipf-bounded case — and falls back to a hash join above that, which is
    the 100 TB path for unbounded vocabularies.
 3. Per-doc prefix selection runs in O(num_partitions) ``runtime.by_key``
@@ -55,7 +55,7 @@ from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.sketch import splitmix64
 from georay.ops.text import fingerprint64
 from georay.ops.tiles import count_by
-from georay.runtime import by_key, join, per_process, table_from_pandas
+from georay.runtime import broadcast, by_key, join, table_from_pandas
 
 _WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 
@@ -117,38 +117,34 @@ def _prefix_len(n: np.ndarray, num: int, den: int) -> np.ndarray:
 
 
 def _broadcast_sets(sets):
-    """Collect the materialized (sid, sh, n_tok) table and ``ray.put`` it
-    as (sorted ids, flat token values, per-row offsets) for batch-local
-    pair verification — the small-side fast path of the verify dual plan
-    (two chained Acero joins cost 42.6 + 17.3 s remote wall at sf0.1 for
-    a 1.3M-pair × 50k-doc verify; the broadcast map is one lookup).
-    Returns ``(object_ref, state_key)``."""
-    import ray
-
+    """Collect the materialized (sid, sh, n_tok) table and broadcast it
+    as (sorted ids, row of each sorted id, flat token values, per-row
+    offsets, per-row counts) for batch-local pair verification — the
+    small-side fast path of the verify dual plan (two chained Acero joins
+    cost 42.6 + 17.3 s remote wall at sf0.1 for a 1.3M-pair × 50k-doc
+    verify; the broadcast map is one lookup). Returns the getter."""
     tbl = pa.concat_tables(list(sets.iter_batches(batch_format="pyarrow")))
     vals, counts = _packed_view(tbl["sh"])
     sid = tbl["sid"].to_numpy(zero_copy_only=False).astype(np.int64)
     offs = np.zeros(sid.size + 1, np.int64)
     np.cumsum(counts, out=offs[1:])
     order = np.argsort(sid, kind="quicksort")
-    ref = ray.put((sid[order], order.astype(np.int64), vals,
-                   offs, counts.astype(np.int64)))
-    return ref, "georay-setsim-sets-" + ref.hex()
+    return broadcast((sid[order], order.astype(np.int64), vals,
+                      offs, counts.astype(np.int64)))
 
 
-class _SetLookup:
-    """Per-process holder of the broadcast packed sets (zero-copy plasma
-    views). ``rows(ids)`` maps doc ids to their original row indices."""
-
-    def __init__(self, ref):
-        import ray
-
-        (self.sid_sorted, self.row_of_rank, self.vals,
-         self.offs, self.counts) = ray.get(ref)
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.sid_sorted, ids)
-        return self.row_of_rank[pos]
+def _intersections(sets_here, ia: np.ndarray, ib: np.ndarray):
+    """``(|A|, |B|, |A ∩ B|)`` per pair of doc ids, read off the
+    broadcast packed sets of :func:`_broadcast_sets`."""
+    sid_sorted, row_of_rank, vals, offs, counts = sets_here()
+    ra = row_of_rank[np.searchsorted(sid_sorted, ia)]
+    rb = row_of_rank[np.searchsorted(sid_sorted, ib)]
+    inter = np.empty(ia.size, np.int64)
+    for k in range(ia.size):
+        sa = vals[offs[ra[k]]: offs[ra[k]] + counts[ra[k]]]
+        sb = vals[offs[rb[k]]: offs[rb[k]] + counts[rb[k]]]
+        inter[k] = np.intersect1d(sa, sb, assume_unique=True).size
+    return counts[ra], counts[rb], inter
 
 
 def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
@@ -162,15 +158,13 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
     ``jaccard`` is the single float division inter/union (both sides of the
     oracle compute it identically, so it is bit-stable).
 
-    The token document-frequency table is BROADCAST (``ray.put`` of two
-    sorted arrays + batch-local searchsorted) when its row count is at most
+    The token document-frequency table is BROADCAST (two sorted arrays
+    + batch-local searchsorted) when its row count is at most
     ``broadcast_vocab_max`` — natural-language vocabularies are
     Zipf-bounded, so this is the common case and saves a whole shuffle
     join; bigger vocabularies fall back to ``runtime.join``."""
     if not (0 < num <= den):
         raise ValueError("threshold must satisfy 0 < num/den <= 1")
-    import ray
-
     from georay.runtime import adaptive_partitions
 
     if num_partitions is None:
@@ -200,10 +194,10 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
         th_v = dft["th"].to_numpy(zero_copy_only=False).astype(np.int64)
         df_v = dft["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(th_v, kind="quicksort")
-        ref = ray.put((th_v[order], df_v[order]))
+        df_table = broadcast((th_v[order], df_v[order]))
 
         def attach_df(t: pa.Table) -> pa.Table:
-            th_keys, df_vals = ray.get(ref)
+            th_keys, df_vals = df_table()
             th = t["th"].to_numpy(zero_copy_only=False)
             pos = np.searchsorted(th_keys, th)  # every token is in the table
             return t.append_column("df", pa.array(df_vals[pos]))
@@ -283,24 +277,16 @@ def setsim_join(ds, num: int, den: int, id_col: str = "doc_id",
 
     if sets.count() <= broadcast_docs_max:
         # verify dual plan, small-side fast path: the packed sets broadcast
-        # ONCE (ray.put, zero-copy plasma views per process) and each cand
-        # batch resolves both blob slices by searchsorted — replaces two
+        # ONCE (zero-copy plasma views per process) and each cand batch
+        # resolves both blob slices by searchsorted — replaces two
         # chained Acero joins (42.6 + 17.3 s remote wall at sf0.1)
-        sets_ref, sets_key = _broadcast_sets(sets)
+        sets_here = _broadcast_sets(sets)
 
         def jac_bcast(t: pa.Table) -> pa.Table:
-            lk = per_process(sets_key, lambda: _SetLookup(sets_ref))
             ia = t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
             ib = t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ra, rb = lk.rows(ia), lk.rows(ib)
-            vals, offs = lk.vals, lk.offs
-            inter = np.empty(ia.size, np.int64)
-            isect = np.intersect1d
-            for k in range(ia.size):
-                sa = vals[offs[ra[k]]: offs[ra[k]] + lk.counts[ra[k]]]
-                sb = vals[offs[rb[k]]: offs[rb[k]] + lk.counts[rb[k]]]
-                inter[k] = isect(sa, sb, assume_unique=True).size
-            union = lk.counts[ra] + lk.counts[rb] - inter
+            n_a, n_b, inter = _intersections(sets_here, ia, ib)
+            union = n_a + n_b - inter
             keep = inter * den >= num * np.maximum(union, 1)
             keep &= union > 0
             return pa.table({
@@ -393,8 +379,6 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
         raise ValueError("threshold must satisfy 0 < num/den <= 1")
     import logging
 
-    import ray
-
     from georay.runtime import adaptive_partitions
 
     if num_partitions is None:
@@ -422,10 +406,10 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
         th_v = dft["th"].to_numpy(zero_copy_only=False).astype(np.int64)
         df_v = dft["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(th_v, kind="quicksort")
-        ref = ray.put((th_v[order], df_v[order]))
+        df_table = broadcast((th_v[order], df_v[order]))
 
         def attach_df(t: pa.Table) -> pa.Table:
-            th_keys, df_vals = ray.get(ref)
+            th_keys, df_vals = df_table()
             th = t["th"].to_numpy(zero_copy_only=False)
             pos = np.searchsorted(th_keys, th)
             return t.append_column("df", pa.array(df_vals[pos]))
@@ -520,21 +504,12 @@ def containment_join(ds, num: int, den: int, min_tokens: int = 30,
     if sets.count() <= broadcast_docs_max:
         # verify dual plan, small-side fast path (see setsim_join): packed
         # sets broadcast once, per-batch searchsorted lookup, no joins
-        sets_ref, sets_key = _broadcast_sets(sets)
+        sets_here = _broadcast_sets(sets)
 
         def contain_bcast(t: pa.Table) -> pa.Table:
-            lk = per_process(sets_key, lambda: _SetLookup(sets_ref))
             ia = t["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
             ib = t["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ra, rb = lk.rows(ia), lk.rows(ib)
-            vals, offs = lk.vals, lk.offs
-            inter = np.empty(ia.size, np.int64)
-            isect = np.intersect1d
-            for k in range(ia.size):
-                sa = vals[offs[ra[k]]: offs[ra[k]] + lk.counts[ra[k]]]
-                sb = vals[offs[rb[k]]: offs[rb[k]] + lk.counts[rb[k]]]
-                inter[k] = isect(sa, sb, assume_unique=True).size
-            n_a = lk.counts[ra]
+            n_a, _, inter = _intersections(sets_here, ia, ib)
             keep = inter * den >= num * n_a
             return pa.table({
                 "id_a": ia[keep], "id_b": ib[keep],

@@ -21,7 +21,8 @@ import pyarrow.compute as pc
 # CLAUDE.md invariant; by-value cloudpickle only covers captured objects)
 from georay.ops.pairs import distinct_pairs, grouped_pair_indices
 from georay.ops.rank import grouped_topk
-from georay.runtime import by_key, group_agg, join, per_key
+from georay.runtime import (broadcast, by_key, group_agg, join, per_key,
+                            per_process)
 
 
 def emb_matrix(col) -> np.ndarray:
@@ -37,7 +38,7 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 def brute_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
                id_col: str = "vec_id", emb_col: str = "embedding",
-               concurrency=(1, 8), query_labels: np.ndarray | None = None,
+               query_labels: np.ndarray | None = None,
                label_col: str = "label"):
     """Exact cosine top-k of every query against the full dataset.
 
@@ -46,52 +47,54 @@ def brute_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
     (the nearest vectors that are NOT of the query's own class). The mask
     is a batch-local boolean outer compare; no extra pass or shuffle.
     """
-    import ray
-
-    q_labels = None if query_labels is None else np.asarray(query_labels)
-    q_ref = ray.put(
-        (np.asarray(query_ids), _normalize(np.asarray(query_mat)), q_labels))
-    state_key = q_ref.hex()
-
-    class LocalTopK:
-        def __init__(self):
-            self.q_ids, self.q_mat, self.q_labels = ray.get(q_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            # candidates pre-sorted by id so the STABLE argsort below breaks
-            # similarity ties by ascending id — matching the final merge and
-            # the SQL oracle's ORDER BY sim DESC, id
-            id_order = np.argsort(ids, kind="stable")
-            ids = ids[id_order]
-            mat = _normalize(emb_matrix(t[emb_col]))[id_order]
-            sims = self.q_mat @ mat.T
-            sims[self.q_ids[:, None] == ids[None, :]] = -np.inf
-            if self.q_labels is not None:
-                lab = t[label_col].to_numpy(zero_copy_only=False)[id_order]
-                sims[self.q_labels[:, None] == lab[None, :]] = -np.inf
-            kk = min(k, ids.size)
-            part = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
-            qidx = np.repeat(np.arange(self.q_ids.size), kk)
-            nidx = part.reshape(-1)
-            return pa.table(
-                {
-                    "query_id": self.q_ids[qidx],
-                    "neighbor_id": ids[nidx],
-                    "sim": sims[qidx, nidx],
-                }
-            )
-
-    from georay.runtime import per_process
+    queries = broadcast((
+        np.asarray(query_ids), _normalize(np.asarray(query_mat)),
+        None if query_labels is None else np.asarray(query_labels)))
 
     def local_fn(t: pa.Table) -> pa.Table:
-        t = per_process(state_key, LocalTopK)(t)
-        return t.filter(pc.is_finite(t["sim"]))
+        q_ids, q_mat, q_labels = queries()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        # candidates pre-sorted by id so the STABLE argsort below breaks
+        # similarity ties by ascending id — matching the final merge and
+        # the SQL oracle's ORDER BY sim DESC, id
+        id_order = np.argsort(ids, kind="stable")
+        ids = ids[id_order]
+        mat = _normalize(emb_matrix(t[emb_col]))[id_order]
+        sims = q_mat @ mat.T
+        sims[q_ids[:, None] == ids[None, :]] = -np.inf
+        if q_labels is not None:
+            lab = t[label_col].to_numpy(zero_copy_only=False)[id_order]
+            sims[q_labels[:, None] == lab[None, :]] = -np.inf
+        kk = min(k, ids.size)
+        part = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
+        qidx = np.repeat(np.arange(q_ids.size), kk)
+        nidx = part.reshape(-1)
+        out = pa.table({"query_id": q_ids[qidx], "neighbor_id": ids[nidx],
+                        "sim": sims[qidx, nidx]})
+        return out.filter(pc.is_finite(out["sim"]))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
     return grouped_topk(local, ["query_id"], ["sim", "neighbor_id"],
                         [False, True], k)
+
+
+def _probing_queries(probe: np.ndarray, n_buckets: int) -> list:
+    """IVF bucket -> the queries whose ``probe`` row lists it."""
+    return [np.flatnonzero((probe == b).any(axis=1)) for b in range(n_buckets)]
+
+
+def _pq_codes(codes: np.ndarray, cb_sub: np.ndarray) -> np.ndarray:
+    """Flat PQ-ADC lookup columns ``(rows, subspaces)`` of SQ8 ``codes``
+    shaped ``(rows, subspaces, d_sub)``: per subspace, the integer-L2
+    nearest codeword (argmin ties -> lowest id), offset by the subspace's
+    start in the flattened per-query table."""
+    n_cw, m_subspaces = cb_sub.shape[0], cb_sub.shape[1]
+    assign = np.empty((codes.shape[0], m_subspaces), np.int64)
+    for s in range(m_subspaces):
+        diff = codes[:, s, None, :] - cb_sub[None, :, s, :]
+        assign[:, s] = np.argmin(np.einsum("rcd,rcd->rc", diff, diff), axis=1)
+    return assign + n_cw * np.arange(m_subspaces, dtype=np.int64)
 
 
 def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
@@ -113,72 +116,53 @@ def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
 def ivf_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5,
              n_centroids: int = 16, n_probe: int = 4,
              id_col: str = "vec_id", emb_col: str = "embedding",
-             sample_mat: np.ndarray | None = None, concurrency=(1, 8)):
+             sample_mat: np.ndarray | None = None):
     """IVF-bucketed approximate top-k.
 
     Every batch assigns its vectors to centroids; vectors in buckets no
     query probes are dropped before any scoring — at scale this is the
     pruning that turns O(N·Q) into O(N·Q·n_probe/n_centroids)."""
-    import ray
-
     if sample_mat is None:
         sample_mat = np.asarray(query_mat)
     cents = train_centroids(np.asarray(sample_mat), n_centroids)
     qn = _normalize(np.asarray(query_mat))
     # buckets each query probes
     probe = np.argsort(-(qn @ cents.T), axis=1)[:, :n_probe]
-    ref = ray.put((np.asarray(query_ids), qn, cents, probe))
-    state_key = ref.hex()
-
-    class BucketTopK:
-        def __init__(self):
-            self.q_ids, self.q_mat, self.cents, self.probe = ray.get(ref)
-            # invert: bucket -> queries probing it
-            self.bucket_queries = [
-                np.flatnonzero((self.probe == b).any(axis=1))
-                for b in range(self.cents.shape[0])
-            ]
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            id_order = np.argsort(ids, kind="stable")  # tie-break by id (see brute_topk)
-            ids = ids[id_order]
-            mat = _normalize(emb_matrix(t[emb_col]))[id_order]
-            assign = (mat @ self.cents.T).argmax(axis=1)
-            out_q, out_n, out_s = [], [], []
-            for b in np.unique(assign):
-                qs = self.bucket_queries[int(b)]
-                if qs.size == 0:
-                    continue
-                rows = np.flatnonzero(assign == b)
-                sims = self.q_mat[qs] @ mat[rows].T
-                sims[self.q_ids[qs][:, None] == ids[rows][None, :]] = -np.inf
-                kk = min(k, rows.size)
-                part = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
-                qidx = np.repeat(qs, kk)
-                nidx = part.reshape(-1)
-                out_q.append(self.q_ids[qidx])
-                out_n.append(ids[rows][nidx])
-                out_s.append(sims[np.repeat(np.arange(qs.size), kk), nidx])
-            if not out_q:
-                return pa.table(
-                    {"query_id": pa.array([], pa.int64()),
-                     "neighbor_id": pa.array([], pa.int64()),
-                     "sim": pa.array([], pa.float64())}
-                )
-            return pa.table(
-                {
-                    "query_id": np.concatenate(out_q),
-                    "neighbor_id": np.concatenate(out_n),
-                    "sim": np.concatenate(out_s),
-                }
-            )
-
-    from georay.runtime import per_process
+    queries = broadcast((np.asarray(query_ids), qn, cents,
+                         _probing_queries(probe, cents.shape[0])))
 
     def local_fn(t: pa.Table) -> pa.Table:
-        t = per_process(state_key, BucketTopK)(t)
-        return t.filter(pc.is_finite(t["sim"]))
+        q_ids, q_mat, cents, bucket_queries = queries()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        id_order = np.argsort(ids, kind="stable")  # tie-break by id (see brute_topk)
+        ids = ids[id_order]
+        mat = _normalize(emb_matrix(t[emb_col]))[id_order]
+        assign = (mat @ cents.T).argmax(axis=1)
+        out_q, out_n, out_s = [], [], []
+        for b in np.unique(assign):
+            qs = bucket_queries[int(b)]
+            if qs.size == 0:
+                continue
+            rows = np.flatnonzero(assign == b)
+            sims = q_mat[qs] @ mat[rows].T
+            sims[q_ids[qs][:, None] == ids[rows][None, :]] = -np.inf
+            kk = min(k, rows.size)
+            part = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
+            qidx = np.repeat(qs, kk)
+            nidx = part.reshape(-1)
+            out_q.append(q_ids[qidx])
+            out_n.append(ids[rows][nidx])
+            out_s.append(sims[np.repeat(np.arange(qs.size), kk), nidx])
+        if not out_q:
+            return pa.table(
+                {"query_id": pa.array([], pa.int64()),
+                 "neighbor_id": pa.array([], pa.int64()),
+                 "sim": pa.array([], pa.float64())}
+            )
+        out = pa.table({"query_id": np.concatenate(out_q),
+                        "neighbor_id": np.concatenate(out_n),
+                        "sim": np.concatenate(out_s)})
+        return out.filter(pc.is_finite(out["sim"]))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
@@ -204,13 +188,9 @@ def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
     recall ≥ 0.9 on clustered data, like :func:`ivf_topk`.
 
     Queries are rows with ``vec_id % query_mask_mod == 0``, quantized with
-    the same distributed :func:`dim_ranges` codebook and broadcast once
-    (``ray.put``); centroids train driver-side on ``sample_mat`` (or the
-    query matrix). Output: ``query_id, neighbor_id, score, rank``."""
-    import ray
-
-    from georay.runtime import per_process
-
+    the same distributed :func:`dim_ranges` codebook and broadcast once;
+    centroids train driver-side on ``sample_mat`` (or the query matrix).
+    Output: ``query_id, neighbor_id, score, rank``."""
     # --- SQ8 codebook: distributed per-dim (min, max), tiny result
     mn, mx = dim_bounds(ds, emb_col)
 
@@ -236,58 +216,42 @@ def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
         sample_mat = q_mat
     cents = train_centroids(np.asarray(sample_mat), n_centroids)
     probe = np.argsort(-(_normalize(q_mat) @ cents.T), axis=1)[:, :n_probe]
-    ref = ray.put((q_ids, q_codes, mn, mx, cents, probe))
-    state_key = ref.hex()
-
-    class BucketTopK:
-        def __init__(self):
-            (self.q_ids, self.q_codes, self.mn, self.mx, self.cents,
-             probe) = ray.get(ref)
-            # invert: bucket -> queries probing it
-            self.bucket_queries = [
-                np.flatnonzero((probe == b).any(axis=1))
-                for b in range(self.cents.shape[0])
-            ]
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            id_order = np.argsort(ids, kind="stable")  # tie-break by id
-            ids = ids[id_order]
-            fmat = emb_matrix(t[emb_col])[id_order]
-            assign = (_normalize(fmat) @ self.cents.T).argmax(axis=1)
-            codes = sq8_quantize(fmat, self.mn, self.mx)
-            out_q, out_n, out_s = [], [], []
-            for b in np.unique(assign):
-                qs = self.bucket_queries[int(b)]
-                if qs.size == 0:
-                    continue
-                rows = np.flatnonzero(assign == b)
-                scores = self.q_codes[qs] @ codes[rows].T  # int64-exact
-                scores[self.q_ids[qs][:, None] == ids[rows][None, :]] = -1
-                kk = min(k, rows.size)
-                part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
-                qidx = np.repeat(np.arange(qs.size), kk)
-                nidx = part.reshape(-1)
-                out_q.append(self.q_ids[qs][qidx])
-                out_n.append(ids[rows][nidx])
-                out_s.append(scores[qidx, nidx])
-            if not out_q:
-                return pa.table(
-                    {"query_id": pa.array([], pa.int64()),
-                     "neighbor_id": pa.array([], pa.int64()),
-                     "score": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {
-                    "query_id": np.concatenate(out_q),
-                    "neighbor_id": np.concatenate(out_n),
-                    "score": np.concatenate(out_s),
-                }
-            )
+    queries = broadcast((q_ids, q_codes, mn, mx, cents,
+                         _probing_queries(probe, cents.shape[0])))
 
     def local_fn(t: pa.Table) -> pa.Table:
-        t = per_process(state_key, BucketTopK)(t)
-        return t.filter(pc.greater_equal(t["score"], 0))
+        q_ids, q_codes, mn, mx, cents, bucket_queries = queries()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        id_order = np.argsort(ids, kind="stable")  # tie-break by id
+        ids = ids[id_order]
+        fmat = emb_matrix(t[emb_col])[id_order]
+        assign = (_normalize(fmat) @ cents.T).argmax(axis=1)
+        codes = sq8_quantize(fmat, mn, mx)
+        out_q, out_n, out_s = [], [], []
+        for b in np.unique(assign):
+            qs = bucket_queries[int(b)]
+            if qs.size == 0:
+                continue
+            rows = np.flatnonzero(assign == b)
+            scores = q_codes[qs] @ codes[rows].T  # int64-exact
+            scores[q_ids[qs][:, None] == ids[rows][None, :]] = -1
+            kk = min(k, rows.size)
+            part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
+            qidx = np.repeat(np.arange(qs.size), kk)
+            nidx = part.reshape(-1)
+            out_q.append(q_ids[qs][qidx])
+            out_n.append(ids[rows][nidx])
+            out_s.append(scores[qidx, nidx])
+        if not out_q:
+            return pa.table(
+                {"query_id": pa.array([], pa.int64()),
+                 "neighbor_id": pa.array([], pa.int64()),
+                 "score": pa.array([], pa.int64())}
+            )
+        out = pa.table({"query_id": np.concatenate(out_q),
+                        "neighbor_id": np.concatenate(out_n),
+                        "score": np.concatenate(out_s)})
+        return out.filter(pc.greater_equal(out["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
@@ -296,42 +260,24 @@ def ivf_sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
 
 
 def cosine_pairs_brute(ds, all_table: pa.Table, threshold: float,
-                       id_col: str = "vec_id", emb_col: str = "embedding",
-                       concurrency=(1, 8)):
+                       id_col: str = "vec_id", emb_col: str = "embedding"):
     """EXACT cosine near-dup pairs: the full (normalized) matrix is broadcast
     once; each batch scores its rows against everything and keeps pairs
     ``cos >= threshold`` with ``batch_id < other_id`` (each unordered pair
     emitted exactly once). O(N²/batches) per task — the exact baseline the
     LSH path (:func:`cosine_near_dup_pairs`) approximates at scale."""
-    import ray
-
-    all_ids = all_table[id_col].to_numpy()
-    all_mat = _normalize(emb_matrix(all_table[emb_col]))
-    ref = ray.put((all_ids, all_mat))
-    state_key = ref.hex()
-
-    class Pairs:
-        def __init__(self):
-            self.ids, self.mat = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            bids = t[id_col].to_numpy(zero_copy_only=False)
-            bmat = _normalize(emb_matrix(t[emb_col]))
-            sims = bmat @ self.mat.T
-            keep = (sims >= threshold) & (bids[:, None] < self.ids[None, :])
-            bi, ai = np.nonzero(keep)
-            return pa.table(
-                {
-                    "id_a": bids[bi],
-                    "id_b": self.ids[ai],
-                    "cos": sims[bi, ai],
-                }
-            )
-
-    from georay.runtime import per_process
+    everything = broadcast((all_table[id_col].to_numpy(),
+                            _normalize(emb_matrix(all_table[emb_col]))))
 
     def pairs_fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, Pairs)(t)
+        all_ids, all_mat = everything()
+        bids = t[id_col].to_numpy(zero_copy_only=False)
+        bmat = _normalize(emb_matrix(t[emb_col]))
+        sims = bmat @ all_mat.T
+        keep = (sims >= threshold) & (bids[:, None] < all_ids[None, :])
+        bi, ai = np.nonzero(keep)
+        return pa.table({"id_a": bids[bi], "id_b": all_ids[ai],
+                         "cos": sims[bi, ai]})
 
     return ds.map_batches(pairs_fn, batch_format="pyarrow")
 
@@ -348,8 +294,7 @@ def lsh_planes(dim: int, n_planes: int, n_tables: int, seed: int) -> list:
 def cosine_near_dup_pairs(ds, threshold: float = 0.9, n_planes: int = 12,
                           n_tables: int = 1, id_col: str = "vec_id",
                           emb_col: str = "embedding", seed: int = 42,
-                          max_bucket: int | None = 4096,
-                          concurrency=(1, 8)):
+                          max_bucket: int | None = 4096):
     """Embedding near-dup via random-hyperplane LSH: vectors sharing a
     sign-pattern bucket (in ANY of ``n_tables`` independent tables — OR
     amplification) get exact pairwise cosine; pairs ≥ τ survive, deduped
@@ -362,8 +307,6 @@ def cosine_near_dup_pairs(ds, threshold: float = 0.9, n_planes: int = 12,
     zero/identical embeddings collapsing into one sign pattern would put an
     O(b²) group on a single reducer) with the shared logged-chunking helper
     every LSH family here uses; ``None`` restores exact all-pairs."""
-    from georay.runtime import per_process
-
     def add_bucket(t: pa.Table) -> pa.Table:
         mat = _normalize(emb_matrix(t[emb_col]))
         # hyperplanes are pure f(dim, n_planes, n_tables, seed): build once
@@ -474,8 +417,6 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
     Output: ``id_col, cluster`` for every row. Empty clusters keep their
     previous centroid on both sides.
     """
-    import ray
-
     def to_int(t: pa.Table) -> pa.Table:
         mat = emb_matrix(t[emb_col]).astype(np.float64)
         xi = np.floor(mat * float(scale)).astype(np.int64)
@@ -517,10 +458,8 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
     dim_tile = np.tile(np.arange(dim, dtype=np.int64), k)
 
     for _ in range(iters):
-        ref = ray.put(cent)
-
-        def partial(t: pa.Table, _ref=ref) -> pa.Table:
-            C = ray.get(_ref)
+        def partial(t: pa.Table, centroids=broadcast(cent)) -> pa.Table:
+            C = centroids()
             Xi = fixed_matrix(t["xi"])
             X = Xi.astype(np.float64)
             D = ((X[:, None, :] - C[None, :, :]) ** 2).sum(-1)
@@ -549,10 +488,8 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 3, id_col: str = "vec_id",
         with np.errstate(invalid="ignore", divide="ignore"):
             cent = np.where(c_mat > 0, s_mat / c_mat, cent)
 
-    ref = ray.put(cent)
-
-    def assign(t: pa.Table, _ref=ref) -> pa.Table:
-        C = ray.get(_ref)
+    def assign(t: pa.Table, centroids=broadcast(cent)) -> pa.Table:
+        C = centroids()
         X = fixed_matrix(t["xi"]).astype(np.float64)
         D = ((X[:, None, :] - C[None, :, :]) ** 2).sum(-1)
         return pa.table(
@@ -593,16 +530,13 @@ def semantic_dedup(ds, k: int = 8, iters: int = 3, threshold: float = 0.45,
     expression shapes of :func:`kmeans_lloyd` / :func:`cosine_pairs_brute`,
     so the SQL twin (kmeans CTE chain + within-cluster EXISTS) is
     hash-exact."""
-    import ray
-
     _, cent = kmeans_lloyd(
         ds, k=k, iters=iters, id_col=id_col, emb_col=emb_col, scale=scale,
         with_centroids=True,
     )
-    ref = ray.put(cent)
 
-    def tag(t: pa.Table, _ref=ref) -> pa.Table:
-        C = ray.get(_ref)
+    def tag(t: pa.Table, centroids=broadcast(cent)) -> pa.Table:
+        C = centroids()
         mat = emb_matrix(t[emb_col]).astype(np.float32)
         Xi = np.floor(mat.astype(np.float64) * float(scale))
         D = ((Xi[:, None, :] - C[None, :, :]) ** 2).sum(-1)
@@ -702,10 +636,6 @@ def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
     Per batch: quantize rows, int64 matmul vs the query code matrix, local
     top-k; ``rank.grouped_topk`` merges. Self-matches are excluded.
     Output: ``query_id, neighbor_id, score, rank``."""
-    import ray
-
-    from georay.runtime import per_process
-
     mn, mx = dim_bounds(ds, emb_col)
 
     # queries: one streamed filter pass, collected (bounded by the mask)
@@ -723,37 +653,23 @@ def sq8_topk(ds, query_mask_mod: int = 10, k: int = 5,
     )
     q_ids = q_t[id_col].to_numpy(zero_copy_only=False)
     q_codes = sq8_quantize(emb_matrix(q_t[emb_col]), mn, mx)
-    ref = ray.put((q_ids, q_codes, mn, mx))
-    state_key = ref.hex()
-
-    class LocalTopK:
-        def __init__(self):
-            self.q_ids, self.q_codes, self.mn, self.mx = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            id_order = np.argsort(ids, kind="stable")
-            ids = ids[id_order]
-            codes = sq8_quantize(emb_matrix(t[emb_col]), self.mn, self.mx)[
-                id_order
-            ]
-            scores = self.q_codes @ codes.T  # int64-exact
-            scores[self.q_ids[:, None] == ids[None, :]] = -1  # codes ≥ 0
-            kk = min(k, ids.size)
-            part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
-            qidx = np.repeat(np.arange(self.q_ids.size), kk)
-            nidx = part.reshape(-1)
-            return pa.table(
-                {
-                    "query_id": self.q_ids[qidx],
-                    "neighbor_id": ids[nidx],
-                    "score": scores[qidx, nidx],
-                }
-            )
+    queries = broadcast((q_ids, q_codes))
 
     def local_fn(t: pa.Table) -> pa.Table:
-        t = per_process(state_key, LocalTopK)(t)
-        return t.filter(pc.greater_equal(t["score"], 0))
+        q_ids, q_codes = queries()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        id_order = np.argsort(ids, kind="stable")
+        ids = ids[id_order]
+        codes = sq8_quantize(emb_matrix(t[emb_col]), mn, mx)[id_order]
+        scores = q_codes @ codes.T  # int64-exact
+        scores[q_ids[:, None] == ids[None, :]] = -1  # codes ≥ 0
+        kk = min(k, ids.size)
+        part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
+        qidx = np.repeat(np.arange(q_ids.size), kk)
+        nidx = part.reshape(-1)
+        out = pa.table({"query_id": q_ids[qidx], "neighbor_id": ids[nidx],
+                        "score": scores[qidx, nidx]})
+        return out.filter(pc.greater_equal(out["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
@@ -785,10 +701,6 @@ def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
     squared-distance reduction per subspace) -> per-query LUT gather ->
     local top-k; ``rank.grouped_topk`` merges. Self-matches
     excluded. Output: ``query_id, neighbor_id, score, rank``."""
-    import ray
-
-    from georay.runtime import per_process
-
     mn, mx = dim_bounds(ds, emb_col)
 
     def pick(pred):
@@ -821,47 +733,25 @@ def pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
     cb_sub = cb_codes.reshape(cb_codes.shape[0], m_subspaces, d_sub)
     q_sub = q_codes.reshape(q_codes.shape[0], m_subspaces, d_sub)
     lut = np.einsum("qsd,csd->qsc", q_sub, cb_sub)  # int64-exact
-    ref = ray.put((q_ids, lut.reshape(q_ids.size, -1), cb_sub, mn, mx))
-    state_key = ref.hex()
-
-    class LocalTopK:
-        def __init__(self):
-            (self.q_ids, self.lut2, self.cb_sub, self.mn,
-             self.mx) = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            id_order = np.argsort(ids, kind="stable")
-            ids = ids[id_order]
-            codes = sq8_quantize(emb_matrix(t[emb_col]), self.mn, self.mx)[
-                id_order
-            ].reshape(ids.size, m_subspaces, d_sub)
-            n_cw = self.cb_sub.shape[0]
-            # per-subspace integer L2 assignment; argmin ties -> lowest cw
-            assign = np.empty((ids.size, m_subspaces), np.int64)
-            for s in range(m_subspaces):
-                diff = codes[:, s, None, :] - self.cb_sub[None, :, s, :]
-                assign[:, s] = np.argmin(
-                    np.einsum("rcd,rcd->rc", diff, diff), axis=1
-                )
-            flat = assign + n_cw * np.arange(m_subspaces, dtype=np.int64)
-            scores = self.lut2[:, flat].sum(axis=2)  # (nq, rows) int64
-            scores[self.q_ids[:, None] == ids[None, :]] = -1  # codes >= 0
-            kk = min(k, ids.size)
-            part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
-            qidx = np.repeat(np.arange(self.q_ids.size), kk)
-            nidx = part.reshape(-1)
-            return pa.table(
-                {
-                    "query_id": self.q_ids[qidx],
-                    "neighbor_id": ids[nidx],
-                    "score": scores[qidx, nidx],
-                }
-            )
+    tables = broadcast((q_ids, lut.reshape(q_ids.size, -1), cb_sub))
 
     def local_fn(t: pa.Table) -> pa.Table:
-        t = per_process(state_key, LocalTopK)(t)
-        return t.filter(pc.greater_equal(t["score"], 0))
+        q_ids, lut2, cb_sub = tables()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        id_order = np.argsort(ids, kind="stable")
+        ids = ids[id_order]
+        codes = sq8_quantize(emb_matrix(t[emb_col]), mn, mx)[
+            id_order
+        ].reshape(ids.size, m_subspaces, d_sub)
+        scores = lut2[:, _pq_codes(codes, cb_sub)].sum(axis=2)  # (nq, rows)
+        scores[q_ids[:, None] == ids[None, :]] = -1  # codes >= 0
+        kk = min(k, ids.size)
+        part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
+        qidx = np.repeat(np.arange(q_ids.size), kk)
+        nidx = part.reshape(-1)
+        out = pa.table({"query_id": q_ids[qidx], "neighbor_id": ids[nidx],
+                        "score": scores[qidx, nidx]})
+        return out.filter(pc.greater_equal(out["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 
@@ -887,10 +777,6 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
     mathematically identical to :func:`pq_topk` (hard-checked against
     the relational PQ oracle); pruned mode is recall-tested on clustered
     data. Output: ``query_id, neighbor_id, score, rank``."""
-    import ray
-
-    from georay.runtime import per_process
-
     mn, mx = dim_bounds(ds, emb_col)
 
     def pick(pred):
@@ -929,66 +815,44 @@ def ivf_pq_topk(ds, m_subspaces: int = 8, n_codewords: int = 16,
         sample_mat = q_mat
     cents = train_centroids(np.asarray(sample_mat), n_centroids)
     probe = np.argsort(-(_normalize(q_mat) @ cents.T), axis=1)[:, :n_probe]
-    ref = ray.put((q_ids, lut2, cb_sub, mn, mx, cents, probe))
-    state_key = ref.hex()
-
-    class BucketTopK:
-        def __init__(self):
-            (self.q_ids, self.lut2, self.cb_sub, self.mn, self.mx,
-             self.cents, probe) = ray.get(ref)
-            self.bucket_queries = [
-                np.flatnonzero((probe == b).any(axis=1))
-                for b in range(self.cents.shape[0])
-            ]
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            id_order = np.argsort(ids, kind="stable")
-            ids = ids[id_order]
-            fmat = emb_matrix(t[emb_col])[id_order]
-            ivf = (_normalize(fmat) @ self.cents.T).argmax(axis=1)
-            n_cw = self.cb_sub.shape[0]
-            codes = sq8_quantize(fmat, self.mn, self.mx).reshape(
-                ids.size, m_subspaces, d_sub)
-            pq = np.empty((ids.size, m_subspaces), np.int64)
-            for s in range(m_subspaces):
-                diff = codes[:, s, None, :] - self.cb_sub[None, :, s, :]
-                pq[:, s] = np.argmin(
-                    np.einsum("rcd,rcd->rc", diff, diff), axis=1
-                )
-            flat = pq + n_cw * np.arange(m_subspaces, dtype=np.int64)
-            out_q, out_n, out_s = [], [], []
-            for b in np.unique(ivf):
-                qs = self.bucket_queries[int(b)]
-                if qs.size == 0:
-                    continue
-                rows = np.flatnonzero(ivf == b)
-                scores = self.lut2[qs][:, flat[rows]].sum(axis=2)
-                scores[self.q_ids[qs][:, None] == ids[rows][None, :]] = -1
-                kk = min(k, rows.size)
-                part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
-                qidx = np.repeat(np.arange(qs.size), kk)
-                nidx = part.reshape(-1)
-                out_q.append(self.q_ids[qs][qidx])
-                out_n.append(ids[rows][nidx])
-                out_s.append(scores[qidx, nidx])
-            if not out_q:
-                return pa.table(
-                    {"query_id": pa.array([], pa.int64()),
-                     "neighbor_id": pa.array([], pa.int64()),
-                     "score": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {
-                    "query_id": np.concatenate(out_q),
-                    "neighbor_id": np.concatenate(out_n),
-                    "score": np.concatenate(out_s),
-                }
-            )
+    tables = broadcast((q_ids, lut2, cb_sub, cents,
+                        _probing_queries(probe, cents.shape[0])))
 
     def local_fn(t: pa.Table) -> pa.Table:
-        t = per_process(state_key, BucketTopK)(t)
-        return t.filter(pc.greater_equal(t["score"], 0))
+        q_ids, lut2, cb_sub, cents, bucket_queries = tables()
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        id_order = np.argsort(ids, kind="stable")
+        ids = ids[id_order]
+        fmat = emb_matrix(t[emb_col])[id_order]
+        ivf = (_normalize(fmat) @ cents.T).argmax(axis=1)
+        codes = sq8_quantize(fmat, mn, mx).reshape(
+            ids.size, m_subspaces, d_sub)
+        flat = _pq_codes(codes, cb_sub)
+        out_q, out_n, out_s = [], [], []
+        for b in np.unique(ivf):
+            qs = bucket_queries[int(b)]
+            if qs.size == 0:
+                continue
+            rows = np.flatnonzero(ivf == b)
+            scores = lut2[qs][:, flat[rows]].sum(axis=2)
+            scores[q_ids[qs][:, None] == ids[rows][None, :]] = -1
+            kk = min(k, rows.size)
+            part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
+            qidx = np.repeat(np.arange(qs.size), kk)
+            nidx = part.reshape(-1)
+            out_q.append(q_ids[qs][qidx])
+            out_n.append(ids[rows][nidx])
+            out_s.append(scores[qidx, nidx])
+        if not out_q:
+            return pa.table(
+                {"query_id": pa.array([], pa.int64()),
+                 "neighbor_id": pa.array([], pa.int64()),
+                 "score": pa.array([], pa.int64())}
+            )
+        out = pa.table({"query_id": np.concatenate(out_q),
+                        "neighbor_id": np.concatenate(out_n),
+                        "score": np.concatenate(out_s)})
+        return out.filter(pc.greater_equal(out["score"], 0))
 
     local = ds.map_batches(local_fn, batch_format="pyarrow")
 

@@ -23,7 +23,7 @@ import pyarrow as pa
 
 from georay.hashing import splitmix64
 from georay.ops.pairs import popcount64
-from georay.runtime import by_key, group_agg, per_key
+from georay.runtime import broadcast, by_key, group_agg, per_key
 
 _U = np.uint64
 _M64 = "18446744073709551616"  # 2^64 (HUGEINT modulus in the SQL twin)
@@ -288,8 +288,6 @@ def heavy_hitters(ds, col: str, num: int, den: int,
     Output: ``col, n`` for the exact heavy keys. ``ds`` is consumed twice
     — pass a re-readable (lazy) dataset, not a stream.
     """
-    import ray
-
     if sketch_k is None:
         sketch_k = max(2 * den // num, 16)
     if sketch_k + 1 <= den // num:
@@ -299,11 +297,11 @@ def heavy_hitters(ds, col: str, num: int, den: int,
     keys = cand[col].to_numpy().astype(np.int64)
     total = int(cand.loc[keys == _MG_TOTAL_KEY, "mg_count"].iloc[0])
     cand_keys = np.sort(keys[keys != _MG_TOTAL_KEY])
-    keys_ref = ray.put(cand_keys)
+    cand_here = broadcast(cand_keys)
 
     def candidates(t: pa.Table) -> pa.Table:
         arr = t[col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({col: arr[np.isin(arr, ray.get(keys_ref))]})
+        return pa.table({col: arr[np.isin(arr, cand_here())]})
 
     exact = group_agg(
         ds.map_batches(candidates, batch_format="pyarrow", zero_copy_batch=True),
@@ -506,12 +504,12 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
         levels += 1
         spec = [(c["cand"], c["group"], c["lo"], c["hi"],
                  width_of(c["lo"], c["hi"])) for c in open_c]
-        spec_ref = ray.put(spec)
+        spec_here = broadcast(spec)
 
         def rows_r(t: pa.Table) -> pa.Table:
             g, key = keyed(t)
             cid_o, bin_o = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-            for cid, grp, lo, hi, w in ray.get(spec_ref):
+            for cid, grp, lo, hi, w in spec_here():
                 m = (g == grp) & (key >= np.uint64(lo)) & (key < np.uint64(hi))
                 b = ((key[m] - np.uint64(lo)) // np.uint64(w)).astype(np.int64)
                 cid_o.append(np.full(b.size, cid, dtype=np.int64))
@@ -536,7 +534,7 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
 
     # ---- exact refine of the closed ranges
     spec = [(c["cand"], c["group"], c["lo"], c["hi"]) for c in cands]
-    spec_ref = ray.put(spec)
+    spec_here = broadcast(spec)
 
     v_type = np.float64 if is_float else np.int64
 
@@ -544,7 +542,7 @@ def grouped_quantiles_binned(ds, group_col: str, value_col: str,
         g, key = keyed(t)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(v_type)
         cid_o, v_o = [np.empty(0, np.int64)], [np.empty(0, v_type)]
-        for cid, grp, lo, hi in ray.get(spec_ref):
+        for cid, grp, lo, hi in spec_here():
             m = (g == grp) & (key >= np.uint64(lo)) & (key < np.uint64(hi))
             cid_o.append(np.full(int(m.sum()), cid, dtype=np.int64))
             v_o.append(v[m])

@@ -2,8 +2,9 @@
 scoring, token stats, document fingerprinting.
 
 All stateful pieces (stopword tables, compiled regexes, n-gram profiles) are
-actor state built once in ``__init__``; batches stream through vectorized
-pandas/pyarrow kernels. Every stage is schema-stable so they chain.
+built once per worker process (``runtime.per_process``) and used by
+stateless tasks; batches stream through vectorized pandas/pyarrow kernels.
+Every stage is schema-stable so they chain.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import pyarrow as pa
 # module level: worker-executed code must not import georay lazily
 # (foreign-cwd drivers, CLAUDE.md)
 from georay.hashing import fingerprint64, fp_powers, splitmix64
-from georay.runtime import by_key, group_agg, join
+from georay.runtime import broadcast, by_key, group_agg, join, per_process
 
 # Tiny per-language stopword profiles (top function words). Enough signal to
 # separate the 5 corpus languages; a real deployment would plug a fastText
-# model into the same actor shape.
+# model into the same per-process slot.
 _STOPWORDS = {
     "en": {"the", "and", "of", "a", "to", "in", "is", "that", "it", "for", "on",
            "with", "as", "was", "at", "by", "from", "this", "be", "are"},
@@ -73,10 +74,13 @@ class LangId:
         return pd.DataFrame({"doc_id": df["doc_id"], "lang_pred": pred})
 
 
-def langid(ds, concurrency=(1, 8)):
-    return ds.map_batches(
-        LangId, batch_format="pandas", batch_size=2048, concurrency=concurrency
-    )
+def _langid_batch(df):
+    return per_process("text.LangId", LangId)(df)
+
+
+def langid(ds):
+    return ds.map_batches(_langid_batch, batch_format="pandas",
+                          batch_size=2048)
 
 
 class QualityScore:
@@ -144,10 +148,13 @@ class QualityScore:
         )
 
 
-def quality(ds, concurrency=(1, 8)):
-    return ds.map_batches(
-        QualityScore, batch_format="pandas", batch_size=2048, concurrency=concurrency
-    )
+def _quality_batch(df):
+    return per_process("text.QualityScore", QualityScore)(df)
+
+
+def quality(ds):
+    return ds.map_batches(_quality_batch, batch_format="pandas",
+                          batch_size=2048)
 
 
 # ------------------------------------------------------------- fingerprinting
@@ -439,7 +446,6 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
     import re
 
     import pandas as pd
-    import ray
 
     from georay.ops.pairs import grouped_pair_indices
     from georay.ops.tiles import count_by
@@ -492,13 +498,13 @@ def cooccur_topk(ds, k: int = 50, id_col: str = "doc_id", text_col: str = "text"
         dft = pa.concat_tables(list(dfc.iter_batches(batch_format="pyarrow")))
         order = np.argsort(dft["w"].to_numpy(zero_copy_only=False),
                            kind="quicksort")
-        ref = ray.put(
+        df_table = broadcast(
             (dft["w"].to_numpy(zero_copy_only=False)[order],
              dft["df"].to_numpy(zero_copy_only=False)[order].astype(np.int64))
         )
 
         def attach(t: pa.Table) -> pa.Table:
-            keys, vals = ray.get(ref)
+            keys, vals = df_table()
             na = vals[np.searchsorted(keys, t["w_a"].to_numpy(zero_copy_only=False))]
             nb = vals[np.searchsorted(keys, t["w_b"].to_numpy(zero_copy_only=False))]
             return t.append_column("n_a", pa.array(na)).append_column(

@@ -12,7 +12,8 @@ import numpy as np
 import pyarrow as pa
 
 from georay import codec
-from georay.runtime import adaptive_partitions, by_key, group_agg, join, per_key
+from georay.runtime import (adaptive_partitions, broadcast, by_key, group_agg,
+                            join, per_key)
 
 
 def _map(ds, fn):
@@ -540,15 +541,13 @@ def grid_bfs(raster_ds, bits: int, max_hops: int,
     deduped and materialized per round (bounded), keeping the lazy plan
     one round deep.
     """
-    import ray
-
     # bounded driver collect: ≤ 2^bits cells by construction (to_pandas,
     # not to_arrow_refs — the latter intermittently trips the Ray core
     # reference_count CHECK on short-lived datasets, see BASELINE.md r3)
     occ_cells = np.sort(
         raster_ds.select_columns([cell_col]).to_pandas()[cell_col]
         .to_numpy())
-    occ_ref = ray.put(occ_cells)
+    occupied = broadcast(occ_cells)
 
     def src(t: pa.Table) -> pa.Table:
         n = t[src_col].to_numpy(zero_copy_only=False)
@@ -563,7 +562,7 @@ def grid_bfs(raster_ds, bits: int, max_hops: int,
     reaches = [frontier]
     for hop in range(1, max_hops + 1):
         def scatter(t: pa.Table, _h=hop) -> pa.Table:
-            occ = ray.get(occ_ref)
+            occ = occupied()
             cell = t[cell_col].to_numpy(
                 zero_copy_only=False).astype(np.uint64)
             nbr, valid = codec.neighbors(cell, bits)

@@ -7,6 +7,10 @@ as a module global would start empty in every task; the holder is the one
 object all of a process's tasks share. This module imports nothing from
 georay, so every module (``hashing``, ``jpeg``, ``images``, ``runtime``)
 can keep its caches here without an import cycle.
+
+:func:`broadcast` is the one way a plan ships driver-side state to its
+workers: one ``ray.put``, then one ``ray.get`` (and build) per worker
+process, cached by :func:`per_process`.
 """
 
 from __future__ import annotations
@@ -34,11 +38,10 @@ def per_process(key: str, factory):
     or by value, ``georay/__init__``).
 
     Ray reuses worker processes across tasks, so state built once per
-    process amortizes exactly like actor state while tasks pack elastically
-    with other stages (no reserved-CPU starvation — see ops/images.py
-    docstring for the measured tradeoff). LRU-capped: long-lived sessions
-    running many pipelines would otherwise accumulate one lookup table per
-    broadcast ref forever."""
+    process is built once however many tasks the process runs, and the
+    tasks release their CPU between batches. LRU-capped: long-lived
+    sessions running many pipelines would otherwise accumulate one lookup
+    table per broadcast forever."""
     state = _stage_state()
     inst = state.pop(key, None)
     if inst is None:
@@ -47,3 +50,26 @@ def per_process(key: str, factory):
     while len(state) > _STAGE_STATE_MAX:
         state.pop(next(iter(state)))
     return inst
+
+
+def broadcast(value, build=None):
+    """Ship ``value`` to the workers once and return a zero-argument getter
+    for it.
+
+    The driver does one ``ray.put``. The getter gives the calling worker
+    process ``build(ray.get(ref))``, or the fetched value itself when there
+    is no ``build``; the first call in each process fetches and builds, and
+    :func:`per_process` caches the result under the ref, so later batches
+    and tasks in that process reuse it. Getters keep the fetched value
+    across batches: treat it (numpy arrays from the object store are
+    read-only anyway) and what ``build`` returns as shared, not scratch."""
+    import ray
+
+    ref = ray.put(value)
+    key = "broadcast:" + ref.hex()
+
+    def fetch():
+        got = ray.get(ref)
+        return got if build is None else build(got)
+
+    return lambda: per_process(key, fetch)

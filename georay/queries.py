@@ -848,10 +848,6 @@ def q_nearest_geodesic(sf_dir: str):
     exact with NO candidate geometry at all — the right plan when one
     side fits a broadcast; the ring path (dwithin_geodesic) is the
     big-side alternative."""
-    import ray
-
-    from georay.runtime import per_process
-
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
     supp_t = _small_points(
         _read_table(sf_dir, "supplier", columns=["s_suppkey"]),
@@ -860,32 +856,24 @@ def q_nearest_geodesic(sf_dir: str):
     sid = supp_t["s_suppkey"].to_numpy()
     o = np.argsort(sid, kind="quicksort")  # argmin tie → smallest suppkey
     packed = (sid[o], supp_t["lon"].to_numpy()[o], supp_t["lat"].to_numpy()[o])
-    ref = ray.put(packed)
-    state_key = ref.hex() + "-nearest-geo"
-
-    class Nearest:
-        def __init__(self):
-            self.sid, self.slon, self.slat = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            key = t["c_custkey"].to_numpy(zero_copy_only=False)
-            lon, lat = spatial.synth_lonlat(key)
-            sp = np.sin((np.radians(lat)[:, None]
-                         - np.radians(self.slat)[None, :]) / 2.0)
-            sl = np.sin((np.radians(lon)[:, None]
-                         - np.radians(self.slon)[None, :]) / 2.0)
-            h = sp * sp + (np.cos(np.radians(lat))[:, None]
-                           * np.cos(np.radians(self.slat))[None, :]) \
-                * (sl * sl)
-            best = np.argmin(h, axis=1)  # first minimum = smallest suppkey
-            return pa.table({
-                "c_custkey": pa.array(key),
-                "s_suppkey": pa.array(self.sid[best]),
-                "hav": pa.array(h[np.arange(key.size), best]),
-            })
+    suppliers = runtime.broadcast(packed)
 
     def fn(t: pa.Table) -> pa.Table:
-        return per_process(state_key, Nearest)(t)
+        sid, slon, slat = suppliers()
+        key = t["c_custkey"].to_numpy(zero_copy_only=False)
+        lon, lat = spatial.synth_lonlat(key)
+        sp = np.sin((np.radians(lat)[:, None]
+                     - np.radians(slat)[None, :]) / 2.0)
+        sl = np.sin((np.radians(lon)[:, None]
+                     - np.radians(slon)[None, :]) / 2.0)
+        h = sp * sp + (np.cos(np.radians(lat))[:, None]
+                       * np.cos(np.radians(slat))[None, :]) * (sl * sl)
+        best = np.argmin(h, axis=1)  # first minimum = smallest suppkey
+        return pa.table({
+            "c_custkey": pa.array(key),
+            "s_suppkey": pa.array(sid[best]),
+            "hav": pa.array(h[np.arange(key.size), best]),
+        })
 
     return cust.map_batches(fn, batch_format="pyarrow")
 
@@ -1968,10 +1956,7 @@ def q_gains_deciles(sf_dir: str):
     chart as a pipeline. Boundary rule identical on both sides:
     decile = 1 + #boundaries strictly below the value; integer counts
     only."""
-    import ray
-
     from georay.ops import sketch as sketch_ops
-    from georay.runtime import per_process
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderpriority", "o_totalprice"])
@@ -1993,11 +1978,10 @@ def q_gains_deciles(sf_dir: str):
     ).to_pandas()
     bounds = np.array([int(qdf[f"p{int(q * 100):02d}"].iloc[0])
                        for q in qs], dtype=np.int64)
-    ref = ray.put(bounds)
-    key = ref.hex() + "-gains"
+    deciles = runtime.broadcast(bounds)
 
     def decile(t: pa.Table) -> pa.Table:
-        b = per_process(key, lambda: ray.get(ref))
+        b = deciles()
         c = t["cents"].to_numpy(zero_copy_only=False)
         d = 1 + (c[:, None] > b[None, :]).sum(1).astype(np.int64)
         return pa.table({"decile": d, "pos": t["pos"]})
@@ -3208,7 +3192,7 @@ WHERE NOT EXISTS (
 
 def q_zonal_stats(sf_dir: str):
     """Zonal statistics: per-polygon (count, sum, min, max) of the image
-    width — PIP zone assignment (actor-held polygon index) feeding the
+    width — PIP zone assignment (broadcast polygon index) feeding the
     two-phase integer zonal aggregate (ops.tiles.zonal_stats)."""
     from georay import fixtures
     from georay.ops import pip as pip_ops
@@ -3771,8 +3755,8 @@ def q_corpus_curation(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def tag(df: pd.DataFrame) -> pa.Table:
-        lang = per_process("curation-langid", text_ops.LangId)(df)
-        feat = per_process("curation-quality", text_ops.QualityScore)(df)
+        lang = per_process("text.LangId", text_ops.LangId)(df)
+        feat = per_process("text.QualityScore", text_ops.QualityScore)(df)
         # full-text fingerprint = true exact dedup (q_fingerprint_dedup's
         # collision-free contract); prefix dups fall through to the
         # near-dup stage, which is what they are
@@ -7757,9 +7741,8 @@ def q_lm_surprisal(sf_dir: str):
     import re
 
     import pandas as pd
-    import ray
 
-    from georay.runtime import per_process, table_from_pandas
+    from georay.runtime import table_from_pandas
 
     word_re = re.compile(r"[\w']+", re.UNICODE)
     tf_schema = pa.schema([("doc_id", pa.int64()), ("w", pa.string()),
@@ -7792,11 +7775,10 @@ def q_lm_surprisal(sf_dir: str):
         math.floor(SURPRISAL_SCALE * (lt - math.log(float(c))))
         for c in cfv
     ], dtype=np.int64)
-    ref = ray.put((words, su))
-    key = ref.hex() + "-surprisal"
+    vocab = runtime.broadcast((words, su))
 
     def score(t: pa.Table) -> pa.Table:
-        ws, sus = per_process(key, lambda: ray.get(ref))
+        ws, sus = vocab()
         w = np.asarray(t["w"].to_pylist())
         v = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = sus[np.searchsorted(ws, w)]
@@ -8205,10 +8187,7 @@ def q_assoc_rules(sf_dir: str):
     as exact int64 (no float ever decides), plus the one float conf.
     Item supports and the basket count broadcast (bounded vocab);
     composition over ops.pairs.frequent_pairs."""
-    import ray
-
     from georay.ops import pairs as pairs_ops
-    from georay.runtime import per_process
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
@@ -8222,14 +8201,14 @@ def q_assoc_rules(sf_dir: str):
 
     sk = sup["l_partkey"].to_numpy().astype(np.int64)
     so = np.argsort(sk, kind="quicksort")
-    sup_ref = ray.put((sk[so], sup["n"].to_numpy().astype(np.int64)[so]))
-    sup_key = sup_ref.hex() + "-assoc"
+    supports = runtime.broadcast(
+        (sk[so], sup["n"].to_numpy().astype(np.int64)[so]))
 
     fp = pairs_ops.frequent_pairs(li, "l_orderkey", "l_partkey",
                                   min_support=FREQ_SUPPORT)
 
     def rules(t: pa.Table) -> pa.Table:
-        keys, vals = per_process(sup_key, lambda: ray.get(sup_ref))
+        keys, vals = supports()
         a = t["item_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["item_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = t["support"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8429,10 +8408,6 @@ def q_hits_suppliers(sf_dir: str):
     edges (batch-local dedup first), auth₁ broadcasts (supplier-sized),
     hub₁ stays distributed and hash-joins back (customer-sized — the big
     side never collects)."""
-    import ray
-
-    from georay.runtime import per_process
-
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey"])
 
@@ -8458,11 +8433,11 @@ def q_hits_suppliers(sf_dir: str):
     ).to_pandas()  # supplier-sized: the designated small side
     sk = a1["s"].to_numpy().astype(np.int64)
     so = np.argsort(sk, kind="quicksort")
-    a1_ref = ray.put((sk[so], a1["auth1"].to_numpy().astype(np.int64)[so]))
-    a1_key = a1_ref.hex() + "-hits-a1"
+    auth1 = runtime.broadcast(
+        (sk[so], a1["auth1"].to_numpy().astype(np.int64)[so]))
 
     def auth(t: pa.Table) -> pa.Table:
-        keys, vals = per_process(a1_key, lambda: ray.get(a1_ref))
+        keys, vals = auth1()
         s = t["s"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"c": t["c"], "a": vals[np.searchsorted(keys, s)]})
 
@@ -8475,7 +8450,7 @@ def q_hits_suppliers(sf_dir: str):
     a2 = runtime.group_agg(ej, "s", {"auth2": ("sum", "hub1")})
 
     def finalize(t: pa.Table) -> pa.Table:
-        keys, vals = per_process(a1_key, lambda: ray.get(a1_ref))
+        keys, vals = auth1()
         s = t["s"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "s_suppkey": s,
@@ -9023,16 +8998,12 @@ VOLUME_Y2_US = 883_612_800_000_000  # 1998-01-01
 def q_volume_shipping(sf_dir: str):
     """TPC-H Q7 shape — shipping volume between two nations by year: a
     5-table join where BOTH fact sides are pre-filtered before the single
-    big hash join. Customer (nation-filtered) broadcasts
-    via ray.put; orders stream through it to (o_orderkey, cust_nat);
+    big hash join. Customer (nation-filtered) is broadcast
+    once; orders stream through it to (o_orderkey, cust_nat);
     lineitem filters the 2-year window, maps l_suppkey through the tiny
     supplier dim, and carries one integer revenue per row; ONE hash join
     + asymmetric-pair filter + tiny 3-key ``group_agg`` sum finish. Revenue
     in exact integer units, so combine order never matters."""
-    import ray
-
-    from georay.runtime import per_process
-
     n0, n1 = VOLUME_NATIONS
     nat = _read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
     name_of = dict(zip(nat["n_nationkey"].to_numpy().astype(np.int64),
@@ -9045,8 +9016,7 @@ def q_volume_shipping(sf_dir: str):
     sel = (cn == n0) | (cn == n1)
     ck, cn = ck[sel], cn[sel]
     o = np.argsort(ck, kind="quicksort")
-    cust_ref = ray.put({"k": ck[o], "n": cn[o]})
-    cust_key = cust_ref.hex() + "-vol-cust"
+    customers = runtime.broadcast({"k": ck[o], "n": cn[o]})
 
     supp = _read_table(sf_dir, "supplier",
                        columns=["s_suppkey", "s_nationkey"])
@@ -9068,7 +9038,7 @@ def q_volume_shipping(sf_dir: str):
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
 
     def ord_map(t: pa.Table) -> pa.Table:
-        b = per_process(cust_key, lambda: ray.get(cust_ref))
+        b = customers()
         oc = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         ok = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hit, v = _lookup(b["k"], b["n"], oc)
@@ -11208,9 +11178,6 @@ def q_silhouette_labels(sf_dir: str):
     labels×dims) → broadcast → per-row integer scoring → group_agg(label).
     """
     from georay.ops.similarity import emb_matrix
-    from georay.runtime import per_process
-
-    import ray
 
     emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding",
                                                "label"])
@@ -11238,11 +11205,10 @@ def q_silhouette_labels(sf_dir: str):
     li = np.searchsorted(labs, cent["label"].to_numpy())
     smat[li, cent["dim"].to_numpy()] = cent["s"].to_numpy()
     nvec[li] = cent["n"].to_numpy()
-    ref = ray.put((labs, smat, nvec))
-    key = ref.hex() + "-sil"
+    centroids = runtime.broadcast((labs, smat, nvec))
 
     def score(t: pa.Table) -> pa.Table:
-        ls, sm, nv = per_process(key, lambda: ray.get(ref))
+        ls, sm, nv = centroids()
         lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = emb_matrix(t["embedding"]).astype(np.float64)
         xs = np.floor(m * SIL_CS).astype(np.int64)
@@ -11375,10 +11341,9 @@ def _dsir_weights_ds(sf_dir: str):
     import re
 
     import pandas as pd
-    import ray
 
     from georay.ops.sketch import splitmix64
-    from georay.runtime import per_process, table_from_pandas
+    from georay.runtime import table_from_pandas
 
     word_re = re.compile(r"[\w']+", re.UNICODE)
     tf_schema = pa.schema([("doc_id", pa.int64()), ("w", pa.string()),
@@ -11425,11 +11390,10 @@ def _dsir_weights_ds(sf_dir: str):
         for r_, t_ in zip(rb, tb)
     ], dtype=np.int64)
     lam_w = lam_b[bkt]  # per sorted-vocab word
-    ref = ray.put((words, lam_w))
-    key = ref.hex() + "-dsir"
+    weights = runtime.broadcast((words, lam_w))
 
     def score(t: pa.Table) -> pa.Table:
-        ws, lam = per_process(key, lambda: ray.get(ref))
+        ws, lam = weights()
         w = np.asarray(t["w"].to_pylist())
         v = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = lam[np.searchsorted(ws, w)]
@@ -11958,10 +11922,9 @@ def q_doc_keywords(sf_dir: str):
     import re
 
     import pandas as pd
-    import ray
 
     from georay.ops.rank import grouped_topk
-    from georay.runtime import per_process, table_from_pandas
+    from georay.runtime import table_from_pandas
 
     word_re = re.compile(r"[\w']+", re.UNICODE)
     tf_schema = pa.schema([("doc_id", pa.int64()), ("w", pa.string()),
@@ -11996,11 +11959,10 @@ def q_doc_keywords(sf_dir: str):
     idf = np.array([
         math.floor(KW_SCALE * (ld - math.log(float(v)))) for v in dfv
     ], dtype=np.int64)
-    ref = ray.put((words, idf))
-    key = ref.hex() + "-kw"
+    idfs = runtime.broadcast((words, idf))
 
     def score(t: pa.Table) -> pa.Table:
-        ws, iv = per_process(key, lambda: ray.get(ref))
+        ws, iv = idfs()
         w = np.asarray(t["w"].to_pylist())
         v = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = iv[np.searchsorted(ws, w)]
@@ -12064,10 +12026,9 @@ def q_nb_langid(sf_dir: str):
     import re
 
     import pandas as pd
-    import ray
 
     from georay.ops.sketch import splitmix64
-    from georay.runtime import per_process, table_from_pandas
+    from georay.runtime import table_from_pandas
 
     word_re = re.compile(r"[\w']+", re.UNICODE)
     tf_schema = pa.schema([("doc_id", pa.int64()), ("lang", pa.string()),
@@ -12155,11 +12116,10 @@ def q_nb_langid(sf_dir: str):
                                - math.log(float(d_tot))))
         for c in range(c_cnt)
     ], dtype=np.int64)
-    ref = ray.put((vocab, bkt_all, lam, langs))
-    key = ref.hex() + "-nb"
+    model = runtime.broadcast((vocab, bkt_all, lam, langs))
 
     def score(t: pa.Table) -> pa.Table:
-        vb, bk_v, lm, ls = per_process(key, lambda: ray.get(ref))
+        vb, bk_v, lm, ls = model()
         did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = np.asarray(t["w"].to_pylist(), dtype=object).astype(str)
         lg = np.asarray(t["lang"].to_pylist(), dtype=object).astype(str)

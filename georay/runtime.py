@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 
 # module level: worker-executed (foreign-cwd drivers, CLAUDE.md)
 from georay.hashing import MIX, fingerprint64, key_hash
-from georay.process_state import per_process  # noqa: F401 (re-export)
+from georay.process_state import broadcast, per_process  # noqa: F401 (re-export)
 
 
 def strip_metadata(t: pa.Table) -> pa.Table:
@@ -57,26 +57,28 @@ def table_from_pandas(df, schema: "pa.Schema | None" = None) -> pa.Table:
     return t.replace_schema_metadata(None)
 
 
-def adaptive_partitions(cap: int | None = None, floor: int = 4) -> int:
+_PARTITIONS_FLOOR = 4  # adaptive_partitions never goes below this
+
+
+def adaptive_partitions() -> int:
     """``num_partitions ≈ cluster CPUs`` for join / groupby call sites
     (BASELINE.md partition forensics: more join partitions than CPUs
     raises per-message syscall density — which this host's kernel-tax
     phases punish 2–8× — while fewer caps the exchange's parallelism; a
     fixed 8 left 24 of 32 cores idle in containment_join's verify).
 
-    ``cap=None`` (default) tracks the CLUSTER's CPU count so exchanges
-    keep widening on multi-node deployments — a hard cap would silently
-    serialize a 256-node job's shuffles; pass an explicit cap only for
-    probes that need a fixed physical plan across parallelism levels.
-    Clamped to [floor, cap]; falls back to 8 when Ray isn't initialised
-    (the driver inits Ray before importing queries, so that's test-only)."""
+    Tracks the CLUSTER's CPU count so exchanges keep widening on
+    multi-node deployments — a hard cap would silently serialize a
+    256-node job's shuffles. At least ``_PARTITIONS_FLOOR``; counts 8
+    CPUs when Ray isn't initialised (the driver inits Ray before importing
+    queries, so that's test-only)."""
     import ray
 
     cpus = (
         int(ray.cluster_resources().get("CPU", 8))
         if ray.is_initialized() else 8
     )
-    return max(floor, cpus if cap is None else min(cap, cpus))
+    return max(_PARTITIONS_FLOOR, cpus)
 
 
 # partial op -> the op that merges its per-batch results

@@ -46,6 +46,7 @@ from georay import runtime
 from georay.ops.rank import grouped_topk
 from georay.ops.similarity import (
     _normalize,
+    _probing_queries,
     dim_bounds,
     emb_matrix,
     sq8_quantize,
@@ -110,21 +111,19 @@ class VecIndex:
         The SQ8 codebook (per-dim min/max) is computed DISTRIBUTED over
         the full corpus (``dim_ranges``); only the O(dim)
         result and the O(n_centroids × dim) centroids live driver-side."""
-        import ray
-
         os.makedirs(root, exist_ok=True)
 
         mn, mx = dim_bounds(ds, emb_col)
         cents = train_centroids(np.asarray(sample_mat), n_centroids)
         dim = int(mn.size)
 
-        ref = ray.put((cents, mn, mx))
+        quantizer = runtime.broadcast((cents, mn, mx))
 
         def encode(t: pa.Table) -> pa.Table:
-            c, lo, hi = ray.get(ref)
+            c, lo, hi = quantizer()
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             fmat = emb_matrix(t[emb_col])
-            # identical assignment expression to ivf_sq8_topk's BucketTopK
+            # identical assignment expression to ivf_sq8_topk's scorer
             assign = (_normalize(fmat) @ c.T).argmax(axis=1)
             codes = sq8_quantize(fmat, lo, hi).astype(np.uint8)
             buf = codes.tobytes()
@@ -170,8 +169,6 @@ class VecIndex:
         distributed per-dim ranges so the per-subspace assignment argmin
         (integer L2, ties to the lowest codeword id) and the query-time
         ADC tables are pure int64 and order-independent."""
-        import ray
-
         os.makedirs(root, exist_ok=True)
 
         mn, mx = dim_bounds(ds, emb_col)
@@ -184,17 +181,17 @@ class VecIndex:
         cb_sub = cb_codes.reshape(cb_codes.shape[0], m_subspaces, d_sub)
         cents = train_centroids(np.asarray(sample_mat), n_centroids)
 
-        ref = ray.put((cents, mn, mx, cb_sub))
+        quantizer = runtime.broadcast((cents, mn, mx, cb_sub))
 
         def encode(t: pa.Table) -> pa.Table:
-            c, lo, hi, cb = ray.get(ref)
+            c, lo, hi, cb = quantizer()
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             fmat = emb_matrix(t[emb_col])
             assign = (_normalize(fmat) @ c.T).argmax(axis=1)
             codes = sq8_quantize(fmat, lo, hi).reshape(
                 ids.size, m_subspaces, d_sub)
             # per-subspace integer L2 argmin — identical expression to
-            # ivf_pq_topk's BucketTopK (ties break to the lowest cw id)
+            # ivf_pq_topk's scorer (ties break to the lowest cw id)
             pq_assign = np.empty((ids.size, m_subspaces), np.uint8)
             for s in range(m_subspaces):
                 diff = codes[:, s, None, :] - cb[None, :, s, :]
@@ -251,8 +248,6 @@ class VecIndex:
         Output: ``query_id, neighbor_id, score, rank``."""
         import ray
 
-        from georay.runtime import per_process
-
         q_ids = np.asarray(query_ids, dtype=np.int64)
         q_mat = np.asarray(query_mat)
         q_codes = sq8_quantize(q_mat, self.mn, self.mx)
@@ -279,69 +274,52 @@ class VecIndex:
                 "score": pa.array([], pa.int64()),
                 "rank": pa.array([], pa.int64()),
             }))
-        ref = ray.put((q_ids, q_codes, probe, self.n_centroids, cw_off))
-        state_key = "georay-vecindex-" + ref.hex()
+        queries = runtime.broadcast(
+            (q_ids, q_codes, _probing_queries(probe, self.n_centroids)))
         id_col = self.id_col
 
-        class Scorer:
-            def __init__(self):
-                (self.q_ids, self.q_codes, probe, n_cents,
-                 self.cw_off) = ray.get(ref)
-                self.bucket_queries = [
-                    np.flatnonzero((probe == b).any(axis=1))
-                    for b in range(n_cents)
-                ]
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                ids = t[id_col].to_numpy(zero_copy_only=False)
-                # ascending-id layout → the stable local argsort's tie
-                # break at the k boundary matches the global
-                # (score DESC, neighbor_id ASC) rule (see ivf_sq8_topk)
-                id_order = np.argsort(ids, kind="stable")
-                ids = ids[id_order]
-                codes = _codes_view(t["code"], code_width)[id_order].astype(
-                    np.int64)
-                assign = t["_bucket"].to_numpy(
-                    zero_copy_only=False)[id_order]
-                out_q, out_n, out_s = [], [], []
-                for b in np.unique(assign):
-                    qs = self.bucket_queries[int(b)]
-                    if qs.size == 0:
-                        continue
-                    rows = np.flatnonzero(assign == b)
-                    if self.cw_off is not None:
-                        # PQ-ADC: gather each stored codeword id through
-                        # the query's flattened lookup table — identical
-                        # expression to ivf_pq_topk's BucketTopK
-                        scores = self.q_codes[qs][
-                            :, codes[rows] + self.cw_off].sum(axis=2)
-                    else:
-                        scores = self.q_codes[qs] @ codes[rows].T
-                    scores[self.q_ids[qs][:, None]
-                           == ids[rows][None, :]] = -1
-                    kk = min(k, rows.size)
-                    part = np.argsort(-scores, axis=1,
-                                      kind="stable")[:, :kk]
-                    qidx = np.repeat(np.arange(qs.size), kk)
-                    nidx = part.reshape(-1)
-                    out_q.append(self.q_ids[qs][qidx])
-                    out_n.append(ids[rows][nidx])
-                    out_s.append(scores[qidx, nidx])
-                if not out_q:
-                    return pa.table({
-                        "query_id": pa.array([], pa.int64()),
-                        "neighbor_id": pa.array([], pa.int64()),
-                        "score": pa.array([], pa.int64()),
-                    })
-                return pa.table({
-                    "query_id": np.concatenate(out_q),
-                    "neighbor_id": np.concatenate(out_n),
-                    "score": np.concatenate(out_s),
-                })
-
         def local_fn(t: pa.Table) -> pa.Table:
-            t = per_process(state_key, Scorer)(t)
-            return t.filter(pc.greater_equal(t["score"], 0))
+            q_ids, q_codes, bucket_queries = queries()
+            ids = t[id_col].to_numpy(zero_copy_only=False)
+            # ascending-id layout → the stable local argsort's tie
+            # break at the k boundary matches the global
+            # (score DESC, neighbor_id ASC) rule (see ivf_sq8_topk)
+            id_order = np.argsort(ids, kind="stable")
+            ids = ids[id_order]
+            codes = _codes_view(t["code"], code_width)[id_order].astype(
+                np.int64)
+            assign = t["_bucket"].to_numpy(zero_copy_only=False)[id_order]
+            out_q, out_n, out_s = [], [], []
+            for b in np.unique(assign):
+                qs = bucket_queries[int(b)]
+                if qs.size == 0:
+                    continue
+                rows = np.flatnonzero(assign == b)
+                if cw_off is not None:
+                    # PQ-ADC: gather each stored codeword id through the
+                    # query's flattened lookup table — identical
+                    # expression to ivf_pq_topk's scorer
+                    scores = q_codes[qs][:, codes[rows] + cw_off].sum(axis=2)
+                else:
+                    scores = q_codes[qs] @ codes[rows].T
+                scores[q_ids[qs][:, None] == ids[rows][None, :]] = -1
+                kk = min(k, rows.size)
+                part = np.argsort(-scores, axis=1, kind="stable")[:, :kk]
+                qidx = np.repeat(np.arange(qs.size), kk)
+                nidx = part.reshape(-1)
+                out_q.append(q_ids[qs][qidx])
+                out_n.append(ids[rows][nidx])
+                out_s.append(scores[qidx, nidx])
+            if not out_q:
+                return pa.table({
+                    "query_id": pa.array([], pa.int64()),
+                    "neighbor_id": pa.array([], pa.int64()),
+                    "score": pa.array([], pa.int64()),
+                })
+            out = pa.table({"query_id": np.concatenate(out_q),
+                            "neighbor_id": np.concatenate(out_n),
+                            "score": np.concatenate(out_s)})
+            return out.filter(pc.greater_equal(out["score"], 0))
 
         local = gio.read_parquet(files).map_batches(
             local_fn, batch_format="pyarrow")

@@ -348,6 +348,45 @@ def test_joins_go_through_runtime_join():
     )
 
 
+def test_worker_state_goes_through_broadcast_and_tasks():
+    import ast
+    import pathlib
+
+    # every ray.put / ray.get lives in process_state.broadcast, and no
+    # map_batches stage asks for an actor pool (a class as its UDF, or a
+    # concurrency / compute option)
+    root = pathlib.Path(runtime.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        rel = path.relative_to(root.parent).as_posix()
+        classes = {n.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            f = node.func
+            if (f.attr in ("put", "get") and isinstance(f.value, ast.Name)
+                    and f.value.id == "ray"
+                    and path.name != "process_state.py"):
+                sites.append(f"{rel}:{node.lineno} ray.{f.attr}")
+            if f.attr != "map_batches":
+                continue
+            sites += [f"{rel}:{node.lineno} map_batches({k.arg}=)"
+                      for k in node.keywords
+                      if k.arg in ("concurrency", "compute")]
+            udf = node.args[0] if node.args else None
+            name = (udf.id if isinstance(udf, ast.Name)
+                    else udf.attr if isinstance(udf, ast.Attribute) else "")
+            if name in classes or name[:1].isupper():
+                sites.append(f"{rel}:{node.lineno} map_batches({name})")
+    assert not sites, (
+        "ship worker state with runtime.broadcast / per_process and run "
+        f"stages as tasks: {sites}"
+    )
+
+
 def test_per_key_work_goes_through_runtime_by_key():
     import ast
     import pathlib
@@ -690,7 +729,7 @@ import ray
 import ray.cloudpickle as cp
 
 import georay
-from georay import cells, hashing, images, jpeg, runtime
+from georay import codec, hashing, images, jpeg, runtime
 from georay.ops import join, knn
 
 mode = "by_value" if georay.shipped_by_value() else "by_reference"
@@ -716,7 +755,8 @@ ray.data.Dataset.map_batches = map_batches
 print("PAYLOAD", max(len(cp.dumps(fn)) for fn in fns))
 
 # 16 one-row blocks: one SortedLookup per worker process, not per task
-lookup_here = cells.broadcast_lookup(pa.table({"k": [1, 2, 3]}), "k")
+lookup_here = runtime.broadcast(pa.table({"k": [1, 2, 3]}),
+                                lambda t: codec.SortedLookup(t, "k"))
 
 
 def tag(t):
@@ -730,6 +770,22 @@ tags = ray.data.range(16, override_num_blocks=16).map_batches(
     tag, batch_format="pyarrow", batch_size=None).to_pandas()
 assert len(tags) == 16
 print("BUILDS", json.dumps(tags.groupby("pid")["tag"].nunique().tolist()))
+
+# a raw value (no build): fetched once per worker process, the same array
+# object in every task of that process
+arange_here = runtime.broadcast(np.arange(1000))
+
+
+def fetch(t):
+    arr = arange_here()
+    assert arr.sum() == 499500
+    return pa.table({"pid": [os.getpid()], "obj": [str(id(arr))]})
+
+
+raw = ray.data.range(16, override_num_blocks=16).map_batches(
+    fetch, batch_format="pyarrow", batch_size=None).to_pandas()
+assert len(raw) == 16
+print("RAW_FETCHES", json.dumps(raw.groupby("pid")["obj"].nunique().tolist()))
 
 # 16 one-row tasks that decode a JPEG: the fused Huffman tables and the
 # fingerprint and content-hash powers are built once per worker process
@@ -792,8 +848,9 @@ def test_georay_ships_to_workers(tmp_path, mode):
     # of it in cloudpickle's by-value set and small map payloads (this kNN
     # ring map pickles 88 kB by value, 4 kB by reference); one run from
     # elsewhere, with the checkout only on its own sys.path, ships it by
-    # value. Both keep one per_process build per worker process (lookups
-    # and the decode stage's tables) and give the same plan outputs.
+    # value. Both keep one build per worker process (a broadcast lookup,
+    # a raw broadcast array and the decode stage's tables) and give the
+    # same plan outputs.
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = tmp_path / "shipping.py"
     script.write_text(_SHIPPING)
@@ -818,6 +875,8 @@ def test_georay_ships_to_workers(tmp_path, mode):
         assert payload < 35_000, payload
     builds = json.loads(re.search(r"^BUILDS (\[.*\])", out, re.M).group(1))
     assert set(builds) == {1}, builds  # lookups built per worker process
+    raw = json.loads(re.search(r"RAW_FETCHES (\[.*\])", out).group(1))
+    assert set(raw) == {1}, raw  # a raw broadcast fetched per process
     tables = json.loads(re.search(r"TABLE_BUILDS (\[.*\])", out).group(1))
     assert set(tables) == {1}, tables  # decode tables built per process
 

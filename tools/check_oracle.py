@@ -15,6 +15,10 @@ Data's per-operator resource reservation was on (georay turns it off when
 imported).
 
 Usage: python tools/check_oracle.py [sf_dir] [name ...]
+
+Starts a local 8-CPU Ray node, or connects to the cluster that Ray's
+``RAY_ADDRESS`` names (``RAY_ADDRESS=auto`` after ``ray start --head
+--num-cpus 2`` checks at 2 CPUs).
 """
 
 from __future__ import annotations
@@ -89,10 +93,11 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(
-            address="local", num_cpus=8, include_dashboard=False,
-            logging_level="ERROR",
-        )
+        # Ray's own RAY_ADDRESS picks a running cluster (any CPU count);
+        # otherwise start a local 8-CPU node
+        node = ({} if os.environ.get("RAY_ADDRESS")
+                else {"address": "local", "num_cpus": 8})
+        ray.init(**node, include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
