@@ -11,10 +11,11 @@ reducer owns its cells exclusively; manifest commits are atomic renames).
 Queries prune at the partition level (only files whose prefix intersects the
 requested cells/box are opened), then refine exactly on the cell column —
 the distributed analogue of the reference's per-code KV lookups. A pruned
-read of at most one block (the projected columns' uncompressed bytes, from
-the files' footers, ≤ ``DataContext.target_max_block_size``) runs in the
-driver with pyarrow: on a 2-CPU node a Ray Data job cost ~100 ms per ring-1
-lookup of one or two ~50 KB files, the pyarrow read ~3 ms.
+read that ``io.read_num_blocks`` sizes to one block (from the projected
+columns' uncompressed bytes in the files' footers) runs in the driver with
+pyarrow and is answered by ``io.one_block``, which starts no Ray task: on a
+2-CPU node a Ray Data job cost ~100 ms per ring-1 lookup of one or two
+~50 KB files, the pyarrow read ~3 ms.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
-import ray.data
-from ray.data import DataContext
-from ray.data.dataset import Dataset, MaterializedDataset
 
 from georay import cells as cells_mod
 from georay import codec, runtime
@@ -57,21 +54,6 @@ def _refine(t: pa.Table, cell_col: str, wanted: np.ndarray) -> pa.Table:
     """Rows whose cell is in ``wanted`` (sorted int64), minus ``_prefix``."""
     got = t[cell_col].to_numpy(zero_copy_only=False)
     return _drop_prefix(t.filter(pa.array(np.isin(got, wanted))))
-
-
-class _OneBlock(MaterializedDataset):
-    """The one-block answer of a driver-side read. It keeps the pyarrow
-    table it was made from, so ``to_pandas`` converts that table in the
-    driver instead of fetching the block back through a streaming-executor
-    pass (~30 ms per call); a zero-row answer keeps its typed columns,
-    where Ray's ``to_pandas`` returns none."""
-
-    _table: pa.Table
-
-    def to_pandas(self, limit=None):
-        if limit is not None and self._table.num_rows > limit:
-            return super().to_pandas(limit)  # Ray's "more than limit" error
-        return self._table.to_pandas()
 
 
 class CellIndex:
@@ -174,21 +156,20 @@ class CellIndex:
 
     # -------------------------------------------------------------- querying
 
-    def _partition_files(self) -> list[tuple[int, str]]:
-        """``(prefix, path)`` of every partition file: the base layout plus
-        each ``extend()`` fragment dir."""
+    def _partition_files(self, prefixes=None) -> list[str]:
+        """Paths of the partition files (``part-<prefix>-<hash>.parquet``)
+        in the base layout and each ``extend()`` fragment dir: every one,
+        or those whose prefix is in the set ``prefixes``, matched on the
+        name, so a path is built only for a file that is read."""
         roots = [self.root] + [
             os.path.join(self.root, d)
             for d in os.listdir(self.root)
             if d.startswith("frag-")
         ]
-        out = []
-        for r in roots:
-            for f in os.listdir(r):
-                if f.startswith("part-") and f.endswith(".parquet"):
-                    p = int(f[len("part-") : -len(".parquet")].rsplit("-", 1)[0])
-                    out.append((p, os.path.join(r, f)))
-        return out
+        names = None if prefixes is None else {f"part-{p}" for p in prefixes}
+        return [os.path.join(r, f) for r in roots for f in os.listdir(r)
+                if f.startswith("part-") and f.endswith(".parquet")
+                and (names is None or f[:f.rfind("-")] in names)]
 
     def query_cells(self, cells: np.ndarray, columns=None,
                     expand_neighbors: bool = False, ring: int = 1):
@@ -196,11 +177,10 @@ class CellIndex:
         + exact cell filter (vectorized isin). Returns a Dataset, or None
         when no partition file matches.
 
-        A pruned read of at most one block — the projected columns'
-        uncompressed bytes, summed from the files' parquet footers
-        (``io.footer_bytes``), ≤
-        ``DataContext.target_max_block_size`` — runs in the driver with
-        pyarrow and comes back as a materialized one-block Dataset whose
+        A pruned read of one block — ``io.read_num_blocks`` of the
+        projected columns' uncompressed bytes in the files' footers is 1
+        (``io.read_one_block``) — runs in the driver with pyarrow and comes
+        back as a materialized one-block Dataset (``io.one_block``) whose
         ``to_pandas`` keeps the typed columns when no row matches. Larger
         reads run as an ``io.read_parquet`` + refine map.
 
@@ -214,7 +194,7 @@ class CellIndex:
             cells = np.unique(ring_cells.reshape(-1)[valid.reshape(-1)])
         shift = self.bits - self.prefix_bits
         prefixes = set((cells >> np.uint64(shift)).astype(np.int64).tolist())
-        files = [f for p, f in self._partition_files() if p in prefixes]
+        files = self._partition_files(prefixes)
         if not files:
             return None
         if columns is not None:
@@ -222,17 +202,11 @@ class CellIndex:
             columns = list(dict.fromkeys(list(columns) + [self.cell_col]))
             columns = [c for c in columns if c != "_prefix"]
         wanted = np.sort(cells.astype(np.int64))
-        nbytes = gio.footer_bytes(files, columns)
-        if nbytes <= DataContext.get_current().target_max_block_size:
-            t = pa.concat_tables(
-                [runtime.strip_metadata(pq.read_table(f, columns=columns))
-                 for f in files]
-            )
-            t = _refine(t, self.cell_col, wanted)
-            ds = Dataset.copy(ray.data.from_arrow(t), _as=_OneBlock)
-            ds._table = t
-            return ds
-        return gio.read_parquet(files, columns).map_batches(
+        table, n = gio.read_one_block(files, columns)
+        if table is not None:
+            return gio.one_block(_refine(table, self.cell_col, wanted))
+        ds = gio.read_parquet(files, columns, override_num_blocks=n)
+        return ds.map_batches(
             _refine, batch_format="pyarrow",
             fn_kwargs={"cell_col": self.cell_col, "wanted": wanted},
         )
@@ -253,7 +227,7 @@ class CellIndex:
 
     def scan(self, columns=None):
         """X4 values()/items() parity: full index scan as a Dataset."""
-        files = [f for _, f in self._partition_files()]
+        files = self._partition_files()
         if not files:
             return None
         return gio.read_parquet(files, columns).map_batches(

@@ -21,8 +21,10 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ray.data.dataset import MaterializedDataset
 
 from georay import runtime
+from georay.process_state import put
 
 _EXT_FORMAT = {
     ".parquet": "parquet", ".pq": "parquet",
@@ -52,10 +54,7 @@ def clean_parquet_schema(path, columns: list[str] | None = None):
     files = parquet_files(path)
     if not files:
         return None
-    full = pq.read_schema(files[0]).remove_metadata()
-    if columns is None:
-        return full
-    return pa.schema([full.field(c) for c in columns])
+    return _projected(pq.read_schema(files[0]), columns)
 
 
 def parquet_files(path_or_files) -> list[str]:
@@ -77,9 +76,13 @@ def parquet_files(path_or_files) -> list[str]:
 def footer_bytes(files: list[str], columns: list[str] | None = None) -> int:
     """Uncompressed bytes of ``columns`` (every column when None) in
     ``files``, summed over their row groups from the parquet footers."""
+    return _column_bytes(map(pq.read_metadata, files), columns)
+
+
+def _column_bytes(footers, columns: list[str] | None) -> int:
     want = None if columns is None else set(columns)
     total = 0
-    for md in map(pq.read_metadata, files):
+    for md in footers:
         for i in range(md.num_row_groups):
             rg = md.row_group(i)
             for j in range(rg.num_columns):
@@ -108,16 +111,91 @@ def read_num_blocks(nbytes: int) -> int:
     return max(1, by_max, by_cpu)
 
 
+def read_one_block(files: list[str], columns: list[str] | None = None
+                   ) -> tuple[pa.Table | None, int]:
+    """``(table, 1)`` when :func:`read_num_blocks` sizes the read of
+    ``columns`` from ``files`` to one block: the metadata-free table, read
+    here with pyarrow in file order and cast to the first file's projected
+    schema, as Ray's read would give it. ``(None, n)`` for a read of
+    ``n`` > 1 blocks, which is left to Ray. Each footer is parsed once."""
+    footers = [pq.read_metadata(f) for f in files]
+    n = read_num_blocks(_column_bytes(footers, columns))
+    if n != 1:
+        return None, n
+    schema = _projected(footers[0].schema.to_arrow_schema(), columns)
+    tables = [runtime.strip_metadata(
+        pq.ParquetFile(f, metadata=md).read(columns=columns))
+        for f, md in zip(files, footers)]
+    return pa.concat_tables([t if t.schema == schema else t.cast(schema)
+                             for t in tables]), 1
+
+
+def _projected(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
+    schema = schema.remove_metadata()
+    return schema if columns is None else pa.schema(
+        [schema.field(c) for c in columns])
+
+
+class OneBlock(MaterializedDataset):
+    """A one-block Dataset answered in the driver (:func:`one_block`). It
+    keeps the pyarrow table it was made from, so ``to_pandas`` converts
+    that table in the driver instead of fetching the block back through
+    a streaming-executor pass (~30 ms per call), and a zero-row answer
+    keeps its typed columns, where Ray's ``to_pandas`` returns none."""
+
+    _table: pa.Table
+
+    def to_pandas(self, limit=None):
+        if limit is not None and self._table.num_rows > limit:
+            return super().to_pandas(limit)  # Ray's "more than limit" error
+        return self._table.to_pandas()
+
+
+def one_block(table: pa.Table) -> OneBlock:
+    """``table`` as a materialized one-block Dataset, built the way
+    ``ray.data.from_arrow_refs`` builds one but with the block's metadata
+    and schema taken here from the table, so no Ray task runs. The one
+    constructor of driver-answered Datasets; a zero-row table keeps its
+    schema in ``schema()``."""
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    meta = BlockMetadataWithSchema.from_block(
+        table, stats=BlockExecStats.builder().build())
+    plan = ExecutionPlan(
+        DatasetStats(metadata={}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    ds = OneBlock(plan, LogicalPlan(FromArrow([put(table)], [meta]),
+                                    plan._context))
+    ds._table = table
+    plan.cache_schema(table.schema)
+    return ds
+
+
 def read_parquet(path_or_files, columns: list[str] | None = None, **kwargs):
-    """``ray.data.read_parquet`` of a file, directory or file list with the
-    metadata-free projected schema (:func:`clean_parquet_schema`) and a
-    block count sized from the footers (:func:`read_num_blocks` of the
-    projected columns' uncompressed bytes). Every georay parquet read goes
-    through here; ``kwargs`` pass on to Ray and win over both."""
+    """A parquet read of a file, directory or file list, sized from the
+    footers: :func:`read_num_blocks` of the projected columns'
+    uncompressed bytes. A read of one block is done here, in the driver
+    (:func:`read_one_block`), and comes back as a :func:`one_block`
+    Dataset, so planning it starts no Ray task; a larger one is
+    ``ray.data.read_parquet`` with the metadata-free projected schema
+    (:func:`clean_parquet_schema`) and that block count. Every georay
+    parquet read goes through here; ``kwargs`` pass on to Ray, win over
+    both, and always take Ray's read."""
     import ray.data
 
     files = parquet_files(path_or_files)
     if files:
+        if not kwargs:
+            table, n = read_one_block(files, columns)
+            if table is not None:
+                return one_block(table)
+            kwargs["override_num_blocks"] = n
         if "schema" not in kwargs:
             kwargs["schema"] = clean_parquet_schema(files, columns)
         if "override_num_blocks" not in kwargs:

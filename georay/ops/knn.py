@@ -14,14 +14,18 @@ reduce) is :func:`knn_shuffle`.
 
 Every plan here gets its candidates one way: :func:`georay.cells.ring_probe`
 gives each query's ring cells, and the broadcast plans look them up in one
-:class:`georay.codec.SortedLookup` over the refs (:func:`_ring_candidates`);
-the shuffle twins share :func:`_ring_join` instead.
+:class:`georay.codec.SortedLookup` over the refs (:func:`_ring_candidates`),
+one probe and lookup per distinct query cell of a batch, which its queries
+then share; the shuffle twins share :func:`_ring_join` instead.
+``knn_ring`` cuts each query's candidates at its k-th distance
+(:func:`_kth_cut`) before the exact top-k sort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+from numpy.lib.stride_tricks import sliding_window_view
 
 from georay import cells, codec
 from georay.runtime import broadcast, by_key, group_agg, join, per_key
@@ -79,25 +83,41 @@ def _topk_per_query(
     return order[keep], rank[keep] + 1
 
 
-def _topk_sorted_queries(
-    qidx: np.ndarray, dist: np.ndarray, tiebreak: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_topk_per_query` for a NONDECREASING ``qidx``, same output,
-    after an exact pre-cut: k passes of ``np.minimum.reduceat`` find each
-    query's k-th smallest DISTINCT distance, and only rows at or under it
-    (a superset of every top-k) reach the five argsorts (505k candidates,
-    k=5, on a 1-core host: 0.14 s → 0.03 s)."""
-    if qidx.size == 0 or np.isnan(dist).any():  # NaN poisons the minimum
-        return _topk_per_query(qidx, dist, tiebreak, k)
-    starts = np.flatnonzero(np.r_[True, qidx[1:] != qidx[:-1]])
-    lens = np.diff(np.r_[starts, qidx.size])
-    rest = dist.copy()
-    for _ in range(k):  # after pass j, kth = the j-th distinct distance
-        kth = np.repeat(np.minimum.reduceat(rest, starts), lens)
-        rest[rest <= kth] = np.inf  # fewer than k distinct: kth -> inf
-    idx = np.flatnonzero(dist <= kth)
-    sel, rank = _topk_per_query(qidx[idx], dist[idx], tiebreak[idx], k)
-    return idx[sel], rank
+def _kth_cut(qidx: np.ndarray, dist: np.ndarray, nq: int,
+             k: int) -> np.ndarray:
+    """Positions of the rows of a NONDECREASING ``qidx`` (queries
+    ``0..nq-1``) that can reach their query's top k: a query with more
+    than k candidates keeps the rows whose ``dist`` is not above its
+    k-th smallest, which keeps its ties and NaN rows (NaN sorts last).
+    Queries are padded with +inf in bins of under twice their candidate
+    count (:func:`_pad_bins`), one row-wise sort per bin (numpy's
+    vectorized sort beat ``np.partition`` 2.1 to 6.5 ms on 650k padded
+    distances)."""
+    counts = np.bincount(qidx, minlength=nq)
+    starts = np.searchsorted(qidx, np.arange(nq))
+    kth = np.full(nq, np.inf)
+    bins = list(_pad_bins(counts, k))
+    # a query's candidates are one run of dist: its bin row is the window
+    # at its start, past its count set to +inf
+    padded = np.concatenate(
+        [dist, np.full(max((w for _, w in bins), default=0), np.inf)])
+    for rows, width in bins:
+        mat = sliding_window_view(padded, width)[starts[rows]]
+        mat[np.arange(width) >= counts[rows, None]] = np.inf
+        kth[rows] = np.sort(mat, axis=1)[:, k - 1]
+    return np.flatnonzero(~(dist > kth[qidx]))
+
+
+def _pad_bins(counts: np.ndarray, k: int):
+    """``(rows, width)`` bins of the queries with more than ``k``
+    candidates: ``counts`` in ``(2^(j-1), 2^j]`` share bin j, padded to
+    the bin's largest count, so a bin pads to under twice its real
+    candidates."""
+    big = np.flatnonzero(counts > k)
+    level = np.frexp((counts[big] - 1).astype(np.float64))[1]
+    for j in np.unique(level):
+        rows = big[level == j]
+        yield rows, int(counts[rows].max())
 
 
 def _broadcast_refs(refs_table: pa.Table, ref_id: str, cell_col: str):
@@ -111,11 +131,35 @@ def _broadcast_refs(refs_table: pa.Table, ref_id: str, cell_col: str):
 def _ring_candidates(refs: codec.SortedLookup, qcell: np.ndarray, bits: int,
                      ring: int) -> tuple[np.ndarray, np.ndarray]:
     """(query_idx, ref_row) for every ref whose cell lies in the query's
-    ring, query-major (the order :func:`_topk_sorted_queries` needs): the
-    ring probe's cells looked up in the sorted refs."""
-    flat_q, flat_cells = cells.ring_probe(qcell, bits, ring)
+    ring, query-major, each query's rows in ring order: the ring probe
+    and the sorted-ref lookup run once per DISTINCT query cell, and each
+    query then takes its cell's run of candidates
+    (:func:`georay.codec.expand_ranges`)."""
+    ucell, inv = np.unique(qcell, return_inverse=True)
+    flat_u, flat_cells = cells.ring_probe(ucell, bits, ring)
     pi, ridx = refs.match(flat_cells)
-    return flat_q[pi], ridx
+    cand_u = flat_u[pi]  # nondecreasing: ring_probe is query-major
+    lo = np.searchsorted(cand_u, np.arange(ucell.size))
+    n = np.searchsorted(cand_u, np.arange(ucell.size), side="right") - lo
+    counts = n[inv]
+    qidx = np.repeat(np.arange(qcell.size), counts)
+    return qidx, ridx[codec.expand_ranges(counts, lo[inv])]
+
+
+def _ring_topk(refs: codec.SortedLookup, ref_id: str, qcell: np.ndarray,
+               qlon: np.ndarray, qlat: np.ndarray, bits: int, ring: int,
+               k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``knn_ring``'s batch kernel: (query_idx, ref_row, rank) of each
+    query's k nearest ring candidates by (squared-degree distance, ref
+    id), ordered by query then rank."""
+    qidx, ridx = _ring_candidates(refs, qcell, bits, ring)
+    dx = qlon[qidx] - refs.column("lon")[ridx]
+    dy = qlat[qidx] - refs.column("lat")[ridx]
+    dist = dx * dx + dy * dy
+    cut = _kth_cut(qidx, dist, qcell.size, k)
+    sel, rank = _topk_per_query(qidx[cut], dist[cut],
+                                refs.column(ref_id)[ridx[cut]], k)
+    return qidx[cut[sel]], ridx[cut[sel]], rank
 
 
 def knn_ring(
@@ -139,16 +183,12 @@ def knn_ring(
     def fn(t: pa.Table) -> pa.Table:
         refs = lookup_here()
         rlon, rlat, rid = refs.column("lon"), refs.column("lat"), refs.column(ref_id)
-        qcell = t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         qlon = t["lon"].to_numpy(zero_copy_only=False)
         qlat = t["lat"].to_numpy(zero_copy_only=False)
-        qidx, ridx = _ring_candidates(refs, qcell, bits, ring)
-        dx = qlon[qidx] - rlon[ridx]
-        dy = qlat[qidx] - rlat[ridx]
-        dist = dx * dx + dy * dy
-        sel, rank = _topk_sorted_queries(qidx, dist, rid[ridx], k)
-        qsel = qidx[sel]
-        rsel = ridx[sel]
+        qsel, rsel, rank = _ring_topk(
+            refs, ref_id,
+            t[cell_col].to_numpy(zero_copy_only=False).astype(np.uint64),
+            qlon, qlat, bits, ring, k)
         base = t.take(pa.array(qsel))
         cols = {name: base[name] for name in query_cols or t.column_names}
         cols[ref_id] = pa.array(rid[rsel])

@@ -9,8 +9,9 @@ georay, so every module (``hashing``, ``jpeg``, ``images``, ``runtime``)
 can keep its caches here without an import cycle.
 
 :func:`broadcast` is the one way a plan ships driver-side state to its
-workers: one ``ray.put``, then one ``ray.get`` (and build) per worker
-process, cached by :func:`per_process`.
+workers: one :func:`put`, then one ``ray.get`` (and build) per worker
+process, cached by :func:`per_process`. :func:`put` is also how a
+driver-answered one-block Dataset (``io.one_block``) stores its block.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def per_process(key: str, factory):
     return inst
 
 
+def put(value):
+    """``value`` in the object store, as a ref: the one ``ray.put``, under
+    :func:`broadcast`'s worker state and the block of a driver-answered
+    Dataset (``io.one_block``)."""
+    import ray
+
+    return ray.put(value)
+
+
 def broadcast(value, build=None):
     """Ship ``value`` to the workers once and return a zero-argument getter
     for it.
@@ -63,12 +73,12 @@ def broadcast(value, build=None):
     and tasks in that process reuse it. Getters keep the fetched value
     across batches: treat it (numpy arrays from the object store are
     read-only anyway) and what ``build`` returns as shared, not scratch."""
-    import ray
-
-    ref = ray.put(value)
+    ref = put(value)
     key = "broadcast:" + ref.hex()
 
     def fetch():
+        import ray
+
         got = ray.get(ref)
         return got if build is None else build(got)
 

@@ -106,9 +106,124 @@ def test_small_read_is_one_block_fused_with_its_map(ray_session, tmp_path):
     mat = ds.materialize()
     assert mat.num_blocks() == 1
     ops = [ln for ln in mat.stats().splitlines() if ln.startswith("Operator ")]
-    assert len(ops) == 1 and "ReadParquet->MapBatches(shift)" in ops[0], ops
+    assert len(ops) == 1 and ops[0].split(":")[0].endswith(
+        " MapBatches(shift)"), ops  # the one map over the driver-read block
     want = _unsized(path).map_batches(shift, batch_format="pyarrow")
     assert _rows(mat).equals(_rows(want))
+
+
+@pytest.fixture
+def no_ray_task(monkeypatch):
+    """Within ``with no_ray_task():`` starting a Ray task or a Ray Data
+    execution raises."""
+    import contextlib
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+    from ray.remote_function import RemoteFunction
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray task or execution started")
+
+    @contextlib.contextmanager
+    def guard():
+        with monkeypatch.context() as m:
+            m.setattr(RemoteFunction, "_remote", refuse)
+            m.setattr(StreamingExecutor, "execute", refuse)
+            yield
+
+    return guard
+
+
+def test_one_block_answers_start_no_ray_task(ray_session, tmp_path,
+                                             no_ray_task):
+    import ray
+
+    from georay import codec
+    from georay.index import CellIndex
+
+    path = str(tmp_path / "pts.parquet")
+    _write_points(path, 15_000)
+    rng = np.random.default_rng(1)
+    lon, lat = rng.uniform(-180, 180, 500), rng.uniform(-90, 90, 500)
+    idx = CellIndex.build(ray.data.from_arrow(pa.table({
+        "k": np.arange(500, dtype=np.int64), "lon": lon, "lat": lat,
+        "cell": codec.encode(lon, lat, 16).astype(np.int64)})),
+        str(tmp_path / "ix"), bits=16, prefix_bits=6)
+    with no_ray_task():
+        read = gio.read_parquet(path, ["k", "x"])
+        answer = idx.query_cells(codec.encode(lon[:1], lat[:1], 16),
+                                 columns=["k"], expand_neighbors=True)
+        assert read.num_blocks() == 1 and answer.num_blocks() == 1
+        assert len(answer.to_pandas()) > 0
+    assert _rows(read).equals(_rows(_unsized(path, ["k", "x"])))
+
+
+def test_zero_row_one_block_read_keeps_its_schema(ray_session, tmp_path,
+                                                  no_ray_task):
+    import pyarrow.parquet as pq
+
+    path = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"k": pa.array([], pa.int64()),
+                             "s": pa.array([], pa.string())}), path)
+    with no_ray_task():  # the schema is known without running the plan
+        ds = gio.read_parquet(path)
+        assert ds.schema().names == ["k", "s"]
+        assert ds.schema().types == [pa.int64(), pa.string()]
+        assert list(ds.to_pandas().columns) == ["k", "s"]
+    assert ds.count() == 0 and ds.num_blocks() == 1
+
+
+def test_read_over_one_block_goes_through_ray(ray_session, tmp_path,
+                                              monkeypatch):
+    import ray.data
+    from ray.data import DataContext
+
+    path = str(tmp_path / "pts.parquet")
+    _write_points(path, 15_000)
+    calls = []
+    read_parquet = ray.data.read_parquet
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("override_num_blocks"))
+        return read_parquet(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        -(-gio.footer_bytes([path]) // 3))
+    ds = gio.read_parquet(path)
+    assert calls == [3] and not isinstance(ds, gio.OneBlock)
+    assert ds.materialize().num_blocks() == 3
+    assert _rows(ds).equals(_rows(_unsized(path)))
+
+
+def test_driver_answers_are_built_by_io_one_block():
+    import ast
+    import pathlib
+
+    # a Dataset answered in the driver is io.one_block's, and the index
+    # builds none of its own from ray.data.from_arrow
+    root = pathlib.Path(gio.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root.parent).as_posix()
+        if rel == "georay/io.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", "")
+            if (name in ("OneBlock", "MaterializedDataset", "ExecutionPlan",
+                         "from_arrow_refs")
+                    or name == "copy" and any(k.arg == "_as"
+                                              for k in node.keywords)
+                    or name == "from_arrow" and rel == "georay/index.py"):
+                sites.append(f"{rel}:{node.lineno} {name}")
+    assert not sites, f"answer one-block reads with io.one_block: {sites}"
 
 
 def test_cpus_raise_blocks_down_to_the_min_block_size(ray_session, tmp_path):

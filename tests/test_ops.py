@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georay import codec
+from georay import cells, codec
 from georay.ops import join as join_ops
 from georay.ops import knn as knn_ops
 from georay.ops import spatial, tiles
@@ -577,23 +579,88 @@ def test_geodesic_dwithin_polar_brute_parity(ray_session):
     assert len(polar) > 20
 
 
+def _brute_ring_knn(qcell, qlon, qlat, rcell, rlon, rlat, rid, bits, ring):
+    """Per query, its ring candidates' (dist2, ref_id) in (dist2, ref_id)
+    order, NaN distances last: the Chebyshev cell ring by grid arithmetic
+    (x wraps, y does not), and the kernel's float expression."""
+    nx, ny = codec.split_bits(bits)
+    w = 1 << nx
+    qx, qy = (a.astype(np.int64) for a in codec.deinterleave(qcell, bits))
+    rx, ry = (a.astype(np.int64) for a in codec.deinterleave(rcell, bits))
+    out = []
+    for i in range(qcell.size):
+        ddx = np.abs(qx[i] - rx)
+        near = (np.minimum(ddx, w - ddx) <= ring) & (np.abs(qy[i] - ry) <= ring)
+        dx = qlon[i] - rlon[near]
+        dy = qlat[i] - rlat[near]
+        d = dx * dx + dy * dy
+        out.append(sorted(zip(d.tolist(), rid[near].tolist()),
+                          key=lambda p: (np.isnan(p[0]), np.nan_to_num(p[0]),
+                                         p[1])))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_topk_precut_matches_uncut(data):
-    # tie-heavy distances (few distinct values, repeated tie-breaks) and
-    # queries with fewer than k candidates, including none
-    counts = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
-    qidx = np.repeat(np.arange(len(counts)), counts)
-    n = qidx.size
-    dist = np.array(data.draw(st.lists(
-        st.sampled_from([0.0, 0.25, 1.0, 4.0]), min_size=n, max_size=n)),
-        dtype=np.float64)
-    tie = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n,
-                                      max_size=n)), dtype=np.int64)
-    k = data.draw(st.integers(1, 6))
+def test_knn_ring_kernel_matches_brute_ranking(data):
+    # coordinates on a coarse lattice (equal distances tie at the k-th),
+    # repeated ref ids, NaN lon/lat, few or no refs, one hot cell holding
+    # most refs, and bits=2, where a ring wraps the 2-cell-wide grid
+    bits = data.draw(st.sampled_from([2, 4, 6]), label="bits")
+    ring = data.draw(st.integers(1, 2), label="ring")
+    k = data.draw(st.integers(1, 6), label="k")
+    lons = st.sampled_from([-179.0, -90.0, -45.0, 0.0, 0.5, 1.0, 45.0, 179.0])
+    lats = st.sampled_from([-89.0, -45.0, 0.0, 0.5, 1.0, 45.0, 89.0])
+    nq = data.draw(st.integers(0, 12), label="nq")
+    nr = data.draw(st.integers(0, 30), label="nr")
+    qlon = np.array(data.draw(st.lists(lons, min_size=nq, max_size=nq)))
+    qlat = np.array(data.draw(st.lists(lats, min_size=nq, max_size=nq)))
+    rlon = np.array(data.draw(st.lists(lons, min_size=nr, max_size=nr)))
+    rlat = np.array(data.draw(st.lists(lats, min_size=nr, max_size=nr)))
+    if nr and data.draw(st.booleans(), label="hot cell"):
+        hot = np.arange(nr) < (3 * nr) // 4
+        rlon[hot], rlat[hot] = 0.5, 0.5
+    qcell = codec.encode(qlon, qlat, bits).astype(np.uint64)
+    rcell = codec.encode(rlon, rlat, bits).astype(np.int64)
+    for arr in (qlon, rlat):  # the cells stay; the distances turn NaN
+        if arr.size and data.draw(st.booleans(), label="nan"):
+            arr[data.draw(st.integers(0, arr.size - 1))] = np.nan
+    rid = np.array(data.draw(st.lists(st.integers(0, 9), min_size=nr,
+                                      max_size=nr)), dtype=np.int64)
+    refs = codec.SortedLookup(pa.table({
+        "cell": rcell, "lon": rlon, "lat": rlat, "ref_id": rid}), "cell")
 
-    def rows(sel, rank):
-        return sorted(zip(qidx[sel], dist[sel], tie[sel], rank))
+    # one probe per distinct query cell gives the flat per-query probe's
+    # candidates in the same order, so knn_adaptive and dwithin_ring,
+    # which rank or filter them as they come, are unchanged
+    qidx, ridx = knn_ops._ring_candidates(refs, qcell, bits, ring)
+    flat_q, flat_cells = cells.ring_probe(qcell, bits, ring)
+    pi, flat_r = refs.match(flat_cells)
+    assert np.array_equal(qidx, flat_q[pi]) and np.array_equal(ridx, flat_r)
 
-    assert rows(*knn_ops._topk_sorted_queries(qidx, dist, tie, k)) == rows(
-        *knn_ops._topk_per_query(qidx, dist, tie, k))
+    counts = np.bincount(qidx, minlength=nq)
+    for rows, width in knn_ops._pad_bins(counts, k):
+        assert (counts[rows] > k).all()
+        assert rows.size * width < 2 * counts[rows].sum()
+
+    qsel, rsel, rank = knn_ops._ring_topk(refs, "ref_id", qcell, qlon, qlat,
+                                          bits, ring, k)
+    assert np.all(np.diff(qsel) >= 0)
+    want = _brute_ring_knn(qcell, qlon, qlat, refs.column("cell"),
+                           refs.column("lon"), refs.column("lat"),
+                           refs.column("ref_id"), bits, ring)
+    for i in range(nq):
+        at = qsel == i
+        assert rank[at].tolist() == list(range(1, min(k, len(want[i])) + 1))
+        dx = qlon[i] - refs.column("lon")[rsel[at]]
+        dy = qlat[i] - refs.column("lat")[rsel[at]]
+        got = list(zip((dx * dx + dy * dy).tolist(),
+                       refs.column("ref_id")[rsel[at]].tolist()))
+        top = want[i][:k]
+        finite = [p for p in top if not np.isnan(p[0])]
+        assert got[:len(finite)] == finite
+        # NaN distances rank last, in no set order among themselves
+        rest = got[len(finite):]
+        assert all(np.isnan(d) for d, _ in rest)
+        nan_ids = Counter(r for d, r in want[i] if np.isnan(d))
+        assert not Counter(r for _, r in rest) - nan_ids
