@@ -9,6 +9,13 @@ is attempted via import and degrades to a clear error in environments
 without ``pylance`` (this sandbox); the parquet facade carries the same
 schema, so pipelines are lance-ready without code changes.
 
+A parquet read sized to one block (:func:`read_num_blocks`) is read here,
+in the driver, and answered as a :class:`OneBlock` Dataset, and so are the
+map stages run over it: ``OneBlock.map_batches`` and ``select_columns``
+run on the held table and answer with :func:`one_block`, so a small
+read → map → project plan starts no Ray task. Anything else on such a
+Dataset, and every Dataset of more blocks, runs on Ray.
+
 Sinks: plain format writers, or the checkpointed partitioned-parquet sink
 (``runtime.write_partitioned``) when a partition column is given — one
 atomically-renamed file per key + manifest with lineage, the resumable
@@ -17,10 +24,26 @@ layout every large output should use.
 
 from __future__ import annotations
 
+import functools
 import os
+from types import GeneratorType
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ray.data import DataContext
+from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
+from ray.data._internal.execution.interfaces import RefBundle
+from ray.data._internal.logical.interfaces import LogicalOperator, LogicalPlan
+from ray.data._internal.logical.operators.from_operators import FromArrow
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.planner.plan_udf_map_op import _validate_batch_output
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import (
+    BlockAccessor,
+    BlockExecStats,
+    BlockMetadataWithSchema,
+    _apply_batch_format,
+)
 from ray.data.dataset import MaterializedDataset
 
 from georay import runtime
@@ -100,7 +123,6 @@ def read_num_blocks(nbytes: int) -> int:
     split into more blocks than read tasks never fuses with the maps
     after it."""
     import ray
-    from ray.data import DataContext
 
     ctx = DataContext.get_current()
     by_max = 1
@@ -136,12 +158,37 @@ def _projected(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
         [schema.field(c) for c in columns])
 
 
+class _HeldArrow(FromArrow):
+    """Ray's ``FromArrow`` source over one table held in the driver. Its
+    block is put in the object store (:func:`georay.process_state.put`,
+    ~1-3 ms for a 15k-row table) the first time Ray reads the source: to
+    plan an execution over it, or to count its rows."""
+
+    def __init__(self, table: pa.Table, meta):
+        LogicalOperator.__init__(self, "FromArrow", [], 1)
+        self._held = (table, meta)
+
+    @functools.cached_property
+    def _input_data(self):
+        table, meta = self._held
+        return [RefBundle([(put(table), meta)], owns_blocks=False,
+                          schema=meta.schema)]
+
+
 class OneBlock(MaterializedDataset):
     """A one-block Dataset answered in the driver (:func:`one_block`). It
     keeps the pyarrow table it was made from, so ``to_pandas`` converts
     that table in the driver instead of fetching the block back through
     a streaming-executor pass (~30 ms per call), and a zero-row answer
-    keeps its typed columns, where Ray's ``to_pandas`` returns none."""
+    keeps its typed columns, where Ray's ``to_pandas`` returns none.
+
+    Its map stages run here too. A plan over one block is one Ray task
+    (~40 ms of streaming-executor start and teardown), so ``map_batches``
+    with a function UDF and ``select_columns`` run on the held table in
+    the driver, and their answer is again a :func:`one_block` Dataset; a
+    chain of them never starts Ray. Every other method, a class UDF and
+    a zero-row table (whose maps Ray answers untyped, without calling
+    the UDF) take Ray's lazy path."""
 
     _table: pa.Table
 
@@ -150,28 +197,69 @@ class OneBlock(MaterializedDataset):
             return super().to_pandas(limit)  # Ray's "more than limit" error
         return self._table.to_pandas()
 
+    def map_batches(self, fn, *, batch_size=None, batch_format="default",
+                    zero_copy_batch=False, fn_args=None, fn_kwargs=None,
+                    **kwargs):
+        """Ray's ``map_batches``, run here: the batches Ray's map task
+        would cut (the whole block for ``batch_size=None``, else
+        consecutive slices of ``batch_size`` rows, copied unless
+        ``zero_copy_batch``), in ``batch_format`` through Ray's own
+        converters, and ``fn``'s outputs (each yield of a generator, in
+        order) built into one block as Ray builds them, metadata-free.
+        Resource arguments (``num_cpus``, ``compute``, ...) change nothing
+        here, and a UDF error is raised as is. A ``batch_size`` Ray would
+        refuse goes to Ray."""
+        if (isinstance(fn, type) or not self._table.num_rows
+                or not (batch_size is None or isinstance(batch_size, int)
+                        and batch_size > 0)):
+            return super().map_batches(
+                fn, batch_size=batch_size, batch_format=batch_format,
+                zero_copy_batch=zero_copy_batch, fn_args=fn_args,
+                fn_kwargs=fn_kwargs, **kwargs)
+        batch_format = _apply_batch_format(batch_format)
+        block = BlockAccessor.for_block(self._table)
+        n = block.num_rows()
+        step = batch_size or n
+        out = DelegatingBlockBuilder()
+        for lo in range(0, n, step):
+            batch = BlockAccessor.for_block(block.slice(
+                lo, min(lo + step, n),
+                copy=batch_size is not None and not zero_copy_batch,
+            )).to_batch_format(batch_format)
+            res = fn(batch, *(fn_args or ()), **(fn_kwargs or {}))
+            for got in res if isinstance(res, GeneratorType) else [res]:
+                _validate_batch_output(got)
+                out.add_batch(got)
+        return one_block(runtime.strip_metadata(
+            BlockAccessor.for_block(out.build()).to_arrow()))
+
+    def select_columns(self, cols, **kwargs):
+        """Ray's ``select_columns``, run here on the held table."""
+        if isinstance(cols, str):
+            cols = [cols]
+        if (not self._table.num_rows or not isinstance(cols, list)
+                or not cols or len(set(cols)) != len(cols)):
+            return super().select_columns(cols, **kwargs)  # Ray's errors
+        return one_block(self._table.select(cols))
+
 
 def one_block(table: pa.Table) -> OneBlock:
     """``table`` as a materialized one-block Dataset, built the way
     ``ray.data.from_arrow_refs`` builds one but with the block's metadata
     and schema taken here from the table, so no Ray task runs. The one
-    constructor of driver-answered Datasets; a zero-row table keeps its
-    schema in ``schema()``."""
-    from ray.data import DataContext
-    from ray.data._internal.logical.interfaces import LogicalPlan
-    from ray.data._internal.logical.operators.from_operators import FromArrow
-    from ray.data._internal.plan import ExecutionPlan
-    from ray.data._internal.stats import DatasetStats
-    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
-
+    constructor of driver-answered Datasets: reads and index answers of
+    one block, and the map stages run over them (:class:`OneBlock`). A
+    zero-row table keeps its schema in ``schema()``. The block goes to
+    the object store only when Ray first reads it (:class:`_HeldArrow`),
+    so a driver-run stage whose answer the next stage consumes puts
+    nothing."""
     meta = BlockMetadataWithSchema.from_block(
         table, stats=BlockExecStats.builder().build())
     plan = ExecutionPlan(
         DatasetStats(metadata={}, parent=None),
         DataContext.get_current().copy(),
     )
-    ds = OneBlock(plan, LogicalPlan(FromArrow([put(table)], [meta]),
-                                    plan._context))
+    ds = OneBlock(plan, LogicalPlan(_HeldArrow(table, meta), plan._context))
     ds._table = table
     plan.cache_schema(table.schema)
     return ds

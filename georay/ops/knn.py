@@ -32,19 +32,23 @@ from georay.runtime import broadcast, by_key, group_agg, join, per_key
 
 
 def _dense_rank(vals: np.ndarray) -> np.ndarray:
-    """Tie-aware dense rank (equal values share a rank) via ONE quicksort
-    argsort + run-collapse — never a stable sort. numpy's stable/radix
-    sorts (and therefore ``np.lexsort``) intermittently run 10-40× slower
-    than introsort on this class of VM (measured 2.6–14 s vs 0.25 s on 4M
-    rows, phase-dependent); dense ranks let the 3-key lexicographic sort
-    below be expressed as quicksorts only."""
+    """Tie-aware dense rank (equal values share a rank, and so do all
+    NaNs, which rank last) via ONE quicksort argsort + run-collapse —
+    never a stable sort. numpy's stable/radix sorts (and therefore
+    ``np.lexsort``) intermittently run 10-40× slower than introsort on
+    this class of VM (measured 2.6–14 s vs 0.25 s on 4M rows,
+    phase-dependent); dense ranks let the 3-key lexicographic sort below
+    be expressed as quicksorts only."""
     od = np.argsort(vals, kind="quicksort")
     sv = vals[od]
     r = np.empty(vals.size, dtype=np.uint64)
     if vals.size:
+        new_run = sv[1:] != sv[:-1]
+        if sv.dtype.kind == "f":  # sorted NaNs are one run, not NaN != NaN
+            new_run &= ~np.isnan(sv[:-1])
         steps = np.empty(vals.size, dtype=np.int64)
         steps[0] = 0
-        np.cumsum(sv[1:] != sv[:-1], out=steps[1:])
+        np.cumsum(new_run, out=steps[1:])
         r[od] = steps.astype(np.uint64)
     return r
 

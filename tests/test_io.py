@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georay import io as gio
 
@@ -106,8 +108,7 @@ def test_small_read_is_one_block_fused_with_its_map(ray_session, tmp_path):
     mat = ds.materialize()
     assert mat.num_blocks() == 1
     ops = [ln for ln in mat.stats().splitlines() if ln.startswith("Operator ")]
-    assert len(ops) == 1 and ops[0].split(":")[0].endswith(
-        " MapBatches(shift)"), ops  # the one map over the driver-read block
+    assert ops == [], ops  # the map over the driver-read block ran there too
     want = _unsized(path).map_batches(shift, batch_format="pyarrow")
     assert _rows(mat).equals(_rows(want))
 
@@ -137,10 +138,11 @@ def no_ray_task(monkeypatch):
 
 
 def test_one_block_answers_start_no_ray_task(ray_session, tmp_path,
-                                             no_ray_task):
+                                             monkeypatch, no_ray_task):
     import ray
 
     from georay import codec
+    from georay import queries as q
     from georay.index import CellIndex
 
     path = str(tmp_path / "pts.parquet")
@@ -151,13 +153,131 @@ def test_one_block_answers_start_no_ray_task(ray_session, tmp_path,
         "k": np.arange(500, dtype=np.int64), "lon": lon, "lat": lat,
         "cell": codec.encode(lon, lat, 16).astype(np.int64)})),
         str(tmp_path / "ix"), bits=16, prefix_bits=6)
+    plans = (q.q_spatial_join, q.q_knn)
+    tables = _point_tables(tmp_path)
     with no_ray_task():
         read = gio.read_parquet(path, ["k", "x"])
         answer = idx.query_cells(codec.encode(lon[:1], lat[:1], 16),
                                  columns=["k"], expand_neighbors=True)
         assert read.num_blocks() == 1 and answer.num_blocks() == 1
         assert len(answer.to_pandas()) > 0
+        chain = _chain(gio.read_parquet(path)).to_pandas()
+        joined = [plan(tables).to_pandas() for plan in plans]
     assert _rows(read).equals(_rows(_unsized(path, ["k", "x"])))
+    assert chain.equals(_chain(_unsized(path)).to_pandas())
+    # the same plans with their reads left to Ray, one block each
+    monkeypatch.setattr(gio, "read_one_block", lambda files, columns: (None, 1))
+    for plan, df in zip(plans, joined):
+        ray_path = plan(tables)
+        assert not isinstance(ray_path, gio.OneBlock)
+        assert len(df) > 0 and df.equals(ray_path.to_pandas())
+
+
+def _chain(ds):
+    """Two maps and a projection, as georay's point plans chain them."""
+    def shift(t: pa.Table, by) -> pa.Table:
+        return t.set_column(1, "x", pa.compute.add(t["x"], by))
+
+    def norm(batch: dict) -> dict:
+        return {"k": batch["k"], "r": np.hypot(batch["x"], batch["y"])}
+
+    return (ds.map_batches(shift, batch_format="pyarrow", fn_args=(1.0,))
+            .map_batches(norm, batch_format="numpy", batch_size=4096)
+            .select_columns(["r", "k"]))
+
+
+def _point_tables(d):
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"c_custkey": np.arange(3000, dtype=np.int64)}),
+                   str(d / "customer.parquet"))
+    pq.write_table(pa.table({"s_suppkey": np.arange(200, dtype=np.int64)}),
+                   str(d / "supplier.parquet"))
+    return str(d)
+
+
+FORMATS = ["pyarrow", "pandas", "numpy", "default", None]
+
+
+def _stage(drop, gen):
+    """A UDF for batches of any format: drops the rows whose ``k`` is
+    ``drop`` mod 3 and appends ``z = k + add``; as a generator it yields
+    that and the untouched batch."""
+    def to_cols(batch):
+        if isinstance(batch, pa.Table):
+            return {c: batch[c].to_numpy(zero_copy_only=False)
+                    for c in batch.column_names}
+        if isinstance(batch, dict):
+            return dict(batch)
+        return {c: batch[c].to_numpy() for c in batch.columns}
+
+    def back(cols, like):
+        if isinstance(like, pa.Table):
+            return pa.table(cols)
+        if isinstance(like, dict):
+            return cols
+        import pandas as pd
+
+        return pd.DataFrame(cols)
+
+    def fn(batch, add=0):
+        cols = to_cols(batch)
+        keep = cols["k"] % 3 != drop
+        out = {c: v[keep] for c, v in cols.items()}
+        out["z"] = out["k"] + add
+        return back(out, batch)
+
+    if not gen:
+        return fn
+
+    def fn_gen(batch, add=0):
+        yield fn(batch, add)
+        yield batch
+
+    return fn_gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_driver_map_matches_ray_map(ray_session, data):
+    # the same map chain on an io.one_block table (run in the driver) and
+    # on a one-block Dataset that Ray executes: equal frames, row order
+    # included, and equal schemas
+    import ray
+
+    n = data.draw(st.integers(0, 40), label="rows")
+    table = pa.table({
+        "k": np.arange(n, dtype=np.int64),
+        "x": np.linspace(0.0, 1.0, n),
+        "s": [f"r{i}" for i in range(n)],
+    })
+    stages = []
+    for i in range(2):
+        fmt = data.draw(st.sampled_from(FORMATS), label=f"format {i}")
+        size = data.draw(st.none() | st.integers(1, n + 2), label=f"size {i}")
+        udf = _stage(drop=i, gen=data.draw(st.booleans(), label=f"gen {i}"))
+        stages.append(dict(fn=udf, batch_format=fmt, batch_size=size,
+                           fn_kwargs={"add": data.draw(st.integers(0, 9))}))
+    cols = data.draw(st.sampled_from([["z", "k"], ["s"], "x"]), label="cols")
+    got, want = gio.one_block(table), ray.data.from_arrow(table)
+    for st_args in stages:
+        got = got.map_batches(**st_args)
+        want = want.map_batches(**st_args)
+    got, want = got.select_columns(cols), want.select_columns(cols)
+    # a map over rows runs in the driver; over none, on Ray
+    first = gio.one_block(table).map_batches(**stages[0])
+    assert isinstance(first, gio.OneBlock) == (n > 0)
+    assert got.to_pandas().equals(want.to_pandas())
+    gs, ws = got.schema(), want.schema()
+    assert (gs is None) == (ws is None)
+    if gs is not None:
+        assert gs.names == ws.names
+        # Ray keeps a pandas UDF's answer as a pandas block (strings typed
+        # object) until a stage converts it; the driver holds every answer
+        # as Arrow, converted as that stage would convert it
+        formats = [a["batch_format"] for a in stages]
+        if [f for f in formats if f is not None][-1:] != ["pandas"]:
+            assert gs.types == ws.types
 
 
 def test_zero_row_one_block_read_keeps_its_schema(ray_session, tmp_path,
@@ -203,26 +323,34 @@ def test_driver_answers_are_built_by_io_one_block():
     import pathlib
 
     # a Dataset answered in the driver is io.one_block's, and the index
-    # builds none of its own from ray.data.from_arrow
+    # builds none of its own from ray.data.from_arrow; the driver path is
+    # io.OneBlock's alone: no other Dataset class, and no other module
+    # reads a held table
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(
+            node, "id", "")
+
     root = pathlib.Path(gio.__file__).parent
     sites = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root.parent).as_posix()
-        if rel == "georay/io.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(
-                f, "id", "")
-            if (name in ("OneBlock", "MaterializedDataset", "ExecutionPlan",
-                         "from_arrow_refs")
-                    or name == "copy" and any(k.arg == "_as"
-                                              for k in node.keywords)
-                    or name == "from_arrow" and rel == "georay/index.py"):
-                sites.append(f"{rel}:{node.lineno} {name}")
+        in_io = rel == "georay/io.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                if (any(name(b).endswith("Dataset") for b in node.bases)
+                        and (rel, node.name) != ("georay/io.py", "OneBlock")):
+                    sites.append(f"{rel}:{node.lineno} class {node.name}")
+            elif isinstance(node, ast.Attribute):
+                if node.attr == "_table" and not in_io:
+                    sites.append(f"{rel}:{node.lineno} ._table")
+            elif isinstance(node, ast.Call) and not in_io:
+                f = name(node.func)
+                if (f in ("OneBlock", "MaterializedDataset", "ExecutionPlan",
+                          "from_arrow_refs")
+                        or f == "copy" and any(k.arg == "_as"
+                                               for k in node.keywords)
+                        or f == "from_arrow" and rel == "georay/index.py"):
+                    sites.append(f"{rel}:{node.lineno} {f}")
     assert not sites, f"answer one-block reads with io.one_block: {sites}"
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -654,13 +652,16 @@ def test_knn_ring_kernel_matches_brute_ranking(data):
         assert rank[at].tolist() == list(range(1, min(k, len(want[i])) + 1))
         dx = qlon[i] - refs.column("lon")[rsel[at]]
         dy = qlat[i] - refs.column("lat")[rsel[at]]
-        got = list(zip((dx * dx + dy * dy).tolist(),
-                       refs.column("ref_id")[rsel[at]].tolist()))
+        # (dist2, ref_id) order, NaN distances last and among themselves
+        # in ref-id order, as the DuckDB twins give them
         top = want[i][:k]
-        finite = [p for p in top if not np.isnan(p[0])]
-        assert got[:len(finite)] == finite
-        # NaN distances rank last, in no set order among themselves
-        rest = got[len(finite):]
-        assert all(np.isnan(d) for d, _ in rest)
-        nan_ids = Counter(r for d, r in want[i] if np.isnan(d))
-        assert not Counter(r for _, r in rest) - nan_ids
+        assert refs.column("ref_id")[rsel[at]].tolist() == [r for _, r in top]
+        assert np.array_equal(dx * dx + dy * dy, [d for d, _ in top],
+                              equal_nan=True)
+
+
+def test_topk_ties_nan_distances_by_ref_id():
+    ids = np.arange(7, -1, -1)
+    sel, rank = knn_ops._topk_per_query(np.zeros(8, np.int64),
+                                        np.full(8, np.nan), ids, 3)
+    assert ids[sel].tolist() == [0, 1, 2] and rank.tolist() == [1, 2, 3]

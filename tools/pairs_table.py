@@ -8,10 +8,12 @@ i-th change run form pair i, so pass them in the order they ran. A log may
 hold several runs: its records are taken in order.
 
 One row per end-to-end metric (``setup_s``, ``mix_s``, ``peak_rss_mb``,
-``ok_share``) and, for the ``points`` workload, per operation kind (the
-run's median wall of that kind) and for ``mix_s`` without the build: the
-median [q1, q3] over the runs of each tree, the change of the medians, and
-the pairs in which the change was better.
+``ok_share``), one for ``setup_s`` without Ray's node start (the record's
+``setup_s.ray_start_s``, most of the spread of ``setup_s``) and, for the
+``points`` workload, per operation kind (the run's median wall of that
+kind) and for ``mix_s`` without the build: the median [q1, q3] over the
+runs of each tree, the change of the medians, and the pairs in which the
+change was better.
 """
 
 from __future__ import annotations
@@ -40,13 +42,16 @@ def records(paths: list[str]) -> list[dict]:
 
 
 def metrics(rec: dict) -> dict[str, float]:
-    """One run's end-to-end metrics and, for ``points``, its per-kind
-    median walls (ms) and its mix without the build."""
+    """One run's end-to-end metrics, its set-up after Ray's node start
+    and, for ``points``, its per-kind median walls (ms) and its mix
+    without the build."""
     out = {
         "setup_s": rec["setup_s"]["value"],
         "mix_s": rec["mix_s"]["value"],
         "peak_rss_mb": rec["peak_rss_mb"]["value"],
         "ok_share": 1.0 - rec["failed_share"]["value"],
+        "setup_s without Ray start": (rec["setup_s"]["value"]
+                                      - rec["setup_s"]["ray_start_s"]),
     }
     if rec["workload"] == "points":
         from perfbench.workloads import MIX
